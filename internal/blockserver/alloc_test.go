@@ -11,7 +11,7 @@ import (
 // operation at the client — with and without the CRC feature. Pinned
 // with testing.AllocsPerRun (whose first call is the warm-up that grows
 // the scratch) over context.Background(), the steady-state case: a
-// cancellable context needs a watchdog goroutine and is allowed to
+// cancellable context registers a cancel callback and is allowed to
 // allocate.
 func TestVectoredOpsAllocFree(t *testing.T) {
 	if raceEnabled {

@@ -75,9 +75,15 @@ type Client struct {
 	bufs  [][]byte
 	nb    net.Buffers
 	crcs  []uint32
-	// Watchdog state for the op in flight (see beginOp).
-	stop, watchdogDone chan struct{}
-	armed              bool
+	// Cancellation state for the op in flight (see beginOp). armed says
+	// the op set a connection deadline endOp must clear; unwatch
+	// deregisters the op's cancel callback. A callback acts only while
+	// opGen — guarded by watchMu, not mu, which the op itself holds —
+	// still has the value its op was given.
+	armed   bool
+	unwatch func() bool
+	watchMu sync.Mutex
+	opGen   uint64
 }
 
 // Dial connects to a Server with no timeouts.
@@ -234,17 +240,21 @@ func (c *Client) Broken() error {
 // beginOp opens one request/response exchange: it takes the client
 // lock, fails fast on a poisoned connection or dead context, arms the
 // per-op deadline (the tighter of cfg.OpTimeout and the context
-// deadline), and starts the cancellation watchdog. Every successful
+// deadline), and registers the cancellation callback. Every successful
 // beginOp must be paired with endOp. The hot I/O methods call the pair
 // directly instead of passing a closure to do(), which is what keeps
 // their steady state at zero allocations.
 //
-// Cancellation is honored mid-frame, not just at op start: a watchdog
-// goroutine slams the connection deadline into the past the moment ctx
-// is cancelled, which fails the pending read/write immediately. (The
-// watchdog costs a goroutine and two channels per op; contexts that
-// cannot be cancelled — ctx.Done() == nil, e.g. context.Background() —
-// skip it, which is the allocation-free steady state.)
+// Cancellation is honored mid-frame, not just at op start: a callback
+// registered on ctx slams the connection deadline into the past the
+// moment ctx is cancelled, which fails the pending read/write
+// immediately. It is a context.AfterFunc, not a goroutine parked on
+// ctx.Done(): starting and joining a goroutine per op put two trips
+// through the scheduler on every exchange, which on a small op cost
+// more than the exchange. (The registration still allocates; contexts
+// that cannot be cancelled — ctx.Done() == nil, e.g.
+// context.Background() — skip it, which is the allocation-free steady
+// state.)
 func (c *Client) beginOp(ctx context.Context) error {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -267,33 +277,39 @@ func (c *Client) beginOp(ctx context.Context) error {
 	}
 	c.armed = !deadline.IsZero() || ctx.Done() != nil
 	if ctx.Done() != nil {
-		c.stop = make(chan struct{})
-		c.watchdogDone = make(chan struct{})
-		go func(conn net.Conn, stop, done chan struct{}) {
-			defer close(done)
-			select {
-			case <-ctx.Done():
-				conn.SetDeadline(time.Now().Add(-time.Second))
-			case <-stop:
+		c.watchMu.Lock()
+		c.opGen++
+		gen := c.opGen
+		c.watchMu.Unlock()
+		c.unwatch = context.AfterFunc(ctx, func() {
+			c.watchMu.Lock()
+			if c.opGen == gen {
+				c.conn.SetDeadline(time.Now().Add(-time.Second))
 			}
-		}(c.conn, c.stop, c.watchdogDone)
+			c.watchMu.Unlock()
+		})
 	}
 	return nil
 }
 
-// endOp closes the exchange beginOp opened: joins the watchdog, poisons
-// the connection when the exchange died mid-frame (anything but a clean
-// remote error or a CRC verdict leaves request and response streams out
-// of step), resets the deadline, and releases the lock. It returns the
+// endOp closes the exchange beginOp opened: retires the cancel
+// callback, poisons the connection when the exchange died mid-frame
+// (anything but a clean remote error or a CRC verdict leaves request and
+// response streams out of step), resets the deadline, and releases the
+// lock. It returns the
 // error the caller should surface — a cancellation is rewrapped around
 // ctx.Err() so callers can errors.Is it.
 func (c *Client) endOp(ctx context.Context, err error) error {
-	if c.stop != nil {
-		// Join the watchdog before touching the deadline again, so a
-		// late cancellation cannot clobber the reset below.
-		close(c.stop)
-		<-c.watchdogDone
-		c.stop, c.watchdogDone = nil, nil
+	if c.unwatch != nil {
+		// Retire the cancel callback before touching the deadline again.
+		// If it already fired it may still be on its way to the lock;
+		// moving opGen on makes it a no-op from here, so a late
+		// cancellation cannot clobber the reset below (or the next op).
+		c.unwatch()
+		c.unwatch = nil
+		c.watchMu.Lock()
+		c.opGen++
+		c.watchMu.Unlock()
 	}
 	if err != nil && !IsRemote(err) && !IsCRC(err) {
 		c.broken = err

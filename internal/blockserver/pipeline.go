@@ -267,9 +267,11 @@ func (p *pipe) terminalErr() error {
 // both goroutines, close the connection, and fail the in-flight
 // waiters. Ops the writer is mid-writev on are joined via their sent
 // signal first, so no caller resumes while a writev still references
-// its buffers; ops still queued are left to the writer's shutdown
-// drain, which is guaranteed to see them (submit enqueues under the
-// same lock fail uses to set the terminal error).
+// its buffers; ops still queued are left to the writer, which delivers
+// the terminal error to everything it has dequeued but not sent
+// (writeBatch) and to everything still in the queue (drainQueue) — and
+// is guaranteed to see them all, because submit enqueues under the same
+// lock fail uses to set the terminal error.
 func (p *pipe) fail(err error) {
 	p.failOnce.Do(func() {
 		p.mu.Lock()
@@ -287,12 +289,12 @@ func (p *pipe) fail(err error) {
 				case pipeSent:
 					if op.state.CompareAndSwap(pipeSent, pipeDone) {
 						op.err = err
-						signalPipe(op.done)
 						p.releaseToken()
+						signalPipe(op.done)
 						done = true
 					}
 				default:
-					// pipeQueued: the writer's shutdown drain delivers it.
+					// pipeQueued: the writer delivers it (see failQueued).
 					// pipeAbandoned: the abandoner released its token and
 					// nobody waits; the GC reclaims it.
 					// pipeReceiving/pipeDone: the reader owns(-ed) it and
@@ -316,6 +318,9 @@ func (p *pipe) acquireToken(ctx context.Context) error {
 	}
 }
 
+// releaseToken returns an op's window slot. Completion paths call it
+// before they signal the op done, so a caller that has seen its op
+// complete also sees the window (and the in-flight gauge) without it.
 func (p *pipe) releaseToken() {
 	<-p.window
 	p.stats.InFlight.Add(-1)
@@ -453,8 +458,14 @@ func (p *pipe) writeLoop() {
 func (p *pipe) writeBatch(batch []*pipeOp) bool {
 	select {
 	case <-p.quit:
-		// The pipe failed while this batch sat in the queue: leave every
-		// op in pipeQueued for the shutdown drain to deliver.
+		// The pipe failed while this batch sat in the queue. Its ops have
+		// already been taken out of reqCh, so the shutdown drain will
+		// never see them, and fail() leaves queued ops alone: they get
+		// their terminal error here or their callers wait forever.
+		err := p.terminalErr()
+		for _, op := range batch {
+			p.failQueued(op, err)
+		}
 		return false
 	default:
 	}
@@ -489,9 +500,38 @@ func (p *pipe) writeBatch(batch []*pipeOp) bool {
 	}
 	if werr != nil {
 		p.fail(werr)
+	}
+	select {
+	case <-p.quit:
+		// fail() hands the terminal error to every sent op it finds, but
+		// it may have looked at this batch while it was still queued and
+		// left it to the writer; whichever of the two moves an op out of
+		// pipeSent owns its delivery.
+		err := p.terminalErr()
+		for _, op := range batch[:live] {
+			if op.state.CompareAndSwap(pipeSent, pipeDone) {
+				op.err = err
+				p.releaseToken()
+				signalPipe(op.done)
+			}
+		}
 		return false
+	default:
 	}
 	return true
+}
+
+// failQueued delivers the pipe's terminal error to an op the writer
+// dequeued but never sent. An op abandoned while queued is skipped: its
+// abandoner already unregistered it and released its token, and the GC
+// reclaims it.
+func (p *pipe) failQueued(op *pipeOp, err error) {
+	if op.state.CompareAndSwap(pipeQueued, pipeDone) {
+		p.unregister(op.tag)
+		op.err = err
+		p.releaseToken()
+		signalPipe(op.done)
+	}
 }
 
 // drainQueue delivers the terminal error to every op still queued when
@@ -503,14 +543,7 @@ func (p *pipe) drainQueue() {
 	for {
 		select {
 		case op := <-p.reqCh:
-			if op.state.CompareAndSwap(pipeQueued, pipeDone) {
-				p.unregister(op.tag)
-				op.err = err
-				signalPipe(op.done)
-				p.releaseToken()
-			}
-			// else: abandoned while queued — already unregistered and
-			// token-released by the abandoner; the GC reclaims it.
+			p.failQueued(op, err)
 		default:
 			return
 		}
@@ -578,15 +611,15 @@ func (p *pipe) readLoop() {
 			if claimed {
 				op.err = err
 				op.state.Store(pipeDone)
-				signalPipe(op.done)
 				p.releaseToken()
+				signalPipe(op.done)
 			}
 			return
 		}
 		if claimed {
 			op.state.Store(pipeDone)
-			signalPipe(op.done)
 			p.releaseToken()
+			signalPipe(op.done)
 		}
 		// Abandoned ops: token already released by the abandoner; the op
 		// is intentionally not recycled (see the ownership note on top).

@@ -392,3 +392,71 @@ func TestPipelineStatsAccount(t *testing.T) {
 			stats.Frames.Load(), stats.Writevs.Load())
 	}
 }
+
+// TestPipelineTearAfterDequeue pins the writer's shutdown hand-off: ops
+// the writer has already taken out of the request queue when the pipe
+// fails are in nobody else's reach — the shutdown drain only empties
+// the queue, and fail() leaves queued ops to the writer — so writeBatch
+// itself must hand them the terminal error. The test plays the writer
+// by hand (a pipe with no goroutines of its own), tears the pipe
+// between the dequeue and writeBatch, and requires every submitted op
+// to come back with the tear, its window token returned.
+func TestPipelineTearAfterDequeue(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	const ops = 4
+	stats := NewPipeStats()
+	p := &pipe{
+		conn:    client,
+		stats:   stats,
+		window:  make(chan struct{}, ops),
+		reqCh:   make(chan *pipeOp, ops),
+		quit:    make(chan struct{}),
+		waiters: map[uint32]*pipeOp{},
+	}
+	ctx := context.Background()
+	var submitted []*pipeOp
+	for i := 0; i < ops; i++ {
+		if err := p.acquireToken(ctx); err != nil {
+			t.Fatal(err)
+		}
+		op := getPipeOp()
+		op.op = OpSize
+		op.hdr = op.growHdr(5)
+		op.bufs = append(op.bufs, op.hdr)
+		if err := p.submit(ctx, op); err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, op)
+	}
+	// The writer's dequeue: the whole queue moves into its batch.
+	var batch []*pipeOp
+	for len(p.reqCh) > 0 {
+		batch = append(batch, <-p.reqCh)
+	}
+	tear := errors.New("torn between dequeue and send")
+	p.fail(tear)
+	if p.writeBatch(batch) {
+		t.Fatal("writeBatch kept the writer alive on a failed pipe")
+	}
+	p.drainQueue() // the writer's exit path; the queue is already empty
+	for i, op := range submitted {
+		select {
+		case <-op.done:
+		default:
+			t.Fatalf("op %d was left queued with no one to fail it: its caller would wait forever", i)
+		}
+		if !errors.Is(op.err, tear) {
+			t.Fatalf("op %d completed with %v, want the tear", i, op.err)
+		}
+		if got := op.state.Load(); got != pipeDone {
+			t.Fatalf("op %d ended in state %d, want done", i, got)
+		}
+	}
+	if n := len(p.window); n != 0 {
+		t.Fatalf("%d window tokens still held after the tear", n)
+	}
+	if n := stats.InFlight.Load(); n != 0 {
+		t.Fatalf("in-flight gauge reads %d after the tear", n)
+	}
+}

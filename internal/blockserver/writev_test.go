@@ -315,3 +315,47 @@ func TestWriteVCancelledContext(t *testing.T) {
 		t.Fatalf("connection unusable after cancelled scatter: %d, %v", applied, err)
 	}
 }
+
+// TestCancelRacingCompletion races a context's cancellation against the
+// completion of the op it governs, many times over one connection. The
+// cancel callback yanks the connection deadline, and it can fire at any
+// point: while the op is in flight (the op fails, the connection is
+// poisoned — fine), or just as the op completes. In the second case it
+// must not leak past the op: an op that completed cleanly leaves a
+// connection whose next op, under an uncancellable context, succeeds.
+func TestCancelRacingCompletion(t *testing.T) {
+	addr, _ := startStoreServer(t, 4096)
+	vecs, bufs := []Vec{{Off: 0, Len: 64}}, [][]byte{make([]byte, 64)}
+	var client *Client
+	defer func() {
+		if client != nil {
+			client.Close()
+		}
+	}()
+	clean := 0
+	for i := 0; i < 2000; i++ {
+		if client == nil {
+			var err error
+			if client, err = Dial(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go cancel()
+		err := client.ReadVCtx(ctx, vecs, bufs)
+		if err != nil {
+			if client.Broken() != nil { // interrupted mid-exchange: start over
+				client.Close()
+				client = nil
+			}
+			continue
+		}
+		clean++
+		if err := client.ReadV(vecs, bufs); err != nil {
+			t.Fatalf("iteration %d: op after a cleanly completed, cancelled-late op failed: %v", i, err)
+		}
+	}
+	if clean == 0 {
+		t.Skip("no op ever beat its cancellation; nothing was exercised")
+	}
+}

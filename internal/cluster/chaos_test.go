@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/layout"
+	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
 )
 
@@ -22,9 +24,23 @@ func TestChaosBackendKilledMidRebuild(t *testing.T) {
 	const n, stripes = 4, 16
 	const elementSize = 256
 	arch := raid.NewThreeMirror(layout.NewGeneralShifted(n, 1, 1), layout.NewGeneralShifted(n, 2, 1))
-	backends := startBackends(t, arch, elementSize, stripes)
 	cfg := fastConfig(elementSize, stripes)
 	cfg.RebuildBatch = 1 // many lock slices so the kill lands mid-run
+	// The rebuild of data[0] reads primarily from the first mirror
+	// array. Kill one of its backends the moment the first slice has
+	// landed on the replacement backend, i.e. genuinely mid-rebuild; the
+	// slice's trace event runs inline, so the remaining slices all run
+	// against the dead backend (a poller racing a rebuild that takes a
+	// few milliseconds could miss it altogether).
+	victim := raid.DiskID{Role: raid.RoleMirror, Index: 1}
+	var backends *testBackends
+	var kill sync.Once
+	cfg.Tracer = obs.TracerFunc(func(ev obs.Event) {
+		if ev.Op == "rebuild_slice" {
+			kill.Do(func() { backends.kill(victim) })
+		}
+	})
+	backends = startBackends(t, arch, elementSize, stripes)
 	v, err := New(arch, backends.addrs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,31 +55,9 @@ func TestChaosBackendKilledMidRebuild(t *testing.T) {
 	if err := v.ReplaceBackend(lost, backends.replace(lost)); err != nil {
 		t.Fatal(err)
 	}
-
-	// The rebuild of data[0] reads primarily from the first mirror
-	// array. Kill one of its backends once the replacement backend has
-	// absorbed the first slice's writes, i.e. genuinely mid-rebuild.
-	victim := raid.DiskID{Role: raid.RoleMirror, Index: 1}
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			for _, bh := range v.Health().Backends {
-				if bh.ID == lost && bh.Requests >= int64(n) {
-					backends.kill(victim)
-					return
-				}
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-		t.Error("rebuild never made progress; victim not killed")
-	}()
-
 	if err := v.RebuildDisk(context.Background(), lost); err != nil {
 		t.Fatalf("rebuild did not survive backend kill: %v", err)
 	}
-	<-killed
 
 	// Byte-compare the replacement store against the local-rebuild image.
 	want := expectedDiskImage(arch, lost, payload, elementSize, stripes)

@@ -125,8 +125,11 @@ type Config struct {
 	// instead of corrupt bytes, and Scrub compares replicas by checksum
 	// (OpCrcV) instead of shipping both copies. Backends that predate or
 	// did not enable the feature degrade gracefully to the plain opcodes
-	// per connection. Element-granular range merging is disabled so
-	// every range maps to one sidecar block on the server.
+	// per connection. Every wire range is kept to exactly one element —
+	// range merging is disabled, and a write that covers part of an
+	// element reads, patches and rewrites the whole element instead of
+	// shipping the part — so each range maps to one sidecar block on
+	// the server.
 	WireCRC bool
 	// Pipeline turns on the pipelined wire mode: every backend dial
 	// negotiates blockserver.FeaturePipeline and the pool multiplexes
@@ -152,7 +155,7 @@ type Config struct {
 	// HedgeEnabled turns on hedged user reads: when a backend's batch
 	// exceeds an adaptive delay, the same spans are raced against their
 	// replica locations and the loser is cancelled. Only user reads
-	// hedge — rebuild and RMW gathers keep their deterministic source
+	// hedge — rebuild gathers keep their deterministic source
 	// attribution.
 	HedgeEnabled bool
 	// HedgePercentile is the fetch-latency quantile (over successful

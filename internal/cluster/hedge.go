@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
 	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/raid"
 )
 
 // Hedged reads: the tail-at-scale defense the paper's placement makes
@@ -28,30 +28,25 @@ type hedgeTarget struct {
 	buf []byte
 }
 
-// readBatch serves one backend's batch of spans, racing it against the
+// hedgeGroup is one backup backend's share of a hedged batch.
+type hedgeGroup struct {
+	slot    int
+	targets []hedgeTarget
+}
+
+// readBatch serves one backend's batch of spans through the exchange x
+// (already loaded with the batch's ranges), racing it against the
 // spans' replica locations when hedging is on, the fetch is a user
 // read, and every span still has a live backup copy.
-func (v *Volume) readBatch(ctx context.Context, id raid.DiskID, batch []*span, kind fetchKind) error {
+func (v *Volume) readBatch(ctx context.Context, slot int, pl *opPlan, batch []int32, x *vecOp, kind fetchKind) error {
 	if v.cfg.HedgeEnabled && kind == fetchUser {
-		if backups := v.backupGroups(id, batch); backups != nil {
-			return v.hedgedRead(ctx, id, batch, backups)
+		if backups := v.backupGroups(slot, pl, batch); backups != nil {
+			return v.hedgedRead(ctx, slot, x, backups)
 		}
 		// Degraded to a single surviving copy somewhere in the batch (or
 		// the replicas' backends are dead): nothing to race against.
 	}
-	return v.directRead(ctx, id, batch, kind)
-}
-
-// directRead issues the batch as one pooled vectored read into the
-// spans' buffers.
-func (v *Volume) directRead(ctx context.Context, id raid.DiskID, batch []*span, kind fetchKind) error {
-	vecs := make([]blockserver.Vec, len(batch))
-	dst := make([][]byte, len(batch))
-	for i, s := range batch {
-		vecs[i] = blockserver.Vec{Off: v.storeOffset(s.stripe, s.loc.row) + s.inner, Len: len(s.buf)}
-		dst[i] = s.buf
-	}
-	return v.readVecs(ctx, id, vecs, dst, kind)
+	return v.readVecs(ctx, slot, x, kind)
 }
 
 // readVecs is the shared wire call: one ReadV through the backend's
@@ -62,11 +57,9 @@ func (v *Volume) directRead(ctx context.Context, id raid.DiskID, batch []*span, 
 // round trip is not user-visible latency, and letting it into the
 // histogram would feed the QoS controller its own throttling as
 // apparent SLO pressure.
-func (v *Volume) readVecs(ctx context.Context, id raid.DiskID, vecs []blockserver.Vec, dst [][]byte, kind fetchKind) error {
+func (v *Volume) readVecs(ctx context.Context, slot int, x *vecOp, kind fetchKind) error {
 	start := time.Now()
-	err := v.pools[id].doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
-		return c.ReadVCtx(ctx, vecs, dst)
-	})
+	err := v.pools[slot].doCtx(ctx, x)
 	if err == nil {
 		if kind != fetchRebuild {
 			v.stats.fetchLat.Observe(time.Since(start))
@@ -85,20 +78,22 @@ func (v *Volume) readVecs(ctx context.Context, id raid.DiskID, vecs []blockserve
 // disabling the hedge — when any span has no usable backup: the volume
 // is degraded to a single copy there, and a half-hedged batch would
 // still tail on the un-hedged spans.
-func (v *Volume) backupGroups(primary raid.DiskID, batch []*span) map[raid.DiskID][]hedgeTarget {
-	groups := map[raid.DiskID][]hedgeTarget{}
-	for _, s := range batch {
+func (v *Volume) backupGroups(primary int, pl *opPlan, batch []int32) []hedgeGroup {
+	var groups []hedgeGroup
+	for _, si := range batch {
+		s := &pl.spans[si]
 		locs := v.locations(s.stripe, s.disk, s.row)
 		found := false
-		for i := s.src + 1; i < len(locs); i++ {
-			loc := locs[i]
-			if loc.id == primary || !v.available(loc.id, s.stripe) {
+		for _, loc := range locs[s.src+1:] {
+			if loc.slot == primary || !v.available(loc.slot, s.stripe) || v.pools[loc.slot].isDead() {
 				continue
 			}
-			if p := v.pools[loc.id]; p == nil || p.isDead() {
-				continue
+			g := slices.IndexFunc(groups, func(g hedgeGroup) bool { return g.slot == loc.slot })
+			if g < 0 {
+				g = len(groups)
+				groups = append(groups, hedgeGroup{slot: loc.slot})
 			}
-			groups[loc.id] = append(groups[loc.id], hedgeTarget{s: s, loc: loc, buf: make([]byte, len(s.buf))})
+			groups[g].targets = append(groups[g].targets, hedgeTarget{s: s, loc: loc, buf: make([]byte, len(s.buf))})
 			found = true
 			break
 		}
@@ -138,11 +133,11 @@ func (v *Volume) hedgeDelay() time.Duration {
 // are always drained before returning: they touch pools and stats that
 // are only safe while the caller holds the volume lock, and leaking
 // them would also break the no-goroutine-leak guarantee the tests pin.
-func (v *Volume) hedgedRead(ctx context.Context, id raid.DiskID, batch []*span, backups map[raid.DiskID][]hedgeTarget) error {
+func (v *Volume) hedgedRead(ctx context.Context, slot int, x *vecOp, backups []hedgeGroup) error {
 	primCtx, cancelPrim := context.WithCancel(ctx)
 	defer cancelPrim()
 	primDone := make(chan error, 1)
-	go func() { primDone <- v.directRead(primCtx, id, batch, fetchUser) }()
+	go func() { primDone <- v.readVecs(primCtx, slot, x, fetchUser) }()
 
 	timer := time.NewTimer(v.hedgeDelay())
 	select {
@@ -205,15 +200,15 @@ func (v *Volume) hedgedRead(ctx context.Context, id raid.DiskID, batch []*span, 
 // readBackups fans the backup spans out to their (distinct, by P2)
 // backends in parallel and returns the first error, if any. All-or-
 // nothing: a partially served backup set cannot win the race.
-func (v *Volume) readBackups(ctx context.Context, groups map[raid.DiskID][]hedgeTarget) error {
+func (v *Volume) readBackups(ctx context.Context, groups []hedgeGroup) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(groups))
-	for id, g := range groups {
+	for _, g := range groups {
 		wg.Add(1)
-		go func(id raid.DiskID, g []hedgeTarget) {
+		go func() {
 			defer wg.Done()
-			errs <- v.readBackupGroup(ctx, id, g)
-		}(id, g)
+			errs <- v.readBackupGroup(ctx, g)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -225,21 +220,20 @@ func (v *Volume) readBackups(ctx context.Context, groups map[raid.DiskID][]hedge
 	return nil
 }
 
-func (v *Volume) readBackupGroup(ctx context.Context, id raid.DiskID, g []hedgeTarget) error {
-	vecs := make([]blockserver.Vec, len(g))
-	dst := make([][]byte, len(g))
-	for i, t := range g {
-		vecs[i] = blockserver.Vec{Off: v.storeOffset(t.s.stripe, t.loc.row) + t.s.inner, Len: len(t.buf)}
-		dst[i] = t.buf
+func (v *Volume) readBackupGroup(ctx context.Context, g hedgeGroup) error {
+	x := vecOp{mode: vecRead, vecs: make([]blockserver.Vec, len(g.targets)), bufs: make([][]byte, len(g.targets))}
+	for i, t := range g.targets {
+		x.vecs[i] = blockserver.Vec{Off: v.storeOffset(t.s.stripe, t.loc.row) + t.s.inner, Len: len(t.buf)}
+		x.bufs[i] = t.buf
 	}
-	return v.readVecs(ctx, id, vecs, dst, fetchUser)
+	return v.readVecs(ctx, g.slot, &x, fetchUser)
 }
 
 // commitBackups copies the winning backup's scratch buffers into the
 // spans' real buffers. Only called after the primary has been joined.
-func commitBackups(groups map[raid.DiskID][]hedgeTarget) {
+func commitBackups(groups []hedgeGroup) {
 	for _, g := range groups {
-		for _, t := range g {
+		for _, t := range g.targets {
 			copy(t.s.buf, t.buf)
 		}
 	}

@@ -276,7 +276,7 @@ func TestRebuildDiskCancelResumable(t *testing.T) {
 	progressAt := func() int {
 		v.mu.RLock()
 		defer v.mu.RUnlock()
-		return v.progress[lost]
+		return v.progress[slotOf(v, lost)]
 	}
 	waitUntil := time.Now().Add(10 * time.Second)
 	for progressAt() < 2 {
@@ -299,7 +299,7 @@ func TestRebuildDiskCancelResumable(t *testing.T) {
 		t.Fatalf("watermark %d after cancel, want partial progress in [2, %d)", watermark, stripes)
 	}
 	v.mu.RLock()
-	stillFailed := v.failed[lost]
+	stillFailed := v.failed[slotOf(v, lost)]
 	v.mu.RUnlock()
 	if !stillFailed {
 		t.Fatal("cancelled rebuild returned the disk to service")

@@ -21,35 +21,47 @@ func (v *Volume) N() int { return v.n }
 
 // BackendAddr returns the address currently serving a disk slot.
 func (v *Volume) BackendAddr(id raid.DiskID) (string, bool) {
+	slot, ok := v.slot(id)
+	if !ok {
+		return "", false
+	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	addr, ok := v.addrs[id]
-	return addr, ok
+	return v.addrs[slot], true
 }
 
 // IsFailed reports whether a disk's content is currently declared lost.
 func (v *Volume) IsFailed(id raid.DiskID) bool {
+	slot, ok := v.slot(id)
+	if !ok {
+		return false
+	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.failed[id]
+	return v.failed[slot]
 }
 
 // IsRebuilding reports whether the disk has a RebuildDisk in flight.
 func (v *Volume) IsRebuilding(id raid.DiskID) bool {
+	slot, ok := v.slot(id)
+	if !ok {
+		return false
+	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.rebuilding[id]
+	return v.rebuilding[slot]
 }
 
 // BackendDead reports the pool state machine's verdict for a disk's
 // backend: true while it is marked dead with the probe window closed.
 func (v *Volume) BackendDead(id raid.DiskID) bool {
-	v.mu.RLock()
-	p := v.pools[id]
-	v.mu.RUnlock()
-	if p == nil {
+	slot, ok := v.slot(id)
+	if !ok {
 		return false
 	}
+	v.mu.RLock()
+	p := v.pools[slot]
+	v.mu.RUnlock()
 	return p.isDead()
 }
 
@@ -58,10 +70,11 @@ func (v *Volume) BackendDead(id raid.DiskID) bool {
 // watermark is the disk's incompleteness — the per-disk stat a placement
 // table tracks to prioritize rebuilds.
 func (v *Volume) Watermark(id raid.DiskID) int64 {
+	slot, ok := v.slot(id)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if v.failed[id] {
-		return int64(v.progress[id])
+	if ok && v.failed[slot] {
+		return int64(v.progress[slot])
 	}
 	return int64(v.stripes)
 }

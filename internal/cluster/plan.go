@@ -1,0 +1,339 @@
+package cluster
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"shiftedmirror/internal/blockserver"
+	"shiftedmirror/internal/layout"
+	"shiftedmirror/internal/raid"
+)
+
+// location is one physical home of a data element: the backend slot
+// (the dense index into the volume's per-disk state), the disk that
+// slot serves, and the row the element occupies there.
+type location struct {
+	id   raid.DiskID
+	slot int
+	row  int
+}
+
+// placementTable is the volume's layout.Placement flattened at New: every
+// element's copies already resolved to (backend slot, row) in the
+// placement's Copies order — the failover order hedging, degraded-read
+// counting and layout.RebuildSources all rely on — plus the Owner
+// inverse the rebuild gather needs. A placement depends on the stripe
+// only modulo Period, so Period × n × n entries cover the whole volume
+// and the data path never calls into the placement (each Copies call
+// allocates a slice).
+type placementTable struct {
+	n, width, copies, period int
+	// locs[((phase*n+disk)*n+row)*copies+c] is copy c of data element
+	// (disk, row) in stripes congruent to phase.
+	locs []location
+	// owners[(phase*width+slot)*n+row] is the data element stored in
+	// (slot, row) of those stripes.
+	owners []layout.Addr
+}
+
+// newPlacementTable flattens p over the disks ids (ids[slot] is the disk
+// serving pool-disk index slot). A placement whose Copies disagree on
+// the replication factor or point outside the pool is rejected: the
+// table is indexed without bounds checks on the data path.
+func newPlacementTable(p layout.Placement, ids []raid.DiskID) (*placementTable, error) {
+	n, width, period := p.N(), p.Width(), p.Period()
+	if period < 1 {
+		return nil, fmt.Errorf("cluster: placement reports period %d", period)
+	}
+	if width != len(ids) {
+		return nil, fmt.Errorf("cluster: placement spans %d pool disks, volume has %d", width, len(ids))
+	}
+	t := &placementTable{n: n, width: width, period: period}
+	for phase := 0; phase < period; phase++ {
+		for disk := 0; disk < n; disk++ {
+			for row := 0; row < n; row++ {
+				slots := p.Copies(int64(phase), layout.Addr{Disk: disk, Row: row})
+				if t.copies == 0 {
+					t.copies = len(slots)
+				}
+				if len(slots) == 0 || len(slots) != t.copies {
+					return nil, fmt.Errorf("cluster: placement gives data[%d] row %d %d copies in stripe %d, others %d",
+						disk, row, len(slots), phase, t.copies)
+				}
+				for _, s := range slots {
+					if s.Disk < 0 || s.Disk >= width || s.Row < 0 || s.Row >= n {
+						return nil, fmt.Errorf("cluster: placement puts data[%d] row %d at slot %+v, outside %d disks × %d rows",
+							disk, row, s, width, n)
+					}
+					t.locs = append(t.locs, location{id: ids[s.Disk], slot: s.Disk, row: s.Row})
+				}
+			}
+		}
+		for slot := 0; slot < width; slot++ {
+			for row := 0; row < n; row++ {
+				a, _ := p.Owner(int64(phase), layout.Slot{Disk: slot, Row: row})
+				if a.Disk < 0 || a.Disk >= n || a.Row < 0 || a.Row >= n {
+					return nil, fmt.Errorf("cluster: placement says slot %d row %d holds element %+v, outside n=%d", slot, row, a, n)
+				}
+				t.owners = append(t.owners, a)
+			}
+		}
+	}
+	return t, nil
+}
+
+// locations returns every copy of data element (disk, row) in the given
+// stripe, primary first, as a view into the table.
+func (t *placementTable) locations(stripe, disk, row int) []location {
+	i := (((stripe%t.period)*t.n+disk)*t.n + row) * t.copies
+	return t.locs[i : i+t.copies : i+t.copies]
+}
+
+// owner returns the data element stored in (slot, row) of the stripe.
+func (t *placementTable) owner(stripe, slot, row int) layout.Addr {
+	return t.owners[((stripe%t.period)*t.width+slot)*t.n+row]
+}
+
+// span is one contiguous byte range within one data element, routed to
+// its src-th surviving location. The fetch engine advances src on
+// failover until the range is served or every location is exhausted.
+type span struct {
+	stripe, disk, row int   // data-array element address
+	inner             int64 // byte offset within the element
+	buf               []byte
+	src               int      // index into the element's location list
+	loc               location // chosen location for the current round
+	// lastErr is the error that failed the span's most recent location,
+	// kept so exhaustion can be diagnosed: every copy failing its CRC is
+	// corruption (ErrScrubMismatch), not data loss.
+	lastErr error
+}
+
+// writeOp is one store write bound for a backend: a whole element copy,
+// or the written sub-range of one.
+type writeOp struct {
+	off    int64
+	data   []byte
+	elem   int32 // index of the logical element this op replicates
+	stripe int32 // stripe the element belongs to, for watermark rollback
+	vec    int32 // index in backendPlan.vecs of the wire range carrying it
+}
+
+// vecOp is one vectored wire exchange and its outcome. It lives inside
+// the op plan and is handed to pool.doCtx by pointer.
+type vecOp struct {
+	mode    vecMode
+	vecs    []blockserver.Vec
+	bufs    [][]byte
+	applied int   // leading ranges the server applied (write modes)
+	err     error // the exchange's final verdict, set by whoever ran it
+}
+
+type vecMode uint8
+
+const (
+	vecRead   vecMode = iota // OpReadV into bufs
+	vecWrite                 // OpWriteV from bufs
+	vecWrite1                // one OpWrite of bufs[0] (Config.DisableWriteBatch)
+)
+
+func (o *vecOp) run(ctx context.Context, c *blockserver.Client) error {
+	switch o.mode {
+	case vecRead:
+		return c.ReadVCtx(ctx, o.vecs, o.bufs)
+	case vecWrite:
+		n, err := c.WriteVCtx(ctx, o.vecs, o.bufs)
+		o.applied = n
+		return err
+	default:
+		_, err := c.WriteAtCtx(ctx, o.bufs[0], o.vecs[0].Off)
+		return err
+	}
+}
+
+// wframe is one write round trip bound for a backend: a run of the
+// backend's offset-sorted ops and the coalesced wire ranges carrying
+// them, both as windows into the backendPlan's arrays. An op's vec
+// index says which range carries it, so a mid-batch remote error
+// (ranges before the failed index are durable) can be credited back to
+// exact elements.
+type wframe struct {
+	opLo, opHi   int
+	vecLo, vecHi int
+	xfer         vecOp
+}
+
+// backendPlan is one backend's share of an op, with the wire scratch it
+// is shipped from. Exactly one goroutine works on a backendPlan at a
+// time, except that several write workers may drain frames through the
+// next cursor (each frame is touched by one of them only).
+type backendPlan struct {
+	// Read side: the spans routed here this round (indices into
+	// opPlan.spans), the MaxBatch-sized exchanges carrying them, and
+	// the spans that must fail over.
+	spans  []int32
+	reads  []vecOp
+	failed []int32
+
+	// Write side: the element copies bound here, sorted and packed
+	// into frames by packFrames.
+	ops    []writeOp
+	frames []wframe
+	next   atomic.Int32
+
+	vecs []blockserver.Vec
+	bufs [][]byte
+}
+
+// brokenBackend is a backend whose transport failed a write, with the
+// lowest stripe among the ops it missed.
+type brokenBackend struct {
+	slot, stripe int
+}
+
+// opPlan is the scratch one read, write or rebuild slice plans and runs
+// from. Plans are pooled per volume and every slice in one keeps its
+// capacity, so a steady-state op allocates nothing here.
+type opPlan struct {
+	spans    []span
+	pending  []int32 // spans awaiting service, by index
+	backends []backendPlan
+	active   []int // slots with work in the current round, in first-use order
+	wg       sync.WaitGroup
+
+	// torn holds the element images a WireCRC write read-modify-writes
+	// (at most the first and last element of a write).
+	torn []byte
+
+	succeeded []int32 // per written element: backends that took it
+	broken    []brokenBackend
+}
+
+func (v *Volume) getPlan() *opPlan {
+	if pl, ok := v.plans.Get().(*opPlan); ok {
+		return pl
+	}
+	return &opPlan{backends: make([]backendPlan, len(v.pools))}
+}
+
+// putPlan recycles a plan, dropping its references to caller memory.
+func (v *Volume) putPlan(pl *opPlan) {
+	pl.reset()
+	v.plans.Put(pl)
+}
+
+// reset empties the plan for its next op (or rebuild slice).
+func (pl *opPlan) reset() {
+	pl.clearRound()
+	clear(pl.spans)
+	pl.spans = pl.spans[:0]
+	pl.broken = pl.broken[:0]
+}
+
+// clearRound empties every active backend's share.
+func (pl *opPlan) clearRound() {
+	for _, slot := range pl.active {
+		b := &pl.backends[slot]
+		b.spans, b.failed = b.spans[:0], b.failed[:0]
+		clear(b.ops)
+		clear(b.bufs)
+		b.ops, b.frames, b.bufs, b.vecs = b.ops[:0], b.frames[:0], b.bufs[:0], b.vecs[:0]
+	}
+	pl.active = pl.active[:0]
+}
+
+// backend returns slot's share of the current round, marking the slot
+// active on first use. Callers add work to what they get back.
+func (pl *opPlan) backend(slot int) *backendPlan {
+	b := &pl.backends[slot]
+	if len(b.spans) == 0 && len(b.ops) == 0 {
+		pl.active = append(pl.active, slot)
+	}
+	return b
+}
+
+// tornElement returns the k-th (first or second) read-modify-write
+// image. Both are allocated together, so taking the second never moves
+// the first.
+func (pl *opPlan) tornElement(k int, elementSize int64) []byte {
+	if int64(len(pl.torn)) < 2*elementSize {
+		pl.torn = make([]byte, 2*elementSize)
+	}
+	return pl.torn[int64(k)*elementSize : int64(k+1)*elementSize]
+}
+
+// noteBroken records that slot's transport failed ops down to stripe.
+func (pl *opPlan) noteBroken(slot, stripe int) {
+	for i := range pl.broken {
+		if pl.broken[i].slot == slot {
+			if stripe < pl.broken[i].stripe {
+				pl.broken[i].stripe = stripe
+			}
+			return
+		}
+	}
+	pl.broken = append(pl.broken, brokenBackend{slot, stripe})
+}
+
+// buffersAdjacent reports whether b starts exactly where a ends in
+// memory — i.e. extending a by len(b) within its capacity would cover
+// b. The check reslices within a's capacity and compares element
+// addresses, so no out-of-bounds pointer is ever formed.
+func buffersAdjacent(a, b []byte) bool {
+	if len(b) == 0 || cap(a)-len(a) < len(b) {
+		return false
+	}
+	ext := a[: len(a)+1 : len(a)+1]
+	return &ext[len(a)] == &b[0]
+}
+
+// packFrames sorts one backend's ops by store offset and packs them
+// into OpWriteV frames bounded by MaxBatch ranges and MaxIOSize bytes.
+// Ops adjacent in both store offset and memory — rebuild write-back's
+// normal case, where a slice's recovered elements are consecutive
+// subslices of one buffer bound for consecutive store rows — merge into
+// a single wire range. Under WireCRC merging is disabled: each range
+// must stay exactly one element so its checksum maps onto one server
+// sidecar block. With Config.DisableWriteBatch every op is its own
+// one-range frame, sent as a bare OpWrite.
+func (v *Volume) packFrames(b *backendPlan) {
+	slices.SortFunc(b.ops, func(x, y writeOp) int { return cmp.Compare(x.off, y.off) })
+	mode, maxRanges, merge := vecWrite, v.cfg.MaxBatch, !v.cfg.WireCRC
+	if v.cfg.DisableWriteBatch {
+		mode, maxRanges, merge = vecWrite1, 1, false
+	}
+	b.frames, b.vecs, b.bufs = b.frames[:0], b.vecs[:0], b.bufs[:0]
+	var frameBytes int64
+	for i := range b.ops {
+		op := &b.ops[i]
+		opLen := int64(len(op.data))
+		fits := len(b.frames) > 0 && frameBytes+opLen <= blockserver.MaxIOSize
+		if last := len(b.vecs) - 1; fits && merge && b.vecs[last].Off+int64(b.vecs[last].Len) == op.off &&
+			buffersAdjacent(b.bufs[last], op.data) {
+			b.vecs[last].Len += len(op.data)
+			b.bufs[last] = b.bufs[last][:len(b.bufs[last])+len(op.data)]
+		} else {
+			if !fits || len(b.vecs)-b.frames[len(b.frames)-1].vecLo >= maxRanges {
+				b.frames = append(b.frames, wframe{opLo: i, vecLo: len(b.vecs)})
+				frameBytes = 0
+			}
+			b.vecs = append(b.vecs, blockserver.Vec{Off: op.off, Len: len(op.data)})
+			b.bufs = append(b.bufs, op.data)
+		}
+		op.vec = int32(len(b.vecs) - 1)
+		cur := &b.frames[len(b.frames)-1]
+		cur.opHi, cur.vecHi = i+1, len(b.vecs)
+		frameBytes += opLen
+	}
+	// The range arrays are final only now (appends may have moved
+	// them), so the frames take their windows last.
+	for i := range b.frames {
+		fr := &b.frames[i]
+		fr.xfer = vecOp{mode: mode, vecs: b.vecs[fr.vecLo:fr.vecHi], bufs: b.bufs[fr.vecLo:fr.vecHi]}
+	}
+	b.next.Store(0)
+}

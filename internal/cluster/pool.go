@@ -185,13 +185,28 @@ func (p *pool) probe() {
 	p.release(c)
 }
 
+// wireOp is one exchange a pool runs on a connection. It is an
+// interface rather than a func so the data path can hand the pool a
+// pointer into its pooled op plan (see vecOp): submitting an op then
+// allocates nothing, where a per-call closure costs one heap object.
+// run may be called more than once (transport retries).
+type wireOp interface {
+	run(ctx context.Context, c *blockserver.Client) error
+}
+
+// clientFunc adapts a func to wireOp for the management paths (Verify,
+// scrub), where a closure per call is noise.
+type clientFunc func(context.Context, *blockserver.Client) error
+
+func (f clientFunc) run(ctx context.Context, c *blockserver.Client) error { return f(ctx, c) }
+
 // do runs fn with a pooled connection, retrying transport failures on
 // fresh connections. Remote (application) errors are returned as-is and
 // keep the connection pooled; transport errors poison and close it.
 func (p *pool) do(fn func(*blockserver.Client) error) error {
-	return p.doCtx(context.Background(), func(_ context.Context, c *blockserver.Client) error {
+	return p.doCtx(context.Background(), clientFunc(func(_ context.Context, c *blockserver.Client) error {
 		return fn(c)
-	})
+	}))
 }
 
 // doCtx is do with cancellation threaded through every stage: slot
@@ -201,7 +216,7 @@ func (p *pool) do(fn func(*blockserver.Client) error) error {
 // retried and never feeds the dead-marking state machine, so hedge
 // losers — which are cancelled constantly by design — cannot talk a
 // healthy backend into the dead state.
-func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.Client) error) error {
+func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 	p.stats.requests.Inc()
 	if err := ctx.Err(); err != nil {
 		p.stats.errors.Inc()
@@ -213,7 +228,7 @@ func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.
 		return fmt.Errorf("%w: %s", ErrBackendDead, p.addr)
 	}
 	if p.cfg.Pipeline {
-		return p.doPipelined(ctx, fn)
+		return p.doPipelined(ctx, op)
 	}
 	select {
 	case <-p.slots:
@@ -244,7 +259,7 @@ func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.
 			p.noteFailure()
 			continue
 		}
-		err = fn(ctx, c)
+		err = op.run(ctx, c)
 		// CRC verdicts and a missing CRC feature are served on a healthy,
 		// synchronized connection, exactly like remote errors: no retry
 		// (the bytes are bad, not the backend), no dead-marking.
@@ -282,7 +297,7 @@ func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.
 // feeds dead-marking); a transport tear retires the one connection —
 // counted as a single failure however many in-flight tags it killed —
 // and the retry redials the slot.
-func (p *pool) doPipelined(ctx context.Context, fn func(context.Context, *blockserver.Client) error) error {
+func (p *pool) doPipelined(ctx context.Context, op wireOp) error {
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -305,7 +320,7 @@ func (p *pool) doPipelined(ctx context.Context, fn func(context.Context, *blocks
 			p.noteFailure()
 			continue
 		}
-		err = fn(ctx, c)
+		err = op.run(ctx, c)
 		if err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
 			errors.Is(err, blockserver.ErrNoCRC) {
 			p.noteSuccess()

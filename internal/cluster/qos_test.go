@@ -11,7 +11,7 @@ import (
 func testQoSController(cfg Config) (*qosController, *volumeStats) {
 	cfg = cfg.withDefaults()
 	st := &volumeStats{}
-	st.init(nil, cfg.Stripes)
+	st.init(0, cfg.Stripes)
 	return newQoSController(cfg, st), st
 }
 

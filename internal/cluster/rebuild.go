@@ -3,10 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
 )
@@ -36,28 +34,32 @@ import (
 // a later RebuildDisk call resumes from there, and rebuilt stripes stay
 // served from the replacement backend in the meantime.
 func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
-	v.mu.Lock()
-	if v.pools[id] == nil {
-		v.mu.Unlock()
+	slot, ok := v.slot(id)
+	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	if !v.failed[id] {
+	v.mu.Lock()
+	if !v.failed[slot] {
 		v.mu.Unlock()
 		return fmt.Errorf("cluster: disk %v is not failed", id)
 	}
-	if v.rebuilding[id] {
+	if v.rebuilding[slot] {
 		v.mu.Unlock()
 		return fmt.Errorf("%w: disk %v", ErrRebuildInProgress, id)
 	}
-	v.rebuilding[id] = true
+	v.rebuilding[slot] = true
 	v.mu.Unlock()
 	v.stats.rebuildActive.Add(1)
 	defer func() {
 		v.stats.rebuildActive.Add(-1)
 		v.mu.Lock()
-		delete(v.rebuilding, id)
+		v.rebuilding[slot] = false
 		v.mu.Unlock()
 	}()
+	// One plan and one slice buffer serve every slice of this rebuild.
+	pl := v.getPlan()
+	defer v.putPlan(pl)
+	buf := make([]byte, int64(v.cfg.RebuildBatch)*int64(v.n)*v.elementSize)
 	start := time.Now()
 	var rebuilt int64
 	for {
@@ -68,11 +70,11 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 		// QoS throttle: pay for the next slice in stripes before taking
 		// the exclusive lock, so a throttled rebuild parks here with user
 		// I/O flowing, never inside the slice.
-		if err := v.qos.acquire(ctx, v.nextSliceStripes(id)); err != nil {
+		if err := v.qos.acquire(ctx, v.nextSliceStripes(slot)); err != nil {
 			v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
 			return err
 		}
-		done, n, err := v.rebuildSlice(ctx, id)
+		done, n, err := v.rebuildSlice(ctx, slot, pl, buf)
 		rebuilt += n
 		if err != nil {
 			v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
@@ -92,53 +94,50 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 
 // rebuildSlice recovers the next RebuildBatch stripes past the watermark
 // under the exclusive lock: fetch every lost element from surviving
-// replicas (fanning out per backend, with failover), then write the
-// recovered bytes to the replacement backend. The watermark only
+// replicas (fanning out per backend, with failover) into buf, then write
+// the recovered bytes to the replacement backend. The watermark only
 // advances once the writes are durable there, and the final slice
 // returns the disk to service under the same lock hold — so a failed
 // user write can never slip between "last stripe recovered" and "disk
-// marked clean".
-func (v *Volume) rebuildSlice(ctx context.Context, id raid.DiskID) (done bool, written int64, err error) {
+// marked clean". pl and buf (RebuildBatch stripes of one disk) are the
+// rebuild's own, reused slice after slice.
+func (v *Volume) rebuildSlice(ctx context.Context, slot int, pl *opPlan, buf []byte) (done bool, written int64, err error) {
 	start := time.Now()
 	defer func() { v.stats.sliceLat.Observe(time.Since(start)) }()
+	id := v.ids[slot]
+	pl.reset()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.failed[id] {
+	if !v.failed[slot] {
 		return false, 0, fmt.Errorf("cluster: disk %v is not failed", id)
 	}
-	s0 := v.progress[id]
-	s1 := s0 + v.cfg.RebuildBatch
-	if s1 > v.stripes {
-		s1 = v.stripes
+	s0 := v.progress[slot]
+	s1 := min(s0+v.cfg.RebuildBatch, v.stripes)
+	count := (s1 - s0) * v.n // lost elements: n per stripe on one disk
+	buf = buf[:int64(count)*v.elementSize]
+	for i := 0; i < count; i++ {
+		stripe, r := s0+i/v.n, i%v.n
+		// The content of target slot (slot, row r) is whatever logical
+		// element the placement stores there in this stripe. fetchSpans
+		// routes to surviving copies only (the target disk is failed, so
+		// it is never a source).
+		a := v.table.owner(stripe, slot, r)
+		pl.spans = append(pl.spans, span{
+			stripe: stripe, disk: a.Disk, row: a.Row,
+			buf: buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize],
+		})
 	}
-	perStripe := v.n // lost elements per stripe on one disk
-	count := (s1 - s0) * perStripe
-	buf := make([]byte, int64(count)*v.elementSize)
-	spans := make([]*span, 0, count)
-	ops := make([]writeOp, 0, count)
-	i := 0
-	pf := v.poolIndex(id)
-	for stripe := s0; stripe < s1; stripe++ {
-		for r := 0; r < v.n; r++ {
-			// The content of target slot (id, row r) is whatever logical
-			// element the placement stores there in this stripe.
-			// fetchSpans routes to surviving copies only (the target
-			// disk is failed, so it is never a source).
-			dataAddr, _ := v.place.Owner(int64(stripe), layout.Slot{Disk: pf, Row: r})
-			b := buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize]
-			spans = append(spans, &span{
-				stripe: stripe, disk: dataAddr.Disk, row: dataAddr.Row, buf: b,
-			})
-			ops = append(ops, writeOp{id: id, off: v.storeOffset(stripe, r), data: b, elem: i, stripe: stripe})
-			i++
-		}
-	}
-	if err := v.fetchSpans(ctx, spans, fetchRebuild); err != nil {
+	if err := v.fetchSpans(ctx, pl, fetchRebuild); err != nil {
 		return false, 0, err
 	}
-	counts := make([]atomic.Int64, count)
-	broken, err := v.runWrites(ctx, ops, counts)
-	if err != nil {
+	b := pl.backend(slot)
+	for i := range pl.spans {
+		stripe, r := s0+i/v.n, i%v.n
+		b.ops = append(b.ops, writeOp{
+			off: v.storeOffset(stripe, r), data: pl.spans[i].buf, elem: int32(i), stripe: int32(stripe),
+		})
+	}
+	if err := v.runWrites(ctx, pl, count); err != nil {
 		return false, 0, err
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -146,35 +145,29 @@ func (v *Volume) rebuildSlice(ctx context.Context, id raid.DiskID) (done bool, w
 		// recovered again when the rebuild resumes.
 		return false, 0, cerr
 	}
-	if len(broken) > 0 {
-		return false, 0, fmt.Errorf("cluster: replacement backend %s for %v not accepting writes", v.addrs[id], id)
+	if len(pl.broken) > 0 {
+		return false, 0, fmt.Errorf("cluster: replacement backend %s for %v not accepting writes", v.addrs[slot], id)
 	}
-	v.progress[id] = s1
+	v.progress[slot] = s1
 	v.stats.rebuildStripes.Add(int64(s1 - s0))
-	v.stats.perDisk[id].watermark.Set(int64(s1))
+	v.stats.perDisk[slot].watermark.Set(int64(s1))
 	v.trace(obs.Event{Op: "rebuild_slice", Target: id.String(), Bytes: int64(len(buf)), Dur: time.Since(start)})
 	if s1 >= v.stripes {
-		delete(v.failed, id)
-		delete(v.progress, id)
+		v.failed[slot] = false
+		v.progress[slot] = 0
 		return true, int64(len(buf)), nil
 	}
 	return false, int64(len(buf)), nil
 }
 
 // nextSliceStripes returns how many stripes the next rebuild slice for
-// id will recover — the QoS cost paid before taking the exclusive lock.
-func (v *Volume) nextSliceStripes(id raid.DiskID) int {
+// the disk in slot will recover — the QoS cost paid before taking the
+// exclusive lock.
+func (v *Volume) nextSliceStripes(slot int) int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if !v.failed[id] {
+	if !v.failed[slot] {
 		return 0
 	}
-	n := v.stripes - v.progress[id]
-	if n > v.cfg.RebuildBatch {
-		n = v.cfg.RebuildBatch
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return max(0, min(v.stripes-v.progress[slot], v.cfg.RebuildBatch))
 }

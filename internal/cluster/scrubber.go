@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"context"
-
-	"shiftedmirror/internal/raid"
-)
+import "context"
 
 // ScrubOnline is the background-friendly form of Scrub: the same full
 // verification pass (checksum fast path, byte fallback, degraded
@@ -39,14 +35,13 @@ func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
 	v.mu.RLock()
 	batch := v.cfg.RebuildBatch
 	stripes := v.stripes
-	disks := v.arch.Disks()
 	crcMode := v.cfg.WireCRC
 	start := v.scrubPos
 	v.mu.RUnlock()
 
 	numBatches := (stripes + batch - 1) / batch
 	firstBatch := (start / batch) % numBatches
-	skipped := map[raid.DiskID]bool{}
+	skipped := make([]bool, len(v.ids))
 	for k := 0; k < numBatches; k++ {
 		b := (firstBatch + k) % numBatches
 		s0 := b * batch
@@ -64,7 +59,7 @@ func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
 				return err
 			}
 			if crcMode {
-				done, err := v.scrubBatchCRC(ctx, &report, disks, skipped, s0, s1)
+				done, err := v.scrubBatchCRC(ctx, &report, skipped, s0, s1)
 				if err != nil {
 					return err
 				}
@@ -75,7 +70,7 @@ func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
 				// the pass to byte comparison, like Scrub.
 				crcMode = false
 			}
-			return v.scrubBatchBytes(ctx, &report, disks, skipped, s0, s1)
+			return v.scrubBatchBytes(ctx, &report, skipped, s0, s1)
 		}(); err != nil {
 			return report, err
 		}
@@ -88,5 +83,5 @@ func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
 		v.mu.Unlock()
 		v.stats.scrubCursor.Set(int64(next))
 	}
-	return report, v.scrubFinish(&report, skipped, len(disks))
+	return report, v.scrubFinish(&report, skipped)
 }

@@ -223,14 +223,14 @@ func (v *Volume) Stats() Stats {
 			WaitSeconds:       float64(v.stats.qosWaitNanos.Load()) / 1e9,
 		}
 	}
-	for _, id := range v.arch.Disks() {
-		ds := v.stats.perDisk[id]
-		p := v.pools[id]
+	for slot, id := range v.ids {
+		ds := &v.stats.perDisk[slot]
+		p := v.pools[slot]
 		s.Backends = append(s.Backends, BackendStats{
 			Disk:                id.String(),
 			Addr:                p.addr,
 			Dead:                p.isDead(),
-			Failed:              v.failed[id],
+			Failed:              v.failed[slot],
 			Requests:            ds.pool.requests.Load(),
 			Retries:             ds.pool.retries.Load(),
 			Dials:               ds.pool.dials.Load(),
@@ -251,8 +251,8 @@ func (v *Volume) Stats() Stats {
 func (v *Volume) ResetRebuildReads() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, ds := range v.stats.perDisk {
-		ds.rebuildReads.Reset()
+	for i := range v.stats.perDisk {
+		v.stats.perDisk[i].rebuildReads.Reset()
 	}
 }
 
@@ -351,8 +351,8 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 		"Vectored writes that carried pipelined frames; frames divided by writevs is the coalescing factor.", &st.pipe.Writevs)
 	histogram("sm_cluster_pipeline_queue_wait_seconds",
 		"Time pipelined ops spent queued before the writer goroutine picked them up for a coalesced writev.", st.pipe.QueueWait)
-	for _, id := range v.arch.Disks() {
-		ds := st.perDisk[id]
+	for slot, id := range v.ids {
+		ds := &st.perDisk[slot]
 		label := id.String()
 		counter("sm_cluster_backend_requests_total",
 			"Operations submitted to the backend.", &ds.pool.requests, "disk", label)

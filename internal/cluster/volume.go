@@ -6,9 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"shiftedmirror/internal/blockserver"
@@ -17,34 +16,14 @@ import (
 	"shiftedmirror/internal/raid"
 )
 
-// mirrorRoles[i] is the role of mirror array i (matches internal/raid).
-var mirrorRoles = []raid.Role{raid.RoleMirror, raid.RoleMirror2}
-
-// location is one physical home of a data element: a disk and the row it
-// occupies there.
-type location struct {
-	id  raid.DiskID
-	row int
-}
-
-// span is one contiguous byte range within one data element, routed to
-// its src-th surviving location. The fetch engine advances src on
-// failover until the range is served or every location is exhausted.
-type span struct {
-	stripe, disk, row int   // data-array element address
-	inner             int64 // byte offset within the element
-	buf               []byte
-	src               int      // index into the element's location list
-	loc               location // chosen location for the current round
-	// lastErr is the error that failed the span's most recent location,
-	// kept so exhaustion can be diagnosed: every copy failing its CRC is
-	// corruption (ErrScrubMismatch), not data loss.
-	lastErr error
-}
-
 // Volume is a networked mirror-family block device: the element layout
 // of a *raid.Mirror architecture striped over one blockserver backend
 // per disk. All methods are safe for concurrent use.
+//
+// Per-disk state is dense: the disks are numbered once, in
+// arch.Disks() order — which is the placement's pool-disk order: the
+// data array, then each mirror array — and every per-disk slice below
+// is indexed by that slot, so the data path never hashes a DiskID.
 type Volume struct {
 	arch *raid.Mirror
 	// place maps logical elements to the pool slots holding their
@@ -53,30 +32,42 @@ type Volume struct {
 	// paths. It is the architecture's arrangement wrapped as a classic
 	// two-array placement, or (Config.Layout / the arrangement itself
 	// implementing layout.Placement) a pooled placement such as the
-	// declustered schedule.
+	// declustered schedule. table is place flattened for the data path.
 	place       layout.Placement
+	table       *placementTable
+	ids         []raid.DiskID // slot → disk, fixed at New
 	n           int
 	elementSize int64
 	stripes     int
 	cfg         Config
 
-	// mu orders the data path like internal/dev: reads share it, writes
-	// and rebuild slices exclude each other, so replica sets never tear.
+	// mu orders the data path like internal/dev: reads and writes share
+	// it, rebuild slices and state changes exclude them, so a replica
+	// set never tears under a rebuild.
 	mu    sync.RWMutex
-	pools map[raid.DiskID]*pool
-	addrs map[raid.DiskID]string
+	pools []*pool
+	addrs []string
 	// failed marks disks whose content is declared lost; progress is the
 	// rebuild watermark (stripes already recovered onto the replacement
 	// backend, served and written there even before RebuildDisk ends).
 	// rebuilding marks disks with a RebuildDisk in flight, so a second
 	// concurrent rebuild of the same disk is rejected instead of racing
 	// on the watermark.
-	failed     map[raid.DiskID]bool
-	progress   map[raid.DiskID]int
-	rebuilding map[raid.DiskID]bool
+	failed     []bool
+	progress   []int
+	rebuilding []bool
 	// scrubPos is ScrubOnline's resumable cursor: the stripe the next
 	// online pass (or the resumption of a cancelled one) starts from.
 	scrubPos int
+
+	// rmwMu serializes the read-modify-write of torn elements, which
+	// only WireCRC volumes do (see WriteAtCtx): two writers patching
+	// disjoint parts of one element would otherwise each write back the
+	// other's stale bytes. Taken before mu.
+	rmwMu sync.Mutex
+
+	// plans recycles opPlans, the per-op planning scratch.
+	plans sync.Pool
 
 	// qos, when non-nil, throttles rebuild slices and online scrub
 	// batches through a shared adaptive token bucket (Config.RebuildQoS*
@@ -151,9 +142,10 @@ type volumeStats struct {
 	// stays at zero then.
 	pipe *blockserver.PipeStats
 
-	// perDisk is fixed at New: per-slot counters survive backend
-	// replacement, so a disk's history spans machine swaps.
-	perDisk map[raid.DiskID]*diskStats
+	// perDisk is fixed at New and indexed by slot: per-slot counters
+	// survive backend replacement, so a disk's history spans machine
+	// swaps.
+	perDisk []diskStats
 }
 
 // diskStats are one disk slot's counters: its pool's network-level
@@ -173,17 +165,15 @@ type diskStats struct {
 
 // init populates a zero volumeStats in place (the struct embeds
 // atomics and must not be copied).
-func (s *volumeStats) init(disks []raid.DiskID, stripes int) {
+func (s *volumeStats) init(disks, stripes int) {
 	s.readLat = obs.NewHistogram()
 	s.writeLat = obs.NewHistogram()
 	s.sliceLat = obs.NewHistogram()
 	s.fetchLat = obs.NewHistogram()
 	s.pipe = blockserver.NewPipeStats()
-	s.perDisk = map[raid.DiskID]*diskStats{}
-	for _, id := range disks {
-		ds := &diskStats{}
-		ds.watermark.Set(int64(stripes))
-		s.perDisk[id] = ds
+	s.perDisk = make([]diskStats, disks)
+	for i := range s.perDisk {
+		s.perDisk[i].watermark.Set(int64(stripes))
 	}
 }
 
@@ -239,33 +229,42 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 	if err != nil {
 		return nil, err
 	}
+	ids := arch.Disks()
+	table, err := newPlacementTable(place, ids)
+	if err != nil {
+		return nil, err
+	}
 	v := &Volume{
 		arch:        arch,
 		place:       place,
+		table:       table,
+		ids:         ids,
 		n:           arch.N(),
 		elementSize: cfg.ElementSize,
 		stripes:     cfg.Stripes,
 		cfg:         cfg,
-		pools:       map[raid.DiskID]*pool{},
-		addrs:       map[raid.DiskID]string{},
-		failed:      map[raid.DiskID]bool{},
-		progress:    map[raid.DiskID]int{},
-		rebuilding:  map[raid.DiskID]bool{},
+		pools:       make([]*pool, len(ids)),
+		addrs:       make([]string, len(ids)),
+		failed:      make([]bool, len(ids)),
+		progress:    make([]int, len(ids)),
+		rebuilding:  make([]bool, len(ids)),
 	}
-	v.stats.init(arch.Disks(), cfg.Stripes)
+	v.stats.init(len(ids), cfg.Stripes)
 	if cfg.RebuildQoSSLO > 0 {
 		v.qos = newQoSController(cfg, &v.stats)
 	}
-	for _, id := range arch.Disks() {
+	for slot, id := range ids {
 		addr, ok := backends[id]
 		if !ok {
+			v.Close()
 			return nil, fmt.Errorf("cluster: no backend address for disk %v", id)
 		}
-		v.pools[id] = newPool(addr, cfg, &v.stats.perDisk[id].pool, v.stats.pipe)
-		v.addrs[id] = addr
+		v.pools[slot] = newPool(addr, cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
+		v.addrs[slot] = addr
 	}
-	if len(backends) != len(v.pools) {
-		return nil, fmt.Errorf("cluster: %d backend addresses for %d disks", len(backends), len(v.pools))
+	if len(backends) != len(ids) {
+		v.Close()
+		return nil, fmt.Errorf("cluster: %d backend addresses for %d disks", len(backends), len(ids))
 	}
 	if cfg.Metrics != nil {
 		v.RegisterMetrics(cfg.Metrics)
@@ -278,7 +277,9 @@ func (v *Volume) Close() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, p := range v.pools {
-		p.close()
+		if p != nil {
+			p.close()
+		}
 	}
 }
 
@@ -301,7 +302,7 @@ func (v *Volume) Verify() error {
 	want := v.DiskSize()
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	for id, p := range v.pools {
+	for slot, p := range v.pools {
 		var size int64
 		err := p.do(func(c *blockserver.Client) error {
 			var err error
@@ -309,10 +310,10 @@ func (v *Volume) Verify() error {
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("cluster: backend %v (%s): %w", id, p.addr, err)
+			return fmt.Errorf("cluster: backend %v (%s): %w", v.ids[slot], p.addr, err)
 		}
 		if size != want {
-			return fmt.Errorf("cluster: backend %v (%s) serves %d bytes, want %d", id, p.addr, size, want)
+			return fmt.Errorf("cluster: backend %v (%s) serves %d bytes, want %d", v.ids[slot], p.addr, size, want)
 		}
 	}
 	return nil
@@ -342,14 +343,10 @@ func (v *Volume) storeOffset(stripe, row int) int64 {
 // is on a different backend than any other copy of the same disk's
 // elements, which is what makes failover and one-pass rebuild fan out
 // (Properties 1 and 2); under a pooled placement the homes also rotate
-// per stripe.
+// per stripe. The result is a view into the placement table: callers
+// must not modify it.
 func (v *Volume) locations(stripe, disk, row int) []location {
-	slots := v.place.Copies(int64(stripe), layout.Addr{Disk: disk, Row: row})
-	locs := make([]location, len(slots))
-	for i, s := range slots {
-		locs[i] = location{v.diskID(s.Disk), s.Row}
-	}
-	return locs
+	return v.table.locations(stripe, disk, row)
 }
 
 // resolvePlacement picks the Placement driving a volume: the named
@@ -388,33 +385,18 @@ func checkPlacement(arch *raid.Mirror, p layout.Placement) (layout.Placement, er
 	return p, nil
 }
 
-// diskID maps a placement pool-disk index to the disk slot serving it:
-// pool disks [0,n) are the data array, each further n-disk band one
-// mirror array.
-func (v *Volume) diskID(p int) raid.DiskID {
-	if p < v.n {
-		return raid.DiskID{Role: raid.RoleData, Index: p}
-	}
-	return raid.DiskID{Role: mirrorRoles[p/v.n-1], Index: p % v.n}
-}
-
-// poolIndex is the inverse of diskID.
-func (v *Volume) poolIndex(id raid.DiskID) int {
-	if id.Role == raid.RoleData {
-		return id.Index
-	}
-	for mi, role := range mirrorRoles {
-		if id.Role == role {
-			return (1+mi)*v.n + id.Index
-		}
-	}
-	panic(fmt.Sprintf("cluster: disk %v has no pool index", id))
+// slot maps a disk to its dense index; ok is false for a disk the
+// architecture does not have. Only the management API resolves disks by
+// id, so a scan of the (at most 3n) ids is all it takes.
+func (v *Volume) slot(id raid.DiskID) (slot int, ok bool) {
+	slot = slices.Index(v.ids, id)
+	return slot, slot >= 0
 }
 
 // available reports whether a disk can serve the given stripe: it is
 // healthy, or the rebuild watermark has passed the stripe.
-func (v *Volume) available(id raid.DiskID, stripe int) bool {
-	return !v.failed[id] || stripe < v.progress[id]
+func (v *Volume) available(slot, stripe int) bool {
+	return !v.failed[slot] || stripe < v.progress[slot]
 }
 
 // fetchKind says on whose behalf fetchSpans is running, which decides
@@ -425,8 +407,8 @@ const (
 	// fetchUser is a client read: spans served from a non-primary copy
 	// count as degraded reads.
 	fetchUser fetchKind = iota
-	// fetchInternal is a read-modify-write pre-read: replica serving is
-	// routine, nothing extra is counted.
+	// fetchInternal is a read-modify-write pre-read (WireCRC volumes
+	// only): replica serving is routine, nothing extra is counted.
 	fetchInternal
 	// fetchRebuild is a rebuild gather: every served span is credited
 	// to the backend that sourced it, so the per-backend rebuild load
@@ -434,24 +416,30 @@ const (
 	fetchRebuild
 )
 
-// fetchSpans serves every span from its first surviving location,
-// failing over to later locations (replica backends) as groups fail.
-// Call with v.mu held (read or write). kind attributes the serving:
-// degraded-read counting for user reads, per-backend source counting
-// for rebuild gathers. Only user reads hedge (when enabled): rebuild
-// gathers must keep their deterministic per-backend source attribution
-// (the wire-measurable Properties 1/2), and RMW pre-reads are already
-// under the exclusive lock.
-func (v *Volume) fetchSpans(ctx context.Context, spans []*span, kind fetchKind) error {
-	pending := spans
-	for len(pending) > 0 {
+// fetchSpans serves every span in pl.spans from its first surviving
+// location, failing over to later locations (replica backends) as
+// backends fail. Call with v.mu held (read or write). kind attributes
+// the serving: degraded-read counting for user reads, per-backend source
+// counting for rebuild gathers. Only user reads hedge (when enabled):
+// rebuild gathers must keep their deterministic per-backend source
+// attribution (the wire-measurable Properties 1/2).
+//
+// Each round routes the pending spans into per-backend shares and runs
+// the shares concurrently — one of them on the calling goroutine, so a
+// read that touches a single backend starts no goroutine at all.
+func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) error {
+	pl.pending = pl.pending[:0]
+	for i := range pl.spans {
+		pl.pending = append(pl.pending, int32(i))
+	}
+	for len(pl.pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		groups := map[raid.DiskID][]*span{}
-		for _, s := range pending {
+		for _, si := range pl.pending {
+			s := &pl.spans[si]
 			locs := v.locations(s.stripe, s.disk, s.row)
-			for s.src < len(locs) && !v.available(locs[s.src].id, s.stripe) {
+			for s.src < len(locs) && !v.available(locs[s.src].slot, s.stripe) {
 				s.src++
 			}
 			if s.src >= len(locs) {
@@ -466,61 +454,26 @@ func (v *Volume) fetchSpans(ctx context.Context, spans []*span, kind fetchKind) 
 				return fmt.Errorf("%w: data[%d] stripe %d row %d", ErrDataLoss, s.disk, s.stripe, s.row)
 			}
 			s.loc = locs[s.src]
-			groups[s.loc.id] = append(groups[s.loc.id], s)
+			b := pl.backend(s.loc.slot)
+			b.spans = append(b.spans, si)
 		}
-		type result struct {
-			id       raid.DiskID
-			spans    []*span // spans that must fail over
-			served   int     // spans this backend actually served
-			degraded int     // served spans routed past their primary copy
+		for _, slot := range pl.active[1:] {
+			pl.wg.Add(1)
+			go v.fetchBackend(ctx, pl, slot, kind, &pl.wg)
 		}
-		results := make(chan result, len(groups))
-		for id, g := range groups {
-			go func(id raid.DiskID, g []*span) {
-				failed := v.fetchGroup(ctx, id, g, kind)
-				// fetchGroup can fail any subset of its batches (the
-				// pipelined burst lands them out of order), so count the
-				// served spans by exclusion; those with src > 0 were
-				// routed to a replica because the primary copy's disk
-				// was failed or dead.
-				degraded := 0
-				if len(failed) == 0 {
-					for _, s := range g {
-						if s.src > 0 {
-							degraded++
-						}
-					}
-				} else {
-					isFailed := make(map[*span]bool, len(failed))
-					for _, s := range failed {
-						isFailed[s] = true
-					}
-					for _, s := range g {
-						if !isFailed[s] && s.src > 0 {
-							degraded++
-						}
-					}
-				}
-				results <- result{id, failed, len(g) - len(failed), degraded}
-			}(id, g)
-		}
-		pending = nil
-		for range groups {
-			r := <-results
-			switch kind {
-			case fetchUser:
-				v.stats.degradedReads.Add(int64(r.degraded))
-			case fetchRebuild:
-				v.stats.perDisk[r.id].rebuildReads.Add(int64(r.served))
+		v.fetchBackend(ctx, pl, pl.active[0], kind, nil)
+		pl.wg.Wait()
+		pl.pending = pl.pending[:0]
+		for _, slot := range pl.active {
+			for _, si := range pl.backends[slot].failed {
+				pl.spans[si].src++
+				pl.pending = append(pl.pending, si)
 			}
-			for _, s := range r.spans {
-				s.src++
-				pending = append(pending, s)
-			}
-			v.stats.failovers.Add(int64(len(r.spans)))
 		}
+		v.stats.failovers.Add(int64(len(pl.pending)))
+		pl.clearRound()
 		if err := ctx.Err(); err != nil {
-			// Cancellation fails every in-flight group at once; without
+			// Cancellation fails every in-flight share at once; without
 			// this check the failover loop would burn through all replica
 			// locations and misreport the cancel as data loss.
 			return err
@@ -534,66 +487,95 @@ func (v *Volume) fetchSpans(ctx context.Context, spans []*span, kind fetchKind) 
 // bounds the wire; this only caps goroutines for absurdly large spans.
 const fetchGroupBurst = 16
 
-// fetchGroup gathers one backend's spans in MaxBatch-sized OpReadV
-// round trips — hedged against the spans' replica locations for user
-// reads — and returns the spans it could not serve. In pipelined mode
-// every batch is submitted as one concurrent burst: the multiplexed
-// connections interleave the requests, coalesce their frames into few
-// writevs, and complete them out of order, so a multi-batch gather
-// costs one round-trip time instead of one per batch. In synchronous
-// mode batches stay serial, and a failed batch fails everything after
-// it too — the backend is likely down, so further round trips would
-// each burn a retry cycle.
-func (v *Volume) fetchGroup(ctx context.Context, id raid.DiskID, spans []*span, kind fetchKind) []*span {
-	if v.cfg.Pipeline && len(spans) > v.cfg.MaxBatch {
-		var (
-			wg     sync.WaitGroup
-			mu     sync.Mutex
-			failed []*span
-			sem    = make(chan struct{}, fetchGroupBurst)
-		)
-		for start := 0; start < len(spans); start += v.cfg.MaxBatch {
-			end := start + v.cfg.MaxBatch
-			if end > len(spans) {
-				end = len(spans)
-			}
-			batch := spans[start:end]
+// fetchBackend gathers one backend's share of a fetch round in
+// MaxBatch-sized OpReadV round trips — hedged against the spans'
+// replica locations for user reads — and leaves the spans it could not
+// serve in the share's failed list. In pipelined mode the batches of a
+// multi-batch share are submitted as one concurrent burst: the
+// multiplexed connections interleave the requests, coalesce their
+// frames into few writevs, and complete them out of order, so the
+// gather costs one round-trip time instead of one per batch. In
+// synchronous mode batches stay serial, and a failed batch fails
+// everything after it too — the backend is likely down, so further
+// round trips would each burn a retry cycle. done, when non-nil, is
+// released on return (the share is running on its own goroutine).
+func (v *Volume) fetchBackend(ctx context.Context, pl *opPlan, slot int, kind fetchKind, done *sync.WaitGroup) {
+	if done != nil {
+		defer done.Done()
+	}
+	b := &pl.backends[slot]
+	b.vecs, b.bufs = b.vecs[:0], b.bufs[:0]
+	for _, si := range b.spans {
+		s := &pl.spans[si]
+		b.vecs = append(b.vecs, blockserver.Vec{Off: v.storeOffset(s.stripe, s.loc.row) + s.inner, Len: len(s.buf)})
+		b.bufs = append(b.bufs, s.buf)
+	}
+	maxBatch := v.cfg.MaxBatch
+	batches := (len(b.spans) + maxBatch - 1) / maxBatch
+	if cap(b.reads) < batches {
+		b.reads = make([]vecOp, batches)
+	}
+	b.reads = b.reads[:batches]
+	for i := range b.reads {
+		lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
+		b.reads[i] = vecOp{mode: vecRead, vecs: b.vecs[lo:hi], bufs: b.bufs[lo:hi]}
+	}
+	if v.cfg.Pipeline && batches > 1 {
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, fetchGroupBurst)
+		for i := range b.reads {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(batch []*span) {
+			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				if err := v.readBatch(ctx, id, batch, kind); err != nil {
-					// Record why, so exhaustion can tell corruption
-					// from loss.
-					for _, s := range batch {
-						s.lastErr = err
-					}
-					mu.Lock()
-					failed = append(failed, batch...)
-					mu.Unlock()
-				}
-			}(batch)
+				lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
+				b.reads[i].err = v.readBatch(ctx, slot, pl, b.spans[lo:hi], &b.reads[i], kind)
+			}()
 		}
 		wg.Wait()
-		return failed
-	}
-	for start := 0; start < len(spans); start += v.cfg.MaxBatch {
-		end := start + v.cfg.MaxBatch
-		if end > len(spans) {
-			end = len(spans)
-		}
-		if err := v.readBatch(ctx, id, spans[start:end], kind); err != nil {
-			// This batch and everything after it fails over together; the
-			// pool has already retried and possibly marked the backend dead.
-			// Record why, so exhaustion can tell corruption from loss.
-			for _, s := range spans[start:] {
-				s.lastErr = err
+	} else {
+		for i := range b.reads {
+			lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
+			err := v.readBatch(ctx, slot, pl, b.spans[lo:hi], &b.reads[i], kind)
+			if err != nil {
+				// This batch and everything after it fails over together;
+				// the pool has already retried and possibly marked the
+				// backend dead.
+				for j := i; j < batches; j++ {
+					b.reads[j].err = err
+				}
+				break
 			}
-			return spans[start:]
 		}
 	}
-	return nil
+	// Count what was served by exclusion: any subset of the batches can
+	// have failed (the pipelined burst lands them out of order). Spans
+	// with src > 0 were routed to a replica because the primary copy's
+	// disk was failed or dead.
+	served, degraded := 0, 0
+	for i := range b.reads {
+		lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
+		for _, si := range b.spans[lo:hi] {
+			s := &pl.spans[si]
+			if err := b.reads[i].err; err != nil {
+				// Record why, so exhaustion can tell corruption from loss.
+				s.lastErr = err
+				b.failed = append(b.failed, si)
+				continue
+			}
+			served++
+			if s.src > 0 {
+				degraded++
+			}
+		}
+	}
+	switch kind {
+	case fetchUser:
+		v.stats.degradedReads.Add(int64(degraded))
+	case fetchRebuild:
+		v.stats.perDisk[slot].rebuildReads.Add(int64(served))
+	}
 }
 
 // ReadAt implements io.ReaderAt over the logical space, gathering
@@ -625,22 +607,20 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 	}
 	start := time.Now()
 	defer func() { v.stats.readLat.Observe(time.Since(start)) }()
+	pl := v.getPlan()
+	defer v.putPlan(pl)
 	v.mu.RLock()
-	spans := make([]*span, 0, int64(n)/v.elementSize+2)
 	for total := 0; total < n; {
 		stripe, disk, row, inner := v.elemAddr(off + int64(total))
-		chunk := v.elementSize - inner
-		if rem := int64(n - total); chunk > rem {
-			chunk = rem
-		}
-		spans = append(spans, &span{
+		chunk := int(min(v.elementSize-inner, int64(n-total)))
+		pl.spans = append(pl.spans, span{
 			stripe: stripe, disk: disk, row: row,
-			inner: inner, buf: p[total : total+int(chunk)],
+			inner: inner, buf: p[total : total+chunk],
 		})
-		total += int(chunk)
+		total += chunk
 	}
-	v.stats.elementsRead.Add(int64(len(spans)))
-	err := v.fetchSpans(ctx, spans, fetchUser)
+	v.stats.elementsRead.Add(int64(len(pl.spans)))
+	err := v.fetchSpans(ctx, pl, fetchUser)
 	v.mu.RUnlock()
 	if err != nil {
 		return 0, err
@@ -649,15 +629,6 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 		return n, io.EOF
 	}
 	return n, nil
-}
-
-// writeOp is one element-granular store write bound for a backend.
-type writeOp struct {
-	id     raid.DiskID
-	off    int64
-	data   []byte
-	elem   int // index of the logical element this op replicates
-	stripe int // stripe the element belongs to, for watermark rollback
 }
 
 // WriteAt implements io.WriterAt over the logical space, fanning each
@@ -677,103 +648,119 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // backends whose op was cancelled are not auto-failed — cancellation
 // says nothing about their health.
 //
-// Locking: the network fan-out runs under the shared lock, so writes no
-// longer block readers or each other; only rebuild slices (which hold
-// the exclusive lock across their fetch+write to keep the replacement
+// A write that covers only part of an element ships exactly that range
+// to every available copy, straight from p: a mirror needs no old bytes
+// to stay consistent (the paper's P3 — a write is one parallel access),
+// so there is no pre-read. The atomic unit of a write is therefore the
+// written range per copy: concurrent writes to disjoint ranges never
+// disturb each other, even inside one element.
+//
+// WireCRC volumes are the one exception. The server keeps one
+// write-time checksum per element-sized store block, and can only
+// publish it for a write that covers the whole block — an unaligned
+// range leaves the block's entry invalid, which would silently drop the
+// element out of end-to-end coverage (reads would carry a checksum
+// computed from whatever the store returns, rot included). So there a
+// torn first or last element is still read, patched and written back
+// whole, every wire range stays exactly one sidecar block, and rmwMu
+// keeps two such patches of one element from overwriting each other.
+//
+// Locking: the network fan-out runs under the shared lock, so writes do
+// not block readers or each other; only rebuild slices (which hold the
+// exclusive lock across their fetch+write to keep the replacement
 // backend coherent) still exclude writes. The exclusive lock is retaken
 // after the fan-out, solely for failed/watermark bookkeeping. Writers
 // running concurrently means overlapping WriteAt calls race exactly as
-// they do on a raw block device: each element copy lands atomically,
+// they do on a raw block device: each range lands atomically per copy,
 // but which writer's bytes survive — per replica — is unordered, so
 // callers that overlap writes must serialize themselves (see DESIGN.md
 // §11; TestConcurrentWriters documents the semantics).
 func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > v.Size() {
-		return 0, fmt.Errorf("cluster: write [%d,%d) outside volume of %d bytes", off, off+int64(len(p)), v.Size())
+	end := off + int64(len(p))
+	if off < 0 || end > v.Size() {
+		return 0, fmt.Errorf("cluster: write [%d,%d) outside volume of %d bytes", off, end, v.Size())
+	}
+	if len(p) == 0 {
+		return 0, nil
 	}
 	start := time.Now()
 	defer func() { v.stats.writeLat.Observe(time.Since(start)) }()
-	v.mu.RLock()
-	// A torn first or last element is read-modify-written: all RMW
-	// pre-reads are collected and fetched in one gather, so an unaligned
-	// write pays one round trip per involved backend, not one per torn
-	// edge.
-	type patch struct {
-		content []byte
-		inner   int64
-		frag    []byte
+	pl := v.getPlan()
+	defer v.putPlan(pl)
+	es := v.elementSize
+	rmw := v.cfg.WireCRC && (off%es != 0 || end%es != 0)
+	if rmw {
+		v.rmwMu.Lock()
 	}
-	var ops []writeOp
-	var rmwSpans []*span
-	var patches []patch
-	elems := 0
+	v.mu.RLock()
+	unlock := func() {
+		v.mu.RUnlock()
+		if rmw {
+			v.rmwMu.Unlock()
+		}
+	}
+	if rmw {
+		if err := v.preReadTorn(ctx, pl, p, off); err != nil {
+			unlock()
+			return 0, err
+		}
+	}
+	elems, torn := 0, 0
 	for total := 0; total < len(p); {
 		stripe, disk, row, inner := v.elemAddr(off + int64(total))
-		chunk := v.elementSize - inner
-		if rem := int64(len(p) - total); chunk > rem {
-			chunk = rem
-		}
-		var content []byte
-		if inner == 0 && chunk == v.elementSize {
-			content = p[total : total+int(chunk)]
-		} else {
-			content = make([]byte, v.elementSize)
-			rmwSpans = append(rmwSpans, &span{stripe: stripe, disk: disk, row: row, buf: content})
-			patches = append(patches, patch{content: content, inner: inner, frag: p[total : total+int(chunk)]})
+		chunk := int(min(es-inner, int64(len(p)-total)))
+		data := p[total : total+chunk]
+		if rmw && int64(chunk) != es {
+			data, inner = pl.tornElement(torn, es), 0
+			torn++
 		}
 		for _, loc := range v.locations(stripe, disk, row) {
-			if !v.available(loc.id, stripe) {
+			if !v.available(loc.slot, stripe) {
 				continue // redundancy carries it until rebuild catches up
 			}
-			ops = append(ops, writeOp{
-				id: loc.id, off: v.storeOffset(stripe, loc.row), data: content, elem: elems, stripe: stripe,
+			b := pl.backend(loc.slot)
+			b.ops = append(b.ops, writeOp{
+				off: v.storeOffset(stripe, loc.row) + inner, data: data,
+				elem: int32(elems), stripe: int32(stripe),
 			})
 		}
 		elems++
-		total += int(chunk)
+		total += chunk
 	}
-	if len(rmwSpans) > 0 {
-		if err := v.fetchSpans(ctx, rmwSpans, fetchInternal); err != nil {
-			v.mu.RUnlock()
-			return 0, err
-		}
-		for _, pt := range patches {
-			copy(pt.content[pt.inner:], pt.frag)
-		}
-	}
-	succeeded := make([]atomic.Int64, elems)
-	broken, err := v.runWrites(ctx, ops, succeeded)
+	err := v.runWrites(ctx, pl, elems)
 	// An element counts as written only once it reached at least one
 	// backend; cancelled or all-failed fan-outs do not inflate the
 	// counter.
-	var written int64
-	for i := range succeeded {
-		if succeeded[i].Load() > 0 {
+	written, lost := 0, -1
+	for i, n := range pl.succeeded {
+		if n > 0 {
 			written++
+		} else if lost < 0 {
+			lost = i
 		}
 	}
-	v.stats.elementsWritten.Add(written)
-	v.mu.RUnlock()
-	if len(broken) > 0 {
+	v.stats.elementsWritten.Add(int64(written))
+	unlock()
+	if len(pl.broken) > 0 {
 		// Bookkeeping needs the exclusive lock. The broken verdicts stay
 		// valid across the lock gap: auto-fail re-checks v.failed, and the
 		// rollback below only ever pulls a watermark down, so a rebuild
 		// slice that advanced it meanwhile is re-run, never skipped.
 		v.mu.Lock()
-		for id, minStripe := range broken {
-			if !v.failed[id] {
-				v.failed[id] = true
-				v.progress[id] = 0
+		for _, br := range pl.broken {
+			if !v.failed[br.slot] {
+				v.failed[br.slot] = true
+				v.progress[br.slot] = 0
 				v.stats.autoFailed.Inc()
-				v.stats.perDisk[id].watermark.Set(0)
-				v.trace(obs.Event{Op: "auto_fail", Target: id.String()})
-			} else if v.progress[id] > minStripe {
+				v.stats.perDisk[br.slot].watermark.Set(0)
+				v.trace(obs.Event{Op: "auto_fail", Target: v.ids[br.slot].String()})
+			} else if v.progress[br.slot] > br.stripe {
 				// A disk mid-rebuild missed a write below its watermark: the
 				// rebuilt copy of that stripe is now stale. Pull the watermark
 				// back so reads fail over to the replicas that did take the
 				// write and the rebuild re-recovers everything from there.
-				v.progress[id] = minStripe
-				v.stats.perDisk[id].watermark.Set(int64(minStripe))
+				v.progress[br.slot] = br.stripe
+				v.stats.perDisk[br.slot].watermark.Set(int64(br.stripe))
 			}
 		}
 		v.mu.Unlock()
@@ -786,224 +773,163 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 		// missing replicas were never attempted, not lost.
 		return 0, cerr
 	}
-	for i := range succeeded {
-		if succeeded[i].Load() == 0 {
-			return 0, fmt.Errorf("%w: element %d of write at %d reached no backend", ErrDataLoss, i, off)
-		}
+	if lost >= 0 {
+		return 0, fmt.Errorf("%w: element %d of write at %d reached no backend", ErrDataLoss, lost, off)
 	}
 	return len(p), nil
 }
 
-// wframe is one OpWriteV round trip bound for a backend: the coalesced
-// wire ranges plus the ops they carry. opRange[i] is the index of the
-// vec carrying ops[i], so a mid-batch remote error (ranges before the
-// failed index are durable) can be credited back to exact elements.
-type wframe struct {
-	vecs    []blockserver.Vec
-	data    [][]byte
-	ops     []writeOp
-	opRange []int
+// preReadTorn fetches the current image of each element the write
+// [off, off+len(p)) covers only partly — at most its first and its last
+// — into the plan's torn images and patches p's bytes over them, so the
+// WireCRC write path can ship whole elements. All torn elements are
+// fetched in one gather: an unaligned write pays one round trip per
+// involved backend, not one per torn edge. Call with v.mu and v.rmwMu
+// held.
+func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int64) error {
+	es := v.elementSize
+	end := off + int64(len(p))
+	// The head element is torn when the write starts inside it or ends
+	// before its end; the tail element when the write ends inside it and
+	// it is not the head element again.
+	tailStart := end - end%es
+	headTorn := off%es != 0 || int64(len(p)) < es
+	tailTorn := end%es != 0 && tailStart > off
+	var head, tail []byte
+	image := func(at int64) []byte {
+		stripe, disk, row, _ := v.elemAddr(at)
+		img := pl.tornElement(len(pl.spans), es)
+		pl.spans = append(pl.spans, span{stripe: stripe, disk: disk, row: row, buf: img})
+		return img
+	}
+	if headTorn {
+		head = image(off)
+	}
+	if tailTorn {
+		tail = image(tailStart)
+	}
+	err := v.fetchSpans(ctx, pl, fetchInternal)
+	clear(pl.spans)
+	pl.spans = pl.spans[:0]
+	if err != nil {
+		return err
+	}
+	if headTorn {
+		copy(head[off%es:], p)
+	}
+	if tailTorn {
+		copy(tail, p[tailStart-off:])
+	}
+	return nil
 }
 
-// buffersAdjacent reports whether b starts exactly where a ends in
-// memory — i.e. extending a by len(b) within its capacity would cover
-// b. The check reslices within a's capacity and compares element
-// addresses, so no out-of-bounds pointer is ever formed.
-func buffersAdjacent(a, b []byte) bool {
-	if len(b) == 0 || cap(a)-len(a) < len(b) {
-		return false
+// runWrites ships every backend's share of write ops. Each share is
+// packed into coalesced OpWriteV frames (see packFrames), so a
+// full-stripe write costs one round trip per replica backend instead of
+// one per element copy; with Config.DisableWriteBatch each op is one
+// OpWrite round trip (the pre-batching wire behaviour, kept for A/B
+// measurement). A backend's frames are drained by up to PoolSize
+// workers; of all the workers the last runs on the calling goroutine,
+// so a write that is one frame to one backend starts no goroutine.
+//
+// It fills pl.succeeded (per element, the backends that took it) and
+// pl.broken: the backends whose transport failed (candidates for
+// auto-fail), each with the lowest stripe among its failed ops (so
+// callers can roll a rebuild watermark back past every missed write).
+// It returns the first remote (store-level) error, which indicates a
+// logic problem rather than a dead machine. A transport-failed frame
+// credits none of its ops — the server may have applied a prefix, but
+// the client cannot know which, so the rollback covers the whole batch.
+// A frame answered with a mid-batch remote error credits exactly the
+// ops whose ranges precede the failed index. Ops that fail because ctx
+// was cancelled count as neither: they do not mark the backend broken
+// (no auto-fail from a caller's cancel) and are not remote errors.
+//
+// Call with v.mu held, read or write: the pools must not be swapped
+// under the fan-out.
+func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
+	if cap(pl.succeeded) < elems {
+		pl.succeeded = make([]int32, elems)
 	}
-	ext := a[: len(a)+1 : len(a)+1]
-	return &ext[len(a)] == &b[0]
-}
-
-// packFrames sorts one backend's ops by store offset and packs them
-// into OpWriteV frames bounded by MaxBatch ranges and MaxIOSize bytes.
-// Ops adjacent in both store offset and memory — rebuild write-back's
-// normal case, where a slice's recovered elements are consecutive
-// subslices of one buffer bound for consecutive store rows — merge into
-// a single wire range. Under WireCRC merging is disabled: each range
-// must stay exactly one element so its checksum maps onto one server
-// sidecar block.
-func (v *Volume) packFrames(group []writeOp) []wframe {
-	sort.Slice(group, func(i, j int) bool { return group[i].off < group[j].off })
-	var frames []wframe
-	var cur wframe
-	var curBytes int64
-	flush := func() {
-		if len(cur.ops) > 0 {
-			frames = append(frames, cur)
-			cur = wframe{}
-			curBytes = 0
-		}
-	}
-	for _, op := range group {
-		opLen := int64(len(op.data))
-		if len(cur.ops) > 0 {
-			last := len(cur.vecs) - 1
-			lv := cur.vecs[last]
-			if !v.cfg.WireCRC && lv.Off+int64(lv.Len) == op.off && curBytes+opLen <= blockserver.MaxIOSize &&
-				buffersAdjacent(cur.data[last], op.data) {
-				cur.vecs[last].Len += len(op.data)
-				cur.data[last] = cur.data[last][:len(cur.data[last])+len(op.data)]
-				cur.ops = append(cur.ops, op)
-				cur.opRange = append(cur.opRange, last)
-				curBytes += opLen
+	pl.succeeded = pl.succeeded[:elems]
+	clear(pl.succeeded)
+	inline := -1
+	for _, slot := range pl.active {
+		b := &pl.backends[slot]
+		v.packFrames(b)
+		for w := min(v.cfg.PoolSize, len(b.frames)); w > 0; w-- {
+			if inline < 0 {
+				inline = slot
 				continue
 			}
-			if len(cur.vecs) >= v.cfg.MaxBatch || curBytes+opLen > blockserver.MaxIOSize {
-				flush()
-			}
+			pl.wg.Add(1)
+			go v.drainFrames(ctx, slot, b, &pl.wg)
 		}
-		cur.vecs = append(cur.vecs, blockserver.Vec{Off: op.off, Len: len(op.data)})
-		cur.data = append(cur.data, op.data)
-		cur.ops = append(cur.ops, op)
-		cur.opRange = append(cur.opRange, len(cur.vecs)-1)
-		curBytes += opLen
 	}
-	flush()
-	return frames
-}
-
-// runWrites issues ops grouped per backend. Each group is packed into
-// coalesced OpWriteV frames (see packFrames), so a full-stripe write
-// costs one round trip per replica backend instead of one per element
-// copy; with Config.DisableWriteBatch each op is one OpWrite round trip
-// (the pre-batching wire behaviour, kept for A/B measurement). Frames
-// within a group are drained by up to PoolSize workers.
-//
-// It returns the backends whose transport failed (candidates for
-// auto-fail), each mapped to the lowest stripe among its failed ops (so
-// callers can roll a rebuild watermark back past every missed write),
-// and the first remote (store-level) error, which indicates a logic
-// problem rather than a dead machine. A transport-failed frame credits
-// none of its ops — the server may have applied a prefix, but the
-// client cannot know which, so the rollback covers the whole batch. A
-// frame answered with a mid-batch remote error credits exactly the ops
-// whose ranges precede the failed index. Ops that fail because ctx was
-// cancelled count as neither: they do not mark the backend broken (no
-// auto-fail from a caller's cancel) and are not remote errors.
-//
-// Call with v.mu held, read or write: the pools map must not be swapped
-// under the fan-out.
-func (v *Volume) runWrites(ctx context.Context, ops []writeOp, succeeded []atomic.Int64) (map[raid.DiskID]int, error) {
-	groups := map[raid.DiskID][]writeOp{}
-	for _, op := range ops {
-		groups[op.id] = append(groups[op.id], op)
+	if inline < 0 {
+		return nil // every copy of every element is on a failed disk
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	broken := map[raid.DiskID]int{}
+	v.drainFrames(ctx, inline, &pl.backends[inline], nil)
+	pl.wg.Wait()
 	var firstRemote error
-	noteRemote := func(id raid.DiskID, err error) {
-		mu.Lock()
-		if firstRemote == nil {
-			firstRemote = fmt.Errorf("cluster: backend %v: %w", id, err)
-		}
-		mu.Unlock()
-	}
-	noteBroken := func(id raid.DiskID, failed []writeOp) {
-		mu.Lock()
-		for _, op := range failed {
-			if cur, ok := broken[id]; !ok || op.stripe < cur {
-				broken[id] = op.stripe
-			}
-		}
-		mu.Unlock()
-	}
-	if v.cfg.DisableWriteBatch {
-		for id, g := range groups {
-			p := v.pools[id]
-			workers := v.cfg.PoolSize
-			if workers > len(g) {
-				workers = len(g)
-			}
-			var next atomic.Int64
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id raid.DiskID, g []writeOp, next *atomic.Int64) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(g) {
-							return
-						}
-						op := g[i]
-						err := p.doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
-							_, err := c.WriteAtCtx(ctx, op.data, op.off)
-							return err
-						})
-						switch {
-						case err == nil:
-							succeeded[op.elem].Add(1)
-						case ctx.Err() != nil:
-							// Cancelled, not broken: the caller reports ctx's error.
-						case blockserver.IsRemote(err):
-							noteRemote(id, err)
-						default:
-							noteBroken(id, g[i:i+1])
-						}
-					}
-				}(id, g, &next)
-			}
-		}
-		wg.Wait()
-		return broken, firstRemote
-	}
-	for id, g := range groups {
-		frames := v.packFrames(g)
-		p := v.pools[id]
-		workers := v.cfg.PoolSize
-		if workers > len(frames) {
-			workers = len(frames)
-		}
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(id raid.DiskID, p *pool, frames []wframe, next *atomic.Int64) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(frames) {
-						return
-					}
-					fr := frames[i]
-					v.stats.writeBatches.Inc()
-					v.stats.writeBatchElements.Add(int64(len(fr.ops)))
-					applied := 0
-					err := p.doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
-						n, err := c.WriteVCtx(ctx, fr.vecs, fr.data)
-						applied = n
-						return err
-					})
-					switch {
-					case err == nil:
-						for _, op := range fr.ops {
-							succeeded[op.elem].Add(1)
-						}
-					case blockserver.IsRemote(err):
-						// Ranges before the failed index are durable: credit
-						// their ops, surface the store error.
-						for oi, op := range fr.ops {
-							if fr.opRange[oi] < applied {
-								succeeded[op.elem].Add(1)
-							}
-						}
-						noteRemote(id, err)
-					case ctx.Err() != nil:
-						// Cancelled, not broken: the caller reports ctx's error.
-					default:
-						// Transport trouble: nothing from this frame may be
-						// credited, and the watermark must roll back to the
-						// lowest stripe in the batch, not the last acked frame.
-						noteBroken(id, fr.ops)
+	for _, slot := range pl.active {
+		b := &pl.backends[slot]
+		for i := range b.frames {
+			fr := &b.frames[i]
+			ops := b.ops[fr.opLo:fr.opHi]
+			switch err := fr.xfer.err; {
+			case err == nil:
+				for _, op := range ops {
+					pl.succeeded[op.elem]++
+				}
+			case blockserver.IsRemote(err):
+				// Ranges before the failed index are durable: credit
+				// their ops, surface the store error.
+				for _, op := range ops {
+					if int(op.vec)-fr.vecLo < fr.xfer.applied {
+						pl.succeeded[op.elem]++
 					}
 				}
-			}(id, p, frames, &next)
+				if firstRemote == nil {
+					firstRemote = fmt.Errorf("cluster: backend %v: %w", v.ids[slot], err)
+				}
+			case ctx.Err() != nil:
+				// Cancelled, not broken: the caller reports ctx's error.
+			default:
+				// Transport trouble: nothing from this frame may be
+				// credited, and the watermark must roll back to the
+				// lowest stripe in the batch, not the last acked frame.
+				low := ops[0].stripe
+				for _, op := range ops[1:] {
+					low = min(low, op.stripe)
+				}
+				pl.noteBroken(slot, int(low))
+			}
 		}
 	}
-	wg.Wait()
-	return broken, firstRemote
+	return firstRemote
+}
+
+// drainFrames sends one backend's frames until none are left; several
+// workers may drain the same backend. done, when non-nil, is released
+// on return (the worker is running on its own goroutine).
+func (v *Volume) drainFrames(ctx context.Context, slot int, b *backendPlan, done *sync.WaitGroup) {
+	if done != nil {
+		defer done.Done()
+	}
+	p := v.pools[slot]
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= len(b.frames) {
+			return
+		}
+		fr := &b.frames[i]
+		if fr.xfer.mode == vecWrite {
+			v.stats.writeBatches.Inc()
+			v.stats.writeBatchElements.Add(int64(fr.opHi - fr.opLo))
+		}
+		fr.xfer.err = p.doCtx(ctx, &fr.xfer)
+	}
 }
 
 // Fail declares a disk's content lost (its backend crashed, was wiped,
@@ -1011,17 +937,18 @@ func (v *Volume) runWrites(ctx context.Context, ops []writeOp, succeeded []atomi
 // bytes are restored by RebuildDisk, optionally after ReplaceBackend
 // points the disk at a fresh server.
 func (v *Volume) Fail(id raid.DiskID) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.pools[id]; !ok {
+	slot, ok := v.slot(id)
+	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	if v.failed[id] {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.failed[slot] {
 		return fmt.Errorf("%w: %v already failed", ErrDiskFailed, id)
 	}
-	v.failed[id] = true
-	v.progress[id] = 0
-	v.stats.perDisk[id].watermark.Set(0)
+	v.failed[slot] = true
+	v.progress[slot] = 0
+	v.stats.perDisk[slot].watermark.Set(0)
 	v.trace(obs.Event{Op: "fail", Target: id.String()})
 	return nil
 }
@@ -1037,30 +964,32 @@ func (v *Volume) trace(ev obs.Event) {
 // closing the old pool. The usual sequence for a lost machine is
 // Fail → ReplaceBackend → RebuildDisk.
 func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	old, ok := v.pools[id]
+	slot, ok := v.slot(id)
 	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	old.close()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.pools[slot].close()
 	// The disk slot's counters carry over: replacing the machine does
 	// not erase the disk's service history.
-	v.pools[id] = newPool(addr, v.cfg, &v.stats.perDisk[id].pool, v.stats.pipe)
-	v.addrs[id] = addr
+	v.pools[slot] = newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
+	v.addrs[slot] = addr
 	v.trace(obs.Event{Op: "replace_backend", Target: id.String()})
 	return nil
 }
 
-// FailedDisks returns the disks currently marked failed.
+// FailedDisks returns the disks currently marked failed, sorted by role
+// then index (slot order).
 func (v *Volume) FailedDisks() []raid.DiskID {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var out []raid.DiskID
-	for id := range v.failed {
-		out = append(out, id)
+	for slot, failed := range v.failed {
+		if failed {
+			out = append(out, v.ids[slot])
+		}
 	}
-	sortDisks(out)
 	return out
 }
 
@@ -1081,35 +1010,19 @@ func (v *Volume) Health() Health {
 	if h.RebuildSeconds > 0 {
 		h.RebuildMBps = float64(h.RebuildBytes) / 1e6 / h.RebuildSeconds
 	}
-	for id, p := range v.pools {
+	for slot, p := range v.pools {
 		h.Backends = append(h.Backends, BackendHealth{
-			ID:       id,
+			ID:       v.ids[slot],
 			Addr:     p.addr,
 			Dead:     p.isDead(),
-			Failed:   v.failed[id],
+			Failed:   v.failed[slot],
 			Requests: p.stats.requests.Load(),
 			Retries:  p.stats.retries.Load(),
 			Dials:    p.stats.dials.Load(),
 			Errors:   p.stats.errors.Load(),
 		})
 	}
-	sort.Slice(h.Backends, func(i, j int) bool {
-		a, b := h.Backends[i].ID, h.Backends[j].ID
-		if a.Role != b.Role {
-			return a.Role < b.Role
-		}
-		return a.Index < b.Index
-	})
 	return h
-}
-
-func sortDisks(ids []raid.DiskID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Role != ids[j].Role {
-			return ids[i].Role < ids[j].Role
-		}
-		return ids[i].Index < ids[j].Index
-	})
 }
 
 // ScrubReport summarizes a Scrub pass's coverage, so "clean" can be told
@@ -1133,17 +1046,17 @@ type ScrubReport struct {
 // readStore reads one backend's bytes through its pool in
 // MaxIOSize-bounded pieces, so a large buffer never trips the protocol's
 // per-request limit.
-func (v *Volume) readStore(ctx context.Context, id raid.DiskID, buf []byte, off int64) error {
+func (v *Volume) readStore(ctx context.Context, slot int, buf []byte, off int64) error {
 	for at := 0; at < len(buf); {
 		n := len(buf) - at
 		if n > blockserver.MaxIOSize {
 			n = blockserver.MaxIOSize
 		}
 		chunk := buf[at : at+n]
-		err := v.pools[id].doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
+		err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
 			_, err := c.ReadAtCtx(ctx, chunk, off+int64(at))
 			return err
-		})
+		}))
 		if err != nil {
 			return err
 		}
@@ -1157,7 +1070,7 @@ func (v *Volume) readStore(ctx context.Context, id raid.DiskID, buf []byte, off 
 // bounded by MaxBatch ranges and MaxIOSize covered bytes (the server
 // reads every range to checksum it, so the I/O budget applies even
 // though only 4 bytes per element travel back).
-func (v *Volume) readStoreCRCs(ctx context.Context, id raid.DiskID, out []uint32, off int64) error {
+func (v *Volume) readStoreCRCs(ctx context.Context, slot int, out []uint32, off int64) error {
 	perReq := v.cfg.MaxBatch
 	if byBytes := int(blockserver.MaxIOSize / v.elementSize); byBytes < perReq {
 		perReq = byBytes
@@ -1176,9 +1089,9 @@ func (v *Volume) readStoreCRCs(ctx context.Context, id raid.DiskID, out []uint32
 			vecs = append(vecs, blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)})
 		}
 		chunk := out[at:end]
-		err := v.pools[id].doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
+		err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
 			return c.CrcV(ctx, vecs, chunk)
-		})
+		}))
 		if err != nil {
 			return err
 		}
@@ -1190,40 +1103,41 @@ func (v *Volume) readStoreCRCs(ctx context.Context, id raid.DiskID, out []uint32
 // gather per healthy disk, then the same data-versus-replica sweep as
 // the byte path over 4-byte sums instead of elementSize buffers. It
 // reports done=false — without consuming the batch — when any backend
-// answers ErrNoCRC, so Scrub can redo the batch byte-for-byte.
-func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, disks []raid.DiskID, skipped map[raid.DiskID]bool, s0, s1 int) (done bool, err error) {
+// answers ErrNoCRC, so Scrub can redo the batch byte-for-byte. skipped
+// is indexed by slot.
+func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, skipped []bool, s0, s1 int) (done bool, err error) {
 	rowBytes := int64(v.n) * v.elementSize
 	elems := (s1 - s0) * v.n
-	sums := map[raid.DiskID][]uint32{}
+	sums := make([][]uint32, len(v.ids)) // nil: not gathered
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var remoteErr error
 	noCRC := false
-	for _, id := range disks {
-		if !v.available(id, s1-1) && !v.available(id, s0) {
-			skipped[id] = true
+	for slot := range v.ids {
+		if !v.available(slot, s1-1) && !v.available(slot, s0) {
+			skipped[slot] = true
 			continue
 		}
 		wg.Add(1)
-		go func(id raid.DiskID) {
+		go func() {
 			defer wg.Done()
 			out := make([]uint32, elems)
-			err := v.readStoreCRCs(ctx, id, out, int64(s0)*rowBytes)
+			err := v.readStoreCRCs(ctx, slot, out, int64(s0)*rowBytes)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
-				sums[id] = out
+				sums[slot] = out
 			case errors.Is(err, blockserver.ErrNoCRC):
 				noCRC = true
 			case blockserver.IsRemote(err):
 				if remoteErr == nil {
-					remoteErr = fmt.Errorf("cluster: scrub crc on %v: %w", id, err)
+					remoteErr = fmt.Errorf("cluster: scrub crc on %v: %w", v.ids[slot], err)
 				}
 			default:
-				skipped[id] = true // unreachable: skip, like a failed disk
+				skipped[slot] = true // unreachable: skip, like a failed disk
 			}
-		}(id)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -1240,14 +1154,14 @@ func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, disks [
 		for disk := 0; disk < v.n; disk++ {
 			for row := 0; row < v.n; row++ {
 				locs := v.locations(stripe, disk, row)
-				data, ok := sums[locs[0].id]
-				if !ok || !v.available(locs[0].id, stripe) {
+				data := sums[locs[0].slot]
+				if data == nil || !v.available(locs[0].slot, stripe) {
 					continue
 				}
 				want := data[base+locs[0].row]
 				for _, loc := range locs[1:] {
-					repl, ok := sums[loc.id]
-					if !ok || !v.available(loc.id, stripe) {
+					repl := sums[loc.slot]
+					if repl == nil || !v.available(loc.slot, stripe) {
 						continue
 					}
 					if repl[base+loc.row] != want {
@@ -1284,8 +1198,7 @@ func (v *Volume) Scrub(ctx context.Context) (ScrubReport, error) {
 	defer v.mu.RUnlock()
 	var report ScrubReport
 	batch := v.cfg.RebuildBatch
-	disks := v.arch.Disks()
-	skipped := map[raid.DiskID]bool{}
+	skipped := make([]bool, len(v.ids))
 	crcMode := v.cfg.WireCRC
 	for s0 := 0; s0 < v.stripes; s0 += batch {
 		if err := ctx.Err(); err != nil {
@@ -1296,7 +1209,7 @@ func (v *Volume) Scrub(ctx context.Context) (ScrubReport, error) {
 			s1 = v.stripes
 		}
 		if crcMode {
-			done, err := v.scrubBatchCRC(ctx, &report, disks, skipped, s0, s1)
+			done, err := v.scrubBatchCRC(ctx, &report, skipped, s0, s1)
 			if err != nil {
 				return report, err
 			}
@@ -1307,46 +1220,46 @@ func (v *Volume) Scrub(ctx context.Context) (ScrubReport, error) {
 			// re-verify this batch — and every later one — byte-for-byte.
 			crcMode = false
 		}
-		if err := v.scrubBatchBytes(ctx, &report, disks, skipped, s0, s1); err != nil {
+		if err := v.scrubBatchBytes(ctx, &report, skipped, s0, s1); err != nil {
 			return report, err
 		}
 	}
-	return report, v.scrubFinish(&report, skipped, len(disks))
+	return report, v.scrubFinish(&report, skipped)
 }
 
 // scrubBatchBytes verifies one stripe batch byte-for-byte: one full
 // content gather per healthy disk, then every replica compared against
 // its data element. Caller must hold v.mu (read).
-func (v *Volume) scrubBatchBytes(ctx context.Context, report *ScrubReport, disks []raid.DiskID, skipped map[raid.DiskID]bool, s0, s1 int) error {
+func (v *Volume) scrubBatchBytes(ctx context.Context, report *ScrubReport, skipped []bool, s0, s1 int) error {
 	rowBytes := int64(v.n) * v.elementSize
 	// One gather per disk for the whole stripe batch.
-	content := map[raid.DiskID][]byte{}
+	content := make([][]byte, len(v.ids)) // nil: not gathered
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var remoteErr error
-	for _, id := range disks {
-		if !v.available(id, s1-1) && !v.available(id, s0) {
-			skipped[id] = true
+	for slot := range v.ids {
+		if !v.available(slot, s1-1) && !v.available(slot, s0) {
+			skipped[slot] = true
 			continue
 		}
 		wg.Add(1)
-		go func(id raid.DiskID) {
+		go func() {
 			defer wg.Done()
 			buf := make([]byte, int64(s1-s0)*rowBytes)
-			err := v.readStore(ctx, id, buf, int64(s0)*rowBytes)
+			err := v.readStore(ctx, slot, buf, int64(s0)*rowBytes)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
-				content[id] = buf
+				content[slot] = buf
 			case blockserver.IsRemote(err):
 				if remoteErr == nil {
-					remoteErr = fmt.Errorf("cluster: scrub read on %v: %w", id, err)
+					remoteErr = fmt.Errorf("cluster: scrub read on %v: %w", v.ids[slot], err)
 				}
 			default:
-				skipped[id] = true // unreachable: skip, like a failed disk
+				skipped[slot] = true // unreachable: skip, like a failed disk
 			}
-		}(id)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -1360,14 +1273,14 @@ func (v *Volume) scrubBatchBytes(ctx context.Context, report *ScrubReport, disks
 		for disk := 0; disk < v.n; disk++ {
 			for row := 0; row < v.n; row++ {
 				locs := v.locations(stripe, disk, row)
-				data, ok := content[locs[0].id]
-				if !ok || !v.available(locs[0].id, stripe) {
+				data := content[locs[0].slot]
+				if data == nil || !v.available(locs[0].slot, stripe) {
 					continue
 				}
 				want := data[base+int64(locs[0].row)*v.elementSize : base+int64(locs[0].row+1)*v.elementSize]
 				for _, loc := range locs[1:] {
-					repl, ok := content[loc.id]
-					if !ok || !v.available(loc.id, stripe) {
+					repl := content[loc.slot]
+					if repl == nil || !v.available(loc.slot, stripe) {
 						continue
 					}
 					got := repl[base+int64(loc.row)*v.elementSize : base+int64(loc.row+1)*v.elementSize]
@@ -1384,20 +1297,21 @@ func (v *Volume) scrubBatchBytes(ctx context.Context, report *ScrubReport, disks
 }
 
 // scrubFinish closes out a completed pass (full-lock Scrub or online):
-// sorts the skipped list into the report, rolls the counters, and
-// decides the degraded verdict. total is the disk count of the volume.
-func (v *Volume) scrubFinish(report *ScrubReport, skipped map[raid.DiskID]bool, total int) error {
-	for id := range skipped {
-		report.Skipped = append(report.Skipped, id)
+// lists the skipped slots in the report (slot order is role-then-index
+// order), rolls the counters, and decides the degraded verdict.
+func (v *Volume) scrubFinish(report *ScrubReport, skipped []bool) error {
+	for slot, skip := range skipped {
+		if skip {
+			report.Skipped = append(report.Skipped, v.ids[slot])
+		}
 	}
-	sortDisks(report.Skipped)
 	v.stats.scrubs.Inc()
 	v.stats.scrubElements.Add(report.ElementsCompared)
 	v.stats.scrubCRCElements.Add(report.ChecksumCompared)
 	v.stats.scrubSkipped.Add(int64(len(report.Skipped)))
 	v.trace(obs.Event{Op: "scrub", Bytes: report.ElementsCompared * v.elementSize})
 	if len(report.Skipped) > 0 {
-		return fmt.Errorf("%w: scrub skipped %d of %d disks", ErrDegraded, len(report.Skipped), total)
+		return fmt.Errorf("%w: scrub skipped %d of %d disks", ErrDegraded, len(report.Skipped), len(v.ids))
 	}
 	return nil
 }

@@ -104,6 +104,12 @@ func fastConfig(elementSize int64, stripes int) Config {
 	}
 }
 
+// slotOf is the dense per-disk index of a disk the volume has.
+func slotOf(v *Volume, id raid.DiskID) int {
+	slot, _ := v.slot(id)
+	return slot
+}
+
 func newTestVolume(t testing.TB, arch *raid.Mirror, elementSize int64, stripes int) (*Volume, *testBackends) {
 	t.Helper()
 	backends := startBackends(t, arch, elementSize, stripes)
@@ -277,12 +283,7 @@ func expectedDiskImage(arch *raid.Mirror, id raid.DiskID, payload []byte, elemen
 			if id.Role == raid.RoleData {
 				src = elem(stripe, id.Index, r)
 			} else {
-				var arr layout.Arrangement
-				for mi, a := range arch.Mirrors() {
-					if mirrorRoles[mi] == id.Role {
-						arr = a
-					}
-				}
+				arr := arch.Mirrors()[id.Role-raid.RoleMirror]
 				d := arr.DataOf(layout.Addr{Disk: id.Index, Row: r})
 				src = elem(stripe, d.Disk, d.Row)
 			}
@@ -443,8 +444,8 @@ func TestFailedWriteBelowWatermarkRollsBack(t *testing.T) {
 	// correct (it took every write), the watermark covers all stripes,
 	// but the rebuild has not yet returned the disk to service.
 	v.mu.Lock()
-	v.failed[lost] = true
-	v.progress[lost] = stripes
+	v.failed[slotOf(v, lost)] = true
+	v.progress[slotOf(v, lost)] = stripes
 	v.mu.Unlock()
 	// The backend machine drops off the network, then a write lands on a
 	// stripe below the watermark: replicas take it, the rebuilt copy
@@ -459,7 +460,7 @@ func TestFailedWriteBelowWatermarkRollsBack(t *testing.T) {
 	}
 	copy(payload[off:], patch)
 	v.mu.RLock()
-	progress, stillFailed := v.progress[lost], v.failed[lost]
+	progress, stillFailed := v.progress[slotOf(v, lost)], v.failed[slotOf(v, lost)]
 	v.mu.RUnlock()
 	if !stillFailed || progress > 1 {
 		t.Fatalf("watermark not rolled back past the missed write: failed=%v progress=%d", stillFailed, progress)
@@ -523,7 +524,7 @@ func TestRebuildDiskRejectsConcurrentRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.mu.Lock()
-	v.rebuilding[lost] = true // a RebuildDisk is in flight
+	v.rebuilding[slotOf(v, lost)] = true // a RebuildDisk is in flight
 	v.mu.Unlock()
 	if err := v.RebuildDisk(context.Background(), lost); !errors.Is(err, ErrRebuildInProgress) {
 		t.Fatalf("second concurrent rebuild returned %v, want ErrRebuildInProgress", err)

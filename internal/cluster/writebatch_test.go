@@ -14,8 +14,9 @@ import (
 )
 
 // startMetricBackends is startBackends with a blockserver.Metrics
-// attached per server, so tests can count wire frames per backend.
-func startMetricBackends(t *testing.T, arch *raid.Mirror, elementSize int64, stripes int) (*testBackends, map[raid.DiskID]*blockserver.Metrics) {
+// attached per server, so tests can count wire frames per backend; crc
+// also turns on the servers' element-granular CRC sidecar.
+func startMetricBackends(t *testing.T, arch *raid.Mirror, elementSize int64, stripes int, crc bool) (*testBackends, map[raid.DiskID]*blockserver.Metrics) {
 	t.Helper()
 	b := &testBackends{
 		t:       t,
@@ -28,7 +29,11 @@ func startMetricBackends(t *testing.T, arch *raid.Mirror, elementSize int64, str
 	for _, id := range arch.Disks() {
 		store := dev.NewMemStore(perDisk)
 		m := blockserver.NewMetrics()
-		srv := blockserver.NewStoreServer(store, blockserver.WithMetrics(m))
+		opts := []blockserver.ServerOption{blockserver.WithMetrics(m)}
+		if crc {
+			opts = append(opts, blockserver.WithCRC(elementSize))
+		}
+		srv := blockserver.NewStoreServer(store, opts...)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -40,6 +45,19 @@ func startMetricBackends(t *testing.T, arch *raid.Mirror, elementSize int64, str
 	}
 	t.Cleanup(b.closeAll)
 	return b, metrics
+}
+
+// settled polls cond for up to two seconds. A server folds a request
+// into its metrics after it has answered it, so its counters can trail
+// the client call's return by a scheduling slice; tests wait for the
+// count they expect and then assert on everything else.
+func settled(cond func() bool) bool {
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // frameCounts sums, across all backends, the OpWrite and OpWriteV
@@ -61,7 +79,7 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 	const n, stripes, elementSize = 5, 2, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
 	newVolume := func(t *testing.T, disable bool) (*Volume, map[raid.DiskID]*blockserver.Metrics) {
-		backends, metrics := startMetricBackends(t, arch, elementSize, stripes)
+		backends, metrics := startMetricBackends(t, arch, elementSize, stripes, false)
 		cfg := fastConfig(elementSize, stripes)
 		cfg.DisableWriteBatch = disable
 		v, err := New(arch, backends.addrs, cfg)
@@ -82,6 +100,8 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 		if _, err := v.WriteAt(stripeBytes, 0); err != nil {
 			t.Fatal(err)
 		}
+		st := v.Stats()
+		settled(func() bool { _, writevs := frameCounts(metrics); return writevs >= st.WriteBatches })
 		writes, writevs := frameCounts(metrics)
 		if writes != 0 {
 			t.Fatalf("batched write path issued %d bare OpWrite frames", writes)
@@ -89,7 +109,6 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 		if writevs > int64(2*n) {
 			t.Fatalf("full-stripe write cost %d writev frames, want <= %d", writevs, 2*n)
 		}
-		st := v.Stats()
 		if st.WriteBatches != writevs {
 			t.Fatalf("volume counted %d batches, servers saw %d", st.WriteBatches, writevs)
 		}
@@ -110,6 +129,7 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 		if _, err := v.WriteAt(stripeBytes, 0); err != nil {
 			t.Fatal(err)
 		}
+		settled(func() bool { writes, _ := frameCounts(metrics); return writes >= copies })
 		writes, writevs := frameCounts(metrics)
 		if writevs != 0 {
 			t.Fatalf("DisableWriteBatch still issued %d writev frames", writevs)
@@ -123,6 +143,97 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 	})
 }
 
+// TestSubElementWriteWireCost pins what a write that tears elements
+// costs on the wire, from the servers' own request and byte counters.
+// A plain mirror volume issues no backend read at all and ships exactly
+// the written bytes to each copy (P3: a write is one parallel access).
+// A WireCRC volume still pre-reads the torn elements and writes them
+// back whole, so that every wire range is exactly one element — one
+// sidecar block on the server.
+func TestSubElementWriteWireCost(t *testing.T) {
+	const n, stripes, elementSize = 4, 2, 1024
+	arch := raid.NewMirror(layout.NewShifted(n))
+	type totals struct{ reads, bytesIn, bytesOut int64 }
+	sum := func(metrics map[raid.DiskID]*blockserver.Metrics) totals {
+		var tot totals
+		for _, m := range metrics {
+			s := m.Snapshot()
+			tot.reads += s.Ops["read"].Ops + s.Ops["readv"].Ops + s.Ops["readvc"].Ops
+			tot.bytesIn += s.BytesIn
+			tot.bytesOut += s.BytesOut
+		}
+		return tot
+	}
+	// Two writes: a quarter of an element, inside it; and the tail of one
+	// element plus the head of the next. Three torn elements in all.
+	writes := []struct {
+		off int64
+		n   int
+	}{{5*elementSize + 256, 256}, {9*elementSize + 700, 600}}
+	const tornElements, written = 3, 256 + 600
+	for _, crc := range []bool{false, true} {
+		name := map[bool]string{false: "plain", true: "crc"}[crc]
+		t.Run(name, func(t *testing.T) {
+			backends, metrics := startMetricBackends(t, arch, elementSize, stripes, crc)
+			cfg := fastConfig(elementSize, stripes)
+			cfg.WireCRC = crc
+			v, err := New(arch, backends.addrs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(v.Close)
+			payload := randomPayload(t, v, 53)
+			settled(func() bool { return sum(metrics).bytesIn >= 2*v.Size() }) // the fill, on both copies
+			before := sum(metrics)
+			for _, w := range writes {
+				patch := bytes.Repeat([]byte{0xC3}, w.n)
+				if _, err := v.WriteAt(patch, w.off); err != nil {
+					t.Fatal(err)
+				}
+				copy(payload[w.off:], patch)
+			}
+			// Each write reaches two copies (the last request to land is
+			// a write), so the byte count says when the servers are done.
+			wantIn := int64(2 * written)
+			if crc {
+				wantIn = 2 * tornElements * elementSize
+			}
+			settled(func() bool { return sum(metrics).bytesIn-before.bytesIn >= wantIn })
+			after := sum(metrics)
+			reads, in, out := after.reads-before.reads, after.bytesIn-before.bytesIn, after.bytesOut-before.bytesOut
+			if crc {
+				if reads == 0 || out != tornElements*elementSize {
+					t.Fatalf("WireCRC pre-read: %d read requests, %d bytes; want the %d torn elements", reads, out, tornElements)
+				}
+				if in != wantIn {
+					t.Fatalf("WireCRC shipped %d bytes, want %d: every range one whole element per copy", in, wantIn)
+				}
+			} else {
+				if reads != 0 || out != 0 {
+					t.Fatalf("sub-element writes issued %d backend reads (%d bytes); a mirror write needs none", reads, out)
+				}
+				if in != wantIn {
+					t.Fatalf("sub-element writes shipped %d bytes, want %d: the written range per copy", in, wantIn)
+				}
+			}
+			got := make([]byte, v.Size())
+			if _, err := v.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatal("read-back diverges after sub-element writes")
+			}
+			rep, err := v.Scrub(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crc && rep.ChecksumCompared != rep.ElementsCompared {
+				t.Fatalf("scrub fell off the checksum path: %+v", rep)
+			}
+		})
+	}
+}
+
 // TestRebuildWriteBackBatched pins the rebuild's wire cost: each
 // recovered slice lands on the replacement backend as one coalesced
 // OpWriteV frame (the slice's elements are consecutive subslices of one
@@ -131,7 +242,7 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 func TestRebuildWriteBackBatched(t *testing.T) {
 	const n, stripes, elementSize = 3, 4, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
-	backends, _ := startMetricBackends(t, arch, elementSize, stripes)
+	backends, _ := startMetricBackends(t, arch, elementSize, stripes, false)
 	cfg := fastConfig(elementSize, stripes)
 	v, err := New(arch, backends.addrs, cfg)
 	if err != nil {
@@ -159,8 +270,9 @@ func TestRebuildWriteBackBatched(t *testing.T) {
 	if err := v.RebuildDisk(context.Background(), lost); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Snapshot()
 	slices := (stripes + cfg.RebuildBatch - 1) / cfg.RebuildBatch
+	settled(func() bool { return m.Snapshot().Ops["writev"].Ops >= int64(slices) })
+	s := m.Snapshot()
 	if got := s.Ops["write"].Ops; got != 0 {
 		t.Fatalf("rebuild write-back issued %d bare OpWrite frames", got)
 	}
@@ -177,12 +289,14 @@ func TestRebuildWriteBackBatched(t *testing.T) {
 	}
 }
 
-// TestConcurrentWriters documents the post-batching lock scope (see
-// DESIGN.md §11): writers run under the shared lock, so disjoint
-// concurrent writes are safe and byte-exact, while overlapping writes
-// race per element copy like on a raw block device — callers that
-// overlap must serialize themselves. Run under -race, this also proves
-// the fan-out itself is data-race-free.
+// TestConcurrentWriters documents the write path's concurrency contract
+// (see DESIGN.md §11): writers run under the shared lock and every
+// range lands on each copy as exactly the bytes written, so disjoint
+// concurrent writes are safe and byte-exact wherever their boundaries
+// fall — here mid-element, so neighbouring writers share the element
+// they meet in — while overlapping writes race per copy like on a raw
+// block device, and callers that overlap must serialize themselves. Run
+// under -race, this also proves the fan-out itself is data-race-free.
 func TestConcurrentWriters(t *testing.T) {
 	const n, stripes, elementSize = 3, 4, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
@@ -191,24 +305,29 @@ func TestConcurrentWriters(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	// Split the volume into element-aligned chunks, one writer each.
-	// Every writer lands its chunk in two unaligned pieces, so the
-	// concurrent paths include the batched fan-out AND the RMW pre-read
-	// (the torn element stays inside the writer's own chunk).
+	// Split the volume into chunks that start and end off the element
+	// grid, one writer each, and land every chunk in two pieces that
+	// meet off the grid too: the concurrent paths include the batched
+	// fan-out and sub-element writes into elements two writers share.
 	const writers = 8
-	chunkElems := int(v.Size()/elementSize) / writers
+	chunk := v.Size() / writers
+	bound := func(w int) int64 {
+		switch w {
+		case 0:
+			return 0
+		case writers:
+			return v.Size()
+		}
+		return int64(w)*chunk - chunk%elementSize + 23
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
 	for w := 0; w < writers; w++ {
-		lo := int64(w*chunkElems) * elementSize
-		hi := lo + int64(chunkElems)*elementSize
-		if w == writers-1 {
-			hi = v.Size()
-		}
+		lo, hi := bound(w), bound(w+1)
 		wg.Add(1)
 		go func(w int, lo, hi int64) {
 			defer wg.Done()
-			split := lo + (hi-lo)/2 + 17 // off the element grid
+			split := lo + (hi-lo)/2 + 17
 			if _, err := v.WriteAt(payload[lo:split], lo); err != nil {
 				errs[w] = err
 				return
@@ -238,6 +357,86 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestSubElementWritersKeepEachOthersBytes is the regression test for
+// the lost update a read-modify-write under the shared lock caused: N
+// writers each rewrite their own slice of ONE element, over and over
+// with changing bytes. Every write ships only its own range (or, under
+// WireCRC, patches the element under rmwMu), so when they are done
+// every copy of the element must hold every writer's last slice — a
+// writer that wrote the whole element back from a stale pre-read would
+// have reverted a neighbour's.
+func TestSubElementWritersKeepEachOthersBytes(t *testing.T) {
+	const n, stripes, elementSize = 3, 2, 1024
+	const writers, rounds = 8, 60
+	const slice = elementSize / writers
+	const stripe, disk, row = 1, 2, 1
+	off := ((stripe * n * n) + row*n + disk) * int64(elementSize)
+	for _, mode := range []struct {
+		name string
+		open func(*testing.T, *raid.Mirror, int64, int) (*Volume, *testBackends)
+	}{
+		{"plain", func(t *testing.T, a *raid.Mirror, es int64, s int) (*Volume, *testBackends) {
+			return newTestVolume(t, a, es, s)
+		}},
+		{"crc", newCRCVolume},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			arch := raid.NewMirror(layout.NewShifted(n))
+			v, backends := mode.open(t, arch, elementSize, stripes)
+			randomPayload(t, v, 47)
+			want := make([]byte, elementSize)
+			var wg sync.WaitGroup
+			errs := make([]error, writers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					mine := want[w*slice : (w+1)*slice]
+					for r := 0; r < rounds; r++ {
+						for i := range mine {
+							mine[i] = byte(w*rounds + r + i)
+						}
+						if _, err := v.WriteAt(mine, off+int64(w*slice)); err != nil {
+							errs[w] = err
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("writer %d: %v", w, err)
+				}
+			}
+			got := make([]byte, elementSize)
+			for _, loc := range v.locations(stripe, disk, row) {
+				if _, err := backends.stores[loc.id].ReadAt(got, v.storeOffset(stripe, loc.row)); err != nil {
+					t.Fatal(err)
+				}
+				for w := 0; w < writers; w++ {
+					if !bytes.Equal(got[w*slice:(w+1)*slice], want[w*slice:(w+1)*slice]) {
+						t.Fatalf("copy on %v lost writer %d's last slice", loc.id, w)
+					}
+				}
+			}
+			if _, err := v.ReadAt(got, off); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("read-back of the shared element diverges from the writers' last slices")
+			}
+			rep, err := v.Scrub(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Skipped) != 0 {
+				t.Fatalf("scrub skipped %v", rep.Skipped)
+			}
+		})
+	}
+}
+
 // TestBackendKilledMidBatchRollsWatermarkToBatchLowStripe kills a
 // backend so a multi-stripe OpWriteV batch dies on the wire as a whole:
 // the server may have applied any prefix, so the rebuild watermark must
@@ -254,8 +453,8 @@ func TestBackendKilledMidBatchRollsWatermarkToBatchLowStripe(t *testing.T) {
 	// correct, the watermark covers every stripe, the disk is not yet
 	// back in service), as TestFailedWriteBelowWatermarkRollsBack does.
 	v.mu.Lock()
-	v.failed[lost] = true
-	v.progress[lost] = stripes
+	v.failed[slotOf(v, lost)] = true
+	v.progress[slotOf(v, lost)] = stripes
 	v.mu.Unlock()
 	addr := backends.addrs[lost]
 	store := backends.stores[lost]
@@ -270,7 +469,7 @@ func TestBackendKilledMidBatchRollsWatermarkToBatchLowStripe(t *testing.T) {
 	}
 	copy(payload[off:], patch)
 	v.mu.RLock()
-	progress, stillFailed := v.progress[lost], v.failed[lost]
+	progress, stillFailed := v.progress[slotOf(v, lost)], v.failed[slotOf(v, lost)]
 	v.mu.RUnlock()
 	if !stillFailed {
 		t.Fatal("disk no longer marked failed after the dead-batch write")

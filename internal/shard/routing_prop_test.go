@@ -150,7 +150,7 @@ func TestShardSegments(t *testing.T) {
 		{1, int(4*stripeB) - 2},
 		{stripeB / 2, int(3 * stripeB)},
 	} {
-		segs := s.segments(tc.off, tc.n)
+		segs := s.segments(nil, tc.off, tc.n)
 		at := 0
 		logical := tc.off
 		for _, sg := range segs {

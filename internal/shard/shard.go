@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -295,10 +296,11 @@ type segment struct {
 }
 
 // segments splits buffer range [0, n) at logical offset off along
-// extent boundaries and merges runs that stay contiguous within one
-// group. Caller holds s.mu (read or write).
-func (s *ShardedVolume) segments(off int64, n int) []segment {
-	var segs []segment
+// extent boundaries, merges runs that stay contiguous within one group,
+// and appends the pieces to segs — callers pass a small stack array, so
+// the usual one- or two-segment request allocates nothing. Caller holds
+// s.mu (read or write).
+func (s *ShardedVolume) segments(segs []segment, off int64, n int) []segment {
 	ext := int(off / s.stripeB)
 	inner := off % s.stripeB
 	for at := 0; at < n; {
@@ -326,53 +328,93 @@ func (s *ShardedVolume) segments(off int64, n int) []segment {
 	return segs
 }
 
-// fanout groups segments by child and drives each child's run
-// sequentially in its own goroutine, collecting the first error.
-// Caller holds s.mu.RLock across the call, so topology cannot change
-// under in-flight I/O.
-func (s *ShardedVolume) fanout(ctx context.Context, segs []segment, do func(v *cluster.Volume, sg segment) error) error {
-	byGid := map[int][]segment{}
-	for _, sg := range segs {
-		byGid[sg.gid] = append(byGid[sg.gid], sg)
-	}
-	if len(byGid) > 1 {
-		s.stats.boundarySplits.Inc()
-	}
-	if len(byGid) == 1 {
-		for gid, list := range byGid {
-			vol := s.groups[gid].vol
-			for _, sg := range list {
-				if err := do(vol, sg); err != nil {
-					return fmt.Errorf("shard: group %d: %w", gid, err)
-				}
-			}
+// stackSegments is how many segments a request may split into before
+// its segment list moves to the heap.
+const stackSegments = 4
+
+// fanout runs the read or write of p's segments against their groups:
+// each group's segments sequentially, the groups concurrently, and
+// returns the first error. A request inside one group — every request
+// smaller than a stripe that does not straddle a boundary — runs on the
+// calling goroutine. Caller holds s.mu.RLock across the call, so
+// topology cannot change under in-flight I/O.
+func (s *ShardedVolume) fanout(ctx context.Context, p []byte, segs []segment, write bool) error {
+	single := true
+	for _, sg := range segs[1:] {
+		if sg.gid != segs[0].gid {
+			single = false
+			break
 		}
-		return nil
 	}
+	if single {
+		return s.runGroup(ctx, segs[0].gid, p, segs, write)
+	}
+	s.stats.boundarySplits.Inc()
+	// The goroutines make what they capture escape; handing them a copy
+	// keeps the caller's segment array on its stack.
+	return s.fanoutGroups(ctx, p, append([]segment(nil), segs...), write)
+}
+
+// fanoutGroups is fanout's multi-group leg: one goroutine per group
+// that owns a segment.
+func (s *ShardedVolume) fanoutGroups(ctx context.Context, p []byte, segs []segment, write bool) error {
 	var (
 		wg    sync.WaitGroup
 		errMu sync.Mutex
 		first error
 	)
-	for gid, list := range byGid {
-		vol := s.groups[gid].vol
+	for _, gid := range s.order {
+		if !slices.ContainsFunc(segs, func(sg segment) bool { return sg.gid == gid }) {
+			continue
+		}
 		wg.Add(1)
-		go func(gid int, vol *cluster.Volume, list []segment) {
+		go func() {
 			defer wg.Done()
-			for _, sg := range list {
-				if err := do(vol, sg); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = fmt.Errorf("shard: group %d: %w", gid, err)
-					}
-					errMu.Unlock()
-					return
+			if err := s.runGroup(ctx, gid, p, segs, write); err != nil {
+				errMu.Lock()
+				if first == nil {
+					first = err
 				}
+				errMu.Unlock()
 			}
-		}(gid, vol, list)
+		}()
 	}
 	wg.Wait()
 	return first
+}
+
+// runGroup drives group gid's segments of segs in order, stopping at
+// the first error.
+func (s *ShardedVolume) runGroup(ctx context.Context, gid int, p []byte, segs []segment, write bool) error {
+	vol := s.groups[gid].vol
+	for _, sg := range segs {
+		if sg.gid != gid {
+			continue
+		}
+		var (
+			m   int
+			err error
+		)
+		if write {
+			m, err = vol.WriteAtCtx(ctx, p[sg.lo:sg.hi], sg.childOff)
+		} else {
+			m, err = vol.ReadAtCtx(ctx, p[sg.lo:sg.hi], sg.childOff)
+			if errors.Is(err, io.EOF) && m == sg.hi-sg.lo {
+				err = nil
+			}
+		}
+		if err == nil && m != sg.hi-sg.lo {
+			op := "read"
+			if write {
+				op = "write"
+			}
+			err = fmt.Errorf("short %s: %d of %d bytes at %d", op, m, sg.hi-sg.lo, sg.childOff)
+		}
+		if err != nil {
+			return fmt.Errorf("shard: group %d: %w", gid, err)
+		}
+	}
+	return nil
 }
 
 // ReadAt implements io.ReaderAt.
@@ -403,18 +445,8 @@ func (s *ShardedVolume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int
 	if n == 0 {
 		return 0, nil
 	}
-	segs := s.segments(off, n)
-	err := s.fanout(ctx, segs, func(v *cluster.Volume, sg segment) error {
-		m, err := v.ReadAtCtx(ctx, p[sg.lo:sg.hi], sg.childOff)
-		if err != nil && !(errors.Is(err, io.EOF) && m == sg.hi-sg.lo) {
-			return err
-		}
-		if m != sg.hi-sg.lo {
-			return fmt.Errorf("short read: %d of %d bytes at %d", m, sg.hi-sg.lo, sg.childOff)
-		}
-		return nil
-	})
-	if err != nil {
+	var stack [stackSegments]segment
+	if err := s.fanout(ctx, p, s.segments(stack[:0], off, n), false); err != nil {
 		return 0, err
 	}
 	s.stats.reads.Inc()
@@ -448,18 +480,8 @@ func (s *ShardedVolume) WriteAtCtx(ctx context.Context, p []byte, off int64) (in
 	if len(p) == 0 {
 		return 0, nil
 	}
-	segs := s.segments(off, len(p))
-	err := s.fanout(ctx, segs, func(v *cluster.Volume, sg segment) error {
-		m, err := v.WriteAtCtx(ctx, p[sg.lo:sg.hi], sg.childOff)
-		if err != nil {
-			return err
-		}
-		if m != sg.hi-sg.lo {
-			return fmt.Errorf("short write: %d of %d bytes at %d", m, sg.hi-sg.lo, sg.childOff)
-		}
-		return nil
-	})
-	if err != nil {
+	var stack [stackSegments]segment
+	if err := s.fanout(ctx, p, s.segments(stack[:0], off, len(p)), true); err != nil {
 		return 0, err
 	}
 	s.stats.writes.Inc()

@@ -1,16 +1,19 @@
 package shiftedmirror_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"shiftedmirror"
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/layout"
 )
 
 func TestFacadeQuickstartPath(t *testing.T) {
@@ -326,5 +329,87 @@ func TestFacadeClusterVolume(t *testing.T) {
 	// And a rebuild of a healthy disk keeps its plain rejection.
 	if err := v.RebuildDisk(ctx, dead); err == nil {
 		t.Fatal("rebuilt a disk that was never failed")
+	}
+}
+
+// TestFacadeSubElementWritersKeepEachOthersBytes is the sharded-facade
+// leg of cluster.TestSubElementWritersKeepEachOthersBytes: writers that
+// each keep rewriting their own slice of one element — here an element
+// of the second group — must all find their last slice on both the data
+// and the mirror backend afterwards. A volume that read-modify-wrote
+// whole elements under a shared lock lost such updates.
+func TestFacadeSubElementWritersKeepEachOthersBytes(t *testing.T) {
+	const n, stripes, elementSize = 3, 2, 1024
+	const writers, rounds = 8, 60
+	const slice = elementSize / writers
+	arch := shiftedmirror.NewShiftedMirror(n)
+	var groups []map[shiftedmirror.DiskID]string
+	var stores []map[shiftedmirror.DiskID]*dev.MemStore
+	for g := 0; g < 2; g++ {
+		addrs, mem := map[shiftedmirror.DiskID]string{}, map[shiftedmirror.DiskID]*dev.MemStore{}
+		for _, id := range arch.Disks() {
+			mem[id] = dev.NewMemStore(stripes * n * elementSize)
+			srv := blockserver.NewStoreServer(mem[id])
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			addrs[id] = addr.String()
+		}
+		groups, stores = append(groups, addrs), append(stores, mem)
+	}
+	v, err := shiftedmirror.NewShardedVolume(arch, groups, shiftedmirror.WithGeometry(elementSize, stripes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	// Logical stripe 1 is group 1's stripe 0 (stripes are dealt
+	// round-robin); the shared element is its (disk 2, row 1).
+	const group, disk, row = 1, 2, 1
+	off := int64(n*n+row*n+disk) * elementSize
+	want := make([]byte, elementSize)
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mine := want[w*slice : (w+1)*slice]
+			for r := 0; r < rounds; r++ {
+				for i := range mine {
+					mine[i] = byte(w*rounds + r + i)
+				}
+				if _, err := v.WriteAt(mine, off+int64(w*slice)); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	mirror := arch.Mirrors()[0].MirrorOf(layout.Addr{Disk: disk, Row: row})
+	got := make([]byte, elementSize)
+	for _, c := range []struct {
+		id  shiftedmirror.DiskID
+		row int
+	}{
+		{shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: disk}, row},
+		{shiftedmirror.DiskID{Role: shiftedmirror.RoleMirror, Index: mirror.Disk}, mirror.Row},
+	} {
+		if _, err := stores[group][c.id].ReadAt(got, int64(c.row)*elementSize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("the copy on group %d %v lost a writer's last slice", group, c.id)
+		}
+	}
+	if _, err := v.Scrub(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
