@@ -561,7 +561,6 @@ func cmdCluster(args []string) error {
 	crc := fs.Bool("crc", false, "end-to-end checksummed wire path (self-hosted backends get a matching CRC sidecar)")
 	pipeline := fs.Bool("pipeline", false, "pipelined wire mode: multiplex tagged frames over the pooled connections (out-of-order completion, coalesced writev)")
 	pipeWindow := fs.Int("pipewindow", 0, "in-flight ops per pipelined connection (0 = default)")
-	noWriteBatch := fs.Bool("nowritebatch", false, "disable coalesced scatter writes (one OpWrite round trip per element copy, for A/B measurement)")
 	qosSLO := fs.Duration("qos", 0, "rebuild QoS: throttle the rebuild to hold user-read p99 under this SLO (0 = off, rebuild runs flat out)")
 	qosMin := fs.Float64("qosmin", 0, "rebuild QoS floor rate in stripes/sec (forward-progress guarantee; 0 = default 1)")
 	fs.Parse(args)
@@ -573,9 +572,9 @@ func cmdCluster(args []string) error {
 	cfg := cluster.Config{
 		ElementSize: *elementSize, Stripes: *stripes,
 		Layout:       *layoutName,
-		HedgeEnabled: *hedge, DisableWriteBatch: *noWriteBatch,
-		WireCRC:  *crc,
-		Pipeline: *pipeline, PipelineWindow: *pipeWindow,
+		HedgeEnabled: *hedge,
+		WireCRC:      *crc,
+		Pipeline:     *pipeline, PipelineWindow: *pipeWindow,
 		RebuildQoSSLO: *qosSLO, RebuildQoSMinRate: *qosMin,
 	}
 	diskSize := int64(*stripes) * int64(*n) * *elementSize

@@ -93,18 +93,15 @@ type tailReport struct {
 }
 
 // writeReport is the write-path experiment: wire frames per full-stripe
-// write with the batched (OpWriteV) fan-out against the pre-batching
-// one-frame-per-element-copy behaviour, plus the rebuild write-back's
-// round-trip count.
+// write through the coalesced (OpWriteV) fan-out, plus the rebuild
+// write-back's round-trip count.
 type writeReport struct {
 	StripeWrites int `json:"stripe_writes"`
 	// Frames are server-side counts summed over every backend: a stripe
-	// has 2n² element copies, so unbatched costs 2n² frames per write
-	// while batched packs each backend's share into one OpWriteV.
-	BatchedFramesPerStripe   float64 `json:"batched_frames_per_stripe"`
-	UnbatchedFramesPerStripe float64 `json:"unbatched_frames_per_stripe"`
-	BatchedMBps              float64 `json:"batched_mbps"`
-	UnbatchedMBps            float64 `json:"unbatched_mbps"`
+	// has 2n² element copies, and each backend's share of them travels
+	// in one OpWriteV.
+	BatchedFramesPerStripe float64 `json:"batched_frames_per_stripe"`
+	BatchedMBps            float64 `json:"batched_mbps"`
 	// RebuildWriteBackFrames is how many OpWriteV round trips the
 	// replacement backend saw during a full rebuild; RebuildSlices is
 	// the slice count, the expected frame count (one coalesced frame
@@ -289,9 +286,7 @@ func main() {
 		tail.P99Speedup, tail.HedgeAttempts, tail.HedgeWins, tail.HedgeLosses, tail.HedgeCancels)
 	fmt.Printf("\nwrite path over %d full-stripe writes (2n² = %d element copies each):\n",
 		wr.StripeWrites, 2**n**n)
-	fmt.Printf("%-10s %16s %10s\n", "", "frames/stripe", "MB/s")
-	fmt.Printf("%-10s %16.1f %10.1f\n", "batched", wr.BatchedFramesPerStripe, wr.BatchedMBps)
-	fmt.Printf("%-10s %16.1f %10.1f\n", "unbatched", wr.UnbatchedFramesPerStripe, wr.UnbatchedMBps)
+	fmt.Printf("%.1f frames/stripe, %.1f MB/s\n", wr.BatchedFramesPerStripe, wr.BatchedMBps)
 	fmt.Printf("rebuild write-back: %d round trips for %d slices\n",
 		wr.RebuildWriteBackFrames, wr.RebuildSlices)
 	if rep.Live != nil {
@@ -608,15 +603,12 @@ func measure(name string, n int, element int64, stripes int, rate float64, crc, 
 }
 
 // assertWriteProperty checks the batching claim where it cannot wobble:
-// a full-stripe write costs at most one frame per replica backend (2n)
-// batched, exactly one frame per element copy (2n²) unbatched, and the
-// rebuild write-back lands one coalesced frame per slice.
+// a full-stripe write costs exactly one frame per replica backend (2n
+// for 2n² element copies), and the rebuild write-back lands one
+// coalesced frame per slice.
 func assertWriteProperty(n int, w writeReport) error {
-	if w.BatchedFramesPerStripe > float64(2*n) {
-		return fmt.Errorf("batched full-stripe write cost %.1f frames, want <= %d", w.BatchedFramesPerStripe, 2*n)
-	}
-	if want := float64(2 * n * n); w.UnbatchedFramesPerStripe != want {
-		return fmt.Errorf("unbatched full-stripe write cost %.1f frames, want %.0f", w.UnbatchedFramesPerStripe, want)
+	if want := float64(2 * n); w.BatchedFramesPerStripe != want {
+		return fmt.Errorf("full-stripe write cost %.1f frames, want %.0f", w.BatchedFramesPerStripe, want)
 	}
 	if w.RebuildWriteBackFrames != w.RebuildSlices {
 		return fmt.Errorf("rebuild write-back used %d round trips for %d slices", w.RebuildWriteBackFrames, w.RebuildSlices)
@@ -624,10 +616,9 @@ func assertWriteProperty(n int, w writeReport) error {
 	return nil
 }
 
-// measureWrites times full-stripe writes against identical in-process
-// backends with and without write batching, counting the wire frames on
-// the servers, then rebuilds a disk on the batched volume and counts
-// the write-back round trips landing on the replacement backend.
+// measureWrites times full-stripe writes against in-process backends,
+// counting the wire frames on the servers, then rebuilds a disk and
+// counts the write-back round trips landing on the replacement backend.
 func measureWrites(n int, element int64, stripes int) (writeReport, error) {
 	const rebuildBatch = 4
 	wr := writeReport{StripeWrites: stripes}
@@ -653,60 +644,52 @@ func measureWrites(n int, element int64, stripes int) (writeReport, error) {
 	}
 	payload := make([]byte, stripeSize)
 	rand.New(rand.NewSource(11)).Read(payload)
-	writeFrames := func(ms []*blockserver.Metrics) int64 {
-		var frames int64
-		for _, m := range ms {
-			s := m.Snapshot()
-			frames += s.Ops["write"].Ops + s.Ops["writev"].Ops
+	// writeFrames counts the write frames the servers have handled. A
+	// server folds a request into its metrics after answering it, so the
+	// count can trail the client's return by a scheduling slice: wait for
+	// the frames the volume issued before reading it.
+	writeFrames := func(ms []*blockserver.Metrics, issued int64) int64 {
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			var frames int64
+			for _, m := range ms {
+				s := m.Snapshot()
+				frames += s.Ops["write"].Ops + s.Ops["writev"].Ops
+			}
+			if frames >= issued || time.Now().After(deadline) {
+				return frames
+			}
 		}
-		return frames
 	}
 
-	// One volume per mode over fresh backends: writing every stripe once
-	// both fills the volume and is the measurement.
-	run := func(disable bool) (v *cluster.Volume, ms []*blockserver.Metrics, framesPerStripe, mbps float64, err error) {
-		backends := map[raid.DiskID]string{}
-		for _, id := range arch.Disks() {
-			addr, m, err := spawn()
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			backends[id] = addr
-			ms = append(ms, m)
-		}
-		v, err = cluster.New(arch, backends, cluster.Config{
-			ElementSize: element, Stripes: stripes,
-			RebuildBatch: rebuildBatch, DisableWriteBatch: disable,
-		})
+	// Fresh backends: writing every stripe once both fills the volume
+	// and is the measurement.
+	backends := map[raid.DiskID]string{}
+	var ms []*blockserver.Metrics
+	for _, id := range arch.Disks() {
+		addr, m, err := spawn()
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return wr, err
 		}
-		start := time.Now()
-		for s := 0; s < stripes; s++ {
-			if _, err := v.WriteAt(payload, int64(s)*stripeSize); err != nil {
-				v.Close()
-				return nil, nil, 0, 0, err
-			}
-		}
-		elapsed := time.Since(start)
-		framesPerStripe = float64(writeFrames(ms)) / float64(stripes)
-		mbps = float64(stripeSize) * float64(stripes) / 1e6 / elapsed.Seconds()
-		return v, ms, framesPerStripe, mbps, nil
+		backends[id] = addr
+		ms = append(ms, m)
 	}
-
-	unbatched, _, uf, umbps, err := run(true)
-	if err != nil {
-		return wr, err
-	}
-	unbatched.Close()
-	wr.UnbatchedFramesPerStripe, wr.UnbatchedMBps = uf, umbps
-
-	batched, _, bf, bmbps, err := run(false)
+	batched, err := cluster.New(arch, backends, cluster.Config{
+		ElementSize: element, Stripes: stripes, RebuildBatch: rebuildBatch,
+	})
 	if err != nil {
 		return wr, err
 	}
 	defer batched.Close()
-	wr.BatchedFramesPerStripe, wr.BatchedMBps = bf, bmbps
+	start := time.Now()
+	for s := 0; s < stripes; s++ {
+		if _, err := batched.WriteAt(payload, int64(s)*stripeSize); err != nil {
+			return wr, err
+		}
+	}
+	elapsed := time.Since(start)
+	filled := batched.Stats().WriteBatches
+	wr.BatchedFramesPerStripe = float64(writeFrames(ms, filled)) / float64(stripes)
+	wr.BatchedMBps = float64(stripeSize) * float64(stripes) / 1e6 / elapsed.Seconds()
 
 	// Rebuild onto a fresh metered backend: only write-back lands there,
 	// so its frame count is the round-trip measurement.
@@ -725,7 +708,7 @@ func measureWrites(n int, element int64, stripes int) (writeReport, error) {
 		return wr, err
 	}
 	wr.RebuildSlices = int64((stripes + rebuildBatch - 1) / rebuildBatch)
-	wr.RebuildWriteBackFrames = writeFrames([]*blockserver.Metrics{rm})
+	wr.RebuildWriteBackFrames = writeFrames([]*blockserver.Metrics{rm}, batched.Stats().WriteBatches-filled)
 	// Byte-verify the rebuilt volume before trusting the counts.
 	check := make([]byte, batched.Size())
 	if _, err := batched.ReadAt(check, 0); err != nil {

@@ -91,20 +91,13 @@ func main() {
 		fmt.Printf("  n=%d %10.0f MB/s\n", n, sim.MBPerSec(bytes, time.Since(start).Seconds()))
 	}
 
-	// The cluster write path over real sockets: batched scatter writes
-	// (one OpWriteV frame per replica backend per stripe) against the
-	// unbatched fan-out (one OpWrite per element copy, 2n² round trips).
-	fmt.Println("\ncluster full-stripe writes over loopback TCP, n=5:")
-	for _, mode := range []struct {
-		name    string
-		batched bool
-	}{{"batched (OpWriteV)", true}, {"unbatched (OpWrite)", false}} {
-		mbps, err := clusterWrites(5, 4096, 16, mode.batched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-20s %8.1f MB/s\n", mode.name, mbps)
+	// The cluster write path over real sockets: one coalesced OpWriteV
+	// frame per replica backend per stripe.
+	mbps, err := clusterWrites(5, 4096, 16)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("\ncluster full-stripe writes over loopback TCP, n=5: %8.1f MB/s\n", mbps)
 
 	// The read path A/B: the same volume read end to end with the plain
 	// wire protocol and with per-element CRC32C verification — what
@@ -125,7 +118,7 @@ func main() {
 // clusterWrites serves one in-memory backend per disk over loopback,
 // opens a cluster volume on them through the facade, and times one
 // full-stripe write per stripe.
-func clusterWrites(n int, element int64, stripes int, batched bool) (float64, error) {
+func clusterWrites(n int, element int64, stripes int) (float64, error) {
 	arch := shiftedmirror.NewShiftedMirror(n)
 	diskSize := int64(stripes) * int64(n) * element
 	var servers []*blockserver.Server
@@ -145,8 +138,7 @@ func clusterWrites(n int, element int64, stripes int, batched bool) (float64, er
 		backends[id] = bound.String()
 	}
 	v, err := shiftedmirror.NewClusterVolume(arch, backends,
-		shiftedmirror.WithGeometry(element, stripes),
-		shiftedmirror.WithWriteBatching(batched))
+		shiftedmirror.WithGeometry(element, stripes))
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,6 @@ package blockserver
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"shiftedmirror/internal/crc32c"
 	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/raid"
 )
@@ -66,15 +64,12 @@ type Client struct {
 	// broken is set once a transport or framing error leaves the stream
 	// desynchronized; every later op fails fast with it.
 	broken error
-	// Per-connection scratch, guarded by mu, so steady-state I/O builds
-	// and parses frames without allocating: hdr for fixed-size headers,
-	// frame for variable-size ones, bufs/nb for vectored sends, crcs for
-	// carried checksums.
-	hdr   [16]byte
-	frame []byte
-	bufs  [][]byte
-	nb    net.Buffers
-	crcs  []uint32
+	// Per-connection scratch, guarded by mu, so steady-state I/O sends
+	// and parses frames without allocating: dec reads responses off conn,
+	// nb is the persistent writev header (WriteTo consumes its receiver,
+	// and a field does not escape per call).
+	dec decoder
+	nb  net.Buffers
 	// Cancellation state for the op in flight (see beginOp). armed says
 	// the op set a connection deadline endOp must clear; unwatch
 	// deregisters the op's cancel callback. A callback acts only while
@@ -105,7 +100,7 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Client, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, conn: conn}
+	c := newClient(cfg, conn)
 	if cfg.Features != 0 {
 		ok, err := c.negotiate(ctx)
 		if err != nil {
@@ -118,7 +113,7 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Client, error) 
 			if err != nil {
 				return nil, err
 			}
-			c = &Client{cfg: cfg, conn: conn}
+			c = newClient(cfg, conn)
 		}
 	}
 	if c.features&FeaturePipeline != 0 {
@@ -126,6 +121,10 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Client, error) 
 			c.features&FeatureCRC != 0, cfg.PipeStats)
 	}
 	return c, nil
+}
+
+func newClient(cfg Config, conn net.Conn) *Client {
+	return &Client{cfg: cfg, conn: conn, dec: decoder{r: conn}}
 }
 
 // negotiate runs the OpFeatures exchange on a fresh connection. ok =
@@ -148,32 +147,32 @@ func (c *Client) negotiate(ctx context.Context) (ok bool, err error) {
 		c.conn.SetDeadline(deadline)
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	req := [2]byte{OpFeatures, c.cfg.Features}
-	if _, werr := c.conn.Write(req[:]); werr != nil {
+	cl := getCall()
+	defer putCall(cl)
+	cl.buildMgmt(OpFeatures, c.cfg.Features)
+	if werr := c.send(cl); werr != nil {
 		// The peer has not even read the opcode yet, so a write failure
 		// cannot be the old-server tear — fail the dial.
 		return false, negotiateErr(ctx, werr)
 	}
-	serr := readStatus(c.conn)
-	switch {
-	case serr == nil:
-	case IsRemote(serr):
-		return true, nil // recognized but refused: no features
-	case ctx.Err() == nil && isPeerTear(serr):
-		// Old servers tear the connection on the unknown opcode.
-		return false, nil
-	default:
+	if _, serr := io.ReadFull(c.conn, c.dec.hdr[:1]); serr != nil {
+		if ctx.Err() == nil && isPeerTear(serr) {
+			// Old servers tear the connection on the unknown opcode.
+			return false, nil
+		}
 		return false, negotiateErr(ctx, serr)
 	}
-	var resp [5]byte
-	if _, rerr := io.ReadFull(c.conn, resp[:]); rerr != nil {
-		// The server already answered OK to the opcode, so losing the
-		// payload is a transport failure, not a pre-negotiation peer.
+	// The server answered the opcode, so losing the rest of the response
+	// is a transport failure, not a pre-negotiation peer.
+	if rerr := c.dec.response(cl, c.dec.hdr[0], true); rerr != nil {
 		return false, negotiateErr(ctx, rerr)
 	}
-	c.features = resp[0] & c.cfg.Features
+	if cl.err != nil {
+		return true, nil // recognized but refused: no features
+	}
+	c.features = byte(cl.u64>>32) & c.cfg.Features
 	if c.features&FeatureCRC != 0 {
-		c.crcBlock = int64(binary.BigEndian.Uint32(resp[1:]))
+		c.crcBlock = int64(uint32(cl.u64))
 	}
 	return true, nil
 }
@@ -241,9 +240,7 @@ func (c *Client) Broken() error {
 // lock, fails fast on a poisoned connection or dead context, arms the
 // per-op deadline (the tighter of cfg.OpTimeout and the context
 // deadline), and registers the cancellation callback. Every successful
-// beginOp must be paired with endOp. The hot I/O methods call the pair
-// directly instead of passing a closure to do(), which is what keeps
-// their steady state at zero allocations.
+// beginOp must be paired with endOp; do is the one caller of both.
 //
 // Cancellation is honored mid-frame, not just at op start: a callback
 // registered on ctx slams the connection deadline into the past the
@@ -327,74 +324,43 @@ func (c *Client) endOp(ctx context.Context, err error) error {
 	return err
 }
 
-// do runs one exchange as a closure between beginOp and endOp; the
-// management ops use it, the hot data path inlines the pair instead.
-func (c *Client) do(ctx context.Context, fn func() error) error {
+// do runs one built call to completion on whichever scheduler the
+// connection negotiated and recycles it. This is the only place the
+// client chooses between them.
+func (c *Client) do(ctx context.Context, cl *call) (result, error) {
+	if c.pipe != nil {
+		return c.pipe.run(ctx, cl)
+	}
 	if err := c.beginOp(ctx); err != nil {
+		putCall(cl)
+		return result{}, err
+	}
+	err := c.send(cl)
+	if err == nil {
+		if _, err = io.ReadFull(c.conn, c.dec.hdr[:1]); err == nil {
+			if err = c.dec.response(cl, c.dec.hdr[0], true); err == nil {
+				err = cl.err
+			}
+		}
+	}
+	res := cl.result
+	putCall(cl)
+	return res, c.endOp(ctx, err)
+}
+
+// send writes cl's request in the synchronous framing: untagged, the
+// opcode in the last byte of the request room. Header and payload go
+// out in one vectored write (writev on TCP), payloads never copied.
+func (c *Client) send(cl *call) error {
+	cl.hdr[reqRoom-1] = cl.op
+	cl.bufs[0] = cl.bufs[0][reqRoom-1:]
+	if len(cl.bufs) == 1 {
+		_, err := c.conn.Write(cl.bufs[0])
 		return err
 	}
-	return c.endOp(ctx, fn())
-}
-
-// growFrame returns the client's reusable frame scratch resized to n
-// bytes, growing the backing array only when needed. Callers hold mu.
-func (c *Client) growFrame(n int) []byte {
-	if cap(c.frame) < n {
-		c.frame = make([]byte, n)
-	}
-	return c.frame[:n]
-}
-
-// readStatus consumes a response header using the client's scratch, so
-// the success path does not allocate (the package-level readStatus
-// reads into fresh stack buffers that escape into the Reader).
-func (c *Client) readStatus() error {
-	if _, err := io.ReadFull(c.conn, c.hdr[:1]); err != nil {
-		return err
-	}
-	switch c.hdr[0] {
-	case statusOK:
-		return nil
-	case statusCRC:
-		if _, err := io.ReadFull(c.conn, c.hdr[:12]); err != nil {
-			return err
-		}
-		return &CRCError{
-			Range: int(binary.BigEndian.Uint32(c.hdr[:])),
-			Want:  binary.BigEndian.Uint32(c.hdr[4:]),
-			Got:   binary.BigEndian.Uint32(c.hdr[8:]),
-			Write: true,
-		}
-	default:
-		if _, err := io.ReadFull(c.conn, c.hdr[:4]); err != nil {
-			return err
-		}
-		n := binary.BigEndian.Uint32(c.hdr[:4])
-		if n > 1<<16 {
-			return fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(c.conn, msg); err != nil {
-			return err
-		}
-		return &RemoteError{Msg: string(msg)}
-	}
-}
-
-// readUint32 reads a big-endian uint32 using the client's scratch.
-func (c *Client) readUint32() (uint32, error) {
-	if _, err := io.ReadFull(c.conn, c.hdr[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(c.hdr[:4]), nil
-}
-
-// roundTrip sends a request frame and processes the status header.
-func (c *Client) roundTrip(req []byte) error {
-	if _, err := c.conn.Write(req); err != nil {
-		return err
-	}
-	return c.readStatus()
+	c.nb = net.Buffers(cl.bufs)
+	_, err := c.nb.WriteTo(c.conn)
+	return err
 }
 
 // ReadAt implements io.ReaderAt against the remote device.
@@ -403,37 +369,18 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadAtCtx is ReadAt with cancellation: ctx interrupts the exchange
-// even mid-frame (poisoning the connection — see beginOp).
+// even mid-frame (poisoning a synchronous connection — see beginOp).
 func (c *Client) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if len(p) > MaxIOSize {
-		return 0, fmt.Errorf("%w: read of %d bytes exceeds limit", ErrProtocol, len(p))
-	}
-	if c.pipe != nil {
-		return c.pipe.read(ctx, p, off)
-	}
-	if err := c.beginOp(ctx); err != nil {
+	var total int64
+	if err := admit(Vec{Off: off, Len: len(p)}, &total); err != nil {
 		return 0, err
 	}
-	n, err := c.read(p, off)
-	return n, c.endOp(ctx, err)
-}
-
-// read runs the OpRead exchange; the caller holds the op via beginOp.
-func (c *Client) read(p []byte, off int64) (int, error) {
-	c.hdr[0] = OpRead
-	binary.BigEndian.PutUint64(c.hdr[1:9], uint64(off))
-	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(p)))
-	if err := c.roundTrip(c.hdr[:13]); err != nil {
+	cl := getCall()
+	cl.buildRead(p, off)
+	if _, err := c.do(ctx, cl); err != nil {
 		return 0, err
 	}
-	m, err := c.readUint32()
-	if err != nil {
-		return 0, err
-	}
-	if int(m) != len(p) {
-		return 0, fmt.Errorf("%w: server returned %d bytes for a %d-byte read", ErrProtocol, m, len(p))
-	}
-	return io.ReadFull(c.conn, p)
+	return len(p), nil
 }
 
 // ReadV gathers len(vecs) ranges in one round trip (OpReadV), filling
@@ -445,91 +392,22 @@ func (c *Client) ReadV(vecs []Vec, dst [][]byte) error {
 }
 
 // ReadVCtx is ReadV with cancellation: ctx interrupts the exchange even
-// mid-frame (poisoning the connection — see beginOp). With FeatureCRC
-// negotiated the gather travels as OpReadVC and every range is verified
-// against its carried CRC-32C as it lands in dst; a mismatch is
-// reported as a CRCError after the full response is consumed, so the
-// connection stays usable and the caller can fail over to a replica.
+// mid-frame (poisoning a synchronous connection — see beginOp). With
+// FeatureCRC negotiated the gather travels as OpReadVC and every range
+// is verified against its carried CRC-32C as it lands in dst; a
+// mismatch is reported as a CRCError after the full response is
+// consumed, so the connection stays usable and the caller can fail over
+// to a replica. Payloads land directly in the caller's dst slices — the
+// client never copies them through an intermediate buffer.
 func (c *Client) ReadVCtx(ctx context.Context, vecs []Vec, dst [][]byte) error {
-	if len(vecs) != len(dst) {
-		return fmt.Errorf("blockserver: ReadV has %d ranges but %d buffers", len(vecs), len(dst))
-	}
-	if len(vecs) == 0 {
-		return nil
-	}
-	if len(vecs) > MaxVecCount {
-		return fmt.Errorf("%w: %d ranges exceeds limit %d", ErrProtocol, len(vecs), MaxVecCount)
-	}
-	var total int64
-	for i, v := range vecs {
-		if v.Len < 0 || len(dst[i]) != v.Len {
-			return fmt.Errorf("blockserver: ReadV buffer %d has %d bytes for a %d-byte range", i, len(dst[i]), v.Len)
-		}
-		total += int64(v.Len)
-	}
-	if total > MaxIOSize {
-		return fmt.Errorf("%w: gather of %d bytes exceeds limit", ErrProtocol, total)
-	}
-	if c.pipe != nil {
-		return c.pipe.readV(ctx, vecs, dst, total)
-	}
-	if err := c.beginOp(ctx); err != nil {
+	total, err := checkBufs("ReadV", vecs, dst)
+	if err != nil || len(vecs) == 0 {
 		return err
 	}
-	return c.endOp(ctx, c.readV(vecs, dst, total))
-}
-
-// readV runs the gather exchange; the caller holds the op via beginOp.
-// Payloads land directly in the caller's dst slices — the client never
-// copies them through an intermediate buffer.
-func (c *Client) readV(vecs []Vec, dst [][]byte, total int64) error {
-	op, crcMode := OpReadV, false
-	if c.features&FeatureCRC != 0 {
-		op, crcMode = OpReadVC, true
-	}
-	req := c.growFrame(5 + vecHdrSize*len(vecs))
-	req[0] = op
-	binary.BigEndian.PutUint32(req[1:5], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(req[5+vecHdrSize*i:], v)
-	}
-	if err := c.roundTrip(req); err != nil {
-		return err
-	}
-	m, err := c.readUint32()
-	if err != nil {
-		return err
-	}
-	if int64(m) != total {
-		return fmt.Errorf("%w: server returned %d bytes for a %d-byte gather", ErrProtocol, m, total)
-	}
-	if crcMode {
-		raw := c.growFrame(4 * len(vecs))
-		if _, err := io.ReadFull(c.conn, raw); err != nil {
-			return err
-		}
-		if cap(c.crcs) < len(vecs) {
-			c.crcs = make([]uint32, len(vecs))
-		}
-		c.crcs = c.crcs[:len(vecs)]
-		for i := range vecs {
-			c.crcs[i] = binary.BigEndian.Uint32(raw[4*i:])
-		}
-	}
-	// On a CRC mismatch keep consuming the remaining ranges: the frame
-	// must be fully drained for the stream to stay synchronized.
-	var crcErr error
-	for i, d := range dst {
-		if _, err := io.ReadFull(c.conn, d); err != nil {
-			return err
-		}
-		if crcMode && crcErr == nil {
-			if got := crc32c.Sum(d); got != c.crcs[i] {
-				crcErr = &CRCError{Range: i, Want: c.crcs[i], Got: got}
-			}
-		}
-	}
-	return crcErr
+	cl := getCall()
+	cl.buildReadV(c.HasCRC(), vecs, dst, total)
+	_, err = c.do(ctx, cl)
+	return err
 }
 
 // WriteAt implements io.WriterAt against the remote device.
@@ -538,41 +416,18 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAtCtx is WriteAt with cancellation: ctx interrupts the exchange
-// even mid-frame (poisoning the connection — see beginOp).
+// even mid-frame (poisoning a synchronous connection — see beginOp).
 func (c *Client) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if len(p) > MaxIOSize {
-		return 0, fmt.Errorf("%w: write of %d bytes exceeds limit", ErrProtocol, len(p))
-	}
-	if c.pipe != nil {
-		if err := c.pipe.write(ctx, p, off); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	}
-	if err := c.beginOp(ctx); err != nil {
+	var total int64
+	if err := admit(Vec{Off: off, Len: len(p)}, &total); err != nil {
 		return 0, err
 	}
-	if err := c.endOp(ctx, c.write(p, off)); err != nil {
+	cl := getCall()
+	cl.buildWrite(p, off)
+	if _, err := c.do(ctx, cl); err != nil {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// write runs the OpWrite exchange; the caller holds the op via beginOp.
-func (c *Client) write(p []byte, off int64) error {
-	c.hdr[0] = OpWrite
-	binary.BigEndian.PutUint64(c.hdr[1:9], uint64(off))
-	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(p)))
-	// Vectored write (writev on TCP) sends header + payload in one frame
-	// without copying the payload into a request buffer. c.nb is the
-	// persistent Buffers header so WriteTo's consuming reslice does not
-	// force a per-op allocation.
-	c.bufs = append(c.bufs[:0], c.hdr[:13], p)
-	c.nb = net.Buffers(c.bufs)
-	if _, err := c.nb.WriteTo(c.conn); err != nil {
-		return err
-	}
-	return c.readStatus()
 }
 
 // WriteV scatters len(vecs) ranges in one round trip (OpWriteV),
@@ -583,11 +438,10 @@ func (c *Client) WriteV(vecs []Vec, data [][]byte) (int, error) {
 }
 
 // WriteVCtx is WriteV with cancellation: ctx interrupts the exchange
-// even mid-frame (poisoning the connection — see beginOp). With
-// FeatureCRC negotiated the scatter travels as OpWriteVC, each range
-// carrying the CRC-32C of its payload (computed during the writev
-// gather); a server-side mismatch comes back as a CRCError with the
-// connection still usable.
+// even mid-frame (poisoning a synchronous connection — see beginOp).
+// With FeatureCRC negotiated the scatter travels as OpWriteVC, each
+// range carrying the CRC-32C of its payload; a server-side mismatch
+// comes back as a CRCError with the connection still usable.
 //
 // It returns applied, the number of leading ranges the server durably
 // applied. On a clean exchange applied == len(vecs). On a RemoteError
@@ -597,117 +451,13 @@ func (c *Client) WriteV(vecs []Vec, data [][]byte) (int, error) {
 // applied a prefix, but the client cannot know which, so nothing from
 // the exchange may be credited.
 func (c *Client) WriteVCtx(ctx context.Context, vecs []Vec, data [][]byte) (int, error) {
-	if len(vecs) != len(data) {
-		return 0, fmt.Errorf("blockserver: WriteV has %d ranges but %d buffers", len(vecs), len(data))
-	}
-	if len(vecs) == 0 {
-		return 0, nil
-	}
-	if len(vecs) > MaxVecCount {
-		return 0, fmt.Errorf("%w: %d ranges exceeds limit %d", ErrProtocol, len(vecs), MaxVecCount)
-	}
-	var total int64
-	for i, v := range vecs {
-		if v.Len < 0 || len(data[i]) != v.Len {
-			return 0, fmt.Errorf("blockserver: WriteV buffer %d has %d bytes for a %d-byte range", i, len(data[i]), v.Len)
-		}
-		total += int64(v.Len)
-	}
-	if total > MaxIOSize {
-		return 0, fmt.Errorf("%w: scatter of %d bytes exceeds limit", ErrProtocol, total)
-	}
-	if c.pipe != nil {
-		return c.pipe.writeV(ctx, vecs, data)
-	}
-	if err := c.beginOp(ctx); err != nil {
+	if _, err := checkBufs("WriteV", vecs, data); err != nil || len(vecs) == 0 {
 		return 0, err
 	}
-	applied, err := c.writeV(vecs, data)
-	return applied, c.endOp(ctx, err)
-}
-
-// writeV runs the scatter exchange; the caller holds the op via
-// beginOp. All range headers are packed into the client's frame scratch
-// and interleaved with the payload slices in a single vectored send
-// (writev on TCP), so the payloads are never copied client-side.
-func (c *Client) writeV(vecs []Vec, data [][]byte) (int, error) {
-	op, hsz, crcMode := OpWriteV, vecHdrSize, false
-	if c.features&FeatureCRC != 0 {
-		op, hsz, crcMode = OpWriteVC, vecHdrCRCSize, true
-	}
-	hdrs := c.growFrame(5 + hsz*len(vecs))
-	hdrs[0] = op
-	binary.BigEndian.PutUint32(hdrs[1:5], uint32(len(vecs)))
-	if cap(c.bufs) < 2*len(vecs) {
-		c.bufs = make([][]byte, 0, 2*len(vecs))
-	}
-	bufs := c.bufs[:0]
-	start, at := 0, 5
-	for i, v := range vecs {
-		putVecHdr(hdrs[at:], v)
-		if crcMode {
-			binary.BigEndian.PutUint32(hdrs[at+12:], crc32c.Sum(data[i]))
-		}
-		at += hsz
-		bufs = append(bufs, hdrs[start:at], data[i])
-		start = at
-	}
-	c.bufs = bufs
-	c.nb = net.Buffers(bufs)
-	if _, err := c.nb.WriteTo(c.conn); err != nil {
-		return 0, err
-	}
-	if _, err := io.ReadFull(c.conn, c.hdr[:1]); err != nil {
-		return 0, err
-	}
-	switch c.hdr[0] {
-	case statusOK:
-		m, err := c.readUint32()
-		if err != nil {
-			return 0, err
-		}
-		if int(m) != len(vecs) {
-			return 0, fmt.Errorf("%w: server applied %d of %d scatter ranges without error", ErrProtocol, m, len(vecs))
-		}
-		return len(vecs), nil
-	case statusCRC:
-		// failed(4) | want(4) | got(4): the leading `failed` ranges are
-		// durable, range `failed` was rejected as corrupt in flight.
-		if _, err := io.ReadFull(c.conn, c.hdr[:12]); err != nil {
-			return 0, err
-		}
-		f := binary.BigEndian.Uint32(c.hdr[:])
-		if int64(f) >= int64(len(vecs)) {
-			return 0, fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, len(vecs))
-		}
-		return int(f), &CRCError{
-			Range: int(f),
-			Want:  binary.BigEndian.Uint32(c.hdr[4:]),
-			Got:   binary.BigEndian.Uint32(c.hdr[8:]),
-			Write: true,
-		}
-	default:
-		// Extended error response: failed(4) | len(4) | message.
-		f, err := c.readUint32()
-		if err != nil {
-			return 0, err
-		}
-		if int64(f) >= int64(len(vecs)) {
-			return 0, fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, len(vecs))
-		}
-		n, err := c.readUint32()
-		if err != nil {
-			return 0, err
-		}
-		if n > 1<<16 {
-			return 0, fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(c.conn, msg); err != nil {
-			return 0, err
-		}
-		return int(f), &RemoteError{Msg: string(msg)}
-	}
+	cl := getCall()
+	cl.buildWriteV(c.HasCRC(), vecs, data)
+	res, err := c.do(ctx, cl)
+	return res.applied, err
 }
 
 // CrcV fetches freshly recomputed CRC-32Cs of len(vecs) store ranges in
@@ -718,7 +468,7 @@ func (c *Client) writeV(vecs []Vec, data [][]byte) (int, error) {
 // without shipping the data. Returns ErrNoCRC (before touching the
 // wire) when the connection did not negotiate FeatureCRC.
 func (c *Client) CrcV(ctx context.Context, vecs []Vec, out []uint32) error {
-	if c.features&FeatureCRC == 0 {
+	if !c.HasCRC() {
 		return ErrNoCRC
 	}
 	if len(vecs) != len(out) {
@@ -730,57 +480,24 @@ func (c *Client) CrcV(ctx context.Context, vecs []Vec, out []uint32) error {
 	if _, err := checkVecs(vecs); err != nil {
 		return err
 	}
-	if c.pipe != nil {
-		return c.pipe.crcV(ctx, vecs, out)
-	}
-	if err := c.beginOp(ctx); err != nil {
-		return err
-	}
-	return c.endOp(ctx, c.crcV(vecs, out))
+	cl := getCall()
+	cl.buildVecs(OpCrcV, vecs)
+	cl.outCrcs = out
+	_, err := c.do(ctx, cl)
+	return err
 }
 
-func (c *Client) crcV(vecs []Vec, out []uint32) error {
-	req := c.growFrame(5 + vecHdrSize*len(vecs))
-	req[0] = OpCrcV
-	binary.BigEndian.PutUint32(req[1:5], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(req[5+vecHdrSize*i:], v)
-	}
-	if err := c.roundTrip(req); err != nil {
-		return err
-	}
-	raw := c.growFrame(4 * len(vecs))
-	if _, err := io.ReadFull(c.conn, raw); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(raw[4*i:])
-	}
-	return nil
+// mgmt runs one management exchange.
+func (c *Client) mgmt(op byte, extra ...byte) (result, error) {
+	cl := getCall()
+	cl.buildMgmt(op, extra...)
+	return c.do(context.Background(), cl)
 }
 
 // Size returns the remote device's logical capacity.
 func (c *Client) Size() (int64, error) {
-	if c.pipe != nil {
-		op, err := c.pipe.mgmt(context.Background(), OpSize, nil)
-		if err != nil {
-			return 0, err
-		}
-		v := op.u64
-		putPipeOp(op)
-		return int64(v), nil
-	}
-	var v uint64
-	err := c.do(context.Background(), func() error {
-		c.hdr[0] = OpSize
-		if err := c.roundTrip(c.hdr[:1]); err != nil {
-			return err
-		}
-		var err error
-		v, err = readUint64(c.conn)
-		return err
-	})
-	return int64(v), err
+	res, err := c.mgmt(OpSize)
+	return int64(res.u64), err
 }
 
 // FailDisk marks a remote disk failed.
@@ -790,93 +507,19 @@ func (c *Client) FailDisk(id raid.DiskID) error { return c.diskOp(OpFail, id) }
 func (c *Client) Rebuild(id raid.DiskID) error { return c.diskOp(OpRebuild, id) }
 
 func (c *Client) diskOp(op byte, id raid.DiskID) error {
-	if c.pipe != nil {
-		var extra [5]byte
-		extra[0] = byte(id.Role)
-		binary.BigEndian.PutUint32(extra[1:], uint32(id.Index))
-		res, err := c.pipe.mgmt(context.Background(), op, extra[:])
-		if err != nil {
-			return err
-		}
-		putPipeOp(res)
-		return nil
-	}
-	return c.do(context.Background(), func() error {
-		c.hdr[0] = op
-		c.hdr[1] = byte(id.Role)
-		binary.BigEndian.PutUint32(c.hdr[2:6], uint32(id.Index))
-		return c.roundTrip(c.hdr[:6])
-	})
+	i := uint32(id.Index)
+	_, err := c.mgmt(op, byte(id.Role), byte(i>>24), byte(i>>16), byte(i>>8), byte(i))
+	return err
 }
 
 // Scrub runs a remote consistency scrub.
 func (c *Client) Scrub() error {
-	if c.pipe != nil {
-		op, err := c.pipe.mgmt(context.Background(), OpScrub, nil)
-		if err != nil {
-			return err
-		}
-		putPipeOp(op)
-		return nil
-	}
-	return c.do(context.Background(), func() error {
-		c.hdr[0] = OpScrub
-		return c.roundTrip(c.hdr[:1])
-	})
+	_, err := c.mgmt(OpScrub)
+	return err
 }
 
 // Health fetches the remote service counters and failed-disk list.
 func (c *Client) Health() (dev.Health, []raid.DiskID, error) {
-	if c.pipe != nil {
-		op, err := c.pipe.mgmt(context.Background(), OpHealth, nil)
-		if err != nil {
-			return dev.Health{}, nil, err
-		}
-		h, failed := op.health, op.failed
-		putPipeOp(op)
-		return h, failed, nil
-	}
-	var h dev.Health
-	var failed []raid.DiskID
-	err := c.do(context.Background(), func() error {
-		c.hdr[0] = OpHealth
-		if err := c.roundTrip(c.hdr[:1]); err != nil {
-			return err
-		}
-		var vals [5]int64
-		for i := range vals {
-			v, err := readUint64(c.conn)
-			if err != nil {
-				return err
-			}
-			vals[i] = int64(v)
-		}
-		nFailed, err := readUint32(c.conn)
-		if err != nil {
-			return err
-		}
-		if nFailed > 1<<16 {
-			return fmt.Errorf("%w: implausible failed-disk count %d", ErrProtocol, nFailed)
-		}
-		failed = make([]raid.DiskID, 0, nFailed)
-		for i := uint32(0); i < nFailed; i++ {
-			id, err := readDiskID(c.conn)
-			if err != nil {
-				return err
-			}
-			failed = append(failed, id)
-		}
-		h = dev.Health{
-			ElementsRead:    vals[0],
-			ElementsWritten: vals[1],
-			DegradedReads:   vals[2],
-			ParityFallbacks: vals[3],
-			StripesRebuilt:  vals[4],
-		}
-		return nil
-	})
-	if err != nil {
-		return dev.Health{}, nil, err
-	}
-	return h, failed, nil
+	res, err := c.mgmt(OpHealth)
+	return res.health, res.failed, err
 }

@@ -190,74 +190,44 @@ func TestCRCRejectsCorruptWrite(t *testing.T) {
 	for _, direct := range []bool{true, false} {
 		mode := map[bool]string{true: "direct", false: "pooled"}[direct]
 		t.Run(mode, func(t *testing.T) {
-			const blk = 128
-			addr, mem := startCRCServer(t, 4*blk, blk, direct)
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			payload := bytes.Repeat([]byte{0xAB}, blk)
-			frame := []byte{OpWriteVC}
-			frame = binary.BigEndian.AppendUint32(frame, 1)
-			frame = binary.BigEndian.AppendUint64(frame, 0)   // off
-			frame = binary.BigEndian.AppendUint32(frame, blk) // len
-			frame = binary.BigEndian.AppendUint32(frame, crc32c.Sum(payload)^1)
-			frame = append(frame, payload...)
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			var status [1]byte
-			if _, err := io.ReadFull(conn, status[:]); err != nil {
-				t.Fatal(err)
-			}
-			if status[0] != statusCRC {
-				t.Fatalf("status %d, want statusCRC", status[0])
-			}
-			var verdict [12]byte
-			if _, err := io.ReadFull(conn, verdict[:]); err != nil {
-				t.Fatal(err)
-			}
-			if failed := binary.BigEndian.Uint32(verdict[0:4]); failed != 0 {
-				t.Fatalf("failed index %d, want 0", failed)
-			}
-			// The pooled path must not have applied the rejected range; the
-			// zero-copy path may have scribbled (documented tradeoff), but
-			// its sidecar entry is invalid, so a CRC read catches it.
-			if !direct {
-				got := make([]byte, blk)
+			eachTransport(t, func(t *testing.T, pipelined bool) {
+				const blk = wireCRCBlock
+				srv, addr, mem := startWireServer(t, direct)
+				p := dialPeer(t, addr, pipelined)
+				payload := bytes.Repeat([]byte{0xAB}, blk)
+				frame := scatterFrame(OpWriteVC, []Vec{{Off: 0, Len: blk}}, payload)
+				frame[5+vecHdrSize+3] ^= 1 // the carried checksum
+				p.send(frame)
+				var ce *CRCError
+				if err := p.status(); !errors.As(err, &ce) || ce.Range != 0 {
+					t.Fatalf("corrupt frame answered %v, want a CRC verdict on range 0", err)
+				}
+				// The stream is still synchronized: a good frame works.
+				p.send(scatterFrame(OpWriteVC, []Vec{{Off: blk, Len: blk}}, payload))
+				var applied [4]byte
+				if err := p.status(); err != nil {
+					t.Fatalf("good frame after CRC verdict: %v", err)
+				}
+				if _, err := io.ReadFull(p.conn, applied[:]); err != nil || binary.BigEndian.Uint32(applied[:]) != 1 {
+					t.Fatalf("good frame after CRC verdict applied %v: %v", applied, err)
+				}
+				// Close waits for the handler goroutines, ordering the
+				// store assertions below after their writes.
+				srv.Close()
+				got := make([]byte, 2*blk)
 				if _, err := mem.ReadAt(got, 0); err != nil {
 					t.Fatal(err)
 				}
-				if bytes.Equal(got, payload) {
+				// The pooled path must not have applied the rejected range; the
+				// zero-copy path may have scribbled (documented tradeoff), but
+				// its sidecar entry is invalid, so a CRC read catches it.
+				if !direct && bytes.Equal(got[:blk], payload) {
 					t.Fatal("pooled server applied a CRC-rejected range")
 				}
-			}
-			// The stream is still synchronized: a good frame works.
-			frame = frame[:0]
-			frame = append(frame, OpWriteVC)
-			frame = binary.BigEndian.AppendUint32(frame, 1)
-			frame = binary.BigEndian.AppendUint64(frame, blk)
-			frame = binary.BigEndian.AppendUint32(frame, blk)
-			frame = binary.BigEndian.AppendUint32(frame, crc32c.Sum(payload))
-			frame = append(frame, payload...)
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			resp := make([]byte, 5)
-			if _, err := io.ReadFull(conn, resp); err != nil {
-				t.Fatal(err)
-			}
-			if resp[0] != statusOK {
-				t.Fatalf("good frame after CRC verdict: status %d", resp[0])
-			}
-			got := make([]byte, blk)
-			if _, err := mem.ReadAt(got, blk); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("good frame after CRC verdict not applied")
-			}
+				if !bytes.Equal(got[blk:], payload) {
+					t.Fatal("good frame after CRC verdict not applied")
+				}
+			})
 		})
 	}
 }

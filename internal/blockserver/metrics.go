@@ -63,8 +63,8 @@ func NewMetrics() *Metrics {
 }
 
 // opAcct accumulates one request's payload accounting while it is being
-// served; dispatch hands it to the handler only when metrics or tracing
-// are enabled.
+// served; it rides in the request's reply and is folded into the
+// metrics by Server.account.
 type opAcct struct {
 	in, out   int64
 	remoteErr error // store-level error answered on a healthy connection

@@ -5,27 +5,22 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"shiftedmirror/internal/crc32c"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/obs"
-	"shiftedmirror/internal/raid"
 )
 
-// This file is the client half of the pipelined wire mode
-// (FeaturePipeline): a single writer goroutine coalesces queued request
-// frames into one vectored write (many ops, one syscall), and a single
-// reader goroutine demuxes tagged responses to per-tag waiters, so many
-// operations share one connection with out-of-order completion. The
-// payload formats are exactly the synchronous ones; only the framing
-// differs (op|tag|payload requests, tag|status|payload responses).
+// This file is the client's pipelined scheduler (FeaturePipeline): a
+// single writer goroutine coalesces queued request frames into one
+// vectored write (many ops, one syscall), and a single reader goroutine
+// demuxes tagged responses to per-tag waiters, so many operations share
+// one connection with out-of-order completion. The calls it carries are
+// built and decoded by the shared codec (call.go); only the framing is
+// decided here (op|tag|payload requests, tag|status|payload responses).
 //
 // Cancellation never poisons the stream: a cancelled op abandons its
 // waiter, the reader later drains that tag's response into scratch, and
@@ -70,11 +65,11 @@ func NewPipeStats() *PipeStats {
 	return &PipeStats{QueueWait: obs.NewHistogram()}
 }
 
-// pipeOp states. The lifecycle is queued → sending → sent → receiving →
-// done; an abandoning caller CASes queued→abandoned or sent→abandoned
-// and joins the writer/reader when the op is mid-transfer, so
-// caller-owned buffers are never touched after a cancelled call
-// returns.
+// Pipelined call states. The lifecycle is queued → sending → sent →
+// receiving → done; an abandoning caller CASes queued→abandoned or
+// sent→abandoned and joins the writer/reader when the op is
+// mid-transfer, so caller-owned buffers are never touched after a
+// cancelled call returns.
 const (
 	pipeQueued int32 = iota
 	pipeSending
@@ -83,93 +78,6 @@ const (
 	pipeDone
 	pipeAbandoned
 )
-
-// pipeOp is one in-flight pipelined operation: the request frame, where
-// the response lands, and the rendezvous state between the submitting
-// goroutine, the writer, and the reader. Recycled through a sync.Pool so
-// the steady state allocates nothing.
-type pipeOp struct {
-	op  byte
-	tag uint32
-
-	// Request frame: hdr holds op|tag plus all fixed headers; bufs is
-	// the slice list the writer feeds into the coalesced writev (header
-	// chunks interleaved with caller payload for writes).
-	hdr  []byte
-	bufs [][]byte
-
-	// Response decode inputs/outputs. dst are caller read buffers
-	// (touched only while the op is claimed, never after abandon);
-	// outCrcs is CrcV's caller slice; crcs is scratch for carried CRCs.
-	nvecs   int
-	total   int64
-	dst     [][]byte
-	outCrcs []uint32
-	crcs    []uint32
-	applied int
-	u64     uint64
-	health  dev.Health
-	failed  []raid.DiskID
-
-	err      error
-	enq      time.Time
-	deadline time.Time
-
-	state atomic.Int32
-	// done (cap 1) is signalled once the op completes or the pipe
-	// fails; only the submitting goroutine receives on it. sent (cap 2,
-	// signalled twice) is the writer's "your buffers are free" signal:
-	// an abandoning caller and the fail path may each consume one.
-	done chan struct{}
-	sent chan struct{}
-}
-
-var pipeOpPool = sync.Pool{New: func() any {
-	return &pipeOp{done: make(chan struct{}, 1), sent: make(chan struct{}, 2)}
-}}
-
-func getPipeOp() *pipeOp {
-	op := pipeOpPool.Get().(*pipeOp)
-	// Drain stale signals from the previous use (a completed op's sent
-	// signals are consumed only on the abandon/fail paths).
-	select {
-	case <-op.done:
-	default:
-	}
-	for {
-		select {
-		case <-op.sent:
-			continue
-		default:
-		}
-		break
-	}
-	op.err = nil
-	op.applied = 0
-	op.u64 = 0
-	op.nvecs = 0
-	op.total = 0
-	op.deadline = time.Time{}
-	op.state.Store(pipeQueued)
-	return op
-}
-
-// putPipeOp recycles a completed op. Callers must own the op (state
-// pipeDone, out of the waiters table, done signal consumed). Caller
-// payload references are dropped so the pool does not pin user memory.
-func putPipeOp(op *pipeOp) {
-	for i := range op.bufs {
-		op.bufs[i] = nil
-	}
-	op.bufs = op.bufs[:0]
-	for i := range op.dst {
-		op.dst[i] = nil
-	}
-	op.dst = op.dst[:0]
-	op.outCrcs = nil
-	op.failed = nil
-	pipeOpPool.Put(op)
-}
 
 func signalPipe(ch chan struct{}) {
 	select {
@@ -188,11 +96,11 @@ type pipe struct {
 	stats     *PipeStats
 
 	window chan struct{} // in-flight token semaphore
-	reqCh  chan *pipeOp  // cap == window, so sends never block
+	reqCh  chan *call    // cap == window, so sends never block
 	quit   chan struct{}
 
 	mu      sync.Mutex
-	waiters map[uint32]*pipeOp
+	waiters map[uint32]*call
 	nextTag uint32
 	err     error // terminal; set once by fail
 
@@ -204,8 +112,8 @@ type pipe struct {
 	// field stops the slice header escaping per batch).
 	wbufs [][]byte
 	nb    net.Buffers
-	// Reader scratch for fixed-size response fields.
-	rhdr [16]byte
+	// dec decodes responses off br; only the reader goroutine uses it.
+	dec decoder
 }
 
 // pipeReaderSize is the demux reader's buffer: big enough that a burst
@@ -230,15 +138,16 @@ func newPipe(conn net.Conn, window int, opTimeout time.Duration, crcMode bool, s
 	}
 	p := &pipe{
 		conn:      conn,
-		br:        bufio.NewReaderSize(conn, pipeReaderSize),
 		opTimeout: opTimeout,
 		crcMode:   crcMode,
 		stats:     stats,
 		window:    make(chan struct{}, window),
-		reqCh:     make(chan *pipeOp, window),
+		reqCh:     make(chan *call, window),
 		quit:      make(chan struct{}),
-		waiters:   make(map[uint32]*pipeOp, window),
+		waiters:   make(map[uint32]*call, window),
 	}
+	p.br = bufio.NewReaderSize(conn, pipeReaderSize)
+	p.dec.r = p.br
 	p.wg.Add(2)
 	go p.writeLoop()
 	go p.readLoop()
@@ -277,7 +186,7 @@ func (p *pipe) fail(err error) {
 		p.mu.Lock()
 		p.err = err
 		ws := p.waiters
-		p.waiters = map[uint32]*pipeOp{}
+		p.waiters = map[uint32]*call{}
 		p.mu.Unlock()
 		close(p.quit)
 		p.conn.Close()
@@ -332,7 +241,7 @@ func (p *pipe) releaseToken() {
 // the window size and every queued op holds a token) — so fail() can
 // rely on every registered op either being visible in the queue or
 // having observed the terminal error.
-func (p *pipe) submit(ctx context.Context, op *pipeOp) error {
+func (p *pipe) submit(ctx context.Context, op *call) error {
 	p.mu.Lock()
 	if p.err != nil {
 		err := p.err
@@ -348,7 +257,9 @@ func (p *pipe) submit(ctx context.Context, op *pipeOp) error {
 	if d, ok := ctx.Deadline(); ok && (op.deadline.IsZero() || d.Before(op.deadline)) {
 		op.deadline = d
 	}
-	binary.BigEndian.PutUint32(op.hdr[1:5], op.tag)
+	// Tagged framing: op | tag fill the request room.
+	op.hdr[0] = op.op
+	binary.BigEndian.PutUint32(op.hdr[1:reqRoom], op.tag)
 	p.waiters[op.tag] = op
 	p.reqCh <- op
 	p.mu.Unlock()
@@ -361,7 +272,7 @@ func (p *pipe) submit(ctx context.Context, op *pipeOp) error {
 // the stream without touching caller memory — and the pipe stays
 // healthy. The returned bool reports whether the caller still owns the
 // op (and must recycle it); an abandoned op must never be recycled.
-func (p *pipe) wait(ctx context.Context, op *pipeOp) (error, bool) {
+func (p *pipe) wait(ctx context.Context, op *call) (error, bool) {
 	if ctx.Done() == nil {
 		<-op.done
 		return op.err, true
@@ -378,7 +289,7 @@ func (p *pipe) wait(ctx context.Context, op *pipeOp) (error, bool) {
 // op reached a terminal state anyway (the caller keeps ownership),
 // false when the op was handed off mid-flight. It never returns while
 // another goroutine may still touch the caller's buffers.
-func (p *pipe) abandon(op *pipeOp) (callerOwns bool) {
+func (p *pipe) abandon(op *call) (callerOwns bool) {
 	for {
 		switch op.state.Load() {
 		case pipeQueued:
@@ -424,7 +335,7 @@ func (p *pipe) unregister(tag uint32) {
 func (p *pipe) writeLoop() {
 	defer p.wg.Done()
 	defer p.drainQueue()
-	batch := make([]*pipeOp, 0, cap(p.reqCh))
+	batch := make([]*call, 0, cap(p.reqCh))
 	for {
 		select {
 		case op := <-p.reqCh:
@@ -455,7 +366,7 @@ func (p *pipe) writeLoop() {
 
 // writeBatch streams one coalesced batch. Returns false when the pipe
 // has failed and the writer should exit.
-func (p *pipe) writeBatch(batch []*pipeOp) bool {
+func (p *pipe) writeBatch(batch []*call) bool {
 	select {
 	case <-p.quit:
 		// The pipe failed while this batch sat in the queue. Its ops have
@@ -525,7 +436,7 @@ func (p *pipe) writeBatch(batch []*pipeOp) bool {
 // dequeued but never sent. An op abandoned while queued is skipped: its
 // abandoner already unregistered it and released its token, and the GC
 // reclaims it.
-func (p *pipe) failQueued(op *pipeOp, err error) {
+func (p *pipe) failQueued(op *call, err error) {
 	if op.state.CompareAndSwap(pipeQueued, pipeDone) {
 		p.unregister(op.tag)
 		op.err = err
@@ -602,7 +513,7 @@ func (p *pipe) readLoop() {
 		// abandoned: drain the payload without touching caller memory.
 		claimed := op.state.CompareAndSwap(pipeSent, pipeReceiving) ||
 			op.state.CompareAndSwap(pipeSending, pipeReceiving)
-		err = p.readResp(op, status, claimed)
+		err = p.dec.response(op, status, claimed)
 		if err != nil {
 			// Transport/framing trouble mid-response: the stream is
 			// desynchronized. Fail the pipe, then deliver to this op (it
@@ -657,343 +568,23 @@ func (p *pipe) anyExpired() bool {
 	return false
 }
 
-// readResp consumes one response's payload. claimed=false means the
-// caller abandoned the op: the payload is drained (bufio.Discard, no
-// allocation), caller memory is never touched. Per-op errors (remote,
-// CRC) land in op.err with a nil return; a non-nil return is
-// transport/framing trouble that must fail the pipe.
-func (p *pipe) readResp(op *pipeOp, status byte, claimed bool) error {
-	switch status {
-	case statusOK:
-	case statusCRC:
-		if _, err := io.ReadFull(p.br, p.rhdr[:12]); err != nil {
-			return err
-		}
-		f := int(binary.BigEndian.Uint32(p.rhdr[:]))
-		if (op.op == OpWriteV || op.op == OpWriteVC) && f >= op.nvecs {
-			return fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, op.nvecs)
-		}
-		op.applied = f
-		op.err = &CRCError{
-			Range: f,
-			Want:  binary.BigEndian.Uint32(p.rhdr[4:]),
-			Got:   binary.BigEndian.Uint32(p.rhdr[8:]),
-			Write: true,
-		}
-		return nil
-	default:
-		// Error response; OpWriteV/OpWriteVC carry the extended form.
-		if op.op == OpWriteV || op.op == OpWriteVC {
-			f, err := p.respUint32()
-			if err != nil {
-				return err
-			}
-			if int(f) >= op.nvecs {
-				return fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, op.nvecs)
-			}
-			op.applied = int(f)
-		}
-		n, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if n > 1<<16 {
-			return fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(p.br, msg); err != nil {
-			return err
-		}
-		op.err = &RemoteError{Msg: string(msg)}
-		return nil
-	}
-
-	switch op.op {
-	case OpRead, OpReadV, OpReadVC:
-		m, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if int64(m) != op.total {
-			return fmt.Errorf("%w: server returned %d bytes for a %d-byte gather", ErrProtocol, m, op.total)
-		}
-		crcMode := op.op == OpReadVC
-		if crcMode {
-			if cap(op.crcs) < op.nvecs {
-				op.crcs = make([]uint32, op.nvecs)
-			}
-			op.crcs = op.crcs[:op.nvecs]
-			for i := range op.crcs {
-				c, err := p.respUint32()
-				if err != nil {
-					return err
-				}
-				op.crcs[i] = c
-			}
-		}
-		if !claimed {
-			_, err := p.br.Discard(int(op.total))
-			return err
-		}
-		var crcErr error
-		for i, d := range op.dst {
-			if _, err := io.ReadFull(p.br, d); err != nil {
-				return err
-			}
-			if crcMode && crcErr == nil {
-				if got := crc32c.Sum(d); got != op.crcs[i] {
-					crcErr = &CRCError{Range: i, Want: op.crcs[i], Got: got}
-				}
-			}
-		}
-		op.err = crcErr
-		return nil
-	case OpWrite, OpFail, OpRebuild, OpScrub:
-		return nil
-	case OpWriteV, OpWriteVC:
-		m, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if int(m) != op.nvecs {
-			return fmt.Errorf("%w: server applied %d of %d scatter ranges without error", ErrProtocol, m, op.nvecs)
-		}
-		op.applied = op.nvecs
-		return nil
-	case OpCrcV:
-		for i := 0; i < op.nvecs; i++ {
-			c, err := p.respUint32()
-			if err != nil {
-				return err
-			}
-			if claimed {
-				op.outCrcs[i] = c
-			}
-		}
-		return nil
-	case OpSize:
-		if _, err := io.ReadFull(p.br, p.rhdr[:8]); err != nil {
-			return err
-		}
-		op.u64 = binary.BigEndian.Uint64(p.rhdr[:8])
-		return nil
-	case OpHealth:
-		var vals [5]int64
-		for i := range vals {
-			if _, err := io.ReadFull(p.br, p.rhdr[:8]); err != nil {
-				return err
-			}
-			vals[i] = int64(binary.BigEndian.Uint64(p.rhdr[:8]))
-		}
-		nFailed, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if nFailed > 1<<16 {
-			return fmt.Errorf("%w: implausible failed-disk count %d", ErrProtocol, nFailed)
-		}
-		failed := make([]raid.DiskID, 0, nFailed)
-		for i := uint32(0); i < nFailed; i++ {
-			if _, err := io.ReadFull(p.br, p.rhdr[:5]); err != nil {
-				return err
-			}
-			failed = append(failed, raid.DiskID{
-				Role:  raid.Role(p.rhdr[0]),
-				Index: int(binary.BigEndian.Uint32(p.rhdr[1:5])),
-			})
-		}
-		op.health = dev.Health{
-			ElementsRead:    vals[0],
-			ElementsWritten: vals[1],
-			DegradedReads:   vals[2],
-			ParityFallbacks: vals[3],
-			StripesRebuilt:  vals[4],
-		}
-		op.failed = failed
-		return nil
-	default:
-		return fmt.Errorf("%w: response for unexpected opcode %d", ErrProtocol, op.op)
-	}
-}
-
-func (p *pipe) respUint32() (uint32, error) {
-	if _, err := io.ReadFull(p.br, p.rhdr[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(p.rhdr[:4]), nil
-}
-
-// --- op builders ------------------------------------------------------
-
-// growHdr sizes op's header scratch, keeping the backing array.
-func (op *pipeOp) growHdr(n int) []byte {
-	if cap(op.hdr) < n {
-		op.hdr = make([]byte, n)
-	}
-	op.hdr = op.hdr[:n]
-	return op.hdr
-}
-
-// run submits op and waits, recycling the op when ownership stays with
-// the caller. The caller must have filled the request frame; the tag
-// bytes (hdr[1:5]) are stamped by submit.
-func (p *pipe) run(ctx context.Context, op *pipeOp) (applied int, u64 uint64, err error) {
+// run submits a built call and waits for it, recycling the call when
+// ownership stays with the caller.
+func (p *pipe) run(ctx context.Context, op *call) (result, error) {
 	if err := p.acquireToken(ctx); err != nil {
-		putPipeOp(op)
-		return 0, 0, err
+		putCall(op)
+		return result{}, err
 	}
 	if err := p.submit(ctx, op); err != nil {
 		p.releaseToken()
-		putPipeOp(op)
-		return 0, 0, err
+		putCall(op)
+		return result{}, err
 	}
 	err, owns := p.wait(ctx, op)
 	if !owns {
-		return 0, 0, err
+		return result{}, err
 	}
-	applied, u64 = op.applied, op.u64
-	putPipeOp(op)
-	return applied, u64, err
-}
-
-// read runs OpRead (Client.ReadAtCtx's pipelined path).
-func (p *pipe) read(ctx context.Context, dst []byte, off int64) (int, error) {
-	op := getPipeOp()
-	op.op = OpRead
-	h := op.growHdr(17)
-	h[0] = OpRead
-	binary.BigEndian.PutUint64(h[5:13], uint64(off))
-	binary.BigEndian.PutUint32(h[13:17], uint32(len(dst)))
-	op.bufs = append(op.bufs[:0], h)
-	op.total = int64(len(dst))
-	op.nvecs = 1
-	if cap(op.dst) < 1 {
-		op.dst = make([][]byte, 0, 1)
-	}
-	op.dst = append(op.dst[:0], dst)
-	_, _, err := p.run(ctx, op)
-	if err != nil {
-		return 0, err
-	}
-	return len(dst), nil
-}
-
-// readV runs OpReadV/OpReadVC. dst slices are written only while the op
-// is claimed, never after a cancelled call returns.
-func (p *pipe) readV(ctx context.Context, vecs []Vec, dst [][]byte, total int64) error {
-	op := getPipeOp()
-	opc := OpReadV
-	if p.crcMode {
-		opc = OpReadVC
-	}
-	op.op = opc
-	h := op.growHdr(9 + vecHdrSize*len(vecs))
-	h[0] = opc
-	binary.BigEndian.PutUint32(h[5:9], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(h[9+vecHdrSize*i:], v)
-	}
-	op.bufs = append(op.bufs[:0], h)
-	op.total = total
-	op.nvecs = len(vecs)
-	if cap(op.dst) < len(dst) {
-		op.dst = make([][]byte, 0, len(dst))
-	}
-	op.dst = append(op.dst[:0], dst...)
-	_, _, err := p.run(ctx, op)
-	return err
-}
-
-// write runs OpWrite.
-func (p *pipe) write(ctx context.Context, data []byte, off int64) error {
-	op := getPipeOp()
-	op.op = OpWrite
-	h := op.growHdr(17)
-	h[0] = OpWrite
-	binary.BigEndian.PutUint64(h[5:13], uint64(off))
-	binary.BigEndian.PutUint32(h[13:17], uint32(len(data)))
-	op.bufs = append(op.bufs[:0], h, data)
-	_, _, err := p.run(ctx, op)
-	return err
-}
-
-// writeV runs OpWriteV/OpWriteVC, interleaving caller payload slices
-// with per-range headers in the writer's coalesced writev — payloads
-// are never copied client-side, same as the synchronous path.
-func (p *pipe) writeV(ctx context.Context, vecs []Vec, data [][]byte) (int, error) {
-	op := getPipeOp()
-	opc, hsz := OpWriteV, vecHdrSize
-	if p.crcMode {
-		opc, hsz = OpWriteVC, vecHdrCRCSize
-	}
-	op.op = opc
-	h := op.growHdr(9 + hsz*len(vecs))
-	h[0] = opc
-	binary.BigEndian.PutUint32(h[5:9], uint32(len(vecs)))
-	if cap(op.bufs) < 1+2*len(vecs) {
-		op.bufs = make([][]byte, 0, 1+2*len(vecs))
-	}
-	bufs := op.bufs[:0]
-	start, at := 0, 9
-	for i, v := range vecs {
-		putVecHdr(h[at:], v)
-		if p.crcMode {
-			binary.BigEndian.PutUint32(h[at+12:], crc32c.Sum(data[i]))
-		}
-		at += hsz
-		bufs = append(bufs, h[start:at], data[i])
-		start = at
-	}
-	op.bufs = bufs
-	op.nvecs = len(vecs)
-	applied, _, err := p.run(ctx, op)
-	return applied, err
-}
-
-// crcV runs OpCrcV, filling out with the server's fresh checksums.
-func (p *pipe) crcV(ctx context.Context, vecs []Vec, out []uint32) error {
-	op := getPipeOp()
-	op.op = OpCrcV
-	h := op.growHdr(9 + vecHdrSize*len(vecs))
-	h[0] = OpCrcV
-	binary.BigEndian.PutUint32(h[5:9], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(h[9+vecHdrSize*i:], v)
-	}
-	op.bufs = append(op.bufs[:0], h)
-	op.nvecs = len(vecs)
-	op.outCrcs = out
-	_, _, err := p.run(ctx, op)
-	return err
-}
-
-// mgmt runs a management exchange (OpSize, OpScrub, OpHealth, disk
-// ops); extra is the opcode's fixed request payload. On success the
-// caller reads the result fields off the returned op and must recycle
-// it with putPipeOp.
-func (p *pipe) mgmt(ctx context.Context, opc byte, extra []byte) (*pipeOp, error) {
-	op := getPipeOp()
-	op.op = opc
-	h := op.growHdr(5 + len(extra))
-	h[0] = opc
-	copy(h[5:], extra)
-	op.bufs = append(op.bufs[:0], h)
-	if err := p.acquireToken(ctx); err != nil {
-		putPipeOp(op)
-		return nil, err
-	}
-	if err := p.submit(ctx, op); err != nil {
-		p.releaseToken()
-		putPipeOp(op)
-		return nil, err
-	}
-	err, owns := p.wait(ctx, op)
-	if !owns {
-		return nil, err
-	}
-	if err != nil {
-		putPipeOp(op)
-		return nil, err
-	}
-	return op, nil
+	res := op.result
+	putCall(op)
+	return res, err
 }

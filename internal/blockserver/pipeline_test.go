@@ -387,6 +387,11 @@ func TestPipelineStatsAccount(t *testing.T) {
 	if got := stats.InFlight.Load(); got != 0 {
 		t.Fatalf("InFlight = %d at rest, want 0", got)
 	}
+	// The writer counts a batch after its writev returns, which the last
+	// op's response can overtake: wait for the count.
+	for deadline := time.Now().Add(2 * time.Second); stats.Frames.Load() < 4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if stats.Frames.Load() < 4 || stats.Writevs.Load() < 1 {
 		t.Fatalf("Frames=%d Writevs=%d, want >=4 frames over >=1 writevs",
 			stats.Frames.Load(), stats.Writevs.Load())
@@ -410,27 +415,25 @@ func TestPipelineTearAfterDequeue(t *testing.T) {
 		conn:    client,
 		stats:   stats,
 		window:  make(chan struct{}, ops),
-		reqCh:   make(chan *pipeOp, ops),
+		reqCh:   make(chan *call, ops),
 		quit:    make(chan struct{}),
-		waiters: map[uint32]*pipeOp{},
+		waiters: map[uint32]*call{},
 	}
 	ctx := context.Background()
-	var submitted []*pipeOp
+	var submitted []*call
 	for i := 0; i < ops; i++ {
 		if err := p.acquireToken(ctx); err != nil {
 			t.Fatal(err)
 		}
-		op := getPipeOp()
-		op.op = OpSize
-		op.hdr = op.growHdr(5)
-		op.bufs = append(op.bufs, op.hdr)
+		op := getCall()
+		op.buildMgmt(OpSize)
 		if err := p.submit(ctx, op); err != nil {
 			t.Fatal(err)
 		}
 		submitted = append(submitted, op)
 	}
 	// The writer's dequeue: the whole queue moves into its batch.
-	var batch []*pipeOp
+	var batch []*call
 	for len(p.reqCh) > 0 {
 		batch = append(batch, <-p.reqCh)
 	}

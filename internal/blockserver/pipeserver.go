@@ -3,26 +3,25 @@ package blockserver
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
 	"time"
-
-	"shiftedmirror/internal/crc32c"
-	"shiftedmirror/internal/obs"
 )
 
-// This file is the server half of the pipelined wire mode: after
-// OpFeatures grants FeaturePipeline, the connection switches to a
-// demux goroutine (this connection's serve goroutine — it decodes
-// request frames serially off a buffered reader and applies writes and
-// management ops inline, preserving the direct-into-store zero-copy
-// receive path and stream synchronization), a small pool of read
-// workers (so store reads complete out of order instead of
-// head-of-line blocking behind a slow range), and one response writer
-// that coalesces queued responses into a single vectored write.
+// This file is the server's pipelined scheduler: after OpFeatures
+// grants FeaturePipeline, the connection switches to a demux goroutine
+// (this connection's serve goroutine — it decodes request frames
+// serially off a buffered reader; writes and management ops are applied
+// as they are decoded, preserving the direct-into-store zero-copy
+// receive path and stream synchronization), a small pool of workers
+// that apply the pending read-class requests (so store reads complete
+// out of order instead of head-of-line blocking behind a slow range),
+// and one response writer that coalesces queued replies into a single
+// vectored write. What a request means — its parse, checks, store
+// access and reply bytes — is the codec's business (wire.go); only the
+// tag in front of each frame and the moment apply runs are decided here.
 //
 // In-flight requests have no ordering guarantee relative to each other;
 // a client that needs read-after-write ordering must not overlap the
@@ -39,40 +38,24 @@ const srvPipeWorkers = 2
 // buffers so the demux rarely blocks on a busy worker.
 const srvPipeQueue = 64
 
-// srvTask is one read-class request (OpRead/OpReadV/OpReadVC/OpCrcV)
-// handed to a worker. vecs is an owned copy (the demux's scratch is
-// reused immediately); its backing array is recycled with the task.
+// srvTask is one tagged request on its way through the scheduler: the
+// decoded request (owned by the task — the demux moves on to the next
+// frame at once), the reply being built for it, and when it arrived.
 type srvTask struct {
-	op    byte
+	req   request
+	rp    *reply
 	tag   uint32
-	vecs  []Vec
-	total int64
 	start time.Time // valid when metrics/tracing are on
 }
 
-var srvTaskPool = sync.Pool{New: func() any { return new(srvTask) }}
+var (
+	srvTaskPool  = sync.Pool{New: func() any { return new(srvTask) }}
+	srvReplyPool = sync.Pool{New: func() any { return new(reply) }}
+)
 
-// srvResp is one response ready for the coalescing writer: an iovec
-// list whose pooled frames are recycled after the writev.
-type srvResp struct {
-	frames []*[]byte
-	bufs   [][]byte
-}
-
-var srvRespPool = sync.Pool{New: func() any { return new(srvResp) }}
-
-func getSrvResp() *srvResp { return srvRespPool.Get().(*srvResp) }
-
-func putSrvResp(r *srvResp) {
-	for _, f := range r.frames {
-		putFrame(f)
-	}
-	r.frames = r.frames[:0]
-	for i := range r.bufs {
-		r.bufs[i] = nil
-	}
-	r.bufs = r.bufs[:0]
-	srvRespPool.Put(r)
+func putReply(rp *reply) {
+	rp.reset()
+	srvReplyPool.Put(rp)
 }
 
 // pipeSrv is one pipelined connection's server-side state.
@@ -80,10 +63,10 @@ type pipeSrv struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
-	scr  *connScratch
+	hdr  [5]byte // demux scratch for op|tag
 
 	taskCh chan *srvTask
-	respCh chan *srvResp
+	respCh chan *reply
 
 	workerWG   sync.WaitGroup
 	writerDone chan struct{}
@@ -94,19 +77,18 @@ type pipeSrv struct {
 // the demux stops, workers drain their queue and exit, then the writer
 // drains the response queue and exits — so no goroutine is ever left
 // blocked on a channel.
-func (s *Server) servePipelined(conn net.Conn, scr *connScratch) {
+func (s *Server) servePipelined(conn net.Conn) {
 	ps := &pipeSrv{
 		s:          s,
 		conn:       conn,
 		br:         bufio.NewReaderSize(conn, pipeReaderSize),
-		scr:        scr,
 		taskCh:     make(chan *srvTask, srvPipeQueue),
-		respCh:     make(chan *srvResp, srvPipeQueue),
+		respCh:     make(chan *reply, srvPipeQueue),
 		writerDone: make(chan struct{}),
 	}
 	ps.workerWG.Add(srvPipeWorkers)
 	for i := 0; i < srvPipeWorkers; i++ {
-		go ps.readWorker()
+		go ps.worker()
 	}
 	go ps.writeLoop()
 	ps.demux()
@@ -116,137 +98,89 @@ func (s *Server) servePipelined(conn net.Conn, scr *connScratch) {
 	<-ps.writerDone
 }
 
-// demux decodes request frames serially. Read-class ops are queued to
-// the workers; write and management ops are applied inline (their
-// payloads must be consumed in stream order anyway, and inline
-// application keeps the direct-into-store zero-copy receive).
+// demux decodes request frames serially. Pending (read-class) requests
+// are queued to the workers; everything else was applied by the decode
+// itself — its payload must be consumed in stream order anyway — and
+// goes straight to the writer.
 func (ps *pipeSrv) demux() {
 	for {
-		if _, err := io.ReadFull(ps.br, ps.scr.hdr[:5]); err != nil {
+		if _, err := io.ReadFull(ps.br, ps.hdr[:]); err != nil {
 			return
 		}
-		op := ps.scr.hdr[0]
-		tag := binary.BigEndian.Uint32(ps.scr.hdr[1:5])
-		var err error
-		switch op {
-		case OpRead:
-			err = ps.queueRead(tag)
-		case OpReadV, OpReadVC, OpCrcV:
-			err = ps.queueVec(op, tag)
-		case OpWrite:
-			err = ps.handleWrite(tag)
-		case OpWriteV, OpWriteVC:
-			err = ps.handleWriteV(tag, op == OpWriteVC)
-		case OpSize, OpFail, OpRebuild, OpScrub, OpHealth:
-			err = ps.handleMgmt(op, tag)
-		default:
-			// Includes OpFeatures: renegotiating mid-stream is a protocol
-			// violation.
-			err = fmt.Errorf("%w: unexpected opcode %d in pipelined stream", ErrProtocol, op)
-		}
+		t := srvTaskPool.Get().(*srvTask)
+		t.tag, t.start = binary.BigEndian.Uint32(ps.hdr[1:]), ps.s.clock()
+		t.rp = srvReplyPool.Get().(*reply)
+		t.rp.acct = opAcct{}
+		pending, err := ps.s.decode(ps.br, ps.hdr[0], &t.req, t.rp)
 		if err != nil {
+			ps.s.account(ps.hdr[0], &t.rp.acct, t.start, err)
+			putReply(t.rp)
+			srvTaskPool.Put(t)
 			return
+		}
+		if pending {
+			ps.taskCh <- t
+		} else {
+			ps.finish(t)
 		}
 	}
 }
 
-// --- response plumbing ------------------------------------------------
-
-// enqueue hands a response to the coalescing writer. Never blocks
-// indefinitely: the writer drains respCh until it is closed, even after
-// a write error.
-func (ps *pipeSrv) enqueue(r *srvResp) {
-	ps.respCh <- r
+// worker applies queued pending requests; each reply is built
+// independently, so a slow range on one tag never blocks another tag's
+// completion.
+func (ps *pipeSrv) worker() {
+	defer ps.workerWG.Done()
+	for t := range ps.taskCh {
+		ps.s.apply(&t.req, t.rp)
+		ps.finish(t)
+	}
 }
 
-// respFrame allocates a pooled response frame of n payload bytes plus
-// the tag|status header, stamped with tag and st.
-func respFrame(tag uint32, st byte, n int) *[]byte {
-	f := getFrame(5 + n)
-	binary.BigEndian.PutUint32((*f)[:4], tag)
-	(*f)[4] = st
-	return f
+// finish accounts a served request, stamps its tag into the reply's tag
+// room and hands the reply to the coalescing writer. The send never
+// blocks indefinitely: the writer drains respCh until it is closed,
+// even after a write error.
+func (ps *pipeSrv) finish(t *srvTask) {
+	ps.s.account(t.req.op, &t.rp.acct, t.start, nil)
+	binary.BigEndian.PutUint32(t.rp.bufs[0], t.tag)
+	ps.respCh <- t.rp
+	t.rp = nil
+	srvTaskPool.Put(t)
 }
 
-// okResp builds a tag|statusOK|payload response.
-func okResp(tag uint32, payload []byte) *srvResp {
-	r := getSrvResp()
-	f := respFrame(tag, statusOK, len(payload))
-	copy((*f)[5:], payload)
-	r.frames = append(r.frames, f)
-	r.bufs = append(r.bufs, *f)
-	return r
-}
-
-// errResp builds a tag|statusErr|len|msg response.
-func errResp(tag uint32, err error) *srvResp {
-	msg := err.Error()
-	r := getSrvResp()
-	f := respFrame(tag, statusErr, 4+len(msg))
-	binary.BigEndian.PutUint32((*f)[5:], uint32(len(msg)))
-	copy((*f)[9:], msg)
-	r.frames = append(r.frames, f)
-	r.bufs = append(r.bufs, *f)
-	return r
-}
-
-// writeVErrResp builds OpWriteV's extended error response.
-func writeVErrResp(tag uint32, failed int, err error) *srvResp {
-	msg := err.Error()
-	r := getSrvResp()
-	f := respFrame(tag, statusErr, 8+len(msg))
-	binary.BigEndian.PutUint32((*f)[5:], uint32(failed))
-	binary.BigEndian.PutUint32((*f)[9:], uint32(len(msg)))
-	copy((*f)[13:], msg)
-	r.frames = append(r.frames, f)
-	r.bufs = append(r.bufs, *f)
-	return r
-}
-
-// crcErrResp builds OpWriteVC's CRC-mismatch response.
-func crcErrResp(tag uint32, failed int, want, got uint32) *srvResp {
-	r := getSrvResp()
-	f := respFrame(tag, statusCRC, 12)
-	binary.BigEndian.PutUint32((*f)[5:], uint32(failed))
-	binary.BigEndian.PutUint32((*f)[9:], want)
-	binary.BigEndian.PutUint32((*f)[13:], got)
-	r.frames = append(r.frames, f)
-	r.bufs = append(r.bufs, *f)
-	return r
-}
-
-// writeLoop coalesces queued responses into vectored writes: all
-// responses ready at wake-up go out in one writev. On a write error it
-// keeps draining (recycling frames) until the channel closes, so
-// workers and the demux never block on a dead peer.
+// writeLoop coalesces queued replies into vectored writes: all replies
+// ready at wake-up go out in one writev. On a write error it keeps
+// draining (recycling frames) until the channel closes, so workers and
+// the demux never block on a dead peer.
 func (ps *pipeSrv) writeLoop() {
 	defer close(ps.writerDone)
-	var pend []*srvResp
+	var pend []*reply
 	var bufs [][]byte
 	var nb net.Buffers
 	broken := false
-	for r := range ps.respCh {
-		pend = append(pend[:0], r)
+	for rp := range ps.respCh {
+		pend = append(pend[:0], rp)
 		// Same trick as the client writer: yield once so the workers and
-		// demux that are mid-enqueue land their responses before the
-		// gather, deepening the batch behind each writev.
+		// demux that are mid-enqueue land their replies before the gather,
+		// deepening the batch behind each writev.
 		runtime.Gosched()
 	gather:
 		for {
 			select {
-			case r2, ok := <-ps.respCh:
+			case rp2, ok := <-ps.respCh:
 				if !ok {
 					break gather
 				}
-				pend = append(pend, r2)
+				pend = append(pend, rp2)
 			default:
 				break gather
 			}
 		}
 		if !broken {
 			bufs = bufs[:0]
-			for _, r := range pend {
-				bufs = append(bufs, r.bufs...)
+			for _, rp := range pend {
+				bufs = append(bufs, rp.bufs...)
 			}
 			nb = net.Buffers(bufs)
 			if _, err := nb.WriteTo(ps.conn); err != nil {
@@ -256,468 +190,8 @@ func (ps *pipeSrv) writeLoop() {
 				broken = true
 			}
 		}
-		for _, r := range pend {
-			putSrvResp(r)
+		for _, rp := range pend {
+			putReply(rp)
 		}
 	}
-}
-
-// --- read workers -----------------------------------------------------
-
-func getSrvTask() *srvTask { return srvTaskPool.Get().(*srvTask) }
-
-func putSrvTask(t *srvTask) {
-	t.vecs = t.vecs[:0]
-	srvTaskPool.Put(t)
-}
-
-// queueRead queues an OpRead for out-of-order service.
-func (ps *pipeSrv) queueRead(tag uint32) error {
-	off, err := ps.scr.readUint64(ps.br)
-	if err != nil {
-		return err
-	}
-	n, err := ps.scr.readUint32(ps.br)
-	if err != nil {
-		return err
-	}
-	if n > MaxIOSize {
-		ps.enqueue(errResp(tag, fmt.Errorf("%w: read of %d bytes exceeds limit", ErrProtocol, n)))
-		return nil
-	}
-	t := getSrvTask()
-	t.op, t.tag = OpRead, tag
-	t.vecs = append(t.vecs[:0], Vec{Off: int64(off), Len: int(n)})
-	t.total = int64(n)
-	if ps.s.metrics != nil || ps.s.tracer != nil {
-		t.start = time.Now()
-	}
-	ps.taskCh <- t
-	return nil
-}
-
-// queueVec queues an OpReadV/OpReadVC/OpCrcV for out-of-order service.
-func (ps *pipeSrv) queueVec(op byte, tag uint32) error {
-	count, err := ps.scr.readUint32(ps.br)
-	if err != nil {
-		return err
-	}
-	if count == 0 || count > MaxVecCount {
-		return fmt.Errorf("%w: gather of %d ranges outside [1,%d]", ErrProtocol, count, MaxVecCount)
-	}
-	if op == OpReadVC && ps.s.crcBlock == 0 {
-		if err := ps.discardVecHdrs(int(count)); err != nil {
-			return err
-		}
-		ps.enqueue(errResp(tag, fmt.Errorf("crc read on a server without WithCRC")))
-		return nil
-	}
-	t := getSrvTask()
-	t.op, t.tag = op, tag
-	if cap(t.vecs) < int(count) {
-		t.vecs = make([]Vec, 0, count)
-	}
-	var total int64
-	for i := 0; i < int(count); i++ {
-		if _, err := io.ReadFull(ps.br, ps.scr.hdr[:vecHdrSize]); err != nil {
-			putSrvTask(t)
-			return err
-		}
-		v := getVecHdr(ps.scr.hdr[:])
-		if v.Len < 0 || v.Len > MaxIOSize {
-			putSrvTask(t)
-			ps.enqueue(errResp(tag, fmt.Errorf("%w: range of %d bytes exceeds limit", ErrProtocol, uint32(v.Len))))
-			return ps.discardVecHdrs(int(count) - i - 1)
-		}
-		t.vecs = append(t.vecs, v)
-		total += int64(v.Len)
-	}
-	if total > MaxIOSize {
-		putSrvTask(t)
-		ps.enqueue(errResp(tag, fmt.Errorf("%w: gather of %d bytes exceeds limit", ErrProtocol, total)))
-		return nil
-	}
-	t.total = total
-	if ps.s.metrics != nil || ps.s.tracer != nil {
-		t.start = time.Now()
-	}
-	ps.taskCh <- t
-	return nil
-}
-
-// discardVecHdrs drains n range headers off the stream so it stays
-// synchronized after an inline error response.
-func (ps *pipeSrv) discardVecHdrs(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	_, err := ps.br.Discard(n * vecHdrSize)
-	return err
-}
-
-// readWorker services queued read-class tasks; each response is built
-// independently, so a slow range on one tag never blocks another tag's
-// completion.
-func (ps *pipeSrv) readWorker() {
-	defer ps.workerWG.Done()
-	for t := range ps.taskCh {
-		var acct opAcct
-		var remote error
-		switch t.op {
-		case OpRead, OpReadV, OpReadVC:
-			remote = ps.serveRead(t, &acct)
-		case OpCrcV:
-			remote = ps.serveCrcV(t, &acct)
-		}
-		if ps.s.metrics != nil || ps.s.tracer != nil {
-			acct.remoteErr = remote
-			ps.account(t.op, &acct, time.Since(t.start))
-		}
-		putSrvTask(t)
-	}
-}
-
-// account folds one pipelined request into the server's metrics and
-// tracer (same bookkeeping as the synchronous dispatch path).
-func (ps *pipeSrv) account(op byte, acct *opAcct, d time.Duration) {
-	if ps.s.metrics != nil {
-		ps.s.metrics.record(op, acct, d, nil)
-	}
-	if ps.s.tracer != nil {
-		ps.s.tracer.Trace(obs.Event{Op: opNames[opSlot(op)], Bytes: acct.in + acct.out, Dur: d, Err: acct.remoteErr})
-	}
-}
-
-// serveRead services OpRead and the gather twins: the response is one
-// frame (tag|status|total|[crcs]) followed by the payload — the store's
-// own memory when the direct path is available, a pooled copy
-// otherwise.
-func (ps *pipeSrv) serveRead(t *srvTask, acct *opAcct) error {
-	hdrLen := 9
-	withCRC := t.op == OpReadVC
-	if withCRC {
-		hdrLen += 4 * len(t.vecs)
-	}
-	r := getSrvResp()
-	hdr := respFrame(t.tag, statusOK, hdrLen-5)
-	r.frames = append(r.frames, hdr)
-	r.bufs = append(r.bufs, *hdr)
-	binary.BigEndian.PutUint32((*hdr)[5:9], uint32(t.total))
-	direct := ps.s.direct != nil
-	if direct {
-		for _, v := range t.vecs {
-			p, ok := ps.s.direct.Slice(v.Off, int64(v.Len))
-			if !ok {
-				direct = false
-				break
-			}
-			r.bufs = append(r.bufs, p)
-		}
-	}
-	if direct {
-		if withCRC {
-			for i, v := range t.vecs {
-				binary.BigEndian.PutUint32((*hdr)[9+4*i:], ps.s.rangeCRC(v, r.bufs[i+1]))
-			}
-		}
-		acct.out += t.total
-		acct.zeroCopy = true
-		ps.enqueue(r)
-		return nil
-	}
-	r.bufs = r.bufs[:1]
-	data := getFrame(int(t.total))
-	r.frames = append(r.frames, data)
-	at := 0
-	for i, v := range t.vecs {
-		d := (*data)[at : at+v.Len]
-		if _, err := ps.s.store.ReadAt(d, v.Off); err != nil {
-			putSrvResp(r)
-			ps.enqueue(errResp(t.tag, err))
-			return err
-		}
-		if withCRC {
-			binary.BigEndian.PutUint32((*hdr)[9+4*i:], ps.s.rangeCRC(v, d))
-		}
-		at += v.Len
-	}
-	if ps.s.readRate != nil {
-		ps.s.readRate.wait(int(t.total))
-	}
-	acct.out += t.total
-	r.bufs = append(r.bufs, *data)
-	ps.enqueue(r)
-	return nil
-}
-
-// serveCrcV services OpCrcV: fresh checksums of store content, no
-// payload (see handleCrcV for why the sidecar is not consulted).
-func (ps *pipeSrv) serveCrcV(t *srvTask, acct *opAcct) error {
-	r := getSrvResp()
-	f := respFrame(t.tag, statusOK, 4*len(t.vecs))
-	r.frames = append(r.frames, f)
-	r.bufs = append(r.bufs, *f)
-	buf := getFrame(0)
-	defer putFrame(buf)
-	for i, v := range t.vecs {
-		var crc uint32
-		if ps.s.direct != nil {
-			if p, ok := ps.s.direct.Slice(v.Off, int64(v.Len)); ok {
-				crc = crc32c.Sum(p)
-				binary.BigEndian.PutUint32((*f)[5+4*i:], crc)
-				continue
-			}
-		}
-		if cap(*buf) < v.Len {
-			*buf = make([]byte, v.Len)
-		}
-		*buf = (*buf)[:v.Len]
-		if _, err := ps.s.store.ReadAt(*buf, v.Off); err != nil {
-			putSrvResp(r)
-			ps.enqueue(errResp(t.tag, err))
-			return err
-		}
-		crc = crc32c.Sum(*buf)
-		binary.BigEndian.PutUint32((*f)[5+4*i:], crc)
-	}
-	if ps.s.readRate != nil {
-		ps.s.readRate.wait(int(t.total))
-	}
-	acct.out += int64(4 * len(t.vecs))
-	ps.enqueue(r)
-	return nil
-}
-
-// --- inline (stream-ordered) handlers ---------------------------------
-
-// handleWrite applies OpWrite inline: the payload is consumed from the
-// stream in order, straight into store memory on the direct path.
-func (ps *pipeSrv) handleWrite(tag uint32) error {
-	var acct opAcct
-	var start time.Time
-	timed := ps.s.metrics != nil || ps.s.tracer != nil
-	if timed {
-		start = time.Now()
-	}
-	off, err := ps.scr.readUint64(ps.br)
-	if err != nil {
-		return err
-	}
-	n, err := ps.scr.readUint32(ps.br)
-	if err != nil {
-		return err
-	}
-	if n > MaxIOSize {
-		return fmt.Errorf("%w: write of %d bytes exceeds limit", ErrProtocol, n)
-	}
-	s := ps.s
-	if s.direct != nil {
-		if p, ok := s.direct.Slice(int64(off), int64(n)); ok {
-			s.beginWrite(int64(off), int64(n))
-			if _, err := io.ReadFull(ps.br, p); err != nil {
-				s.abortWrite(int64(off), int64(n))
-				return err
-			}
-			acct.in += int64(n)
-			acct.zeroCopy = true
-			s.endWrite(int64(off), p, 0, false)
-			ps.enqueue(okResp(tag, nil))
-			if timed {
-				ps.account(OpWrite, &acct, time.Since(start))
-			}
-			return nil
-		}
-	}
-	buf := getFrame(int(n))
-	defer putFrame(buf)
-	if _, err := io.ReadFull(ps.br, *buf); err != nil {
-		return err
-	}
-	acct.in += int64(n)
-	s.beginWrite(int64(off), int64(n))
-	if _, err := s.store.WriteAt(*buf, int64(off)); err != nil {
-		s.abortWrite(int64(off), int64(n))
-		acct.remoteErr = err
-		ps.enqueue(errResp(tag, err))
-	} else {
-		s.endWrite(int64(off), *buf, 0, false)
-		ps.enqueue(okResp(tag, nil))
-	}
-	if timed {
-		ps.account(OpWrite, &acct, time.Since(start))
-	}
-	return nil
-}
-
-// handleWriteV applies OpWriteV/OpWriteVC inline, range by range — the
-// same streaming decode-and-apply as the synchronous handler, with the
-// response queued instead of written directly.
-func (ps *pipeSrv) handleWriteV(tag uint32, withCRC bool) error {
-	var acct opAcct
-	var start time.Time
-	timed := ps.s.metrics != nil || ps.s.tracer != nil
-	if timed {
-		start = time.Now()
-	}
-	s := ps.s
-	count, err := ps.scr.readUint32(ps.br)
-	if err != nil {
-		return err
-	}
-	if count == 0 || count > MaxVecCount {
-		return fmt.Errorf("%w: scatter of %d ranges outside [1,%d]", ErrProtocol, count, MaxVecCount)
-	}
-	hdrSize := vecHdrSize
-	if withCRC {
-		hdrSize = vecHdrCRCSize
-	}
-	buf := getFrame(0)
-	defer putFrame(buf)
-	var (
-		total    int64
-		storeErr error
-		crcErr   *CRCError
-		failed   int
-	)
-	for i := 0; i < int(count); i++ {
-		if _, err := io.ReadFull(ps.br, ps.scr.hdr[:hdrSize]); err != nil {
-			return err
-		}
-		v := getVecHdr(ps.scr.hdr[:])
-		var want uint32
-		if withCRC {
-			want = binary.BigEndian.Uint32(ps.scr.hdr[12:])
-		}
-		if v.Len < 0 || v.Len > MaxIOSize {
-			return fmt.Errorf("%w: scatter range of %d bytes exceeds limit", ErrProtocol, uint32(v.Len))
-		}
-		total += int64(v.Len)
-		if total > MaxIOSize {
-			return fmt.Errorf("%w: scatter of %d bytes exceeds limit", ErrProtocol, total)
-		}
-		draining := storeErr != nil || crcErr != nil
-		if !draining && s.direct != nil {
-			if p, ok := s.direct.Slice(v.Off, int64(v.Len)); ok {
-				s.beginWrite(v.Off, int64(v.Len))
-				if _, err := io.ReadFull(ps.br, p); err != nil {
-					s.abortWrite(v.Off, int64(v.Len))
-					return err
-				}
-				acct.in += int64(v.Len)
-				acct.zeroCopy = true
-				if withCRC {
-					if got := crc32c.Sum(p); got != want {
-						s.abortWrite(v.Off, int64(v.Len))
-						crcErr = &CRCError{Range: i, Want: want, Got: got, Write: true}
-						continue
-					}
-				}
-				s.endWrite(v.Off, p, want, withCRC)
-				continue
-			}
-		}
-		if cap(*buf) < v.Len {
-			*buf = make([]byte, v.Len)
-		}
-		*buf = (*buf)[:v.Len]
-		if _, err := io.ReadFull(ps.br, *buf); err != nil {
-			return err
-		}
-		acct.in += int64(v.Len)
-		if draining {
-			continue
-		}
-		if withCRC {
-			if got := crc32c.Sum(*buf); got != want {
-				crcErr = &CRCError{Range: i, Want: want, Got: got, Write: true}
-				continue
-			}
-		}
-		s.beginWrite(v.Off, int64(v.Len))
-		if _, err := s.store.WriteAt(*buf, v.Off); err != nil {
-			s.abortWrite(v.Off, int64(v.Len))
-			storeErr, failed = err, i
-			continue
-		}
-		s.endWrite(v.Off, *buf, want, withCRC)
-	}
-	op := OpWriteV
-	if withCRC {
-		op = OpWriteVC
-	}
-	switch {
-	case crcErr != nil:
-		acct.remoteErr = crcErr
-		ps.enqueue(crcErrResp(tag, crcErr.Range, crcErr.Want, crcErr.Got))
-	case storeErr != nil:
-		acct.remoteErr = storeErr
-		ps.enqueue(writeVErrResp(tag, failed, storeErr))
-	default:
-		var applied [4]byte
-		binary.BigEndian.PutUint32(applied[:], count)
-		ps.enqueue(okResp(tag, applied[:]))
-	}
-	if timed {
-		ps.account(op, &acct, time.Since(start))
-	}
-	return nil
-}
-
-// handleMgmt services the management opcodes inline.
-func (ps *pipeSrv) handleMgmt(op byte, tag uint32) error {
-	s := ps.s
-	switch op {
-	case OpSize:
-		var payload [8]byte
-		binary.BigEndian.PutUint64(payload[:], uint64(s.store.Size()))
-		ps.enqueue(okResp(tag, payload[:]))
-	case OpFail, OpRebuild:
-		id, err := readDiskID(ps.br)
-		if err != nil {
-			return err
-		}
-		if s.mgmt == nil {
-			ps.enqueue(errResp(tag, errUnmanaged))
-			return nil
-		}
-		var derr error
-		if op == OpFail {
-			derr = s.mgmt.FailDisk(id)
-		} else {
-			derr = s.mgmt.Rebuild(id)
-		}
-		if derr != nil {
-			ps.enqueue(errResp(tag, derr))
-		} else {
-			ps.enqueue(okResp(tag, nil))
-		}
-	case OpScrub:
-		if s.mgmt == nil {
-			ps.enqueue(errResp(tag, errUnmanaged))
-			return nil
-		}
-		if err := s.mgmt.Scrub(); err != nil {
-			ps.enqueue(errResp(tag, err))
-		} else {
-			ps.enqueue(okResp(tag, nil))
-		}
-	case OpHealth:
-		if s.mgmt == nil {
-			ps.enqueue(errResp(tag, errUnmanaged))
-			return nil
-		}
-		h := s.mgmt.Health()
-		failed := s.mgmt.FailedDisks()
-		payload := make([]byte, 0, 5*8+4+len(failed)*5)
-		for _, v := range []int64{h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.ParityFallbacks, h.StripesRebuilt} {
-			payload = binary.BigEndian.AppendUint64(payload, uint64(v))
-		}
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(failed)))
-		for _, f := range failed {
-			payload = append(payload, byte(f.Role))
-			payload = binary.BigEndian.AppendUint32(payload, uint32(f.Index))
-		}
-		ps.enqueue(okResp(tag, payload))
-	}
-	return nil
 }

@@ -42,7 +42,10 @@
 // store-level error at range i the server drains the rest of the frame
 // to stay synchronized and answers with an extended error response
 // carrying failed = i, so the client can credit the leading i ranges as
-// durably applied. Framing violations (bad count, oversized ranges,
+// durably applied. Every decoded range, of every data opcode, is checked
+// against the store size before the store is touched; a range outside
+// the store is a store-level error like any other (remote error, stream
+// synchronized). Framing violations (bad count, oversized ranges,
 // truncated payload) tear the connection without a response, and the
 // range being decoded when the stream died is never partially applied
 // (except by a direct-store server, which trades that guarantee for the
@@ -69,7 +72,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -201,18 +203,21 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getFrame(n int) *[]byte {
 	p := framePool.Get().(*[]byte)
+	growFrame(p, n)
+	return p
+}
+
+// growFrame resizes a pooled frame to n bytes, reallocating only when
+// its backing array is too small, and returns the resized slice.
+func growFrame(p *[]byte, n int) []byte {
 	if cap(*p) < n {
 		*p = make([]byte, n)
 	}
 	*p = (*p)[:n]
-	return p
+	return *p
 }
 
 func putFrame(p *[]byte) { framePool.Put(p) }
-
-// okFrame is the payload-free success response; shared because writes
-// never mutate it.
-var okFrame = [...]byte{statusOK}
 
 // Vec header sizes on the wire: off(8) len(4), plus crc(4) in the
 // CRC-carrying write opcode.
@@ -237,141 +242,71 @@ func getVecHdr(b []byte) Vec {
 	}
 }
 
-// checkVec validates one decoded range against the store size, shared
-// by every vector opcode handler.
-func checkVec(v Vec, size int64) error {
-	if v.Len <= 0 || v.Len > MaxIOSize {
-		return fmt.Errorf("%w: bad range length %d", ErrProtocol, v.Len)
-	}
-	if v.Off < 0 || v.Off+int64(v.Len) > size {
-		return fmt.Errorf("%w: range [%d,%d) outside store of %d bytes",
-			ErrProtocol, v.Off, v.Off+int64(v.Len), size)
+// checkCount applies MaxVecCount to a vector request's range count. A
+// server tears the connection on a violation: the count sizes the header
+// block that follows, so the frame boundary cannot be trusted.
+func checkCount(n int64) error {
+	if n < 1 || n > MaxVecCount {
+		return fmt.Errorf("%w: %d ranges outside [1,%d]", ErrProtocol, n, MaxVecCount)
 	}
 	return nil
 }
 
-// checkVecs validates a client-side vector request: count, destination
-// lengths, and the MaxIOSize total. Returns the summed payload size.
+// admit applies MaxIOSize to one more range of a request whose ranges
+// so far sum to *total. Both ends run every range through it: a client
+// before it sends, a server as it decodes (where a violation in a write
+// means the payload boundary cannot be trusted and the connection is
+// torn). The sum is an int64 because on 32-bit platforms int(uint32)
+// can go negative and slip past a limit check.
+func admit(v Vec, total *int64) error {
+	if v.Len < 0 || v.Len > MaxIOSize {
+		return fmt.Errorf("%w: range of %d bytes exceeds limit", ErrProtocol, uint32(v.Len))
+	}
+	if *total += int64(v.Len); *total > MaxIOSize {
+		return fmt.Errorf("%w: request of %d bytes exceeds limit", ErrProtocol, *total)
+	}
+	return nil
+}
+
+// checkVec validates one admitted range against the store size before
+// the store is touched. The comparison never forms Off+Len, which a
+// hostile offset near MaxInt64 would wrap.
+func checkVec(v Vec, size int64) error {
+	if v.Off < 0 || v.Off > size-int64(v.Len) {
+		return fmt.Errorf("range of %d bytes at offset %d outside store of %d bytes", v.Len, v.Off, size)
+	}
+	return nil
+}
+
+// checkVecs validates a client-side vector request against the protocol
+// limits and returns the summed payload size.
 func checkVecs(vecs []Vec) (int64, error) {
-	if len(vecs) == 0 || len(vecs) > MaxVecCount {
-		return 0, fmt.Errorf("%w: %d ranges (max %d)", ErrProtocol, len(vecs), MaxVecCount)
+	if err := checkCount(int64(len(vecs))); err != nil {
+		return 0, err
 	}
 	var total int64
 	for _, v := range vecs {
-		if v.Len <= 0 || v.Off < 0 {
-			return 0, fmt.Errorf("%w: bad range off=%d len=%d", ErrProtocol, v.Off, v.Len)
+		if err := admit(v, &total); err != nil {
+			return 0, err
 		}
-		total += int64(v.Len)
-	}
-	if total > MaxIOSize {
-		return 0, fmt.Errorf("%w: %d bytes total (max %d)", ErrProtocol, total, MaxIOSize)
 	}
 	return total, nil
 }
 
-// writeErr sends an error response.
-func writeErr(w io.Writer, err error) error {
-	msg := []byte(err.Error())
-	buf := make([]byte, 0, 5+len(msg))
-	buf = append(buf, statusErr)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
-	buf = append(buf, msg...)
-	_, werr := w.Write(buf)
-	return werr
-}
-
-// writeWriteVErr sends OpWriteV's extended error response: the index of
-// the first range the store rejected, then the usual error payload. The
-// leading `failed` ranges were applied; the rest were drained without
-// being applied, so the stream stays synchronized.
-func writeWriteVErr(w io.Writer, failed int, err error) error {
-	msg := []byte(err.Error())
-	buf := make([]byte, 0, 9+len(msg))
-	buf = append(buf, statusErr)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(failed))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
-	buf = append(buf, msg...)
-	_, werr := w.Write(buf)
-	return werr
-}
-
-// writeCRCErr sends OpWriteVC's CRC-mismatch response: the index of the
-// rejected range plus both checksums. Like the extended write error, the
-// leading `failed` ranges were applied and the rest drained, so the
-// stream stays synchronized.
-func writeCRCErr(w io.Writer, failed int, want, got uint32) error {
-	var buf [13]byte
-	buf[0] = statusCRC
-	binary.BigEndian.PutUint32(buf[1:], uint32(failed))
-	binary.BigEndian.PutUint32(buf[5:], want)
-	binary.BigEndian.PutUint32(buf[9:], got)
-	_, werr := w.Write(buf[:])
-	return werr
-}
-
-// writeOK sends a success response with an optional payload.
-func writeOK(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
-		_, err := w.Write(okFrame[:])
-		return err
+// checkBufs is checkVecs for a request that moves payload: bufs must
+// match the ranges length for length. An empty request is valid and
+// sums to zero.
+func checkBufs(name string, vecs []Vec, bufs [][]byte) (int64, error) {
+	if len(vecs) != len(bufs) {
+		return 0, fmt.Errorf("blockserver: %s has %d ranges but %d buffers", name, len(vecs), len(bufs))
 	}
-	buf := getFrame(1 + len(payload))
-	defer putFrame(buf)
-	(*buf)[0] = statusOK
-	copy((*buf)[1:], payload)
-	_, err := w.Write(*buf)
-	return err
-}
-
-// readStatus consumes a response header, returning the remote error if
-// the status byte signals one.
-func readStatus(r io.Reader) error {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return err
+	if len(vecs) == 0 {
+		return 0, nil
 	}
-	if status[0] == statusOK {
-		return nil
-	}
-	if status[0] == statusCRC {
-		var b [12]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
-		}
-		return &CRCError{
-			Range: int(binary.BigEndian.Uint32(b[:])),
-			Want:  binary.BigEndian.Uint32(b[4:]),
-			Got:   binary.BigEndian.Uint32(b[8:]),
-			Write: true,
+	for i, v := range vecs {
+		if len(bufs[i]) != v.Len {
+			return 0, fmt.Errorf("blockserver: %s buffer %d has %d bytes for a %d-byte range", name, i, len(bufs[i]), v.Len)
 		}
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > 1<<16 {
-		return fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return err
-	}
-	return &RemoteError{Msg: string(msg)}
-}
-
-func readUint32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func readUint64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
+	return checkVecs(vecs)
 }

@@ -3,7 +3,6 @@ package blockserver
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -120,6 +119,7 @@ func (l *rateLimiter) wait(n int) {
 // locking provides consistency.
 type Server struct {
 	store    Store
+	size     int64       // store.Size(), fixed for the server's lifetime; every decoded range is checked against it
 	direct   DirectStore // non-nil = zero-copy wire path enabled
 	mgmt     manager     // nil for bare stores
 	readRate *rateLimiter
@@ -173,11 +173,12 @@ func NewStoreServer(store Store, opts ...ServerOption) *Server {
 // (zero-copy) serving when the store exposes memory and no rate limit
 // is modeling a spindle, and the CRC sidecar when WithCRC asked for it.
 func (s *Server) initWire() {
+	s.size = s.store.Size()
 	if s.readRate == nil {
 		s.direct, _ = s.store.(DirectStore)
 	}
 	if s.crcBlock > 0 {
-		blocks := (s.store.Size() + s.crcBlock - 1) / s.crcBlock
+		blocks := (s.size + s.crcBlock - 1) / s.crcBlock
 		s.crcSums = make([]uint32, blocks)
 		s.crcValid = make([]uint64, (blocks+63)/64)
 		s.crcBusy = map[int64]blockWrite{}
@@ -251,80 +252,104 @@ func (s *Server) Close() error {
 	return err
 }
 
-// connScratch is per-connection reusable state for the vector opcodes:
-// decoded range headers, CRC arrays, and the writev gather list. One
-// connection serves one request at a time, so no locking is needed, and
-// steady-state requests allocate nothing.
+// connScratch is the synchronous loop's per-connection state: one
+// request, one reply and the writev header, reused for every exchange —
+// a connection serves one request at a time — so steady-state requests
+// allocate nothing.
 type connScratch struct {
-	vecs []Vec
-	crcs []uint32
-	bufs [][]byte
+	req request
+	rp  reply
 	// nb is the persistent writev header: net.Buffers.WriteTo consumes
-	// its receiver, so it is rebuilt from bufs before every use — but
+	// its receiver, so it is rebuilt from the reply before every use — but
 	// keeping it a field stops the slice header escaping per call.
-	nb  net.Buffers
-	hdr [16]byte
-	// pipelined is set by handleFeatures when FeaturePipeline is
-	// granted: serveConn switches to the pipelined serve loop after the
-	// negotiation reply is written.
-	pipelined bool
+	nb net.Buffers
 }
 
-// readUint64 reads a big-endian uint64 through the scratch header, so
-// the buffer does not escape per call the way the package-level
-// reader's stack array does.
-func (scr *connScratch) readUint64(r io.Reader) (uint64, error) {
-	if _, err := io.ReadFull(r, scr.hdr[:8]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(scr.hdr[:8]), nil
-}
-
-// readUint32 is readUint64's 4-byte sibling.
-func (scr *connScratch) readUint32(r io.Reader) (uint32, error) {
-	if _, err := io.ReadFull(r, scr.hdr[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(scr.hdr[:4]), nil
-}
-
-// serveConn processes requests until the peer disconnects or sends a
-// malformed frame.
+// serveConn is the synchronous scheduler: one request at a time,
+// decoded, applied and answered in order on this goroutine, untagged. It
+// also owns feature negotiation, which is only valid here — and hands
+// the connection to the pipelined scheduler when that was granted.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	scr := &connScratch{}
+	req, rp := &scr.req, &scr.rp
 	for {
-		// The opcode is read through the scratch header: a local array
+		// The opcode is read through the request scratch: a local array
 		// would escape into the conn interface and cost one allocation
 		// per request.
-		if _, err := io.ReadFull(conn, scr.hdr[:1]); err != nil {
+		if _, err := io.ReadFull(conn, req.hdr[:1]); err != nil {
 			return
 		}
-		if err := s.dispatch(conn, scr.hdr[0], scr); err != nil {
+		op, start := req.hdr[0], s.clock()
+		rp.acct = opAcct{}
+		var pipelined, pending bool
+		var err error
+		if op == OpFeatures {
+			pipelined, err = s.negotiate(conn, req, rp)
+		} else if pending, err = s.decode(conn, op, req, rp); pending {
+			s.apply(req, rp)
+		}
+		if err == nil {
+			// Untagged framing: the head goes out from its status byte.
+			rp.bufs[0] = rp.bufs[0][tagRoom:]
+			if len(rp.bufs) == 1 {
+				_, err = conn.Write(rp.bufs[0])
+			} else {
+				scr.nb = net.Buffers(rp.bufs)
+				_, err = scr.nb.WriteTo(conn)
+			}
+		}
+		s.account(op, &rp.acct, start, err)
+		rp.reset()
+		if err != nil {
 			return
 		}
-		if scr.pipelined {
-			s.servePipelined(conn, scr)
+		if pipelined {
+			s.servePipelined(conn)
 			return
 		}
 	}
 }
 
-// dispatch handles one request; a returned error tears the connection
-// down (I/O or protocol trouble), while device-level errors travel back
-// to the client as error responses. With metrics or tracing enabled it
-// times the request and accounts payload bytes; otherwise it is a
-// direct call into the handler with zero overhead.
-func (s *Server) dispatch(conn net.Conn, op byte, scr *connScratch) error {
-	if s.metrics == nil && s.tracer == nil {
-		return s.handle(conn, op, scr, nil)
+// negotiate answers OpFeatures: the granted subset of the client's
+// requested flags, plus the server's CRC block size. It reports whether
+// FeaturePipeline was granted, in which case the connection switches to
+// the tagged framing once the reply is on the wire.
+func (s *Server) negotiate(r io.Reader, req *request, rp *reply) (pipelined bool, err error) {
+	if _, err := io.ReadFull(r, req.hdr[:1]); err != nil {
+		return false, err
 	}
-	var acct opAcct
-	start := time.Now()
-	err := s.handle(conn, op, scr, &acct)
+	// Pipelining needs no server-side resources beyond the per-connection
+	// goroutines, so it is granted whenever asked for.
+	grant := req.hdr[0] & FeaturePipeline
+	if s.crcBlock > 0 {
+		grant |= req.hdr[0] & FeatureCRC
+	}
+	p := rp.begin(statusOK, 5)
+	p[0] = grant
+	binary.BigEndian.PutUint32(p[1:], uint32(s.crcBlock))
+	return grant&FeaturePipeline != 0, nil
+}
+
+// clock reads the time a request started, when anyone will ask.
+func (s *Server) clock() time.Time {
+	if s.metrics == nil && s.tracer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// account folds one request into the metrics and the tracer; with
+// neither attached it costs two nil checks. err is the error that tore
+// the connection, if one did; an error answered on a healthy connection
+// is in acct.
+func (s *Server) account(op byte, acct *opAcct, start time.Time, err error) {
+	if s.metrics == nil && s.tracer == nil {
+		return
+	}
 	d := time.Since(start)
 	if s.metrics != nil {
-		s.metrics.record(op, &acct, d, err)
+		s.metrics.record(op, acct, d, err)
 	}
 	if s.tracer != nil {
 		ev := obs.Event{Op: opNames[opSlot(op)], Bytes: acct.in + acct.out, Dur: d, Err: err}
@@ -333,95 +358,4 @@ func (s *Server) dispatch(conn net.Conn, op byte, scr *connScratch) error {
 		}
 		s.tracer.Trace(ev)
 	}
-	return err
-}
-
-// reply sends err back to the client as a remote-error response,
-// recording it in acct so metrics can tell served errors from clean
-// requests.
-func (s *Server) reply(conn net.Conn, acct *opAcct, err error) error {
-	if acct != nil {
-		acct.remoteErr = err
-	}
-	return writeErr(conn, err)
-}
-
-// handle executes one decoded request against the store. The data
-// opcodes live in wire.go; the management opcodes are handled here.
-func (s *Server) handle(conn net.Conn, op byte, scr *connScratch, acct *opAcct) error {
-	switch op {
-	case OpRead:
-		return s.handleRead(conn, scr, acct)
-	case OpReadV, OpReadVC:
-		return s.handleReadV(conn, scr, acct, op == OpReadVC)
-	case OpWrite:
-		return s.handleWrite(conn, scr, acct)
-	case OpWriteV, OpWriteVC:
-		return s.handleWriteV(conn, scr, acct, op == OpWriteVC)
-	case OpCrcV:
-		return s.handleCrcV(conn, scr, acct)
-	case OpFeatures:
-		return s.handleFeatures(conn, scr)
-	case OpSize:
-		return writeOK(conn, binary.BigEndian.AppendUint64(nil, uint64(s.store.Size())))
-	case OpFail, OpRebuild:
-		id, err := readDiskID(conn)
-		if err != nil {
-			return err
-		}
-		if s.mgmt == nil {
-			return s.reply(conn, acct, errUnmanaged)
-		}
-		var derr error
-		if op == OpFail {
-			derr = s.mgmt.FailDisk(id)
-		} else {
-			derr = s.mgmt.Rebuild(id)
-		}
-		if derr != nil {
-			return s.reply(conn, acct, derr)
-		}
-		return writeOK(conn, nil)
-	case OpScrub:
-		if s.mgmt == nil {
-			return s.reply(conn, acct, errUnmanaged)
-		}
-		if err := s.mgmt.Scrub(); err != nil {
-			return s.reply(conn, acct, err)
-		}
-		return writeOK(conn, nil)
-	case OpHealth:
-		if s.mgmt == nil {
-			return s.reply(conn, acct, errUnmanaged)
-		}
-		h := s.mgmt.Health()
-		failed := s.mgmt.FailedDisks()
-		payload := make([]byte, 0, 5*8+4+len(failed)*5)
-		for _, v := range []int64{h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.ParityFallbacks, h.StripesRebuilt} {
-			payload = binary.BigEndian.AppendUint64(payload, uint64(v))
-		}
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(failed)))
-		for _, f := range failed {
-			payload = append(payload, byte(f.Role))
-			payload = binary.BigEndian.AppendUint32(payload, uint32(f.Index))
-		}
-		return writeOK(conn, payload)
-	default:
-		return fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
-	}
-}
-
-// errUnmanaged answers management opcodes on a bare-store server.
-var errUnmanaged = errors.New("store server has no device management")
-
-func readDiskID(r io.Reader) (raid.DiskID, error) {
-	var role [1]byte
-	if _, err := io.ReadFull(r, role[:]); err != nil {
-		return raid.DiskID{}, err
-	}
-	idx, err := readUint32(r)
-	if err != nil {
-		return raid.DiskID{}, err
-	}
-	return raid.DiskID{Role: raid.Role(role[0]), Index: int(idx)}, nil
 }

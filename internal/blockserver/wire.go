@@ -2,266 +2,295 @@ package blockserver
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"shiftedmirror/internal/crc32c"
+	"shiftedmirror/internal/raid"
 )
 
-// This file is the server's data path: the read/write opcodes, their
-// vector (gather/scatter) forms, the zero-copy variants used when the
-// store exposes its memory, and the CRC sidecar behind the integrity
-// feature.
+// This file is the server's wire codec: each opcode's request parse,
+// bounds checks, store apply and reply encoding, written once. It knows
+// nothing about connections. Requests are decoded from an io.Reader and
+// answered into a reply value; the synchronous connection loop
+// (server.go) and the pipelined demux/worker/writer (pipeserver.go) are
+// two schedulers over it that differ only in framing — whether a tag
+// travels with each frame — and in when they run apply.
 //
 // Copy discipline: with a DirectStore, a gather read is one writev of
-// {header, store memory...} and a scatter write reads the socket
+// {header, store memory...} and a scatter write reads the stream
 // straight into the store region — the kernel's socket copy is the only
 // copy left, and the CRC pass (when negotiated) runs over the same
 // bytes while they are cache-hot. Pooled buffers remain the fallback
 // for stores that cannot expose memory (files, rate-limited spindle
 // models, fault-injection wrappers).
 
-// handleFeatures answers the negotiation opcode: the granted subset of
-// the client's requested flags, plus the server's CRC block size. A
-// granted FeaturePipeline is recorded in scr so serveConn can hand the
-// connection to the pipelined serve loop once the reply is on the wire.
-func (s *Server) handleFeatures(conn net.Conn, scr *connScratch) error {
-	var req [1]byte
-	if _, err := io.ReadFull(conn, req[:]); err != nil {
-		return err
-	}
-	var grant byte
-	if s.crcBlock > 0 {
-		grant = req[0] & FeatureCRC
-	}
-	// Pipelining needs no server-side resources beyond the per-connection
-	// goroutines, so it is granted whenever asked for.
-	grant |= req[0] & FeaturePipeline
-	scr.pipelined = grant&FeaturePipeline != 0
-	var payload [5]byte
-	payload[0] = grant
-	binary.BigEndian.PutUint32(payload[1:], uint32(s.crcBlock))
-	return writeOK(conn, payload[:])
+// request is one decoded read-class request (OpRead, OpReadV, OpReadVC,
+// OpCrcV): everything the stream carried for it, admitted and
+// bounds-checked, so a transport may apply it later and on another
+// goroutine. For the other opcodes only op and the hdr scratch are used:
+// their payload is applied as it streams in.
+type request struct {
+	op    byte
+	vecs  []Vec
+	total int64
+	// hdr is scratch for fixed-size fields. It lives in the request, which
+	// lives on the heap, so reading into it does not allocate the way a
+	// stack array escaping into the Reader would.
+	hdr [vecHdrCRCSize]byte
 }
 
-// handleRead serves OpRead: status|len|data in one reply. A direct
-// store serves the payload straight from store memory via writev.
-func (s *Server) handleRead(conn net.Conn, scr *connScratch, acct *opAcct) error {
-	off, err := scr.readUint64(conn)
-	if err != nil {
-		return err
+func (q *request) readUint32(r io.Reader) (uint32, error) {
+	if _, err := io.ReadFull(r, q.hdr[:4]); err != nil {
+		return 0, err
 	}
-	n, err := scr.readUint32(conn)
-	if err != nil {
-		return err
-	}
-	if n > MaxIOSize {
-		return s.reply(conn, acct, fmt.Errorf("%w: read of %d bytes exceeds limit", ErrProtocol, n))
-	}
-	if s.direct != nil {
-		if p, ok := s.direct.Slice(int64(off), int64(n)); ok {
-			scr.hdr[0] = statusOK
-			binary.BigEndian.PutUint32(scr.hdr[1:5], n)
-			if acct != nil {
-				acct.out += int64(n)
-				acct.zeroCopy = true
-			}
-			scr.bufs = append(scr.bufs[:0], scr.hdr[:5], p)
-			scr.nb = net.Buffers(scr.bufs)
-			_, werr := scr.nb.WriteTo(conn)
-			return werr
-		}
-	}
-	// Assemble status|len|data in one pooled frame and reply with a
-	// single write: no per-request allocation, one payload copy.
-	frame := getFrame(5 + int(n))
-	defer putFrame(frame)
-	if _, err := s.store.ReadAt((*frame)[5:], int64(off)); err != nil {
-		return s.reply(conn, acct, err)
-	}
-	if s.readRate != nil {
-		s.readRate.wait(int(n))
-	}
-	if acct != nil {
-		acct.out += int64(n)
-	}
-	(*frame)[0] = statusOK
-	binary.BigEndian.PutUint32((*frame)[1:5], n)
-	_, werr := conn.Write(*frame)
-	return werr
+	return binary.BigEndian.Uint32(q.hdr[:4]), nil
 }
 
-// readVecList decodes a vector request's count and range headers into
-// scr.vecs, returning the ranges and their payload total. A nil range
-// slice with a nil error means a remote error was already sent and the
-// stream is synchronized.
-func (s *Server) readVecList(conn net.Conn, scr *connScratch, acct *opAcct, kind string) ([]Vec, int64, error) {
-	count, err := scr.readUint32(conn)
-	if err != nil {
-		return nil, 0, err
-	}
-	if count == 0 || count > MaxVecCount {
-		return nil, 0, fmt.Errorf("%w: %s of %d ranges outside [1,%d]", ErrProtocol, kind, count, MaxVecCount)
-	}
-	hdrBuf := getFrame(vecHdrSize * int(count))
-	defer putFrame(hdrBuf)
-	if _, err := io.ReadFull(conn, *hdrBuf); err != nil {
-		return nil, 0, err
-	}
-	if cap(scr.vecs) < int(count) {
-		scr.vecs = make([]Vec, count)
-	}
-	vecs := scr.vecs[:count]
-	// Sum as int64: on 32-bit platforms int(uint32) can go negative,
-	// which would slip past the limit check and crash getFrame.
-	var total int64
-	for i := range vecs {
-		v := getVecHdr((*hdrBuf)[vecHdrSize*i:])
-		if v.Len < 0 || v.Len > MaxIOSize {
-			return nil, 0, s.reply(conn, acct, fmt.Errorf("%w: %s range of %d bytes exceeds limit", ErrProtocol, kind, uint32(v.Len)))
-		}
-		vecs[i] = v
-		total += int64(v.Len)
-	}
-	if total > MaxIOSize {
-		return nil, 0, s.reply(conn, acct, fmt.Errorf("%w: %s of %d bytes exceeds limit", ErrProtocol, kind, total))
-	}
-	return vecs, total, nil
+// tagRoom is the space every reply head reserves in front of its status
+// byte. The pipelined framing stamps the request's tag there; the
+// synchronous framing sends from the status byte on.
+const tagRoom = 4
+
+// reply is one encoded response and the accounting of the request it
+// answers: bufs[0] is the head — tag room | status | fixed fields — and
+// any further entries are payload (store memory on the direct path).
+type reply struct {
+	bufs   [][]byte
+	frames []*[]byte // pooled frames behind bufs, recycled by reset
+	// small backs heads of up to 12 bytes of fixed fields (every write
+	// acknowledgement and CRC verdict), so those never visit the pool.
+	small [tagRoom + 1 + 12]byte
+	acct  opAcct
 }
 
-// handleReadV serves OpReadV and its CRC-carrying twin OpReadVC.
-func (s *Server) handleReadV(conn net.Conn, scr *connScratch, acct *opAcct, withCRC bool) error {
-	vecs, total, err := s.readVecList(conn, scr, acct, "gather")
-	if vecs == nil {
-		return err
+// begin starts the reply over with the given status and n bytes of
+// fixed fields and payload in the head, which it returns for the caller
+// to fill. Whatever an abandoned earlier attempt encoded is dropped.
+func (rp *reply) begin(status byte, n int) []byte {
+	rp.reset()
+	head := rp.small[:]
+	if need := tagRoom + 1 + n; need <= len(head) {
+		head = head[:need]
+	} else {
+		f := getFrame(need)
+		rp.frames = append(rp.frames, f)
+		head = *f
 	}
-	if withCRC && s.crcBlock == 0 {
-		return s.reply(conn, acct, fmt.Errorf("crc read on a server without WithCRC"))
-	}
-	hdrLen := 5
-	if withCRC {
-		hdrLen += 4 * len(vecs)
-	}
-	if s.direct != nil {
-		if done, err := s.readVDirect(conn, scr, acct, vecs, total, withCRC, hdrLen); done {
-			return err
-		}
-	}
-	// Pooled path — one frame: status | total | [crcs] | range data...
-	frame := getFrame(hdrLen + int(total))
-	defer putFrame(frame)
-	at := hdrLen
-	for i, v := range vecs {
-		data := (*frame)[at : at+v.Len]
-		if _, err := s.store.ReadAt(data, v.Off); err != nil {
-			return s.reply(conn, acct, err)
-		}
-		if withCRC {
-			binary.BigEndian.PutUint32((*frame)[5+4*i:], s.rangeCRC(v, data))
-		}
-		at += v.Len
-	}
-	if s.readRate != nil {
-		s.readRate.wait(int(total))
-	}
-	if acct != nil {
-		acct.out += total
-	}
-	(*frame)[0] = statusOK
-	binary.BigEndian.PutUint32((*frame)[1:5], uint32(total))
-	_, werr := conn.Write(*frame)
-	return werr
+	head[tagRoom] = status
+	rp.bufs = append(rp.bufs, head)
+	return head[tagRoom+1:]
 }
 
-// readVDirect is the zero-copy gather: the reply is a single writev of
-// the header frame followed by the store's own memory for every range.
-// Returns done=false (nothing written) when any range cannot be
-// addressed directly, in which case the caller falls back to the pooled
-// path.
-func (s *Server) readVDirect(conn net.Conn, scr *connScratch, acct *opAcct, vecs []Vec, total int64, withCRC bool, hdrLen int) (bool, error) {
-	hdr := getFrame(hdrLen)
-	defer putFrame(hdr)
-	bufs := append(scr.bufs[:0], *hdr)
-	for _, v := range vecs {
-		p, ok := s.direct.Slice(v.Off, int64(v.Len))
-		if !ok {
-			scr.bufs = bufs
+// reset recycles the reply's pooled frames and drops its references to
+// store memory. The accounting is the transport's to clear.
+func (rp *reply) reset() {
+	for _, f := range rp.frames {
+		putFrame(f)
+	}
+	rp.frames = rp.frames[:0]
+	clear(rp.bufs)
+	rp.bufs = rp.bufs[:0]
+}
+
+// fail encodes err as a remote-error response: the request was consumed
+// whole, the stream is synchronized, the connection lives on.
+func (rp *reply) fail(err error) { rp.failAt(-1, err) }
+
+// failAt is fail for the scatter opcodes, whose error response carries
+// the index of the rejected range first (failed >= 0): the leading
+// `failed` ranges were applied, the rest drained without being applied.
+// A CRC verdict has its own status and layout.
+func (rp *reply) failAt(failed int, err error) {
+	rp.acct.remoteErr = err
+	if ce, ok := err.(*CRCError); ok {
+		p := rp.begin(statusCRC, 12)
+		binary.BigEndian.PutUint32(p, uint32(ce.Range))
+		binary.BigEndian.PutUint32(p[4:], ce.Want)
+		binary.BigEndian.PutUint32(p[8:], ce.Got)
+		return
+	}
+	msg := err.Error()
+	n := 0
+	if failed >= 0 {
+		n = 4
+	}
+	p := rp.begin(statusErr, n+4+len(msg))
+	if failed >= 0 {
+		binary.BigEndian.PutUint32(p, uint32(failed))
+	}
+	binary.BigEndian.PutUint32(p[n:], uint32(len(msg)))
+	copy(p[n+4:], msg)
+}
+
+// decode reads one request of opcode op off r. A read-class request is
+// returned pending: fully consumed and validated in req, for the caller
+// to apply now or later. Every other opcode is applied as it is decoded
+// — its payload streams into the store in request order — and answered
+// in rp before decode returns. A non-nil error tears the connection
+// (transport trouble, or a framing violation that leaves the payload
+// boundary untrustworthy); store-level errors travel back in rp with
+// the stream synchronized.
+func (s *Server) decode(r io.Reader, op byte, req *request, rp *reply) (pending bool, err error) {
+	req.op = op
+	switch op {
+	case OpRead, OpReadV, OpReadVC, OpCrcV:
+		return s.decodeRanges(r, req, rp)
+	case OpWrite, OpWriteV, OpWriteVC:
+		return false, s.applyWrites(r, req, rp)
+	case OpSize, OpFail, OpRebuild, OpScrub, OpHealth:
+		return false, s.applyMgmt(r, req, rp)
+	default:
+		// Includes OpFeatures: negotiation belongs to the connection loop,
+		// before the first request, and never recurs mid-stream.
+		return false, fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, op)
+	}
+}
+
+// apply executes a pending request against the store and encodes the
+// answer.
+func (s *Server) apply(req *request, rp *reply) {
+	if req.op == OpCrcV {
+		s.applyCrcV(req, rp)
+	} else {
+		s.applyRead(req, rp)
+	}
+}
+
+// decodeRanges parses a read-class request: a count and that many
+// off|len headers (OpRead is the one-range form without the count). The
+// header block has a fixed size, so a range that is too long or outside
+// the store is answered with a remote error on a synchronized stream.
+func (s *Server) decodeRanges(r io.Reader, req *request, rp *reply) (bool, error) {
+	count := uint32(1)
+	if req.op != OpRead {
+		var err error
+		if count, err = req.readUint32(r); err != nil {
+			return false, err
+		}
+		if err := checkCount(int64(count)); err != nil {
+			return false, err
+		}
+	}
+	hdrs := getFrame(vecHdrSize * int(count))
+	defer putFrame(hdrs)
+	if _, err := io.ReadFull(r, *hdrs); err != nil {
+		return false, err
+	}
+	req.vecs, req.total = req.vecs[:0], 0
+	for i := 0; i < int(count); i++ {
+		v := getVecHdr((*hdrs)[vecHdrSize*i:])
+		err := admit(v, &req.total)
+		if err == nil {
+			err = checkVec(v, s.size)
+		}
+		if err != nil {
+			rp.fail(err)
 			return false, nil
 		}
-		bufs = append(bufs, p)
+		req.vecs = append(req.vecs, v)
 	}
-	scr.bufs = bufs
-	(*hdr)[0] = statusOK
-	binary.BigEndian.PutUint32((*hdr)[1:5], uint32(total))
+	if req.op == OpReadVC && s.crcBlock == 0 {
+		rp.fail(fmt.Errorf("crc read on a server without WithCRC"))
+		return false, nil
+	}
+	return true, nil
+}
+
+// applyRead answers OpRead, OpReadV and OpReadVC, whose responses share
+// one layout: total(4) | [count*crc(4)] | data. A direct store serves
+// the data as a writev of its own memory behind the head; otherwise head
+// and data are one pooled frame the store reads into.
+func (s *Server) applyRead(req *request, rp *reply) {
+	withCRC := req.op == OpReadVC
+	fixed := 4
 	if withCRC {
-		for i, v := range vecs {
-			binary.BigEndian.PutUint32((*hdr)[5+4*i:], s.rangeCRC(v, bufs[i+1]))
+		fixed += 4 * len(req.vecs)
+	}
+	direct := s.direct != nil
+	if direct {
+		rp.begin(statusOK, fixed)
+		for _, v := range req.vecs {
+			mem, ok := s.direct.Slice(v.Off, int64(v.Len))
+			if !ok {
+				direct = false
+				break
+			}
+			rp.bufs = append(rp.bufs, mem)
 		}
 	}
-	if acct != nil {
-		acct.out += total
-		acct.zeroCopy = true
+	var p []byte
+	if direct {
+		p = rp.bufs[0][tagRoom+1:]
+		rp.acct.zeroCopy = true
+	} else {
+		p = rp.begin(statusOK, fixed+int(req.total))
 	}
-	scr.nb = net.Buffers(bufs)
-	_, werr := scr.nb.WriteTo(conn)
-	return true, werr
+	binary.BigEndian.PutUint32(p, uint32(req.total))
+	at := fixed
+	for i, v := range req.vecs {
+		var data []byte
+		if direct {
+			data = rp.bufs[1+i]
+		} else {
+			data = p[at : at+v.Len]
+			at += v.Len
+			if _, err := s.store.ReadAt(data, v.Off); err != nil {
+				rp.fail(err)
+				return
+			}
+		}
+		if withCRC {
+			binary.BigEndian.PutUint32(p[4+4*i:], s.rangeCRC(v, data))
+		}
+	}
+	if s.readRate != nil { // implies !direct, see initWire
+		s.readRate.wait(int(req.total))
+	}
+	rp.acct.out += req.total
 }
 
-// handleWrite serves OpWrite. A direct store receives the payload
-// straight into store memory.
-func (s *Server) handleWrite(conn net.Conn, scr *connScratch, acct *opAcct) error {
-	off, err := scr.readUint64(conn)
-	if err != nil {
-		return err
-	}
-	n, err := scr.readUint32(conn)
-	if err != nil {
-		return err
-	}
-	if n > MaxIOSize {
-		return fmt.Errorf("%w: write of %d bytes exceeds limit", ErrProtocol, n)
-	}
-	if s.direct != nil {
-		if p, ok := s.direct.Slice(int64(off), int64(n)); ok {
-			s.beginWrite(int64(off), int64(n))
-			if _, err := io.ReadFull(conn, p); err != nil {
-				s.abortWrite(int64(off), int64(n))
-				return err
-			}
-			if acct != nil {
-				acct.in += int64(n)
-				acct.zeroCopy = true
-			}
-			s.endWrite(int64(off), p, 0, false)
-			return writeOK(conn, nil)
-		}
-	}
-	buf := getFrame(int(n))
+// applyCrcV answers OpCrcV: freshly recomputed CRC-32Cs of store
+// content for each range, no payload. The sidecar is deliberately NOT
+// consulted — recomputing from the bytes on the store is what lets
+// Volume.Scrub catch rot that happened after the write landed. The read
+// rate limit still applies (the store bytes are read), which is exactly
+// the saving's shape: scrub pays disk-read time but not wire time.
+func (s *Server) applyCrcV(req *request, rp *reply) {
+	p := rp.begin(statusOK, 4*len(req.vecs))
+	buf := getFrame(0)
 	defer putFrame(buf)
-	if _, err := io.ReadFull(conn, *buf); err != nil {
-		return err
+	for i, v := range req.vecs {
+		var data []byte
+		ok := false
+		if s.direct != nil {
+			data, ok = s.direct.Slice(v.Off, int64(v.Len))
+		}
+		if !ok {
+			data = growFrame(buf, v.Len)
+			if _, err := s.store.ReadAt(data, v.Off); err != nil {
+				rp.fail(err)
+				return
+			}
+		}
+		binary.BigEndian.PutUint32(p[4*i:], crc32c.Sum(data))
 	}
-	if acct != nil {
-		acct.in += int64(n)
+	if s.readRate != nil {
+		s.readRate.wait(int(req.total))
 	}
-	s.beginWrite(int64(off), int64(n))
-	if _, err := s.store.WriteAt(*buf, int64(off)); err != nil {
-		s.abortWrite(int64(off), int64(n))
-		return s.reply(conn, acct, err)
-	}
-	s.endWrite(int64(off), *buf, 0, false)
-	return writeOK(conn, nil)
+	rp.acct.out += int64(4 * len(req.vecs))
 }
 
-// handleWriteV serves OpWriteV and its CRC-verifying twin OpWriteVC.
-// Ranges are applied as they are decoded, so a 64 MiB batch never
-// buffers more than one range at a time. Framing violations tear the
-// connection: an oversized declared length means the payload boundary
-// is untrustworthy, so resynchronizing is impossible. On a store error
-// or CRC mismatch at range i the remaining ranges are drained (the
-// stream stays synchronized) and the extended response credits the
-// leading i ranges as applied.
+// applyWrites serves OpWrite, OpWriteV and OpWriteVC (OpWrite is the
+// one-range form: no count, a bare acknowledgement). Ranges are applied
+// as they are decoded, so a 64 MiB batch never buffers more than one
+// range at a time. Framing violations tear the connection: an oversized
+// declared length means the payload boundary is untrustworthy, so
+// resynchronizing is impossible. On the first range the store rejects —
+// outside its bounds, a write error, a CRC mismatch — the remaining
+// ranges are drained (the stream stays synchronized) and the response
+// credits the ranges before it as applied.
 //
 // Zero-copy caveat: a direct store receives each range straight into
 // store memory, so a range that dies mid-transfer — or is rejected for
@@ -269,15 +298,17 @@ func (s *Server) handleWrite(conn net.Conn, scr *connScratch, acct *opAcct) erro
 // sidecar entry is left invalid and the client sees the write fail, so
 // the mirror layer repairs it from the twin; the pooled path keeps the
 // stricter never-partially-applied guarantee.
-func (s *Server) handleWriteV(conn net.Conn, scr *connScratch, acct *opAcct, withCRC bool) error {
-	count, err := scr.readUint32(conn)
-	if err != nil {
-		return err
+func (s *Server) applyWrites(r io.Reader, req *request, rp *reply) error {
+	count, hdrSize, withCRC := uint32(1), vecHdrSize, req.op == OpWriteVC
+	if req.op != OpWrite {
+		var err error
+		if count, err = req.readUint32(r); err != nil {
+			return err
+		}
+		if err := checkCount(int64(count)); err != nil {
+			return err
+		}
 	}
-	if count == 0 || count > MaxVecCount {
-		return fmt.Errorf("%w: scatter of %d ranges outside [1,%d]", ErrProtocol, count, MaxVecCount)
-	}
-	hdrSize := vecHdrSize
 	if withCRC {
 		hdrSize = vecHdrCRCSize
 	}
@@ -285,139 +316,135 @@ func (s *Server) handleWriteV(conn net.Conn, scr *connScratch, acct *opAcct, wit
 	defer putFrame(buf)
 	var (
 		total    int64
-		storeErr error
-		crcErr   *CRCError
+		rejected error // the first range's verdict; later ranges are drained
 		failed   int
 	)
 	for i := 0; i < int(count); i++ {
-		if _, err := io.ReadFull(conn, scr.hdr[:hdrSize]); err != nil {
+		if _, err := io.ReadFull(r, req.hdr[:hdrSize]); err != nil {
 			return err
 		}
-		v := getVecHdr(scr.hdr[:])
-		var want uint32
-		if withCRC {
-			want = binary.BigEndian.Uint32(scr.hdr[12:])
+		v := getVecHdr(req.hdr[:])
+		want := binary.BigEndian.Uint32(req.hdr[vecHdrSize:]) // meaningful only withCRC
+		if err := admit(v, &total); err != nil {
+			return err
 		}
-		if v.Len < 0 || v.Len > MaxIOSize {
-			return fmt.Errorf("%w: scatter range of %d bytes exceeds limit", ErrProtocol, uint32(v.Len))
+		if rejected == nil {
+			if rejected = checkVec(v, s.size); rejected != nil {
+				failed = i
+			}
 		}
-		// Sum as int64: on 32-bit platforms int(uint32) can go
-		// negative, which would slip past the limit check.
-		total += int64(v.Len)
-		if total > MaxIOSize {
-			return fmt.Errorf("%w: scatter of %d bytes exceeds limit", ErrProtocol, total)
-		}
-		draining := storeErr != nil || crcErr != nil
-		if !draining && s.direct != nil {
-			if p, ok := s.direct.Slice(v.Off, int64(v.Len)); ok {
-				s.beginWrite(v.Off, int64(v.Len))
-				if _, err := io.ReadFull(conn, p); err != nil {
-					s.abortWrite(v.Off, int64(v.Len))
+		n := int64(v.Len)
+		if rejected == nil && s.direct != nil {
+			if mem, ok := s.direct.Slice(v.Off, n); ok {
+				s.beginWrite(v.Off, n)
+				if _, err := io.ReadFull(r, mem); err != nil {
+					s.abortWrite(v.Off, n)
 					return err
 				}
-				if acct != nil {
-					acct.in += int64(v.Len)
-					acct.zeroCopy = true
+				rp.acct.in += n
+				rp.acct.zeroCopy = true
+				if rejected = verifyCRC(withCRC, i, mem, want); rejected != nil {
+					s.abortWrite(v.Off, n)
+					failed = i
+					continue
 				}
-				if withCRC {
-					if got := crc32c.Sum(p); got != want {
-						s.abortWrite(v.Off, int64(v.Len))
-						crcErr = &CRCError{Range: i, Want: want, Got: got, Write: true}
-						continue
-					}
-				}
-				s.endWrite(v.Off, p, want, withCRC)
+				s.endWrite(v.Off, mem, want, withCRC)
 				continue
 			}
 		}
-		if cap(*buf) < v.Len {
-			*buf = make([]byte, v.Len)
-		}
-		*buf = (*buf)[:v.Len]
-		if _, err := io.ReadFull(conn, *buf); err != nil {
+		data := growFrame(buf, v.Len)
+		if _, err := io.ReadFull(r, data); err != nil {
 			return err
 		}
-		if acct != nil {
-			acct.in += int64(v.Len)
+		rp.acct.in += n
+		if rejected != nil {
+			continue // draining
 		}
-		if draining {
-			continue // drain the remaining ranges; stream stays synchronized
-		}
-		if withCRC {
-			if got := crc32c.Sum(*buf); got != want {
-				crcErr = &CRCError{Range: i, Want: want, Got: got, Write: true}
-				continue
-			}
-		}
-		s.beginWrite(v.Off, int64(v.Len))
-		if _, err := s.store.WriteAt(*buf, v.Off); err != nil {
-			s.abortWrite(v.Off, int64(v.Len))
-			storeErr, failed = err, i
+		if rejected = verifyCRC(withCRC, i, data, want); rejected != nil {
+			failed = i
 			continue
 		}
-		s.endWrite(v.Off, *buf, want, withCRC)
-	}
-	if crcErr != nil {
-		if acct != nil {
-			acct.remoteErr = crcErr
+		s.beginWrite(v.Off, n)
+		if _, err := s.store.WriteAt(data, v.Off); err != nil {
+			s.abortWrite(v.Off, n)
+			rejected, failed = err, i
+			continue
 		}
-		return writeCRCErr(conn, crcErr.Range, crcErr.Want, crcErr.Got)
+		s.endWrite(v.Off, data, want, withCRC)
 	}
-	if storeErr != nil {
-		if acct != nil {
-			acct.remoteErr = storeErr
-		}
-		return writeWriteVErr(conn, failed, storeErr)
+	switch {
+	case rejected == nil && req.op == OpWrite:
+		rp.begin(statusOK, 0)
+	case rejected == nil:
+		binary.BigEndian.PutUint32(rp.begin(statusOK, 4), count)
+	case req.op == OpWrite:
+		rp.fail(rejected)
+	default:
+		rp.failAt(failed, rejected)
 	}
-	scr.hdr[0] = statusOK
-	binary.BigEndian.PutUint32(scr.hdr[1:5], count)
-	_, werr := conn.Write(scr.hdr[:5])
-	return werr
+	return nil
 }
 
-// handleCrcV serves OpCrcV: freshly recomputed CRC-32Cs of store
-// content for each range, no payload. The sidecar is deliberately NOT
-// consulted — recomputing from the bytes on the store is what lets
-// Volume.Scrub catch rot that happened after the write landed. The read
-// rate limit still applies (the store bytes are read), which is exactly
-// the saving's shape: scrub pays disk-read time but not wire time.
-func (s *Server) handleCrcV(conn net.Conn, scr *connScratch, acct *opAcct) error {
-	vecs, total, err := s.readVecList(conn, scr, acct, "crc")
-	if vecs == nil {
-		return err
-	}
-	frame := getFrame(1 + 4*len(vecs))
-	defer putFrame(frame)
-	buf := getFrame(0)
-	defer putFrame(buf)
-	for i, v := range vecs {
-		var crc uint32
-		if s.direct != nil {
-			if p, ok := s.direct.Slice(v.Off, int64(v.Len)); ok {
-				crc = crc32c.Sum(p)
-				binary.BigEndian.PutUint32((*frame)[1+4*i:], crc)
-				continue
-			}
+// verifyCRC checks range i's received payload against the CRC-32C its
+// header carried, when the opcode carries one.
+func verifyCRC(withCRC bool, i int, data []byte, want uint32) error {
+	if withCRC {
+		if got := crc32c.Sum(data); got != want {
+			return &CRCError{Range: i, Want: want, Got: got, Write: true}
 		}
-		if cap(*buf) < v.Len {
-			*buf = make([]byte, v.Len)
+	}
+	return nil
+}
+
+// errUnmanaged answers management opcodes on a bare-store server.
+var errUnmanaged = errors.New("store server has no device management")
+
+// applyMgmt serves OpSize and the device-management opcodes, which only
+// a server wrapping a full device supports.
+func (s *Server) applyMgmt(r io.Reader, req *request, rp *reply) error {
+	var id raid.DiskID
+	if req.op == OpFail || req.op == OpRebuild {
+		if _, err := io.ReadFull(r, req.hdr[:5]); err != nil {
+			return err
 		}
-		*buf = (*buf)[:v.Len]
-		if _, err := s.store.ReadAt(*buf, v.Off); err != nil {
-			return s.reply(conn, acct, err)
+		id = raid.DiskID{Role: raid.Role(req.hdr[0]), Index: int(binary.BigEndian.Uint32(req.hdr[1:5]))}
+	}
+	if req.op == OpSize {
+		binary.BigEndian.PutUint64(rp.begin(statusOK, 8), uint64(s.size))
+		return nil
+	}
+	if s.mgmt == nil {
+		rp.fail(errUnmanaged)
+		return nil
+	}
+	var err error
+	switch req.op {
+	case OpFail:
+		err = s.mgmt.FailDisk(id)
+	case OpRebuild:
+		err = s.mgmt.Rebuild(id)
+	case OpScrub:
+		err = s.mgmt.Scrub()
+	case OpHealth:
+		h, failed := s.mgmt.Health(), s.mgmt.FailedDisks()
+		// begin sized the head, so the appends below fill it in place.
+		p := rp.begin(statusOK, 5*8+4+5*len(failed))[:0]
+		for _, v := range [...]int64{h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.ParityFallbacks, h.StripesRebuilt} {
+			p = binary.BigEndian.AppendUint64(p, uint64(v))
 		}
-		crc = crc32c.Sum(*buf)
-		binary.BigEndian.PutUint32((*frame)[1+4*i:], crc)
+		p = binary.BigEndian.AppendUint32(p, uint32(len(failed)))
+		for _, f := range failed {
+			p = append(p, byte(f.Role))
+			p = binary.BigEndian.AppendUint32(p, uint32(f.Index))
+		}
+		return nil
 	}
-	if s.readRate != nil {
-		s.readRate.wait(int(total))
+	if err != nil {
+		rp.fail(err)
+	} else {
+		rp.begin(statusOK, 0)
 	}
-	if acct != nil {
-		acct.out += int64(4 * len(vecs))
-	}
-	(*frame)[0] = statusOK
-	_, werr := conn.Write(*frame)
-	return werr
+	return nil
 }
 
 // --- CRC sidecar ------------------------------------------------------

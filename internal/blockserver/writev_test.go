@@ -3,11 +3,9 @@ package blockserver
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"math/rand"
 	"net"
 	"testing"
-	"time"
 
 	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/layout"
@@ -146,73 +144,6 @@ func TestWriteVMidBatchStoreError(t *testing.T) {
 	}
 }
 
-// TestServerWriteVRejectsMalformedFrames speaks the wire format
-// directly: bad counts and oversized lengths make the payload boundary
-// untrustworthy, so the server must tear the connection down without
-// answering (unlike OpReadV, where the fixed-size header block can be
-// consumed and a remote error returned).
-func TestServerWriteVRejectsMalformedFrames(t *testing.T) {
-	addr, _ := startStoreServer(t, 4096)
-	cases := []struct {
-		name  string
-		frame func() []byte
-	}{
-		{"zero count", func() []byte {
-			req := []byte{OpWriteV}
-			return binary.BigEndian.AppendUint32(req, 0)
-		}},
-		{"oversized count", func() []byte {
-			req := []byte{OpWriteV}
-			return binary.BigEndian.AppendUint32(req, MaxVecCount+1)
-		}},
-		{"oversized range", func() []byte {
-			req := []byte{OpWriteV}
-			req = binary.BigEndian.AppendUint32(req, 1)
-			req = binary.BigEndian.AppendUint64(req, 0)
-			return binary.BigEndian.AppendUint32(req, 0xFFFFFFFF)
-		}},
-		{"total past limit as int64", func() []byte {
-			// Range 0 is tiny and fully transferred; range 1 individually
-			// fits (exactly MaxIOSize) but pushes the int64 total past the
-			// limit, so the tear happens at its header — before the client
-			// has shipped 64 MiB.
-			req := []byte{OpWriteV}
-			req = binary.BigEndian.AppendUint32(req, 2)
-			req = binary.BigEndian.AppendUint64(req, 0)
-			req = binary.BigEndian.AppendUint32(req, 16)
-			req = append(req, make([]byte, 16)...)
-			req = binary.BigEndian.AppendUint64(req, 0)
-			return binary.BigEndian.AppendUint32(req, MaxIOSize)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if _, err := conn.Write(tc.frame()); err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]byte, 1)
-			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if n, err := conn.Read(buf); err == nil {
-				t.Fatalf("server answered a malformed scatter with %d bytes", n)
-			}
-		})
-	}
-	// The server survived every torn connection.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Size(); err != nil {
-		t.Fatalf("server wedged after malformed scatters: %v", err)
-	}
-}
-
 // opaqueStore hides MemStore's Slice method (only the Store interface's
 // methods are promoted), forcing the server onto the pooled-buffer path
 // the way a file- or rate-limited store would.
@@ -230,68 +161,47 @@ func TestServerWriteVTruncatedPayloadNeverApplied(t *testing.T) {
 }
 
 func testWriteVTruncated(t *testing.T, direct bool) {
-	mem := dev.NewMemStore(4096)
-	var store Store = mem
-	if !direct {
-		store = opaqueStore{mem}
-	}
-	srv := NewStoreServer(store)
-	listenAddr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := listenAddr.String()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Prefill over the same connection (one OpWrite frame), so the
-	// handler goroutine orders it before the truncated scatter.
-	sentinel := bytes.Repeat([]byte{0xEE}, 4096)
-	pre := []byte{OpWrite}
-	pre = binary.BigEndian.AppendUint64(pre, 0)
-	pre = binary.BigEndian.AppendUint32(pre, 4096)
-	pre = append(pre, sentinel...)
-	if _, err := conn.Write(pre); err != nil {
-		t.Fatal(err)
-	}
-	if err := readStatus(conn); err != nil {
-		t.Fatal(err)
-	}
-	req := []byte{OpWriteV}
-	req = binary.BigEndian.AppendUint32(req, 2)
-	req = binary.BigEndian.AppendUint64(req, 0)
-	req = binary.BigEndian.AppendUint32(req, 8)
-	req = append(req, []byte("ABCDEFGH")...)
-	req = binary.BigEndian.AppendUint64(req, 100)
-	req = binary.BigEndian.AppendUint32(req, 8)
-	req = append(req, []byte("abc")...) // 3 of the promised 8 bytes
-	if _, err := conn.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	// The server tears the connection without a response.
-	buf := make([]byte, 1)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if n, err := conn.Read(buf); err == nil {
-		t.Fatalf("server answered a truncated scatter with %d bytes", n)
-	}
-	// Close waits for the handler goroutine, ordering the store
-	// assertions below after its writes.
-	srv.Close()
-	got := make([]byte, 108)
-	if _, err := store.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:8], []byte("ABCDEFGH")) {
-		t.Fatal("complete leading range not applied")
-	}
-	if !direct && !bytes.Equal(got[100:108], sentinel[100:108]) {
-		t.Fatalf("truncated range partially applied: %q", got[100:108])
-	}
+	eachTransport(t, func(t *testing.T, pipelined bool) {
+		mem := dev.NewMemStore(4096)
+		var store Store = mem
+		if !direct {
+			store = opaqueStore{mem}
+		}
+		srv := NewStoreServer(store)
+		listenAddr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		p := dialPeer(t, listenAddr.String(), pipelined)
+		// Prefill over the same connection (one OpWrite frame), so the
+		// connection's decode order puts it before the truncated scatter.
+		sentinel := bytes.Repeat([]byte{0xEE}, 4096)
+		p.send(rangeFrame(OpWrite, 0, 4096, sentinel))
+		if err := p.status(); err != nil {
+			t.Fatal(err)
+		}
+		req := scatterFrame(OpWriteV, []Vec{{Off: 0, Len: 8}, {Off: 100, Len: 8}}, []byte("ABCDEFGH"), []byte("abcdefgh"))
+		p.send(req[:len(req)-5]) // 3 of the second range's promised 8 bytes
+		if err := p.conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		// The server tears the connection without a response.
+		p.torn()
+		// Close waits for the handler goroutine, ordering the store
+		// assertions below after its writes.
+		srv.Close()
+		got := make([]byte, 108)
+		if _, err := store.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:8], []byte("ABCDEFGH")) {
+			t.Fatal("complete leading range not applied")
+		}
+		if !direct && !bytes.Equal(got[100:108], sentinel[100:108]) {
+			t.Fatalf("truncated range partially applied: %q", got[100:108])
+		}
+	})
 }
 
 func TestWriteVCancelledContext(t *testing.T) {

@@ -113,11 +113,6 @@ type Config struct {
 	// RebuildBatch is how many stripes RebuildDisk recovers per
 	// exclusive-lock slice; user I/O flows between slices. Default 16.
 	RebuildBatch int
-	// DisableWriteBatch reverts the write fan-out to one OpWrite round
-	// trip per element copy instead of coalesced OpWriteV frames. It
-	// exists for A/B measurement (examples/writebench, smtool
-	// -nowritebatch); leave it false in production.
-	DisableWriteBatch bool
 	// WireCRC turns on end-to-end integrity: every backend dial
 	// negotiates blockserver.FeatureCRC, element reads and writes travel
 	// as CRC-carrying frames verified at both ends, a read whose every

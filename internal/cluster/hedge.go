@@ -221,7 +221,7 @@ func (v *Volume) readBackups(ctx context.Context, groups []hedgeGroup) error {
 }
 
 func (v *Volume) readBackupGroup(ctx context.Context, g hedgeGroup) error {
-	x := vecOp{mode: vecRead, vecs: make([]blockserver.Vec, len(g.targets)), bufs: make([][]byte, len(g.targets))}
+	x := vecOp{vecs: make([]blockserver.Vec, len(g.targets)), bufs: make([][]byte, len(g.targets))}
 	for i, t := range g.targets {
 		x.vecs[i] = blockserver.Vec{Off: v.storeOffset(t.s.stripe, t.loc.row) + t.s.inner, Len: len(t.buf)}
 		x.bufs[i] = t.buf

@@ -97,14 +97,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(c *Config) { c.Metrics = reg }
 }
 
-// WithWriteBatching toggles coalesced OpWriteV frames on the write
-// fan-out and the rebuild write-back. Batching is on by default;
-// disabling it reverts to one OpWrite round trip per element copy, the
-// pre-batching wire behaviour kept for A/B measurement.
-func WithWriteBatching(enabled bool) Option {
-	return func(c *Config) { c.DisableWriteBatch = !enabled }
-}
-
 // WithPool sets the pooled-connection count per backend and the
 // transport retry budget (retries on fresh connections, with backoff
 // doubling from base).

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shiftedmirror/internal/blockserver"
@@ -118,5 +120,87 @@ func TestVolumePipelinedEndToEnd(t *testing.T) {
 	}
 	if ps.QueueWait.Count == 0 {
 		t.Fatal("queue-wait histogram never observed")
+	}
+}
+
+// TestPipelinedRebuildUnderLoad is the benchmark's rebuild_fast shape
+// on the pipelined transport: two element-sized clients reading and
+// writing the rebuilding disk's own elements while the disk is failed
+// and rebuilt in place, cycle after cycle. One forced-pipelined
+// rebuild_fast run in fourteen once stopped making progress and had to
+// be killed with nothing to show for it; here a stall ends at the
+// package's -timeout with every goroutine's stack. Each client owns
+// half of the disk's elements, so a read must return exactly what that
+// client last wrote.
+func TestPipelinedRebuildUnderLoad(t *testing.T) {
+	const n, element, stripes, cycles = 4, 1024, 64, 40
+	arch := raid.NewMirror(layout.NewShifted(n))
+	backends := startCRCBackends(t, arch, element, stripes)
+	cfg := fastConfig(element, stripes)
+	cfg.WireCRC = true // also what orders store accesses for the race detector
+	cfg.Pipeline = true
+	v, err := New(arch, backends.addrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	shadow := randomPayload(t, v, 71)
+	lost := raid.DiskID{Role: raid.RoleData, Index: 1}
+	// The lost disk holds one element per stripe row.
+	elemOff := func(k int) int64 { return (int64(k)*n + int64(lost.Index)) * element }
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(72 + w)))
+			buf, got := make([]byte, element), make([]byte, element)
+			for i := 0; !stop.Load(); i++ {
+				off := elemOff(2*rng.Intn(stripes*n/2) + w)
+				mine := shadow[off : off+element]
+				if i%2 == 0 {
+					rng.Read(buf)
+					if _, err := v.WriteAt(buf, off); err != nil {
+						t.Errorf("client %d write at %d: %v", w, off, err)
+						return
+					}
+					copy(mine, buf)
+				} else if _, err := v.ReadAt(got, off); err != nil {
+					t.Errorf("client %d read at %d: %v", w, off, err)
+					return
+				} else if !bytes.Equal(got, mine) {
+					t.Errorf("client %d read at %d: not what it last wrote", w, off)
+					return
+				}
+			}
+		}(w)
+	}
+	ctx := context.Background()
+	for c := 0; c < cycles && !t.Failed(); c++ {
+		if err := v.Fail(lost); err != nil {
+			t.Errorf("cycle %d: %v", c, err)
+			break
+		}
+		if err := v.RebuildDisk(ctx, lost); err != nil {
+			t.Errorf("cycle %d rebuild: %v", c, err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	got := make([]byte, v.Size())
+	if _, err := v.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, shadow) {
+		t.Fatal("volume diverges from what the clients wrote")
+	}
+	if _, err := v.Scrub(ctx); err != nil {
+		t.Fatalf("scrub after %d rebuild cycles: %v", cycles, err)
 	}
 }

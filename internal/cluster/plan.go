@@ -126,33 +126,20 @@ type writeOp struct {
 // vecOp is one vectored wire exchange and its outcome. It lives inside
 // the op plan and is handed to pool.doCtx by pointer.
 type vecOp struct {
-	mode    vecMode
+	write   bool // OpWriteV from bufs; else OpReadV into bufs
 	vecs    []blockserver.Vec
 	bufs    [][]byte
 	applied int   // leading ranges the server applied (write modes)
 	err     error // the exchange's final verdict, set by whoever ran it
 }
 
-type vecMode uint8
-
-const (
-	vecRead   vecMode = iota // OpReadV into bufs
-	vecWrite                 // OpWriteV from bufs
-	vecWrite1                // one OpWrite of bufs[0] (Config.DisableWriteBatch)
-)
-
 func (o *vecOp) run(ctx context.Context, c *blockserver.Client) error {
-	switch o.mode {
-	case vecRead:
+	if !o.write {
 		return c.ReadVCtx(ctx, o.vecs, o.bufs)
-	case vecWrite:
-		n, err := c.WriteVCtx(ctx, o.vecs, o.bufs)
-		o.applied = n
-		return err
-	default:
-		_, err := c.WriteAtCtx(ctx, o.bufs[0], o.vecs[0].Off)
-		return err
 	}
+	n, err := c.WriteVCtx(ctx, o.vecs, o.bufs)
+	o.applied = n
+	return err
 }
 
 // wframe is one write round trip bound for a backend: a run of the
@@ -298,14 +285,10 @@ func buffersAdjacent(a, b []byte) bool {
 // subslices of one buffer bound for consecutive store rows — merge into
 // a single wire range. Under WireCRC merging is disabled: each range
 // must stay exactly one element so its checksum maps onto one server
-// sidecar block. With Config.DisableWriteBatch every op is its own
-// one-range frame, sent as a bare OpWrite.
+// sidecar block.
 func (v *Volume) packFrames(b *backendPlan) {
 	slices.SortFunc(b.ops, func(x, y writeOp) int { return cmp.Compare(x.off, y.off) })
-	mode, maxRanges, merge := vecWrite, v.cfg.MaxBatch, !v.cfg.WireCRC
-	if v.cfg.DisableWriteBatch {
-		mode, maxRanges, merge = vecWrite1, 1, false
-	}
+	maxRanges, merge := v.cfg.MaxBatch, !v.cfg.WireCRC
 	b.frames, b.vecs, b.bufs = b.frames[:0], b.vecs[:0], b.bufs[:0]
 	var frameBytes int64
 	for i := range b.ops {
@@ -333,7 +316,7 @@ func (v *Volume) packFrames(b *backendPlan) {
 	// them), so the frames take their windows last.
 	for i := range b.frames {
 		fr := &b.frames[i]
-		fr.xfer = vecOp{mode: mode, vecs: b.vecs[fr.vecLo:fr.vecHi], bufs: b.bufs[fr.vecLo:fr.vecHi]}
+		fr.xfer = vecOp{write: true, vecs: b.vecs[fr.vecLo:fr.vecHi], bufs: b.bufs[fr.vecLo:fr.vecHi]}
 	}
 	b.next.Store(0)
 }

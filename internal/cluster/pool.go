@@ -209,13 +209,79 @@ func (p *pool) do(fn func(*blockserver.Client) error) error {
 	}))
 }
 
-// doCtx is do with cancellation threaded through every stage: slot
+// lease is one connection an op may run on, and how it goes back: a
+// checked-out synchronous connection (slot < 0, holding a token of the
+// slots semaphore) or a share of the multiplexed connection in a pipes
+// slot.
+type lease struct {
+	c    *blockserver.Client
+	slot int
+}
+
+// checkout acquires a connection for one attempt. Only this step differs
+// between the wiring modes: synchronous ops wait for a slot token and
+// check a whole connection out; pipelined ops pick a multiplexed
+// connection round-robin and queue behind its in-flight window.
+func (p *pool) checkout(ctx context.Context) (lease, error) {
+	if p.cfg.Pipeline {
+		slot, c, err := p.acquirePipe(ctx)
+		return lease{c, slot}, err
+	}
+	select {
+	case <-p.slots:
+	case <-ctx.Done():
+		return lease{}, ctx.Err()
+	}
+	c, err := p.acquire(ctx)
+	if err != nil {
+		p.slots <- struct{}{}
+	}
+	return lease{c, -1}, err
+}
+
+// settle ends a lease. A connection that is still healthy — the op was
+// served, or a pipelined op abandoned its tag on cancellation — goes
+// back to the pool. A broken one is closed and retired; retired reports
+// whether this caller was the one to do it. On a multiplexed connection
+// only the first observer is: a tear fails every op in the window at
+// once, and counting it once per op would catapult the backend into the
+// dead state on a single flaky socket.
+func (p *pool) settle(l lease, served bool) (retired bool) {
+	broken := !served && l.c.Broken() != nil
+	if l.slot < 0 {
+		if broken {
+			l.c.Close()
+		} else {
+			p.release(l.c)
+		}
+		p.slots <- struct{}{}
+		retired = broken
+	} else if broken {
+		p.mu.Lock()
+		if retired = p.pipes[l.slot] == l.c; retired {
+			p.pipes[l.slot] = nil
+		}
+		p.mu.Unlock()
+		if retired {
+			l.c.Close()
+		}
+	}
+	if retired {
+		p.stats.poisoned.Inc()
+	}
+	return retired
+}
+
+// doCtx is do with cancellation threaded through every stage: lease
 // acquisition, retry backoff, the dial, and the wire exchange itself
 // (the client interrupts in-flight frames — see blockserver.Client.do).
-// A cancelled op is the caller's doing, not the backend's: it is never
-// retried and never feeds the dead-marking state machine, so hedge
-// losers — which are cancelled constantly by design — cannot talk a
-// healthy backend into the dead state.
+// Transport failures retire the connection and are retried on a fresh
+// one with exponential backoff. A cancelled op is the caller's doing,
+// not the backend's: it is never retried and never feeds the
+// dead-marking state machine, so hedge losers — which are cancelled
+// constantly by design — cannot talk a healthy backend into the dead
+// state. (On a multiplexed connection cancellation only abandons the
+// op's tag; a synchronous connection is poisoned by it and retired.)
 func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 	p.stats.requests.Inc()
 	if err := ctx.Err(); err != nil {
@@ -227,16 +293,6 @@ func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 		p.stats.errors.Add(1)
 		return fmt.Errorf("%w: %s", ErrBackendDead, p.addr)
 	}
-	if p.cfg.Pipeline {
-		return p.doPipelined(ctx, op)
-	}
-	select {
-	case <-p.slots:
-	case <-ctx.Done():
-		p.stats.errors.Inc()
-		return ctx.Err()
-	}
-	defer func() { p.slots <- struct{}{} }()
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -249,7 +305,7 @@ func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 				break
 			}
 		}
-		c, err := p.acquire(ctx)
+		l, err := p.checkout(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				p.stats.errors.Inc()
@@ -259,85 +315,27 @@ func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 			p.noteFailure()
 			continue
 		}
-		err = op.run(ctx, c)
+		err = op.run(ctx, l.c)
 		// CRC verdicts and a missing CRC feature are served on a healthy,
 		// synchronized connection, exactly like remote errors: no retry
 		// (the bytes are bad, not the backend), no dead-marking.
-		if err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
-			errors.Is(err, blockserver.ErrNoCRC) {
-			p.release(c)
+		served := err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
+			errors.Is(err, blockserver.ErrNoCRC)
+		retired := p.settle(l, served)
+		if served {
 			p.noteSuccess()
 			if err != nil {
 				p.stats.errors.Inc()
 			}
 			return err
 		}
-		// Transport trouble: the client poisoned itself; drop it.
-		c.Close()
-		p.stats.poisoned.Inc()
 		if ctx.Err() != nil {
 			p.stats.errors.Inc()
 			return err
 		}
-		lastErr = err
-		p.noteFailure()
-	}
-	p.stats.errors.Inc()
-	if p.isDead() {
-		return fmt.Errorf("%w: %s (last error: %v)", ErrBackendDead, p.addr, lastErr)
-	}
-	return fmt.Errorf("cluster: backend %s: %w", p.addr, lastErr)
-}
-
-// doPipelined is doCtx's multiplexed-mode body: the op submits into a
-// round-robin-picked pipelined connection's in-flight window instead of
-// checking a whole connection out, so PoolSize connections serve
-// PoolSize×PipelineWindow concurrent ops. Cancellation abandons only
-// this op's tag (the stream stays healthy, nothing is retried, nothing
-// feeds dead-marking); a transport tear retires the one connection —
-// counted as a single failure however many in-flight tags it killed —
-// and the retry redials the slot.
-func (p *pool) doPipelined(ctx context.Context, op wireOp) error {
-	var lastErr error
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			p.stats.retries.Inc()
-			if err := sleepCtx(ctx, p.cfg.RetryBackoff<<(attempt-1)); err != nil {
-				p.stats.errors.Inc()
-				return err
-			}
-			if p.isDead() {
-				break
-			}
-		}
-		slot, c, err := p.acquirePipe(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				p.stats.errors.Inc()
-				return err
-			}
-			lastErr = err
+		if retired {
 			p.noteFailure()
-			continue
 		}
-		err = op.run(ctx, c)
-		if err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
-			errors.Is(err, blockserver.ErrNoCRC) {
-			p.noteSuccess()
-			if err != nil {
-				p.stats.errors.Inc()
-			}
-			return err
-		}
-		if ctx.Err() != nil {
-			// The caller cancelled: the op abandoned its tag, the pipe is
-			// untouched. Never retried, never dead-marked.
-			p.stats.errors.Inc()
-			return err
-		}
-		// Transport trouble: the pipe failed every in-flight tag; retire
-		// the connection exactly once across all of them.
-		p.retirePipe(slot, c)
 		lastErr = err
 	}
 	p.stats.errors.Inc()
@@ -409,25 +407,6 @@ func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error
 		p.pipes[slot] = c
 		p.mu.Unlock()
 		return slot, c, nil
-	}
-}
-
-// retirePipe drops a torn multiplexed connection from its slot. The
-// identity check makes the first observer the only one that closes the
-// connection and feeds the failure counter: a tear fails every op in
-// the window at once, and counting it once per op would catapult the
-// backend into the dead state on a single flaky socket.
-func (p *pool) retirePipe(slot int, c *blockserver.Client) {
-	p.mu.Lock()
-	owner := p.pipes[slot] == c
-	if owner {
-		p.pipes[slot] = nil
-	}
-	p.mu.Unlock()
-	if owner {
-		c.Close()
-		p.stats.poisoned.Inc()
-		p.noteFailure()
 	}
 }
 

@@ -518,7 +518,7 @@ func (v *Volume) fetchBackend(ctx context.Context, pl *opPlan, slot int, kind fe
 	b.reads = b.reads[:batches]
 	for i := range b.reads {
 		lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
-		b.reads[i] = vecOp{mode: vecRead, vecs: b.vecs[lo:hi], bufs: b.bufs[lo:hi]}
+		b.reads[i] = vecOp{vecs: b.vecs[lo:hi], bufs: b.bufs[lo:hi]}
 	}
 	if v.cfg.Pipeline && batches > 1 {
 		var wg sync.WaitGroup
@@ -826,9 +826,7 @@ func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int6
 // runWrites ships every backend's share of write ops. Each share is
 // packed into coalesced OpWriteV frames (see packFrames), so a
 // full-stripe write costs one round trip per replica backend instead of
-// one per element copy; with Config.DisableWriteBatch each op is one
-// OpWrite round trip (the pre-batching wire behaviour, kept for A/B
-// measurement). A backend's frames are drained by up to PoolSize
+// one per element copy. A backend's frames are drained by up to PoolSize
 // workers; of all the workers the last runs on the calling goroutine,
 // so a write that is one frame to one backend starts no goroutine.
 //
@@ -924,10 +922,8 @@ func (v *Volume) drainFrames(ctx context.Context, slot int, b *backendPlan, done
 			return
 		}
 		fr := &b.frames[i]
-		if fr.xfer.mode == vecWrite {
-			v.stats.writeBatches.Inc()
-			v.stats.writeBatchElements.Add(int64(fr.opHi - fr.opLo))
-		}
+		v.stats.writeBatches.Inc()
+		v.stats.writeBatchElements.Add(int64(fr.opHi - fr.opLo))
 		fr.xfer.err = p.doCtx(ctx, &fr.xfer)
 	}
 }

@@ -74,21 +74,10 @@ func frameCounts(metrics map[raid.DiskID]*blockserver.Metrics) (writes, writevs 
 // TestFullStripeWriteFrameCount is the issue's acceptance bar made
 // deterministic: a full-stripe write at n=5 must cost at most one wire
 // frame per replica backend (2n frames for 2n² element copies), where
-// the pre-batching path pays one frame per copy.
+// a frame per copy would be 2n².
 func TestFullStripeWriteFrameCount(t *testing.T) {
 	const n, stripes, elementSize = 5, 2, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
-	newVolume := func(t *testing.T, disable bool) (*Volume, map[raid.DiskID]*blockserver.Metrics) {
-		backends, metrics := startMetricBackends(t, arch, elementSize, stripes, false)
-		cfg := fastConfig(elementSize, stripes)
-		cfg.DisableWriteBatch = disable
-		v, err := New(arch, backends.addrs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(v.Close)
-		return v, metrics
-	}
 	stripeBytes := make([]byte, int64(n)*int64(n)*elementSize)
 	for i := range stripeBytes {
 		stripeBytes[i] = byte(i)
@@ -96,7 +85,12 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 	copies := int64(2 * n * n) // data element + one mirror replica each
 
 	t.Run("batched", func(t *testing.T) {
-		v, metrics := newVolume(t, false)
+		backends, metrics := startMetricBackends(t, arch, elementSize, stripes, false)
+		v, err := New(arch, backends.addrs, fastConfig(elementSize, stripes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(v.Close)
 		if _, err := v.WriteAt(stripeBytes, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -122,23 +116,6 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 			if got := s.Ops["writev"].Ops; got != 1 {
 				t.Fatalf("backend %v handled %d writev frames, want 1", id, got)
 			}
-		}
-	})
-	t.Run("unbatched", func(t *testing.T) {
-		v, metrics := newVolume(t, true)
-		if _, err := v.WriteAt(stripeBytes, 0); err != nil {
-			t.Fatal(err)
-		}
-		settled(func() bool { writes, _ := frameCounts(metrics); return writes >= copies })
-		writes, writevs := frameCounts(metrics)
-		if writevs != 0 {
-			t.Fatalf("DisableWriteBatch still issued %d writev frames", writevs)
-		}
-		if writes != copies {
-			t.Fatalf("unbatched write path issued %d OpWrite frames, want %d", writes, copies)
-		}
-		if st := v.Stats(); st.WriteBatches != 0 || st.WriteBatchElements != 0 {
-			t.Fatalf("unbatched path counted batches: %+v", st)
 		}
 	})
 }

@@ -64,10 +64,16 @@ func (m *MemStore) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements io.WriterAt.
 func (m *MemStore) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > int64(len(m.buf)) {
-		return 0, fmt.Errorf("dev: write [%d,%d) outside store of %d bytes", off, off+int64(len(p)), len(m.buf))
+	if !m.holds(off, int64(len(p))) {
+		return 0, fmt.Errorf("dev: write of %d bytes at offset %d outside store of %d bytes", len(p), off, len(m.buf))
 	}
 	return copy(m.buf[off:], p), nil
+}
+
+// holds reports whether [off, off+n) lies inside the store. It never
+// forms off+n, which an offset near MaxInt64 would wrap.
+func (m *MemStore) holds(off, n int64) bool {
+	return off >= 0 && n >= 0 && off <= int64(len(m.buf))-n
 }
 
 // Size implements BackingStore.
@@ -79,7 +85,7 @@ func (m *MemStore) Size() int64 { return int64(len(m.buf)) }
 // the same bytes ReadAt/WriteAt operate on and stays valid for the
 // store's lifetime.
 func (m *MemStore) Slice(off, n int64) ([]byte, bool) {
-	if off < 0 || n < 0 || off+n > int64(len(m.buf)) {
+	if !m.holds(off, n) {
 		return nil, false
 	}
 	return m.buf[off : off+n : off+n], true
@@ -166,13 +172,16 @@ func (d *Device) Health() Health {
 	}
 }
 
-// FailedDisks returns the currently failed disks.
+// FailedDisks returns the currently failed disks in the architecture's
+// disk order (role, then index).
 func (d *Device) FailedDisks() []raid.DiskID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var out []raid.DiskID
-	for id := range d.failed {
-		out = append(out, id)
+	for _, id := range d.arch.Disks() {
+		if d.failed[id] {
+			out = append(out, id)
+		}
 	}
 	return out
 }
@@ -489,52 +498,8 @@ func (d *Device) recoverContent(stripe int, rec raid.Recovery, recovered map[rai
 func (d *Device) Scrub() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	roles := []raid.Role{raid.RoleMirror, raid.RoleMirror2}
-	for stripe := 0; stripe < d.stripes; stripe++ {
-		for row := 0; row < d.n; row++ {
-			parityAcc := make([]byte, d.elementSize)
-			parityOK := d.arch.Parity() && d.available(raid.DiskID{Role: raid.RoleParity, Index: 0}, stripe)
-			for disk := 0; disk < d.n; disk++ {
-				dataID := raid.DiskID{Role: raid.RoleData, Index: disk}
-				if !d.available(dataID, stripe) {
-					parityOK = false
-					continue
-				}
-				data, err := d.readRaw(dataID, stripe, row)
-				if err != nil {
-					return err
-				}
-				if parityOK {
-					gf.XorSlice(data, parityAcc)
-				}
-				for mi, arr := range d.arch.Mirrors() {
-					loc := arr.MirrorOf(layout.Addr{Disk: disk, Row: row})
-					id := raid.DiskID{Role: roles[mi], Index: loc.Disk}
-					if !d.available(id, stripe) {
-						continue
-					}
-					repl, err := d.readRaw(id, stripe, loc.Row)
-					if err != nil {
-						return err
-					}
-					if !bytesEqual(data, repl) {
-						return fmt.Errorf("%w: replica %v of data[%d] stripe %d row %d",
-							ErrScrubMismatch, id, disk, stripe, row)
-					}
-				}
-			}
-			if parityOK {
-				parity, err := d.readRaw(raid.DiskID{Role: raid.RoleParity, Index: 0}, stripe, row)
-				if err != nil {
-					return err
-				}
-				if !bytesEqual(parity, parityAcc) {
-					return fmt.Errorf("%w: parity stripe %d row %d", ErrScrubMismatch, stripe, row)
-				}
-			}
-		}
-	}
-	return nil
+	_, err := d.checkRedundancy(false)
+	return err
 }
 
 // Resilver recomputes every redundant element of healthy disks from the
@@ -545,12 +510,35 @@ func (d *Device) Scrub() error {
 func (d *Device) Resilver() (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	repaired := 0
+	return d.checkRedundancy(true)
+}
+
+// checkRedundancy walks every stripe row comparing each healthy
+// redundant element (replica, parity) with what the data elements say
+// it should hold. A divergent element is rewritten and counted when
+// repair is set, and ends the walk with ErrScrubMismatch otherwise. The
+// caller holds the device lock, exclusively for repair.
+func (d *Device) checkRedundancy(repair bool) (repaired int, err error) {
 	roles := []raid.Role{raid.RoleMirror, raid.RoleMirror2}
+	parityID := raid.DiskID{Role: raid.RoleParity, Index: 0}
+	// settle compares one redundant element with its expected content,
+	// rewriting a divergent one under repair; ok is false for a mismatch
+	// left standing.
+	settle := func(id raid.DiskID, stripe, row int, want []byte) (ok bool, err error) {
+		got, err := d.readRaw(id, stripe, row)
+		if err != nil || bytesEqual(got, want) {
+			return true, err
+		}
+		if !repair {
+			return false, nil
+		}
+		repaired++
+		return true, d.writeRaw(id, stripe, row, want)
+	}
 	for stripe := 0; stripe < d.stripes; stripe++ {
 		for row := 0; row < d.n; row++ {
 			parityAcc := make([]byte, d.elementSize)
-			parityOK := d.arch.Parity() && d.available(raid.DiskID{Role: raid.RoleParity, Index: 0}, stripe)
+			parityOK := d.arch.Parity() && d.available(parityID, stripe)
 			for disk := 0; disk < d.n; disk++ {
 				dataID := raid.DiskID{Role: raid.RoleData, Index: disk}
 				if !d.available(dataID, stripe) {
@@ -570,29 +558,19 @@ func (d *Device) Resilver() (int, error) {
 					if !d.available(id, stripe) {
 						continue
 					}
-					repl, err := d.readRaw(id, stripe, loc.Row)
-					if err != nil {
+					if ok, err := settle(id, stripe, loc.Row, data); err != nil {
 						return repaired, err
-					}
-					if !bytesEqual(data, repl) {
-						if err := d.writeRaw(id, stripe, loc.Row, data); err != nil {
-							return repaired, err
-						}
-						repaired++
+					} else if !ok {
+						return repaired, fmt.Errorf("%w: replica %v of data[%d] stripe %d row %d",
+							ErrScrubMismatch, id, disk, stripe, row)
 					}
 				}
 			}
 			if parityOK {
-				parityID := raid.DiskID{Role: raid.RoleParity, Index: 0}
-				parity, err := d.readRaw(parityID, stripe, row)
-				if err != nil {
+				if ok, err := settle(parityID, stripe, row, parityAcc); err != nil {
 					return repaired, err
-				}
-				if !bytesEqual(parity, parityAcc) {
-					if err := d.writeRaw(parityID, stripe, row, parityAcc); err != nil {
-						return repaired, err
-					}
-					repaired++
+				} else if !ok {
+					return repaired, fmt.Errorf("%w: parity stripe %d row %d", ErrScrubMismatch, stripe, row)
 				}
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -331,6 +333,39 @@ func TestMemStore(t *testing.T) {
 	}
 	if _, err := m.ReadAt(b[:], 17); err == nil {
 		t.Fatal("out of range read accepted")
+	}
+	// Offsets near MaxInt64: off+len wraps negative, which must not slip
+	// past the bounds check into a slice expression that panics.
+	const far = math.MaxInt64 - 10
+	if _, err := m.WriteAt(make([]byte, 100), far); err == nil {
+		t.Fatal("wrapping write accepted")
+	}
+	if _, err := m.ReadAt(make([]byte, 100), far); err == nil {
+		t.Fatal("wrapping read accepted")
+	}
+	if _, ok := m.Slice(far, 100); ok {
+		t.Fatal("wrapping slice handed out")
+	}
+}
+
+// TestFailedDisksOrder pins the order FailedDisks reports (and OpHealth
+// ships): the architecture's disk order, whatever order disks failed in.
+func TestFailedDisksOrder(t *testing.T) {
+	d := shiftedParityDevice(t)
+	want := []raid.DiskID{
+		{Role: raid.RoleData, Index: 1},
+		{Role: raid.RoleMirror, Index: 0},
+		{Role: raid.RoleMirror, Index: 3},
+	}
+	for _, i := range []int{2, 0, 1} {
+		if err := d.FailDisk(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 20; run++ { // map iteration order varies per call
+		if got := d.FailedDisks(); !slices.Equal(got, want) {
+			t.Fatalf("FailedDisks() = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -491,15 +491,6 @@ func WithLayout(name string) Option {
 	return Option{cluster: cluster.WithLayout(name)}
 }
 
-// WithWriteBatching toggles coalesced scatter-write (OpWriteV) frames
-// on a cluster volume's write fan-out and rebuild write-back. Batching
-// is on by default; disabling reverts to one OpWrite round trip per
-// element copy, the pre-batching wire behaviour kept for A/B
-// measurement (see examples/writebench). Volume side only.
-func WithWriteBatching(enabled bool) Option {
-	return Option{cluster: cluster.WithWriteBatching(enabled)}
-}
-
 // WithMetrics registers the target's metric series on reg: sm_cluster_*
 // for a volume, sm_blockserver_* for a served device. Applies to both
 // sides. Use one registry per volume or server — a Registry panics on
