@@ -547,8 +547,7 @@ func selfHostBackends(arch *raid.Mirror, diskSize int64, rate float64, crcBlock 
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	n := fs.Int("n", 4, "data disks")
-	arrName := fs.String("arrangement", "shifted", "shifted, traditional or iterated:K")
-	layoutName := fs.String("layout", "", "registered placement layout driving the data path (default: the -arrangement; see 'smtool layouts')")
+	arrName := fs.String("arrangement", "shifted", "layout of the volume: any name from 'smtool layouts', or a spec such as iterated:K, rotated:G")
 	elementSize := fs.Int64("element", 4096, "element size in bytes")
 	stripes := fs.Int("stripes", 16, "stripes per array")
 	rate := fs.Float64("rate", 0, "per-backend read bandwidth cap in MB/s (self-hosted backends only)")
@@ -571,7 +570,6 @@ func cmdCluster(args []string) error {
 	}
 	cfg := cluster.Config{
 		ElementSize: *elementSize, Stripes: *stripes,
-		Layout:       *layoutName,
 		HedgeEnabled: *hedge,
 		WireCRC:      *crc,
 		Pipeline:     *pipeline, PipelineWindow: *pipeWindow,
@@ -766,8 +764,7 @@ func parseGroupFailures(s string) ([]shard.GroupDisk, []raid.DiskID, error) {
 func cmdShard(args []string) error {
 	fs := flag.NewFlagSet("shard", flag.ExitOnError)
 	n := fs.Int("n", 3, "data disks per group")
-	arrName := fs.String("arrangement", "shifted", "shifted, traditional or iterated:K")
-	layoutName := fs.String("layout", "", "registered placement layout driving every group (default: the -arrangement; see 'smtool layouts')")
+	arrName := fs.String("arrangement", "shifted", "layout of every group: any name from 'smtool layouts', or a spec such as iterated:K, rotated:G")
 	elementSize := fs.Int64("element", 4096, "element size in bytes")
 	stripes := fs.Int("stripes", 8, "stripes per group")
 	groups := fs.Int("groups", 3, "shifted-mirror groups striping the logical volume")
@@ -817,7 +814,7 @@ func cmdShard(args []string) error {
 	fmt.Printf("self-hosted %d groups × %d store servers (%d KiB per disk)\n",
 		*groups, len(backends[0]), diskSize/1024)
 
-	cfg := shard.Config{MaxConcurrentRebuilds: *concurrency, Layout: *layoutName}
+	cfg := shard.Config{MaxConcurrentRebuilds: *concurrency}
 	if *metricsAddr != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}

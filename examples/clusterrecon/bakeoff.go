@@ -101,7 +101,11 @@ func measureBakeoff(element int64, stripes int, rate float64) (bakeoffReport, er
 // measureBakeoffRun measures one family over its own fresh fleet.
 func measureBakeoffRun(name string, element int64, stripes int, rate float64) (bakeoffRun, error) {
 	run := bakeoffRun{Layout: name}
-	arch := raid.NewMirror(layout.NewShifted(bakeoffN))
+	arr, err := layout.New(name, bakeoffN)
+	if err != nil {
+		return run, err
+	}
+	arch := raid.NewMirror(arr)
 	diskSize := int64(stripes) * int64(bakeoffN) * element
 
 	var servers []*blockserver.Server
@@ -135,9 +139,7 @@ func measureBakeoffRun(name string, element int64, stripes int, rate float64) (b
 		meters = append(meters, m)
 	}
 
-	v, err := cluster.New(arch, backends, cluster.Config{
-		ElementSize: element, Stripes: stripes, Layout: name,
-	})
+	v, err := cluster.New(arch, backends, cluster.Config{ElementSize: element, Stripes: stripes})
 	if err != nil {
 		return run, err
 	}

@@ -335,11 +335,7 @@ func assertWireProperty(rep report) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.Arrangement, err)
 		}
-		p, ok := arr.(layout.Placement)
-		if !ok {
-			p = layout.PlacementOf(arr)
-		}
-		predicted := layout.RebuildSources(p, 0, int64(rep.Stripes))
+		predicted := layout.RebuildSources(raid.NewMirror(arr).Placement(), 0, int64(rep.Stripes))
 		got := map[string]int64{}
 		for _, b := range r.RebuildReads {
 			got[b.Disk] = b.Elements
@@ -483,14 +479,18 @@ func measureTail(n int, element int64, stripes int, stall time.Duration, reads i
 }
 
 // measure runs one full lose-and-rebuild cycle over real sockets and
-// byte-verifies the outcome. The layout is selected by registered name
-// through Config.Layout over the standard shifted frame, so any
-// catalog family drives the identical wire path. With crc, every
-// backend (including the replacement) keeps a per-element sidecar and
-// the volume checksums the whole rebuild end to end.
+// byte-verifies the outcome. The architecture is built over the named
+// registered layout, so any catalog family drives the identical wire
+// path. With crc, every backend (including the replacement) keeps a
+// per-element sidecar and the volume checksums the whole rebuild end to
+// end.
 func measure(name string, n int, element int64, stripes int, rate float64, crc, pipeline bool) (runReport, error) {
 	rr := runReport{Arrangement: name}
-	arch := raid.NewMirror(layout.NewShifted(n))
+	arr, err := layout.New(name, n)
+	if err != nil {
+		return rr, err
+	}
+	arch := raid.NewMirror(arr)
 	diskSize := int64(stripes) * int64(n) * element
 
 	// One throttled store server per disk: reads drain at the media rate.
@@ -525,7 +525,7 @@ func measure(name string, n int, element int64, stripes int, rate float64, crc, 
 		backends[id] = addr
 	}
 
-	v, err := cluster.New(arch, backends, cluster.Config{ElementSize: element, Stripes: stripes, WireCRC: crc, Pipeline: pipeline, Layout: name})
+	v, err := cluster.New(arch, backends, cluster.Config{ElementSize: element, Stripes: stripes, WireCRC: crc, Pipeline: pipeline})
 	if err != nil {
 		return rr, err
 	}

@@ -99,14 +99,6 @@ type Config struct {
 	// again, doubling up to MaxProbe. Defaults 250ms and 5s.
 	ProbeEvery time.Duration
 	MaxProbe   time.Duration
-	// Layout, when non-empty, names a registered layout family
-	// (layout.Names()) that drives element placement instead of the
-	// architecture's own arrangement. The named layout is built at the
-	// architecture's n; families that implement layout.Placement (e.g.
-	// "declustered") place elements over the whole 2n-disk pool with a
-	// per-stripe schedule, while classic families keep the two-array
-	// geometry. Requires a single-mirror architecture without parity.
-	Layout string
 	// MaxBatch bounds the ranges per OpReadV request. Default 512,
 	// capped at blockserver.MaxVecCount.
 	MaxBatch int

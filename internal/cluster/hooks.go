@@ -1,14 +1,16 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"shiftedmirror/internal/raid"
 )
 
-// This file is the Volume's embedding surface: the exported read-only
-// hooks a composing layer (internal/shard's multi-group volume) needs to
-// route I/O, keep a placement table in sync, and schedule rebuilds —
-// without reaching into Volume internals or paying for a full Stats
-// snapshot per decision.
+// This file is the Volume's embedding surface: what a composing layer
+// (internal/shard's multi-group volume) reads to route I/O, report
+// device state and schedule rebuilds — without reaching into Volume
+// internals or paying for a full Stats snapshot per decision.
 
 // ElementSize returns the element (striping unit) size in bytes.
 func (v *Volume) ElementSize() int64 { return v.elementSize }
@@ -19,61 +21,116 @@ func (v *Volume) Stripes() int { return v.stripes }
 // N returns the data-disk count n of the n×n mirror geometry.
 func (v *Volume) N() int { return v.n }
 
-// BackendAddr returns the address currently serving a disk slot.
-func (v *Volume) BackendAddr(id raid.DiskID) (string, bool) {
-	slot, ok := v.slot(id)
-	if !ok {
-		return "", false
+// DiskState is one disk's position in the failure/repair cycle, modeled
+// on the per-device replica-table state NBS keeps for mirrored disks:
+//
+//	online ──(content lost / backend unreachable)──▶ dead
+//	dead ──(fresh backend attached)──▶ replacement-pending
+//	replacement-pending ──(RebuildDisk starts)──▶ rebuilding
+//	rebuilding ──(rebuild completes)──▶ online
+//	rebuilding ──(rebuild fails or is cancelled)──▶ replacement-pending
+//
+// It is never stored: diskState derives it from the volume's per-slot
+// bits every time it is asked for.
+type DiskState int
+
+const (
+	// DiskOnline: serving reads and writes, fully rebuilt.
+	DiskOnline DiskState = iota
+	// DiskDead: content lost or backend unreachable; the volume serves
+	// the disk's data from replicas. Nothing to rebuild onto yet.
+	DiskDead
+	// DiskReplacementPending: content lost, a backend to rebuild onto is
+	// in place (attached by ReplaceBackend, or tried by an earlier
+	// RebuildDisk); waiting for a rebuild.
+	DiskReplacementPending
+	// DiskRebuilding: a RebuildDisk is copying data onto the backend
+	// right now.
+	DiskRebuilding
+)
+
+var diskStateNames = [...]string{"online", "dead", "replacement-pending", "rebuilding"}
+
+func (s DiskState) String() string {
+	if s < 0 || int(s) >= len(diskStateNames) {
+		return fmt.Sprintf("DiskState(%d)", int(s))
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.addrs[slot], true
+	return diskStateNames[s]
 }
 
-// IsFailed reports whether a disk's content is currently declared lost.
-func (v *Volume) IsFailed(id raid.DiskID) bool {
-	slot, ok := v.slot(id)
-	if !ok {
-		return false
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.failed[slot]
+// MarshalJSON renders the state by name, so dumps read as "rebuilding"
+// rather than an enum ordinal.
+func (s DiskState) MarshalJSON() ([]byte, error) {
+	return json.Marshal(s.String())
 }
 
-// IsRebuilding reports whether the disk has a RebuildDisk in flight.
-func (v *Volume) IsRebuilding(id raid.DiskID) bool {
-	slot, ok := v.slot(id)
-	if !ok {
-		return false
+// UnmarshalJSON parses the name form written by MarshalJSON.
+func (s *DiskState) UnmarshalJSON(b []byte) error {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return err
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rebuilding[slot]
+	for i, n := range diskStateNames {
+		if n == name {
+			*s = DiskState(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("cluster: unknown disk state %q", name)
 }
 
-// BackendDead reports the pool state machine's verdict for a disk's
-// backend: true while it is marked dead with the probe window closed.
-func (v *Volume) BackendDead(id raid.DiskID) bool {
-	slot, ok := v.slot(id)
-	if !ok {
-		return false
+// diskState is the one place a disk's state is decided.
+func diskState(failed, replacement, rebuilding, backendDead bool) DiskState {
+	switch {
+	case rebuilding:
+		return DiskRebuilding
+	case failed && replacement:
+		return DiskReplacementPending
+	case failed || backendDead:
+		return DiskDead
+	default:
+		return DiskOnline
 	}
-	v.mu.RLock()
-	p := v.pools[slot]
-	v.mu.RUnlock()
-	return p.isDead()
 }
 
-// Watermark returns a disk's availability frontier in stripes: Stripes
-// when healthy, the rebuild watermark while failed. Stripes minus the
-// watermark is the disk's incompleteness — the per-disk stat a placement
-// table tracks to prioritize rebuilds.
-func (v *Volume) Watermark(id raid.DiskID) int64 {
-	slot, ok := v.slot(id)
+// DiskStatus is one disk's entry in a Disks snapshot.
+type DiskStatus struct {
+	ID    raid.DiskID
+	Addr  string
+	State DiskState
+	// Replacement mirrors NBS's IsReplacement: true from the moment a
+	// failed disk gets a backend to rebuild onto until its rebuild
+	// completes — the window in which the backend's content cannot be
+	// trusted beyond the watermark.
+	Replacement bool
+	// WatermarkStripes is the disk's availability frontier: Stripes when
+	// its content is whole, the rebuild watermark while failed. Stripes
+	// minus the watermark is the disk's incompleteness.
+	WatermarkStripes int64
+}
+
+// Disks returns every disk's status in arch.Disks() order, all read
+// under one lock hold so the entries are mutually consistent.
+func (v *Volume) Disks() []DiskStatus {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if ok && v.failed[slot] {
+	out := make([]DiskStatus, len(v.ids))
+	for slot, id := range v.ids {
+		out[slot] = DiskStatus{
+			ID:               id,
+			Addr:             v.addrs[slot],
+			State:            diskState(v.failed[slot], v.replacement[slot], v.rebuilding[slot], v.pools[slot].isDead()),
+			Replacement:      v.replacement[slot],
+			WatermarkStripes: v.watermark(slot),
+		}
+	}
+	return out
+}
+
+// watermark is a disk's availability frontier in stripes. Call with
+// v.mu held.
+func (v *Volume) watermark(slot int) int64 {
+	if v.failed[slot] {
 		return int64(v.progress[slot])
 	}
 	return int64(v.stripes)

@@ -7,7 +7,6 @@ import (
 
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/dev"
-	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 )
 
@@ -40,7 +39,7 @@ const (
 var layoutBenchFamilies = []string{"traditional", "rotated", "shifted", "declustered"}
 
 // startThrottledBackends serves one read-throttled MemStore per disk.
-func startThrottledBackends(b *testing.B, arch *raid.Mirror, elementSize int64, stripes int, rate float64) *testBackends {
+func startThrottledBackends(b testing.TB, arch *raid.Mirror, elementSize int64, stripes int, rate float64) *testBackends {
 	b.Helper()
 	tb := &testBackends{
 		t:       b,
@@ -68,7 +67,7 @@ func startThrottledBackends(b *testing.B, arch *raid.Mirror, elementSize int64, 
 // over throttled backends.
 func layoutBenchVolume(b *testing.B, name string, rate float64) *Volume {
 	b.Helper()
-	arch := raid.NewMirror(layout.NewShifted(layoutBenchN))
+	arch := layoutArch(b, name, layoutBenchN)
 	var backends *testBackends
 	if rate > 0 {
 		backends = startThrottledBackends(b, arch, layoutBenchElement, layoutBenchStripes, rate)
@@ -76,7 +75,6 @@ func layoutBenchVolume(b *testing.B, name string, rate float64) *Volume {
 		backends = startBackends(b, arch, layoutBenchElement, layoutBenchStripes)
 	}
 	cfg := fastConfig(layoutBenchElement, layoutBenchStripes)
-	cfg.Layout = name
 	// One slice per rebuild: each backend's share is a single paced
 	// transfer well above sleep granularity, so the wall clock is the
 	// limiter arithmetic, not timer resolution.

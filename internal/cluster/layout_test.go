@@ -9,15 +9,24 @@ import (
 	"shiftedmirror/internal/raid"
 )
 
-// layoutTestVolume builds a volume whose placement is driven by the
-// named registered layout over an n=4 single-mirror architecture.
+// layoutArch builds the n-disk single-mirror architecture over the
+// named registered layout.
+func layoutArch(tb testing.TB, name string, n int) *raid.Mirror {
+	tb.Helper()
+	arr, err := layout.New(name, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raid.NewMirror(arr)
+}
+
+// layoutTestVolume builds a volume over the named registered layout at
+// n=4.
 func layoutTestVolume(t *testing.T, name string, elementSize int64, stripes int) (*Volume, *testBackends) {
 	t.Helper()
-	arch := raid.NewMirror(layout.NewShifted(4))
+	arch := layoutArch(t, name, 4)
 	backends := startBackends(t, arch, elementSize, stripes)
-	cfg := fastConfig(elementSize, stripes)
-	cfg.Layout = name
-	v, err := New(arch, backends.addrs, cfg)
+	v, err := New(arch, backends.addrs, fastConfig(elementSize, stripes))
 	if err != nil {
 		t.Fatalf("New with layout %q: %v", name, err)
 	}
@@ -140,49 +149,35 @@ func TestDeclusteredWireRebuildSources(t *testing.T) {
 	}
 }
 
-// TestLayoutConfigValidation pins the placement resolution rules.
+// TestLayoutConfigValidation pins where a volume's placement comes
+// from: the architecture. A pooled arrangement passed as the
+// architecture's own is used natively — its per-stripe schedule over
+// all 2n disks, not a classic two-array wrapping of it — and a classic
+// arrangement is stripe-invariant over the same disks. (Which names
+// exist and at which n they are defined is the registry's business:
+// layout/registry_test.go.)
 func TestLayoutConfigValidation(t *testing.T) {
-	arch := raid.NewMirror(layout.NewShifted(4))
-	backends := startBackends(t, arch, 512, 2)
-	for _, name := range []string{"no-such-layout", "rotated"} {
-		cfg := fastConfig(512, 2)
-		cfg.Layout = name
-		if name == "rotated" {
-			// rotated is fine at n=4; force the error with a prime-n arch.
-			arch5 := raid.NewMirror(layout.NewShifted(5))
-			b5 := startBackends(t, arch5, 512, 2)
-			if _, err := New(arch5, b5.addrs, cfg); err == nil {
-				t.Errorf("New with layout %q at n=5 succeeded", name)
-			}
-			continue
-		}
-		if _, err := New(arch, backends.addrs, cfg); err == nil {
-			t.Errorf("New with layout %q succeeded", name)
-		}
-	}
-	// A pooled layout cannot drive a three-mirror architecture.
-	three := raid.NewThreeMirror(layout.NewShifted(3), layout.NewGeneralShifted(3, 2, 1))
-	b3 := startBackends(t, three, 512, 2)
-	cfg := fastConfig(512, 2)
-	cfg.Layout = "declustered"
-	if _, err := New(three, b3.addrs, cfg); err == nil {
-		t.Error("declustered over a three-mirror architecture succeeded")
-	}
-	// Passing the pooled arrangement as the architecture's own
-	// arrangement works without Config.Layout: the placement face is
-	// detected.
 	decl, err := layout.NewDeclustered(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	archD := raid.NewMirror(decl)
-	bD := startBackends(t, archD, 512, 2)
-	v, err := New(archD, bD.addrs, fastConfig(512, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	if v.place.Period() != decl.Period() {
-		t.Errorf("auto-detected placement period %d, want %d", v.place.Period(), decl.Period())
+	for _, tc := range []struct {
+		arr    layout.Arrangement
+		period int
+	}{
+		{decl, decl.Period()},
+		{layout.NewShifted(3), 1},
+	} {
+		arch := raid.NewMirror(tc.arr)
+		backends := startBackends(t, arch, 512, 2)
+		v, err := New(arch, backends.addrs, fastConfig(512, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		if v.table.period != tc.period || v.table.width != len(arch.Disks()) {
+			t.Errorf("%s: placement period %d over %d disks, want %d over %d",
+				arch.Name(), v.table.period, v.table.width, tc.period, len(arch.Disks()))
+		}
 	}
 }

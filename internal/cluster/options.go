@@ -38,16 +38,6 @@ func WithTimeouts(dial, op time.Duration, probe ...time.Duration) Option {
 	}
 }
 
-// WithLayout makes the named registered layout family (layout.Names())
-// drive element placement, overriding the architecture's own
-// arrangement. Families that implement layout.Placement — e.g.
-// "declustered" — place elements over the whole 2n-disk pool with a
-// per-stripe schedule; classic families keep the two-array geometry.
-// See Config.Layout.
-func WithLayout(name string) Option {
-	return func(c *Config) { c.Layout = name }
-}
-
 // WithWireCRC toggles end-to-end CRC-32C integrity on the wire path:
 // per-element checksums carried in the vector opcodes, verified at the
 // client on read and the server on write, and a Scrub fast path that

@@ -10,39 +10,47 @@ import (
 )
 
 // TestPlacementTableMatchesPlacement is the flattened table's property
-// test: for every registered layout family at every n it is defined
-// for, plus the three-mirror geometry, and over more than two periods of
-// stripes, the table answers exactly what the Placement does — Copies
+// test: for the architecture built over every registered layout family
+// at every n it is defined for, plus the three-mirror geometry, and over
+// more than two periods of stripes, the table the volume flattens from
+// the architecture answers exactly what the Placement does — Copies
 // entry for entry AND order for order (failover order is what hedging,
 // degraded-read counting and layout.RebuildSources rely on), each copy
 // resolved to the disk that serves its slot, and Owner for every slot.
 func TestPlacementTableMatchesPlacement(t *testing.T) {
 	type subject struct {
-		name string
-		arch *raid.Mirror
-		lay  string
+		name  string
+		arch  *raid.Mirror
+		place layout.Placement // what the table must answer like
 	}
 	var subjects []subject
 	for n := 2; n <= 6; n++ {
 		for _, name := range layout.Names() {
-			if _, err := layout.New(name, n); err != nil {
+			arr, err := layout.New(name, n)
+			if err != nil {
 				continue // the family is undefined at this n
 			}
-			subjects = append(subjects, subject{fmt.Sprintf("%s/n=%d", name, n), raid.NewMirror(layout.NewShifted(n)), name})
+			// The expectation is spelled out here, not taken from
+			// arch.Placement(): a pooled family is its own placement, a
+			// classic one the fixed two-array geometry — entry for entry
+			// what naming the family over a shifted frame used to give.
+			place, pooled := arr.(layout.Placement)
+			if !pooled {
+				place = layout.PlacementOf(arr)
+			}
+			subjects = append(subjects, subject{fmt.Sprintf("%s/n=%d", name, n), raid.NewMirror(arr), place})
 		}
 		if n >= 3 {
+			a1, a2 := layout.NewShifted(n), layout.NewGeneralShifted(n, 2, 1)
 			subjects = append(subjects, subject{fmt.Sprintf("three-mirror/n=%d", n),
-				raid.NewThreeMirror(layout.NewShifted(n), layout.NewGeneralShifted(n, 2, 1)), ""})
+				raid.NewThreeMirror(a1, a2), layout.PlacementOf(a1, a2)})
 		}
 	}
 	for _, sub := range subjects {
 		t.Run(sub.name, func(t *testing.T) {
-			place, err := resolvePlacement(sub.arch, sub.lay)
-			if err != nil {
-				t.Fatal(err)
-			}
+			place := sub.place
 			ids := sub.arch.Disks()
-			table, err := newPlacementTable(place, ids)
+			table, err := newPlacementTable(sub.arch.Placement(), ids)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 func testQoSController(cfg Config) (*qosController, *volumeStats) {
 	cfg = cfg.withDefaults()
 	st := &volumeStats{}
-	st.init(0, cfg.Stripes)
+	st.init(0)
 	return newQoSController(cfg, st), st
 }
 

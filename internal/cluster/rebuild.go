@@ -47,7 +47,10 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 		v.mu.Unlock()
 		return fmt.Errorf("%w: disk %v", ErrRebuildInProgress, id)
 	}
-	v.rebuilding[slot] = true
+	// Trying to rebuild onto the current backend is what makes it the
+	// replacement: an attempt that fails leaves the disk
+	// replacement-pending at the watermark it reached, not dead.
+	v.rebuilding[slot], v.replacement[slot] = true, true
 	v.mu.Unlock()
 	v.stats.rebuildActive.Add(1)
 	defer func() {
@@ -150,10 +153,9 @@ func (v *Volume) rebuildSlice(ctx context.Context, slot int, pl *opPlan, buf []b
 	}
 	v.progress[slot] = s1
 	v.stats.rebuildStripes.Add(int64(s1 - s0))
-	v.stats.perDisk[slot].watermark.Set(int64(s1))
 	v.trace(obs.Event{Op: "rebuild_slice", Target: id.String(), Bytes: int64(len(buf)), Dur: time.Since(start)})
 	if s1 >= v.stripes {
-		v.failed[slot] = false
+		v.failed[slot], v.replacement[slot] = false, false
 		v.progress[slot] = 0
 		return true, int64(len(buf)), nil
 	}

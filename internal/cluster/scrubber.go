@@ -4,12 +4,8 @@ import "context"
 
 // ScrubOnline is the background-friendly form of Scrub: the same full
 // verification pass (checksum fast path, byte fallback, degraded
-// verdict), restructured for a volume that is actively serving.
+// verdict) for a volume that is actively serving.
 //
-//   - Incremental locking: each stripe batch is verified under its own
-//     short read-lock hold, with user reads, writes, and rebuild slices
-//     interleaving between batches — Scrub's whole-pass RLock would
-//     starve writers for the duration of the sweep.
 //   - Rate limiting: when the QoS controller is enabled
 //     (WithRebuildQoS), every batch first buys its stripes from the
 //     same token bucket that throttles RebuildDisk, so scrub and
@@ -23,65 +19,65 @@ import "context"
 // every stripe exactly once, the scrub counters roll, and skipped
 // disks surface as ErrDegraded exactly as with Scrub. On cancellation
 // the partial report and ctx's error are returned.
-//
-// Consistency caveat inherent to batch-local verification: a write
-// landing between two batches is either entirely before or entirely
-// after each batch's gather (writes take the exclusive lock), so
-// replica sets never tear — but the pass as a whole is not a snapshot,
-// the same guarantee Scrub already waives for content written after
-// its gather.
 func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
-	var report ScrubReport
-	v.mu.RLock()
-	batch := v.cfg.RebuildBatch
-	stripes := v.stripes
-	crcMode := v.cfg.WireCRC
-	start := v.scrubPos
-	v.mu.RUnlock()
+	return v.scrubPass(ctx, true)
+}
 
+// scrubPass is the one walker behind Scrub and ScrubOnline: every
+// stripe batch once — from stripe 0, or when online circularly from the
+// cursor, buying each batch's stripes from the QoS bucket first and
+// parking the cursor after it.
+//
+// Each batch is verified under its own read-lock hold and the lock is
+// dropped between batches. A pass-long hold would stop the world, not
+// just writers: sync.RWMutex parks every new reader behind the first
+// queued writer, so one Fail, auto-fail or rebuild slice arriving
+// mid-pass would stall all user I/O until the pass ended. Per batch,
+// the longest anything waits on a scrub is one batch's gather.
+//
+// The pass is not a snapshot. User writes share the read lock, so one
+// that lands on a batch's stripes while the batch is gathering can be
+// seen on some copies and not others and read as a mismatch; a verdict
+// is only as good as the quiescence of the stripes it covers.
+func (v *Volume) scrubPass(ctx context.Context, online bool) (ScrubReport, error) {
+	var report ScrubReport
+	batch, stripes := v.cfg.RebuildBatch, v.stripes
+	crc := v.cfg.WireCRC
+	first := 0
+	if online {
+		v.mu.RLock()
+		first = v.scrubPos / batch
+		v.mu.RUnlock()
+	}
 	numBatches := (stripes + batch - 1) / batch
-	firstBatch := (start / batch) % numBatches
 	skipped := make([]bool, len(v.ids))
 	for k := 0; k < numBatches; k++ {
-		b := (firstBatch + k) % numBatches
-		s0 := b * batch
-		s1 := s0 + batch
-		if s1 > stripes {
-			s1 = stripes
+		s0 := (first + k) % numBatches * batch
+		s1 := min(s0+batch, stripes)
+		cost := 0 // free: acquire then only checks ctx
+		if online {
+			cost = s1 - s0
 		}
-		if err := v.qos.acquire(ctx, s1-s0); err != nil {
+		if err := v.qos.acquire(ctx, cost); err != nil {
 			return report, err
 		}
-		if err := func() error {
-			v.mu.RLock()
-			defer v.mu.RUnlock()
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if crcMode {
-				done, err := v.scrubBatchCRC(ctx, &report, skipped, s0, s1)
-				if err != nil {
-					return err
-				}
-				if done {
-					return nil
-				}
-				// A backend without the CRC feature flips the rest of
-				// the pass to byte comparison, like Scrub.
-				crcMode = false
-			}
-			return v.scrubBatchBytes(ctx, &report, skipped, s0, s1)
-		}(); err != nil {
+		v.mu.RLock()
+		done, err := v.scrubBatch(ctx, &report, skipped, s0, s1, crc)
+		if err == nil && !done {
+			// A backend predates or did not enable the CRC feature:
+			// re-verify this batch — and every later one — byte-for-byte.
+			crc = false
+			_, err = v.scrubBatch(ctx, &report, skipped, s0, s1, false)
+		}
+		v.mu.RUnlock()
+		if err != nil {
 			return report, err
 		}
-		next := s1
-		if next >= stripes {
-			next = 0
+		if online {
+			v.mu.Lock()
+			v.scrubPos = s1 % stripes
+			v.mu.Unlock()
 		}
-		v.mu.Lock()
-		v.scrubPos = next
-		v.mu.Unlock()
-		v.stats.scrubCursor.Set(int64(next))
 	}
 	return report, v.scrubFinish(&report, skipped)
 }

@@ -239,7 +239,7 @@ func (v *Volume) Stats() Stats {
 			Deaths:              ds.pool.deaths.Load(),
 			Revivals:            ds.pool.revivals.Load(),
 			RebuildReadElements: ds.rebuildReads.Load(),
-			WatermarkStripes:    ds.watermark.Load(),
+			WatermarkStripes:    v.watermark(slot),
 		})
 	}
 	return s
@@ -260,7 +260,8 @@ func (v *Volume) ResetRebuildReads() {
 // histograms on reg under the sm_cluster_* namespace, per-backend
 // series labeled disk="data[0]" etc. Call once per volume per registry
 // at setup time; exposition then reads the same atomics the data path
-// updates.
+// updates, and computes the per-disk watermarks and the scrub cursor
+// from the volume's state when it is scraped.
 //
 // The optional labels (key, value pairs) are appended to every series,
 // so several volumes can share one registry as long as the extra labels
@@ -273,6 +274,9 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 	}
 	gauge := func(name, help string, g *obs.Gauge, kv ...string) {
 		reg.RegisterGauge(name, help, g, append(kv, labels...)...)
+	}
+	gaugeFunc := func(name, help string, fn func() int64, kv ...string) {
+		reg.RegisterGaugeFunc(name, help, fn, append(kv, labels...)...)
 	}
 	histogram := func(name, help string, h *obs.Histogram, kv ...string) {
 		reg.RegisterHistogram(name, help, h, append(kv, labels...)...)
@@ -337,8 +341,12 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 		"QoS rate raises granted while the SLO had headroom.", &st.qosBoosts)
 	counter("sm_cluster_qos_wait_nanoseconds_total",
 		"Time rebuild and online scrub spent parked waiting for QoS tokens, in nanoseconds.", &st.qosWaitNanos)
-	gauge("sm_cluster_scrub_cursor_stripes",
-		"Online scrubber's resumable position.", &st.scrubCursor)
+	gaugeFunc("sm_cluster_scrub_cursor_stripes",
+		"Online scrubber's resumable position.", func() int64 {
+			v.mu.RLock()
+			defer v.mu.RUnlock()
+			return int64(v.scrubPos)
+		})
 	gauge("sm_cluster_pipeline_in_flight",
 		"Current pipelined-window occupancy summed over all backend connections (submitted-but-uncompleted ops).", &st.pipe.InFlight)
 	counter("sm_cluster_pipeline_submitted_total",
@@ -372,8 +380,12 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 			"1 while the backend is marked dead.", &ds.pool.deadGauge, "disk", label)
 		counter("sm_cluster_rebuild_read_elements_total",
 			"Elements this backend served as a source for other disks' rebuilds.", &ds.rebuildReads, "disk", label)
-		gauge("sm_cluster_rebuild_watermark_stripes",
-			"Disk availability frontier: Stripes when healthy, rebuild watermark while failed.", &ds.watermark, "disk", label)
+		gaugeFunc("sm_cluster_rebuild_watermark_stripes",
+			"Disk availability frontier: Stripes when healthy, rebuild watermark while failed.", func() int64 {
+				v.mu.RLock()
+				defer v.mu.RUnlock()
+				return v.watermark(slot)
+			}, "disk", label)
 	}
 }
 

@@ -244,7 +244,7 @@ func TestStatsReplaceBackendRace(t *testing.T) {
 			v.Health()
 		}
 	}()
-	go func() { // hook readers (the shard layer's polling surface)
+	go func() { // disk-state readers (the shard layer's polling surface)
 		defer wg.Done()
 		for {
 			select {
@@ -252,11 +252,9 @@ func TestStatsReplaceBackendRace(t *testing.T) {
 				return
 			default:
 			}
-			for _, id := range arch.Disks() {
-				v.Watermark(id)
-				v.BackendDead(id)
-				if _, ok := v.BackendAddr(id); !ok {
-					t.Errorf("disk %v lost its address", id)
+			for _, d := range v.Disks() {
+				if d.Addr == "" {
+					t.Errorf("disk %v lost its address", d.ID)
 					return
 				}
 			}

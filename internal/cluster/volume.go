@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
 )
@@ -26,14 +26,10 @@ import (
 // is indexed by that slot, so the data path never hashes a DiskID.
 type Volume struct {
 	arch *raid.Mirror
-	// place maps logical elements to the pool slots holding their
+	// table maps logical elements to the pool slots holding their
 	// copies — the single source of placement truth for the read
 	// failover, write fan-out, rebuild gather, scrub, and hedging
-	// paths. It is the architecture's arrangement wrapped as a classic
-	// two-array placement, or (Config.Layout / the arrangement itself
-	// implementing layout.Placement) a pooled placement such as the
-	// declustered schedule. table is place flattened for the data path.
-	place       layout.Placement
+	// paths. It is arch.Placement() flattened for the data path.
 	table       *placementTable
 	ids         []raid.DiskID // slot → disk, fixed at New
 	n           int
@@ -52,10 +48,15 @@ type Volume struct {
 	// backend, served and written there even before RebuildDisk ends).
 	// rebuilding marks disks with a RebuildDisk in flight, so a second
 	// concurrent rebuild of the same disk is rejected instead of racing
-	// on the watermark.
-	failed     []bool
-	progress   []int
-	rebuilding []bool
+	// on the watermark. replacement marks failed disks that have a
+	// backend to rebuild onto: set by ReplaceBackend on a failed disk and
+	// by a RebuildDisk attempt, cleared when a rebuild completes. These
+	// four, plus the pool's dead verdict, are all the state a disk has;
+	// Disks derives everything reported about it from them.
+	failed      []bool
+	progress    []int
+	rebuilding  []bool
+	replacement []bool
 	// scrubPos is ScrubOnline's resumable cursor: the stripe the next
 	// online pass (or the resumption of a cancelled one) starts from.
 	scrubPos int
@@ -126,10 +127,6 @@ type volumeStats struct {
 	qosBoosts    obs.Counter
 	qosWaitNanos obs.Counter
 
-	// scrubCursor mirrors Volume.scrubPos for exposition: the online
-	// scrubber's resumable position in stripes.
-	scrubCursor obs.Gauge
-
 	readLat  *obs.Histogram // ReadAt wall time
 	writeLat *obs.Histogram // WriteAt wall time
 	sliceLat *obs.Histogram // rebuild slice wall time (one exclusive-lock hold)
@@ -158,23 +155,17 @@ type diskStats struct {
 	// load spreads one element-column per surviving backend; traditional:
 	// it all lands on the twin).
 	rebuildReads obs.Counter
-	// watermark is the disk's availability frontier in stripes: Stripes
-	// when healthy, the rebuild watermark while failed.
-	watermark obs.Gauge
 }
 
 // init populates a zero volumeStats in place (the struct embeds
 // atomics and must not be copied).
-func (s *volumeStats) init(disks, stripes int) {
+func (s *volumeStats) init(disks int) {
 	s.readLat = obs.NewHistogram()
 	s.writeLat = obs.NewHistogram()
 	s.sliceLat = obs.NewHistogram()
 	s.fetchLat = obs.NewHistogram()
 	s.pipe = blockserver.NewPipeStats()
 	s.perDisk = make([]diskStats, disks)
-	for i := range s.perDisk {
-		s.perDisk[i].watermark.Set(int64(stripes))
-	}
 }
 
 // BackendHealth is one backend's view in a Health snapshot.
@@ -204,6 +195,9 @@ type Health struct {
 	// AutoFailed counts disks marked failed by the write path after
 	// their backend stopped accepting writes.
 	AutoFailed int64
+	// CRCReadErrors counts vectored reads whose payload failed its
+	// CRC-32C at the client (WireCRC mode).
+	CRCReadErrors int64
 	// Rebuilds counts completed RebuildDisk runs; RebuildBytes and
 	// RebuildSeconds accumulate across them, and RebuildMBps is their
 	// ratio (0 before the first rebuild).
@@ -217,26 +211,23 @@ type Health struct {
 }
 
 // New builds a Volume over the given architecture with one backend
-// address per disk. Every disk in arch.Disks() must have an address;
-// parity architectures are not supported (the cluster data path is
-// replica-based — use a second mirror array for fault tolerance two).
+// address per disk. The architecture names the layout: its Placement
+// decides where every copy lives. Every disk in arch.Disks() must have
+// an address; parity architectures are not supported (the cluster data
+// path is replica-based — use a second mirror array for fault tolerance
+// two).
 func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volume, error) {
 	if arch.Parity() {
 		return nil, fmt.Errorf("cluster: parity architectures are not supported; use a mirror or three-mirror arrangement")
 	}
 	cfg = cfg.withDefaults()
-	place, err := resolvePlacement(arch, cfg.Layout)
-	if err != nil {
-		return nil, err
-	}
 	ids := arch.Disks()
-	table, err := newPlacementTable(place, ids)
+	table, err := newPlacementTable(arch.Placement(), ids)
 	if err != nil {
 		return nil, err
 	}
 	v := &Volume{
 		arch:        arch,
-		place:       place,
 		table:       table,
 		ids:         ids,
 		n:           arch.N(),
@@ -248,8 +239,9 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 		failed:      make([]bool, len(ids)),
 		progress:    make([]int, len(ids)),
 		rebuilding:  make([]bool, len(ids)),
+		replacement: make([]bool, len(ids)),
 	}
-	v.stats.init(len(ids), cfg.Stripes)
+	v.stats.init(len(ids))
 	if cfg.RebuildQoSSLO > 0 {
 		v.qos = newQoSController(cfg, &v.stats)
 	}
@@ -347,42 +339,6 @@ func (v *Volume) storeOffset(stripe, row int) int64 {
 // must not modify it.
 func (v *Volume) locations(stripe, disk, row int) []location {
 	return v.table.locations(stripe, disk, row)
-}
-
-// resolvePlacement picks the Placement driving a volume: the named
-// registered layout when Config.Layout is set, the architecture's
-// arrangement when it implements layout.Placement itself, or the
-// arrangement(s) wrapped as the classic fixed two-array (or three-array)
-// geometry otherwise.
-func resolvePlacement(arch *raid.Mirror, name string) (layout.Placement, error) {
-	if name == "" {
-		if len(arch.Mirrors()) == 1 {
-			if p, ok := arch.Mirrors()[0].(layout.Placement); ok {
-				return checkPlacement(arch, p)
-			}
-		}
-		return layout.PlacementOf(arch.Mirrors()...), nil
-	}
-	if len(arch.Mirrors()) != 1 {
-		return nil, fmt.Errorf("cluster: layout %q needs a single-mirror architecture, not %s", name, arch.Name())
-	}
-	arr, err := layout.New(name, arch.N())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if p, ok := arr.(layout.Placement); ok {
-		return checkPlacement(arch, p)
-	}
-	return layout.PlacementOf(arr), nil
-}
-
-// checkPlacement verifies a pooled placement spans exactly the
-// architecture's disks.
-func checkPlacement(arch *raid.Mirror, p layout.Placement) (layout.Placement, error) {
-	if want := len(arch.Disks()); p.Width() != want {
-		return nil, fmt.Errorf("cluster: placement spans %d pool disks, architecture has %d", p.Width(), want)
-	}
-	return p, nil
 }
 
 // slot maps a disk to its dense index; ok is false for a disk the
@@ -752,7 +708,6 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 				v.failed[br.slot] = true
 				v.progress[br.slot] = 0
 				v.stats.autoFailed.Inc()
-				v.stats.perDisk[br.slot].watermark.Set(0)
 				v.trace(obs.Event{Op: "auto_fail", Target: v.ids[br.slot].String()})
 			} else if v.progress[br.slot] > br.stripe {
 				// A disk mid-rebuild missed a write below its watermark: the
@@ -760,7 +715,6 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 				// back so reads fail over to the replicas that did take the
 				// write and the rebuild re-recovers everything from there.
 				v.progress[br.slot] = br.stripe
-				v.stats.perDisk[br.slot].watermark.Set(int64(br.stripe))
 			}
 		}
 		v.mu.Unlock()
@@ -944,7 +898,6 @@ func (v *Volume) Fail(id raid.DiskID) error {
 	}
 	v.failed[slot] = true
 	v.progress[slot] = 0
-	v.stats.perDisk[slot].watermark.Set(0)
 	v.trace(obs.Event{Op: "fail", Target: id.String()})
 	return nil
 }
@@ -958,7 +911,8 @@ func (v *Volume) trace(ev obs.Event) {
 
 // ReplaceBackend points a disk at a new (typically fresh) backend,
 // closing the old pool. The usual sequence for a lost machine is
-// Fail → ReplaceBackend → RebuildDisk.
+// Fail → ReplaceBackend → RebuildDisk; on a failed disk the new backend
+// is what makes it replacement-pending rather than dead.
 func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 	slot, ok := v.slot(id)
 	if !ok {
@@ -971,22 +925,14 @@ func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 	// not erase the disk's service history.
 	v.pools[slot] = newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
 	v.addrs[slot] = addr
+	if v.failed[slot] {
+		// Whatever an earlier rebuild recovered lives on the old backend:
+		// the watermark starts over with the new one.
+		v.replacement[slot] = true
+		v.progress[slot] = 0
+	}
 	v.trace(obs.Event{Op: "replace_backend", Target: id.String()})
 	return nil
-}
-
-// FailedDisks returns the disks currently marked failed, sorted by role
-// then index (slot order).
-func (v *Volume) FailedDisks() []raid.DiskID {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	var out []raid.DiskID
-	for slot, failed := range v.failed {
-		if failed {
-			out = append(out, v.ids[slot])
-		}
-	}
-	return out
 }
 
 // Health returns a snapshot of cluster-wide and per-backend counters.
@@ -999,6 +945,7 @@ func (v *Volume) Health() Health {
 		DegradedReads:   v.stats.degradedReads.Load(),
 		Failovers:       v.stats.failovers.Load(),
 		AutoFailed:      v.stats.autoFailed.Load(),
+		CRCReadErrors:   v.stats.crcReadErrors.Load(),
 		Rebuilds:        v.stats.rebuilds.Load(),
 		RebuildBytes:    v.stats.rebuildBytes.Load(),
 		RebuildSeconds:  float64(v.stats.rebuildNanos.Load()) / 1e9,
@@ -1061,50 +1008,51 @@ func (v *Volume) readStore(ctx context.Context, slot int, buf []byte, off int64)
 	return nil
 }
 
-// readStoreCRCs fetches the CRC-32C of the len(out) consecutive
-// elements starting at store offset off on one backend, in requests
-// bounded by MaxBatch ranges and MaxIOSize covered bytes (the server
-// reads every range to checksum it, so the I/O budget applies even
-// though only 4 bytes per element travel back).
-func (v *Volume) readStoreCRCs(ctx context.Context, slot int, out []uint32, off int64) error {
-	perReq := v.cfg.MaxBatch
-	if byBytes := int(blockserver.MaxIOSize / v.elementSize); byBytes < perReq {
-		perReq = byBytes
-	}
-	if perReq < 1 {
-		perReq = 1
-	}
+// readStoreCRCs fetches the CRC-32C of the len(out)/4 consecutive
+// elements starting at store offset off on one backend, four big-endian
+// bytes per element, in requests bounded by MaxBatch ranges and
+// MaxIOSize covered bytes (the server reads every range to checksum it,
+// so the I/O budget applies even though only 4 bytes per element travel
+// back).
+func (v *Volume) readStoreCRCs(ctx context.Context, slot int, out []byte, off int64) error {
+	perReq := max(1, min(v.cfg.MaxBatch, int(blockserver.MaxIOSize/v.elementSize)))
 	vecs := make([]blockserver.Vec, 0, perReq)
-	for at := 0; at < len(out); at += perReq {
-		end := at + perReq
-		if end > len(out) {
-			end = len(out)
-		}
+	sums := make([]uint32, perReq)
+	for at, elems := 0, len(out)/4; at < elems; at += perReq {
+		end := min(at+perReq, elems)
 		vecs = vecs[:0]
 		for i := at; i < end; i++ {
 			vecs = append(vecs, blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)})
 		}
-		chunk := out[at:end]
+		chunk := sums[:end-at]
 		err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
 			return c.CrcV(ctx, vecs, chunk)
 		}))
 		if err != nil {
 			return err
 		}
+		for i, sum := range chunk {
+			binary.BigEndian.PutUint32(out[4*(at+i):], sum)
+		}
 	}
 	return nil
 }
 
-// scrubBatchCRC verifies one stripe batch by checksum: one OpCrcV
-// gather per healthy disk, then the same data-versus-replica sweep as
-// the byte path over 4-byte sums instead of elementSize buffers. It
-// reports done=false — without consuming the batch — when any backend
-// answers ErrNoCRC, so Scrub can redo the batch byte-for-byte. skipped
-// is indexed by slot.
-func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, skipped []bool, s0, s1 int) (done bool, err error) {
-	rowBytes := int64(v.n) * v.elementSize
-	elems := (s1 - s0) * v.n
-	sums := make([][]uint32, len(v.ids)) // nil: not gathered
+// scrubBatch verifies stripes [s0, s1): one gather per available disk
+// of a digest of each of its elements — with crc the element's CRC-32C
+// (one OpCrcV per disk, 4 bytes per element on the wire, recomputed
+// server-side so rot is still caught), without it the element itself —
+// then every replica's digest compared against its data element's. It
+// reports done=false, with nothing counted, when a backend answers
+// ErrNoCRC, so the pass can redo the batch byte-for-byte. skipped is
+// indexed by slot. Call with v.mu held (read).
+func (v *Volume) scrubBatch(ctx context.Context, report *ScrubReport, skipped []bool, s0, s1 int, crc bool) (done bool, err error) {
+	width, how := v.elementSize, "" // digest bytes per element
+	if crc {
+		width, how = 4, " (checksum)"
+	}
+	elems := int64(s1-s0) * int64(v.n)
+	digests := make([][]byte, len(v.ids)) // nil: not gathered
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var remoteErr error
@@ -1117,18 +1065,22 @@ func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, skipped
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := make([]uint32, elems)
-			err := v.readStoreCRCs(ctx, slot, out, int64(s0)*rowBytes)
+			buf := make([]byte, elems*width)
+			read := v.readStore
+			if crc {
+				read = v.readStoreCRCs
+			}
+			err := read(ctx, slot, buf, v.storeOffset(s0, 0))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case err == nil:
-				sums[slot] = out
+				digests[slot] = buf
 			case errors.Is(err, blockserver.ErrNoCRC):
 				noCRC = true
 			case blockserver.IsRemote(err):
 				if remoteErr == nil {
-					remoteErr = fmt.Errorf("cluster: scrub crc on %v: %w", v.ids[slot], err)
+					remoteErr = fmt.Errorf("cluster: scrub read%s on %v: %w", how, v.ids[slot], err)
 				}
 			default:
 				skipped[slot] = true // unreachable: skip, like a failed disk
@@ -1146,26 +1098,36 @@ func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, skipped
 		return false, remoteErr
 	}
 	for stripe := s0; stripe < s1; stripe++ {
-		base := (stripe - s0) * v.n
+		// digest is loc's element digest, nil when its disk was not
+		// gathered or does not hold this stripe yet.
+		digest := func(loc location) []byte {
+			d := digests[loc.slot]
+			if d == nil || !v.available(loc.slot, stripe) {
+				return nil
+			}
+			at := (int64(stripe-s0)*int64(v.n) + int64(loc.row)) * width
+			return d[at : at+width]
+		}
 		for disk := 0; disk < v.n; disk++ {
 			for row := 0; row < v.n; row++ {
 				locs := v.locations(stripe, disk, row)
-				data := sums[locs[0].slot]
-				if data == nil || !v.available(locs[0].slot, stripe) {
+				want := digest(locs[0])
+				if want == nil {
 					continue
 				}
-				want := data[base+locs[0].row]
 				for _, loc := range locs[1:] {
-					repl := sums[loc.slot]
-					if repl == nil || !v.available(loc.slot, stripe) {
+					got := digest(loc)
+					if got == nil {
 						continue
 					}
-					if repl[base+loc.row] != want {
-						return false, fmt.Errorf("%w: %v of data[%d] stripe %d row %d (checksum)",
-							ErrScrubMismatch, loc.id, disk, stripe, row)
+					if !bytes.Equal(want, got) {
+						return false, fmt.Errorf("%w: %v of data[%d] stripe %d row %d%s",
+							ErrScrubMismatch, loc.id, disk, stripe, row, how)
 					}
 					report.ElementsCompared++
-					report.ChecksumCompared++
+					if crc {
+						report.ChecksumCompared++
+					}
 				}
 			}
 		}
@@ -1189,110 +1151,15 @@ func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, skipped
 // disks' full content. A backend that did not negotiate the CRC
 // feature flips the whole pass back to byte comparison — mixing modes
 // across batches would make coverage claims incoherent.
+//
+// The pass runs from stripe 0 at full speed; see scrubPass for how it
+// shares the volume with user I/O, and ScrubOnline for the throttled,
+// resumable form.
 func (v *Volume) Scrub(ctx context.Context) (ScrubReport, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	var report ScrubReport
-	batch := v.cfg.RebuildBatch
-	skipped := make([]bool, len(v.ids))
-	crcMode := v.cfg.WireCRC
-	for s0 := 0; s0 < v.stripes; s0 += batch {
-		if err := ctx.Err(); err != nil {
-			return report, err
-		}
-		s1 := s0 + batch
-		if s1 > v.stripes {
-			s1 = v.stripes
-		}
-		if crcMode {
-			done, err := v.scrubBatchCRC(ctx, &report, skipped, s0, s1)
-			if err != nil {
-				return report, err
-			}
-			if done {
-				continue
-			}
-			// A backend predates or did not enable the CRC feature:
-			// re-verify this batch — and every later one — byte-for-byte.
-			crcMode = false
-		}
-		if err := v.scrubBatchBytes(ctx, &report, skipped, s0, s1); err != nil {
-			return report, err
-		}
-	}
-	return report, v.scrubFinish(&report, skipped)
+	return v.scrubPass(ctx, false)
 }
 
-// scrubBatchBytes verifies one stripe batch byte-for-byte: one full
-// content gather per healthy disk, then every replica compared against
-// its data element. Caller must hold v.mu (read).
-func (v *Volume) scrubBatchBytes(ctx context.Context, report *ScrubReport, skipped []bool, s0, s1 int) error {
-	rowBytes := int64(v.n) * v.elementSize
-	// One gather per disk for the whole stripe batch.
-	content := make([][]byte, len(v.ids)) // nil: not gathered
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var remoteErr error
-	for slot := range v.ids {
-		if !v.available(slot, s1-1) && !v.available(slot, s0) {
-			skipped[slot] = true
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, int64(s1-s0)*rowBytes)
-			err := v.readStore(ctx, slot, buf, int64(s0)*rowBytes)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				content[slot] = buf
-			case blockserver.IsRemote(err):
-				if remoteErr == nil {
-					remoteErr = fmt.Errorf("cluster: scrub read on %v: %w", v.ids[slot], err)
-				}
-			default:
-				skipped[slot] = true // unreachable: skip, like a failed disk
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if remoteErr != nil {
-		return remoteErr
-	}
-	for stripe := s0; stripe < s1; stripe++ {
-		base := int64(stripe-s0) * rowBytes
-		for disk := 0; disk < v.n; disk++ {
-			for row := 0; row < v.n; row++ {
-				locs := v.locations(stripe, disk, row)
-				data := content[locs[0].slot]
-				if data == nil || !v.available(locs[0].slot, stripe) {
-					continue
-				}
-				want := data[base+int64(locs[0].row)*v.elementSize : base+int64(locs[0].row+1)*v.elementSize]
-				for _, loc := range locs[1:] {
-					repl := content[loc.slot]
-					if repl == nil || !v.available(loc.slot, stripe) {
-						continue
-					}
-					got := repl[base+int64(loc.row)*v.elementSize : base+int64(loc.row+1)*v.elementSize]
-					if !bytes.Equal(want, got) {
-						return fmt.Errorf("%w: %v of data[%d] stripe %d row %d",
-							ErrScrubMismatch, loc.id, disk, stripe, row)
-					}
-					report.ElementsCompared++
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// scrubFinish closes out a completed pass (full-lock Scrub or online):
+// scrubFinish closes out a completed pass:
 // lists the skipped slots in the report (slot order is role-then-index
 // order), rolls the counters, and decides the degraded verdict.
 func (v *Volume) scrubFinish(report *ScrubReport, skipped []bool) error {

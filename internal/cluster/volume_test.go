@@ -353,8 +353,10 @@ func TestRebuildDiskMatchesLocalRebuild(t *testing.T) {
 			if _, err := v.Scrub(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if len(v.FailedDisks()) != 0 {
-				t.Fatalf("still failed after rebuild: %v", v.FailedDisks())
+			for _, d := range v.Disks() {
+				if d.State != DiskOnline {
+					t.Fatalf("%v still %v after rebuild", d.ID, d.State)
+				}
 			}
 			if h := v.Health(); h.Rebuilds != 1 || h.RebuildBytes == 0 || h.RebuildMBps <= 0 {
 				t.Fatalf("rebuild counters wrong: %+v", h)

@@ -15,7 +15,10 @@ import (
 // Registry names metrics and renders them in the Prometheus text
 // exposition format. Registration happens at setup time (it locks and
 // allocates); the registered Counter/Gauge/Histogram values stay owned
-// by their components, so the data path never touches the registry.
+// by their components, so the data path never touches the registry. A
+// value that is a function of other state (a rollup, a cursor) is
+// registered as that function (RegisterGaugeFunc) and computed when the
+// registry is read, so it cannot go stale.
 //
 // Families appear in registration order; series within a family are
 // sorted by label string, so the output is deterministic and
@@ -35,6 +38,7 @@ type series struct {
 	labels string // pre-rendered `k="v",k2="v2"` or ""
 	c      *Counter
 	g      *Gauge
+	gf     func() int64
 	h      *Histogram
 }
 
@@ -117,6 +121,14 @@ func (r *Registry) RegisterGauge(name, help string, g *Gauge, labels ...string) 
 	r.add(name, help, "gauge", renderLabels(labels), series{g: g})
 }
 
+// RegisterGaugeFunc registers a gauge whose value is fn's result at the
+// moment the registry is rendered. fn runs on the rendering goroutine
+// with no registry lock held and must be safe to call concurrently with
+// whatever it reads.
+func (r *Registry) RegisterGaugeFunc(name, help string, fn func() int64, labels ...string) {
+	r.add(name, help, "gauge", renderLabels(labels), series{gf: fn})
+}
+
 // Histogram creates and registers a new histogram over bounds (nil =
 // DefLatencyBuckets).
 func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels ...string) *Histogram {
@@ -155,10 +167,17 @@ func bucketName(name, labels, le string) string {
 // exposition format (version 0.0.4). Histogram bounds and sums are
 // written in seconds, per the Prometheus base-unit convention.
 func (r *Registry) WriteText(w io.Writer) error {
+	// Render from a copy: gauge functions take their owners' locks, so
+	// they must not run under the registry's.
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	families := make([]family, len(r.families))
+	for i, f := range r.families {
+		families[i] = *f
+		families[i].series = append([]series(nil), f.series...)
+	}
+	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range r.families {
+	for _, f := range families {
 		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 		for _, s := range f.series {
@@ -167,6 +186,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, s.labels), s.c.Load())
 			case s.g != nil:
 				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, s.labels), s.g.Load())
+			case s.gf != nil:
+				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, s.labels), s.gf())
 			case s.h != nil:
 				snap := s.h.Snapshot()
 				var cum uint64

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +95,30 @@ func TestLabelEscaping(t *testing.T) {
 	want := `esc_total{path="a\"b\\c\n"} 0`
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("escaped label missing: got %q, want substring %q", buf.String(), want)
+	}
+}
+
+// TestGaugeFuncReadsAtRender: a function-backed gauge has no stored
+// value — each render shows what the function returns then — and the
+// function runs with the registry unlocked, so it may use the registry.
+func TestGaugeFuncReadsAtRender(t *testing.T) {
+	reg := NewRegistry()
+	level := int64(3)
+	reg.RegisterGaugeFunc("sm_level", "Computed.", func() int64 {
+		reg.Counter("sm_renders_total", "Registered from inside a render.", "at", strconv.FormatInt(level, 10))
+		return level
+	}, "tank", "a")
+	reg.Gauge("sm_level", "Computed.", "tank", "b").Set(9)
+	for _, want := range []int64{3, 7} {
+		level = want
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		line := "sm_level{tank=\"a\"} " + strconv.FormatInt(want, 10) + "\nsm_level{tank=\"b\"} 9\n"
+		if !strings.Contains(buf.String(), "# TYPE sm_level gauge\n"+line) {
+			t.Fatalf("render at level %d:\n%s", want, buf.String())
+		}
 	}
 }
 

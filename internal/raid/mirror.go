@@ -65,6 +65,20 @@ func (m *Mirror) Parity() bool { return m.parity }
 // Mirrors returns the mirror arrangements (1 or 2).
 func (m *Mirror) Mirrors() []layout.Arrangement { return m.mirrors }
 
+// Placement returns where every copy of every element lives, as pool
+// slots numbered in Disks() order: the arrangement itself when a single
+// mirror array's arrangement is a pooled layout.Placement (declustered),
+// else the arrangements wrapped as the classic fixed two- or three-array
+// geometry. A parity disk holds no copy and is not part of it.
+func (m *Mirror) Placement() layout.Placement {
+	if len(m.mirrors) == 1 {
+		if p, ok := m.mirrors[0].(layout.Placement); ok {
+			return p
+		}
+	}
+	return layout.PlacementOf(m.mirrors...)
+}
+
 // FaultTolerance implements Architecture.
 func (m *Mirror) FaultTolerance() int {
 	if m.parity || len(m.mirrors) == 2 {

@@ -2,73 +2,28 @@ package shard
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"sync"
 
+	"shiftedmirror/internal/cluster"
 	"shiftedmirror/internal/raid"
 )
 
-// DeviceState is one device slot's position in the placement state
-// machine, modeled on the per-device replica-table state NBS keeps for
-// mirrored disks:
-//
-//	online ──(content lost / backend unreachable)──▶ dead
-//	dead ──(fresh backend attached)──▶ replacement-pending
-//	replacement-pending ──(scheduler picks it)──▶ rebuilding
-//	rebuilding ──(rebuild completes)──▶ online
-//	rebuilding ──(rebuild fails)──▶ replacement-pending
-//
-// The states are what the rebuild scheduler keys on: only
-// replacement-pending devices are eligible (a dead device has nowhere
-// to rebuild to), and a group's priority grows with its count of
-// non-online devices and their incompleteness.
-type DeviceState int
+// DeviceState is one device slot's position in the failure/repair
+// cycle. It is the child volume's own per-disk state (see
+// cluster.DiskState for the transitions): the shard layer keeps no copy,
+// it reads the children. The states are what the rebuild scheduler keys
+// on: only replacement-pending devices are eligible (a dead device has
+// nowhere to rebuild to), and a group's priority grows with its count
+// of non-online devices and their incompleteness.
+type DeviceState = cluster.DiskState
 
+// Device states.
 const (
-	// DeviceOnline: serving reads and writes, fully rebuilt.
-	DeviceOnline DeviceState = iota
-	// DeviceDead: content lost or backend unreachable; the group serves
-	// the slot's data from replicas. No rebuild can start until a
-	// replacement backend is attached.
-	DeviceDead
-	// DeviceReplacementPending: a fresh backend is attached and empty;
-	// the slot is waiting for the rebuild scheduler.
-	DeviceReplacementPending
-	// DeviceRebuilding: a RebuildDisk is copying data onto the
-	// replacement backend right now.
-	DeviceRebuilding
+	DeviceOnline             = cluster.DiskOnline
+	DeviceDead               = cluster.DiskDead
+	DeviceReplacementPending = cluster.DiskReplacementPending
+	DeviceRebuilding         = cluster.DiskRebuilding
 )
-
-var deviceStateNames = [...]string{"online", "dead", "replacement-pending", "rebuilding"}
-
-func (s DeviceState) String() string {
-	if s < 0 || int(s) >= len(deviceStateNames) {
-		return fmt.Sprintf("DeviceState(%d)", int(s))
-	}
-	return deviceStateNames[s]
-}
-
-// MarshalJSON renders the state by name, so placement-table dumps read
-// as "rebuilding" rather than an enum ordinal.
-func (s DeviceState) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.String())
-}
-
-// UnmarshalJSON parses the name form written by MarshalJSON.
-func (s *DeviceState) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for i, n := range deviceStateNames {
-		if n == name {
-			*s = DeviceState(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("shard: unknown device state %q", name)
-}
 
 // Device is one backend slot of the placement table: which group and
 // disk slot it serves, where it lives, its state, and how incomplete
@@ -79,15 +34,10 @@ type Device struct {
 	Addr  string      `json:"addr"`
 	State DeviceState `json:"state"`
 	// Replacement mirrors NBS's IsReplacement: true from the moment a
-	// fresh backend is attached until its rebuild completes — the window
-	// in which the slot's content cannot be trusted beyond the watermark.
+	// failed slot has a backend to rebuild onto until its rebuild
+	// completes — the window in which the slot's content cannot be
+	// trusted beyond the watermark.
 	Replacement bool `json:"replacement,omitempty"`
-	// ReadRateMBps is the device's advertised read bandwidth (the
-	// WithReadRate throttle it is served under), the signal the
-	// capacity/bandwidth-aware planner keys on. 0 means unthrottled.
-	ReadRateMBps float64 `json:"read_rate_mbps,omitempty"`
-	// CapacityBytes is the device's raw capacity; 0 means unknown.
-	CapacityBytes int64 `json:"capacity_bytes,omitempty"`
 	// IncompleteStripes is stripes-not-yet-rebuilt: 0 when online,
 	// Stripes right after a failure, shrinking as the watermark advances.
 	IncompleteStripes int64 `json:"incomplete_stripes"`
@@ -105,95 +55,70 @@ type DeviceRollup struct {
 	MaxIncompleteness  int64 `json:"max_incompleteness"`
 }
 
-// devKey addresses one slot: a group and a disk slot within it.
-type devKey struct {
-	group int
-	disk  raid.DiskID
-}
-
-// PlacementTable tracks device→group assignment and per-device state
-// for a sharded volume. All methods are safe for concurrent use. It
-// serializes to JSON (see Snapshot) for smtool inspection.
+// PlacementTable is the device→group assignment and per-device state of
+// a sharded volume at one instant. It is a value computed from the
+// children's Disks() each time it is asked for (ShardedVolume.Placement)
+// and never changes afterwards — nothing is remembered between calls,
+// so nothing can go stale. It serializes to JSON (see Snapshot) for
+// smtool inspection.
 type PlacementTable struct {
-	mu      sync.RWMutex
-	devices map[devKey]*Device
+	// devices is sorted by group, then disk string — the stable order
+	// JSON dumps and tests rely on.
+	devices []tableDevice
 }
 
-func newPlacementTable() *PlacementTable {
-	return &PlacementTable{devices: map[devKey]*Device{}}
+// tableDevice is a Device with the disk id its Disk string renders and
+// the watermark its incompleteness was taken from.
+type tableDevice struct {
+	Device
+	id        raid.DiskID
+	watermark int64
 }
 
-func (t *PlacementTable) add(group int, disk raid.DiskID, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.devices[devKey{group, disk}] = &Device{
-		Group: group, Disk: disk.String(), Addr: addr, State: DeviceOnline,
-	}
-}
-
-func (t *PlacementTable) remove(group int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k := range t.devices {
-		if k.group == group {
-			delete(t.devices, k)
+// newPlacementTable reads every group's disks into a table.
+func newPlacementTable(gs []*group) *PlacementTable {
+	t := &PlacementTable{}
+	for _, g := range gs {
+		stripes := int64(g.vol.Stripes())
+		for _, d := range g.vol.Disks() {
+			t.devices = append(t.devices, tableDevice{id: d.ID, watermark: d.WatermarkStripes, Device: Device{
+				Group: g.id, Disk: d.ID.String(), Addr: d.Addr,
+				State: d.State, Replacement: d.Replacement,
+				IncompleteStripes: stripes - d.WatermarkStripes,
+			}})
 		}
 	}
+	sort.Slice(t.devices, func(i, j int) bool {
+		a, b := &t.devices[i], &t.devices[j]
+		if a.Group != b.Group {
+			return a.Group < b.Group
+		}
+		return a.Disk < b.Disk
+	})
+	return t
 }
 
-// mutate applies fn to one slot under the lock; missing slots are a
-// no-op (the group was removed underneath an async observer).
-func (t *PlacementTable) mutate(group int, disk raid.DiskID, fn func(*Device)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d, ok := t.devices[devKey{group, disk}]; ok {
-		fn(d)
-	}
-}
-
-// Device returns a copy of one slot's entry.
+// Device returns one slot's entry.
 func (t *PlacementTable) Device(group int, disk raid.DiskID) (Device, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	d, ok := t.devices[devKey{group, disk}]
-	if !ok {
-		return Device{}, false
-	}
-	return *d, true
-}
-
-// SetDeviceInfo records a device's bandwidth and capacity signals —
-// the planner's inputs, carried in the table so smtool dumps show what
-// the placement was decided on.
-func (t *PlacementTable) SetDeviceInfo(group int, disk raid.DiskID, readRateMBps float64, capacityBytes int64) {
-	t.mutate(group, disk, func(d *Device) {
-		d.ReadRateMBps = readRateMBps
-		d.CapacityBytes = capacityBytes
-	})
-}
-
-// Devices returns every slot, sorted by group then disk role/index —
-// the stable order JSON dumps and tests rely on.
-func (t *PlacementTable) Devices() []Device {
-	t.mu.RLock()
-	out := make([]Device, 0, len(t.devices))
 	for _, d := range t.devices {
-		out = append(out, *d)
-	}
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Group != out[j].Group {
-			return out[i].Group < out[j].Group
+		if d.Group == group && d.id == disk {
+			return d.Device, true
 		}
-		return out[i].Disk < out[j].Disk
-	})
+	}
+	return Device{}, false
+}
+
+// Devices returns every slot, sorted by group then disk.
+func (t *PlacementTable) Devices() []Device {
+	out := make([]Device, len(t.devices))
+	for i, d := range t.devices {
+		out[i] = d.Device
+	}
 	return out
 }
 
 // Rollup aggregates slot counts per state and the worst incompleteness.
 func (t *PlacementTable) Rollup() DeviceRollup {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var r DeviceRollup
 	for _, d := range t.devices {
 		switch d.State {
@@ -209,11 +134,22 @@ func (t *PlacementTable) Rollup() DeviceRollup {
 		if d.Replacement {
 			r.Replacements++
 		}
-		if d.IncompleteStripes > r.MaxIncompleteness {
-			r.MaxIncompleteness = d.IncompleteStripes
-		}
+		r.MaxIncompleteness = max(r.MaxIncompleteness, d.IncompleteStripes)
 	}
 	return r
+}
+
+// minWatermark is the lowest watermark across every device — the
+// volume's availability frontier — or 0 for an empty table.
+func (t *PlacementTable) minWatermark() int64 {
+	if len(t.devices) == 0 {
+		return 0
+	}
+	low := t.devices[0].watermark
+	for _, d := range t.devices[1:] {
+		low = min(low, d.watermark)
+	}
+	return low
 }
 
 // groupPressure summarizes one group's rebuild urgency.
@@ -228,23 +164,21 @@ type groupPressure struct {
 // devices are not online, which of them are actionable
 // (replacement-pending), and the summed incompleteness.
 func (t *PlacementTable) pressure() []groupPressure {
-	t.mu.RLock()
 	byGroup := map[int]*groupPressure{}
-	for k, d := range t.devices {
-		gp := byGroup[k.group]
+	for _, d := range t.devices {
+		gp := byGroup[d.Group]
 		if gp == nil {
-			gp = &groupPressure{group: k.group}
-			byGroup[k.group] = gp
+			gp = &groupPressure{group: d.Group}
+			byGroup[d.Group] = gp
 		}
 		if d.State != DeviceOnline {
 			gp.incomplete++
 			gp.stripes += d.IncompleteStripes
 		}
 		if d.State == DeviceReplacementPending {
-			gp.pending = append(gp.pending, k.disk)
+			gp.pending = append(gp.pending, d.id)
 		}
 	}
-	t.mu.RUnlock()
 	out := make([]groupPressure, 0, len(byGroup))
 	for _, gp := range byGroup {
 		sort.Slice(gp.pending, func(i, j int) bool {

@@ -28,30 +28,27 @@ func TestDeviceStateJSON(t *testing.T) {
 }
 
 func TestPlacementTableRollupAndPressure(t *testing.T) {
-	tab := newPlacementTable()
 	d0 := raid.DiskID{Role: raid.RoleData, Index: 0}
 	d1 := raid.DiskID{Role: raid.RoleData, Index: 1}
 	m0 := raid.DiskID{Role: raid.RoleMirror, Index: 0}
-	for g := 0; g < 3; g++ {
-		tab.add(g, d0, "a0")
-		tab.add(g, d1, "a1")
-		tab.add(g, m0, "a2")
+	entry := func(g int, id raid.DiskID, st DeviceState, replacement bool, incomplete int64) tableDevice {
+		return tableDevice{id: id, Device: Device{
+			Group: g, Disk: id.String(), State: st, Replacement: replacement, IncompleteStripes: incomplete,
+		}}
 	}
-	// Group 1: one pending device, 5 stripes missing.
-	tab.mutate(1, d0, func(d *Device) {
-		d.State = DeviceReplacementPending
-		d.Replacement = true
-		d.IncompleteStripes = 5
-	})
-	// Group 2: two non-online devices (one pending, one dead), 3 missing.
-	tab.mutate(2, d1, func(d *Device) {
-		d.State = DeviceReplacementPending
-		d.IncompleteStripes = 2
-	})
-	tab.mutate(2, m0, func(d *Device) {
-		d.State = DeviceDead
-		d.IncompleteStripes = 1
-	})
+	tab := &PlacementTable{devices: []tableDevice{
+		entry(0, d0, DeviceOnline, false, 0),
+		entry(0, d1, DeviceOnline, false, 0),
+		entry(0, m0, DeviceOnline, false, 0),
+		// Group 1: one pending device, 5 stripes missing.
+		entry(1, d0, DeviceReplacementPending, true, 5),
+		entry(1, d1, DeviceOnline, false, 0),
+		entry(1, m0, DeviceOnline, false, 0),
+		// Group 2: two non-online devices (one pending, one dead), 3 missing.
+		entry(2, d0, DeviceOnline, false, 0),
+		entry(2, d1, DeviceReplacementPending, false, 2),
+		entry(2, m0, DeviceDead, false, 1),
+	}}
 
 	r := tab.Rollup()
 	if r.Online != 6 || r.Dead != 1 || r.ReplacementPending != 2 || r.Rebuilding != 0 {

@@ -15,19 +15,18 @@ import (
 // and the paper's shifted arrangement already spreads each rebuild
 // across all of them.
 //
-// The scheduler loops until a SyncPlacement round finds nothing
-// pending, so devices that fail or get replaced *while* it runs are
-// picked up by the next round. Per-device rebuild errors are collected
-// (errors.Join) and returned after the pass; a cancelled ctx stops
-// between devices.
+// Each round reads the placement afresh from the children, and the
+// scheduler loops until a round finds nothing pending, so devices that
+// fail or get replaced *while* it runs are picked up by the next round.
+// Per-device rebuild errors are collected (errors.Join) and returned
+// after the pass; a cancelled ctx stops between devices.
 func (s *ShardedVolume) RebuildPending(ctx context.Context) error {
 	var all []error
 	for {
 		if err := ctx.Err(); err != nil {
 			return errors.Join(append(all, err)...)
 		}
-		s.SyncPlacement()
-		queue := s.table.pressure()
+		queue := s.Placement().pressure()
 		work := queue[:0]
 		for _, gp := range queue {
 			if len(gp.pending) > 0 {

@@ -1,16 +1,15 @@
 // Package shard stripes one logical address space across many
-// shifted-mirror groups and routes every byte through a replica/
-// placement table.
+// shifted-mirror groups and routes every byte through an extent table.
 //
 // The paper's shifted arrangement fixes rebuild fan-out *within* one
 // n×n mirror group; this package is the layer above it: a
 // ShardedVolume owns a set of cluster.Volume children ("groups"),
-// interleaves logical stripes across them, and keeps a PlacementTable
-// of every backend device's state. A rebuild is therefore confined to
-// its group — backends in other groups serve zero rebuild-source
-// elements and their read latency is untouched — while capacity and
-// aggregate bandwidth grow with the group count instead of being
-// capped at n disks.
+// interleaves logical stripes across them, and reports every backend
+// device's state as a PlacementTable read from the children on demand.
+// A rebuild is therefore confined to its group — backends in other
+// groups serve zero rebuild-source elements and their read latency is
+// untouched — while capacity and aggregate bandwidth grow with the
+// group count instead of being capped at n disks.
 //
 // Address-space math: every group shares the same n and element size,
 // so one stripe holds stripeBytes = n²·elementSize logical bytes.
@@ -65,11 +64,6 @@ type Config struct {
 	// drives at once (default 2). Within one group rebuilds run
 	// sequentially — the group's backends are the bottleneck anyway.
 	MaxConcurrentRebuilds int
-	// Layout, when non-empty, names a registered layout family (see
-	// layout.Names) that every child volume built by Open uses as its
-	// placement — equivalent to passing cluster.WithLayout to each
-	// group. Ignored by New, whose children are already built.
-	Layout string
 	// Metrics, when set, registers the sm_shard_* series plus each
 	// child's sm_cluster_* series labeled group="<id>" on the registry.
 	// Children must NOT be built with their own cluster.WithMetrics on
@@ -90,8 +84,8 @@ func (c Config) withDefaults() Config {
 type group struct {
 	id  int
 	vol *cluster.Volume
-	// refs counts management operations (scrub, rebuild, placement
-	// sync, stats rollups) using vol outside the volume lock;
+	// refs counts management operations (scrub, rebuild, placement and
+	// stats reads) using vol outside the volume lock;
 	// RemoveGroup waits for it to drain before closing the child, so
 	// none of them ever sees a closed volume.
 	refs sync.WaitGroup
@@ -127,7 +121,6 @@ type ShardedVolume struct {
 	nextID   int
 	removal  *removalState // non-nil while a RemoveGroup is in flight or pending retry
 	cfg      Config
-	table    *PlacementTable
 	stats    shardStats
 
 	// migrateHook, when non-nil, runs outside the lock after each
@@ -158,7 +151,6 @@ func New(children []*cluster.Volume, cfg Config) (*ShardedVolume, error) {
 		stripeB:  int64(n) * int64(n) * elemSize,
 		groups:   map[int]*group{},
 		cfg:      cfg.withDefaults(),
-		table:    newPlacementTable(),
 	}
 	s.stats.init()
 	for _, c := range children {
@@ -182,23 +174,20 @@ func New(children []*cluster.Volume, cfg Config) (*ShardedVolume, error) {
 		}
 	}
 	if s.cfg.Metrics != nil {
-		s.stats.register(s.cfg.Metrics)
+		s.registerMetrics(s.cfg.Metrics)
 		for _, gid := range s.order {
 			s.groups[gid].vol.RegisterMetrics(s.cfg.Metrics, "group", strconv.Itoa(gid))
 		}
 	}
-	s.refreshRollups()
 	return s, nil
 }
 
 // Open builds the child volumes from backend address maps (one map per
 // group) and shards across them — the option-first constructor. The
-// same options apply to every group; do not pass cluster.WithMetrics
-// (set Config.Metrics instead, which labels each group's series).
+// same architecture (and so the same layout) and options apply to every
+// group; do not pass cluster.WithMetrics (set Config.Metrics instead,
+// which labels each group's series).
 func Open(arch *raid.Mirror, backends []map[raid.DiskID]string, cfg Config, copts ...cluster.Option) (*ShardedVolume, error) {
-	if cfg.Layout != "" {
-		copts = append(append([]cluster.Option(nil), copts...), cluster.WithLayout(cfg.Layout))
-	}
 	children := make([]*cluster.Volume, 0, len(backends))
 	fail := func(err error) (*ShardedVolume, error) {
 		for _, c := range children {
@@ -227,10 +216,6 @@ func (s *ShardedVolume) attach(c *cluster.Volume) int {
 	s.nextID++
 	s.groups[gid] = &group{id: gid, vol: c}
 	s.order = append(s.order, gid)
-	for _, id := range c.Arch().Disks() {
-		addr, _ := c.BackendAddr(id)
-		s.table.add(gid, id, addr)
-	}
 	return gid
 }
 
@@ -266,8 +251,9 @@ func (s *ShardedVolume) Groups() []int {
 }
 
 // GroupVolume exposes one child volume for tooling (smtool, recon
-// harnesses). Mutating it directly bypasses the placement table; prefer
-// the ShardedVolume's Fail/ReplaceBackend/RebuildDisk.
+// harnesses). The child owns its disks' state, so a Fail or rebuild
+// issued on it directly shows in Placement like one issued through the
+// ShardedVolume; only the sm_shard_rebuild* counters miss it.
 func (s *ShardedVolume) GroupVolume(gid int) (*cluster.Volume, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -285,8 +271,13 @@ func (s *ShardedVolume) ExtentTable() []Extent {
 	return append([]Extent(nil), s.extents...)
 }
 
-// Placement returns the replica/placement table.
-func (s *ShardedVolume) Placement() *PlacementTable { return s.table }
+// Placement returns the replica/placement table as of now, read from
+// every group's child volume.
+func (s *ShardedVolume) Placement() *PlacementTable {
+	gs := s.pinAll()
+	defer unpinAll(gs)
+	return newPlacementTable(gs)
+}
 
 // segment is one contiguous piece of a request routed to one group.
 type segment struct {
@@ -525,80 +516,48 @@ func unpinAll(gs []*group) {
 	}
 }
 
-// Fail declares one disk's content lost in the given group and moves
-// its placement entry to dead.
+// Fail declares one disk's content lost in the given group; its
+// placement entry reads dead from then on.
 func (s *ShardedVolume) Fail(gid int, id raid.DiskID) error {
 	g, err := s.pin(gid)
 	if err != nil {
 		return err
 	}
 	defer g.unpin()
-	if err := g.vol.Fail(id); err != nil {
-		return err
-	}
-	stripes := int64(g.vol.Stripes())
-	s.table.mutate(gid, id, func(d *Device) {
-		d.State = DeviceDead
-		d.IncompleteStripes = stripes
-	})
-	s.refreshRollups()
-	return nil
+	return g.vol.Fail(id)
 }
 
 // ReplaceBackend attaches a fresh backend to a disk slot of the given
-// group; the placement entry becomes replacement-pending, eligible for
-// the rebuild scheduler.
+// group; a failed slot's placement entry becomes replacement-pending,
+// eligible for the rebuild scheduler.
 func (s *ShardedVolume) ReplaceBackend(gid int, id raid.DiskID, addr string) error {
 	g, err := s.pin(gid)
 	if err != nil {
 		return err
 	}
 	defer g.unpin()
-	if err := g.vol.ReplaceBackend(id, addr); err != nil {
-		return err
-	}
-	s.table.mutate(gid, id, func(d *Device) {
-		d.Addr = addr
-		d.Replacement = true
-		if d.State == DeviceDead {
-			d.State = DeviceReplacementPending
-		}
-	})
-	s.refreshRollups()
-	return nil
+	return g.vol.ReplaceBackend(id, addr)
 }
 
 // RebuildDisk reconstructs one disk of the given group through its
-// child volume, tracking the placement state machine: rebuilding for
-// the duration, online on success, back to replacement-pending on
-// failure (with the incompleteness the watermark got to).
+// child volume. The placement entry reads rebuilding for the duration,
+// online on success, and replacement-pending on failure (with the
+// incompleteness the watermark got to); a rebuild refused because the
+// disk is not failed changes nothing.
 func (s *ShardedVolume) RebuildDisk(ctx context.Context, gid int, id raid.DiskID) error {
 	g, err := s.pin(gid)
 	if err != nil {
 		return err
 	}
 	defer g.unpin()
-	s.table.mutate(gid, id, func(d *Device) { d.State = DeviceRebuilding })
 	s.stats.rebuildActive.Add(1)
 	err = g.vol.RebuildDisk(ctx, id)
 	s.stats.rebuildActive.Add(-1)
-	stripes := int64(g.vol.Stripes())
 	if err != nil {
 		s.stats.rebuildErrors.Inc()
-		s.table.mutate(gid, id, func(d *Device) {
-			d.State = DeviceReplacementPending
-			d.IncompleteStripes = stripes - g.vol.Watermark(id)
-		})
-		s.refreshRollups()
 		return fmt.Errorf("shard: group %d: %w", gid, err)
 	}
 	s.stats.rebuilds.Inc()
-	s.table.mutate(gid, id, func(d *Device) {
-		d.State = DeviceOnline
-		d.Replacement = false
-		d.IncompleteStripes = 0
-	})
-	s.refreshRollups()
 	return nil
 }
 
@@ -664,45 +623,6 @@ type ScrubReport struct {
 	Skipped          []GroupDisk `json:"skipped,omitempty"`
 }
 
-// SyncPlacement polls every child's state hooks and reconciles the
-// placement table: rebuild progress advances incompleteness, auto-
-// failed or dead backends surface as dead, recovered disks go back
-// online. Idempotent; the rebuild scheduler calls it each round, and
-// operators can call it any time.
-func (s *ShardedVolume) SyncPlacement() {
-	gs := s.pinAll()
-	defer unpinAll(gs)
-	for _, g := range gs {
-		stripes := int64(g.vol.Stripes())
-		for _, id := range g.vol.Arch().Disks() {
-			rebuilding := g.vol.IsRebuilding(id)
-			failed := g.vol.IsFailed(id)
-			dead := g.vol.BackendDead(id)
-			wm := g.vol.Watermark(id)
-			addr, _ := g.vol.BackendAddr(id)
-			s.table.mutate(g.id, id, func(d *Device) {
-				d.Addr = addr
-				d.IncompleteStripes = stripes - wm
-				switch {
-				case rebuilding:
-					d.State = DeviceRebuilding
-				case failed || dead:
-					// A failed slot that already has a fresh backend stays
-					// replacement-pending (the scheduler's queue); anything
-					// else is dead until an operator attaches one.
-					if d.State != DeviceReplacementPending {
-						d.State = DeviceDead
-					}
-				default:
-					d.State = DeviceOnline
-					d.Replacement = false
-				}
-			})
-		}
-	}
-	s.refreshRollups()
-}
-
 // AddGroup attaches a new group online. Its stripes extend the logical
 // address space at the tail — capacity grows immediately, no data
 // moves. Returns the new group's stable id.
@@ -724,7 +644,6 @@ func (s *ShardedVolume) AddGroup(c *cluster.Volume) (int, error) {
 	if s.cfg.Metrics != nil {
 		c.RegisterMetrics(s.cfg.Metrics, "group", strconv.Itoa(gid))
 	}
-	s.refreshRollups()
 	return gid, nil
 }
 
@@ -766,10 +685,10 @@ func (s *ShardedVolume) RemoveGroup(ctx context.Context, gid int) error {
 			s.mu.Unlock()
 			return ErrLastGroup
 		}
-		for _, id := range g.vol.Arch().Disks() {
-			if g.vol.IsFailed(id) || g.vol.IsRebuilding(id) {
+		for _, d := range g.vol.Disks() {
+			if d.State != DeviceOnline {
 				s.mu.Unlock()
-				return fmt.Errorf("%w: group %d disk %v", ErrGroupDegraded, gid, id)
+				return fmt.Errorf("%w: group %d disk %v is %v", ErrGroupDegraded, gid, d.ID, d.State)
 			}
 		}
 		removed := 0
@@ -848,13 +767,11 @@ func (s *ShardedVolume) RemoveGroup(ctx context.Context, gid int) error {
 	}
 	s.removal = nil
 	s.mu.Unlock()
-	s.table.remove(gid)
 	// Management operations that pinned the group before it left the
 	// map may still be using the child; let them drain before Close.
 	g.refs.Wait()
 	g.vol.Close()
-	// The removed group's metric series keep their last values; stable
-	// group ids guarantee a future AddGroup never collides with them.
-	s.refreshRollups()
+	// The removed group's metric series stay registered; stable group
+	// ids guarantee a future AddGroup never collides with them.
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -92,15 +93,20 @@ func fastClusterConfig(elementSize int64, stripes int) cluster.Config {
 
 // newTestShard builds a sharded volume of len(stripesPer) groups, each
 // an n×n shifted mirror with its own loopback backends; stripesPer[i]
-// is group i's stripe count.
-func newTestShard(tb testing.TB, n int, elementSize int64, stripesPer []int, cfg Config) (*ShardedVolume, []*groupBackends) {
+// is group i's stripe count. tweak, if given, adjusts every child's
+// configuration.
+func newTestShard(tb testing.TB, n int, elementSize int64, stripesPer []int, cfg Config, tweak ...func(*cluster.Config)) (*ShardedVolume, []*groupBackends) {
 	tb.Helper()
 	children := make([]*cluster.Volume, len(stripesPer))
 	backends := make([]*groupBackends, len(stripesPer))
 	for i, stripes := range stripesPer {
 		arch := raid.NewMirror(layout.NewShifted(n))
 		backends[i] = startGroupBackends(tb, arch, elementSize, stripes)
-		v, err := cluster.New(arch, backends[i].addrs, fastClusterConfig(elementSize, stripes))
+		ccfg := fastClusterConfig(elementSize, stripes)
+		for _, f := range tweak {
+			f(&ccfg)
+		}
+		v, err := cluster.New(arch, backends[i].addrs, ccfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -469,35 +475,34 @@ func TestShardRemoveGroupRefusesDegraded(t *testing.T) {
 	}
 }
 
+// TestShardSyncPlacement: the placement table has nothing to sync — it
+// is read from the children, so a failure the shard layer never heard
+// about shows the moment it happens.
 func TestShardSyncPlacement(t *testing.T) {
 	s, backends := newTestShard(t, 3, 64, []int{3, 3}, Config{})
 	shardPayload(t, s, 9)
 	const gid = 0
 	lost := raid.DiskID{Role: raid.RoleMirror, Index: 0}
-	// Fail through the *child* directly — the placement table only
-	// learns about it from SyncPlacement, as it would for auto-fails.
+	// Fail through the *child* directly, as an auto-fail would.
 	child, _ := s.GroupVolume(gid)
 	if err := child.Fail(lost); err != nil {
 		t.Fatal(err)
 	}
-	s.SyncPlacement()
 	if d, _ := s.Placement().Device(gid, lost); d.State != DeviceDead || d.IncompleteStripes != 3 {
-		t.Fatalf("after sync: %+v", d)
+		t.Fatalf("after child-level fail: %+v", d)
 	}
-	// Replacement-pending survives a sync (the scheduler's queue).
+	// Replacement-pending holds until the rebuild (the scheduler's queue).
 	if err := s.ReplaceBackend(gid, lost, backends[gid].replace(lost)); err != nil {
 		t.Fatal(err)
 	}
-	s.SyncPlacement()
 	if d, _ := s.Placement().Device(gid, lost); d.State != DeviceReplacementPending {
-		t.Fatalf("pending lost across sync: %+v", d)
+		t.Fatalf("after ReplaceBackend: %+v", d)
 	}
 	if err := s.RebuildPending(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s.SyncPlacement()
 	if d, _ := s.Placement().Device(gid, lost); d.State != DeviceOnline || d.IncompleteStripes != 0 {
-		t.Fatalf("after rebuild+sync: %+v", d)
+		t.Fatalf("after rebuild: %+v", d)
 	}
 }
 
@@ -505,7 +510,6 @@ func TestShardMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _ := newTestShard(t, 2, 32, []int{2, 2}, Config{Metrics: reg})
 	shardPayload(t, s, 10)
-	s.SyncPlacement()
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -654,10 +658,10 @@ func TestShardRemoveGroupCancelRetry(t *testing.T) {
 }
 
 // TestShardManagementDuringTopologyChange hammers the management
-// surface (stats rollups, placement sync) while groups are being
+// surface (stats rollups, placement reads) while groups are being
 // removed. The management paths pin child volumes by refcount, so
 // RemoveGroup's Close must wait for them to drain — without that, this
-// test races a child's Close against in-flight Stats/Watermark calls
+// test races a child's Close against in-flight Stats/Disks calls
 // (caught under -race, or as use-after-close errors).
 func TestShardManagementDuringTopologyChange(t *testing.T) {
 	s, _ := newTestShard(t, 2, 32, []int{2, 2, 2}, Config{})
@@ -675,7 +679,7 @@ func TestShardManagementDuringTopologyChange(t *testing.T) {
 				default:
 				}
 				s.Stats()
-				s.SyncPlacement()
+				s.Placement()
 				s.Health()
 			}
 		}()
@@ -688,4 +692,72 @@ func TestShardManagementDuringTopologyChange(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestShardStateNeedsNoRefresh pins the ways the remembered placement
+// table used to be wrong: a refused rebuild must leave a healthy disk
+// online, and a failure the shard layer was not told about — through the
+// child, by the write path's auto-fail, or a backend its pool gave up on
+// — must show in Health and in a metrics scrape with no call made to
+// refresh either.
+func TestShardStateNeedsNoRefresh(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, backends := newTestShard(t, 3, 64, []int{3, 3}, Config{Metrics: reg}, func(c *cluster.Config) {
+		// A pool's dead verdict lapses when its probe window opens; keep
+		// it shut for the length of the test.
+		c.ProbeEvery, c.MaxProbe = time.Minute, time.Minute
+	})
+	payload := shardPayload(t, s, 14)
+	scrape := func() string {
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	expect := func(step string, dead, pending int) {
+		t.Helper()
+		// The scrape goes first: it must not depend on Health having run.
+		text := scrape()
+		for _, line := range []string{
+			fmt.Sprintf("sm_shard_devices_online %d\n", 12-dead-pending),
+			fmt.Sprintf("sm_shard_devices_dead %d\n", dead),
+			fmt.Sprintf("sm_shard_devices_replacement_pending %d\n", pending),
+		} {
+			if !strings.Contains(text, line) {
+				t.Fatalf("%s: scrape lacks %q:\n%s", step, line, text)
+			}
+		}
+		if r := s.Health().Devices; r.Online != 12-dead-pending || r.Dead != dead || r.ReplacementPending != pending {
+			t.Fatalf("%s: health %+v, want %d dead and %d pending of 12", step, r, dead, pending)
+		}
+	}
+
+	if err := s.RebuildDisk(context.Background(), 0, raid.DiskID{Role: raid.RoleData, Index: 0}); err == nil {
+		t.Fatal("rebuild of a healthy disk accepted")
+	}
+	expect("rebuild refused", 0, 0)
+
+	child, _ := s.GroupVolume(0)
+	if err := child.Fail(raid.DiskID{Role: raid.RoleData, Index: 1}); err != nil {
+		t.Fatal(err)
+	}
+	expect("child-level fail", 1, 0)
+
+	// A backend that dies under writes is auto-failed by the write path.
+	backends[1].servers[raid.DiskID{Role: raid.RoleData, Index: 2}].Close()
+	if _, err := s.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	expect("auto-fail", 2, 0)
+
+	// A backend that dies under reads is never failed, only given up on
+	// by its pool (for as long as the pool's probe window stays shut).
+	backends[1].servers[raid.DiskID{Role: raid.RoleData, Index: 0}].Close()
+	if _, err := s.ReadAt(make([]byte, s.Size()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if text := scrape(); !strings.Contains(text, "sm_shard_devices_dead 3\n") {
+		t.Fatalf("unreachable backend: scrape lacks 3 dead devices:\n%s", text)
+	}
 }

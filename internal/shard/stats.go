@@ -5,12 +5,11 @@ import (
 	"shiftedmirror/internal/obs"
 )
 
-// shardStats holds the shard layer's own live instrumentation. The
-// first block is updated inline by the data path; the rollup gauges are
-// recomputed from the placement table and the children's counters on
-// every refreshRollups (Stats, SyncPlacement, and lifecycle changes),
-// so a scrape between refreshes sees slightly stale aggregates but
-// always-fresh data-path counters.
+// shardStats holds the shard layer's own live instrumentation, updated
+// inline by the data path and the rebuild surface. Everything else the
+// shard reports — device counts, incompleteness, watermarks, the
+// children's summed counters — is a function of the children's state
+// and is computed when it is read (Health, Stats, a metrics scrape).
 type shardStats struct {
 	reads, writes         obs.Counter
 	readBytes, writeBytes obs.Counter
@@ -23,18 +22,6 @@ type shardStats struct {
 	rebuildActive   obs.Gauge
 	readLat         *obs.Histogram
 	writeLat        *obs.Histogram
-
-	// Rollups over the placement table and child volumes.
-	groups        obs.Gauge
-	extents       obs.Gauge
-	devOnline     obs.Gauge
-	devDead       obs.Gauge
-	devPending    obs.Gauge
-	devRebuilding obs.Gauge
-	maxIncomplete obs.Gauge
-	degradedReads obs.Gauge
-	crcReadErrors obs.Gauge
-	minWatermark  obs.Gauge
 }
 
 func (st *shardStats) init() {
@@ -42,10 +29,11 @@ func (st *shardStats) init() {
 	st.writeLat = obs.NewHistogram()
 }
 
-// register exposes the sm_shard_* namespace on reg. The children's
-// sm_cluster_* series are registered separately with group="<id>"
-// labels (see New/AddGroup).
-func (st *shardStats) register(reg *obs.Registry) {
+// registerMetrics exposes the sm_shard_* namespace on reg. The
+// children's sm_cluster_* series are registered separately with
+// group="<id>" labels (see New/AddGroup).
+func (s *ShardedVolume) registerMetrics(reg *obs.Registry) {
+	st := &s.stats
 	reg.RegisterCounter("sm_shard_reads_total",
 		"Sharded volume reads.", &st.reads)
 	reg.RegisterCounter("sm_shard_writes_total",
@@ -68,64 +56,32 @@ func (st *shardStats) register(reg *obs.Registry) {
 		"ShardedVolume.ReadAt wall time.", st.readLat)
 	reg.RegisterHistogram("sm_shard_write_duration_seconds",
 		"ShardedVolume.WriteAt wall time.", st.writeLat)
-	reg.RegisterGauge("sm_shard_groups",
-		"Live stripe groups.", &st.groups)
-	reg.RegisterGauge("sm_shard_extents",
-		"Logical stripe slots in the extent table.", &st.extents)
-	reg.RegisterGauge("sm_shard_devices_online",
-		"Placement-table devices online.", &st.devOnline)
-	reg.RegisterGauge("sm_shard_devices_dead",
-		"Placement-table devices dead (content lost or backend unreachable, no replacement).", &st.devDead)
-	reg.RegisterGauge("sm_shard_devices_replacement_pending",
-		"Placement-table devices with a fresh backend awaiting rebuild.", &st.devPending)
-	reg.RegisterGauge("sm_shard_devices_rebuilding",
-		"Placement-table devices with a rebuild in flight.", &st.devRebuilding)
-	reg.RegisterGauge("sm_shard_max_incompleteness_stripes",
-		"Worst per-device incompleteness (stripes not yet recovered) across the fleet.", &st.maxIncomplete)
-	reg.RegisterGauge("sm_shard_degraded_reads",
-		"Element reads served from a replica, summed across groups.", &st.degradedReads)
-	reg.RegisterGauge("sm_shard_crc_read_errors",
-		"End-to-end CRC read failures, summed across groups.", &st.crcReadErrors)
-	reg.RegisterGauge("sm_shard_min_watermark_stripes",
-		"Lowest rebuild watermark across every device — the volume's availability frontier.", &st.minWatermark)
-}
-
-// refreshRollups recomputes the aggregate gauges from the placement
-// table and the children's own counters.
-func (s *ShardedVolume) refreshRollups() {
-	gs := s.pinAll()
-	defer unpinAll(gs)
-	s.mu.RLock()
-	extents := len(s.extents)
-	s.mu.RUnlock()
-
-	r := s.table.Rollup()
-	s.stats.groups.Set(int64(len(gs)))
-	s.stats.extents.Set(int64(extents))
-	s.stats.devOnline.Set(int64(r.Online))
-	s.stats.devDead.Set(int64(r.Dead))
-	s.stats.devPending.Set(int64(r.ReplacementPending))
-	s.stats.devRebuilding.Set(int64(r.Rebuilding))
-	s.stats.maxIncomplete.Set(r.MaxIncompleteness)
-
-	var degraded, crc int64
-	minWM := int64(-1)
-	for _, g := range gs {
-		h := g.vol.Health()
-		degraded += h.DegradedReads
-		crc += g.vol.Stats().CRCReadErrors
-		for _, id := range g.vol.Arch().Disks() {
-			if wm := g.vol.Watermark(id); minWM < 0 || wm < minWM {
-				minWM = wm
-			}
-		}
+	// The rollups are Health's fields, read from the children at scrape
+	// time: a backend that died a moment ago shows without anyone
+	// having asked the volume about it first.
+	health := func(name, help string, pick func(Health) int64) {
+		reg.RegisterGaugeFunc(name, help, func() int64 { return pick(s.Health()) })
 	}
-	if minWM < 0 {
-		minWM = 0
-	}
-	s.stats.degradedReads.Set(degraded)
-	s.stats.crcReadErrors.Set(crc)
-	s.stats.minWatermark.Set(minWM)
+	health("sm_shard_groups",
+		"Live stripe groups.", func(h Health) int64 { return int64(h.Groups) })
+	health("sm_shard_extents",
+		"Logical stripe slots in the extent table.", func(h Health) int64 { return h.SizeBytes / s.stripeB })
+	health("sm_shard_devices_online",
+		"Placement-table devices online.", func(h Health) int64 { return int64(h.Devices.Online) })
+	health("sm_shard_devices_dead",
+		"Placement-table devices dead (content lost or backend unreachable, no replacement).", func(h Health) int64 { return int64(h.Devices.Dead) })
+	health("sm_shard_devices_replacement_pending",
+		"Placement-table devices with a fresh backend awaiting rebuild.", func(h Health) int64 { return int64(h.Devices.ReplacementPending) })
+	health("sm_shard_devices_rebuilding",
+		"Placement-table devices with a rebuild in flight.", func(h Health) int64 { return int64(h.Devices.Rebuilding) })
+	health("sm_shard_max_incompleteness_stripes",
+		"Worst per-device incompleteness (stripes not yet recovered) across the fleet.", func(h Health) int64 { return h.Devices.MaxIncompleteness })
+	health("sm_shard_degraded_reads",
+		"Element reads served from a replica, summed across groups.", func(h Health) int64 { return h.DegradedReads })
+	health("sm_shard_crc_read_errors",
+		"End-to-end CRC read failures, summed across groups.", func(h Health) int64 { return h.CRCReadErrors })
+	health("sm_shard_min_watermark_stripes",
+		"Lowest rebuild watermark across every device — the volume's availability frontier.", func(h Health) int64 { return h.MinWatermarkStripes })
 }
 
 // GroupStats pairs a group id with its child volume's full snapshot.
@@ -172,20 +128,19 @@ type Health struct {
 	SizeBytes           int64        `json:"size_bytes"`
 	Devices             DeviceRollup `json:"devices"`
 	DegradedReads       int64        `json:"degraded_reads"`
+	CRCReadErrors       int64        `json:"crc_read_errors"`
 	RebuildActive       int64        `json:"rebuild_active"`
 	MinWatermarkStripes int64        `json:"min_watermark_stripes"`
 }
 
-// Stats returns the full snapshot. It refreshes the rollup gauges as a
-// side effect, so a metrics scrape right after Stats sees the same
-// aggregates.
+// Stats returns the full snapshot.
 func (s *ShardedVolume) Stats() Stats {
-	s.refreshRollups()
 	gs := s.pinAll()
 	defer unpinAll(gs)
 	s.mu.RLock()
 	extents := len(s.extents)
 	s.mu.RUnlock()
+	table := newPlacementTable(gs)
 
 	out := Stats{
 		Reads:           s.stats.reads.Load(),
@@ -202,34 +157,38 @@ func (s *ShardedVolume) Stats() Stats {
 		Extents:   extents,
 		SizeBytes: int64(extents) * s.stripeB,
 
-		DegradedReads:       s.stats.degradedReads.Load(),
-		CRCReadErrors:       s.stats.crcReadErrors.Load(),
-		MinWatermarkStripes: s.stats.minWatermark.Load(),
+		MinWatermarkStripes: table.minWatermark(),
 
 		ReadLatency:  s.stats.readLat.Snapshot(),
 		WriteLatency: s.stats.writeLat.Snapshot(),
 
-		Placement: s.table.Snapshot(),
+		Placement: table.Snapshot(),
 	}
 	for _, g := range gs {
-		out.PerGroup = append(out.PerGroup, GroupStats{Group: g.id, Cluster: g.vol.Stats()})
+		cs := g.vol.Stats()
+		out.DegradedReads += cs.DegradedReads
+		out.CRCReadErrors += cs.CRCReadErrors
+		out.PerGroup = append(out.PerGroup, GroupStats{Group: g.id, Cluster: cs})
 	}
 	return out
 }
 
-// Health returns the light rollup.
+// Health returns the light rollup, read from the children as of now.
 func (s *ShardedVolume) Health() Health {
-	s.refreshRollups()
-	s.mu.RLock()
-	extents := len(s.extents)
-	groups := len(s.groups)
-	s.mu.RUnlock()
-	return Health{
-		Groups:              groups,
-		SizeBytes:           int64(extents) * s.stripeB,
-		Devices:             s.table.Rollup(),
-		DegradedReads:       s.stats.degradedReads.Load(),
+	gs := s.pinAll()
+	defer unpinAll(gs)
+	table := newPlacementTable(gs)
+	h := Health{
+		Groups:              len(gs),
+		SizeBytes:           s.Size(),
+		Devices:             table.Rollup(),
 		RebuildActive:       s.stats.rebuildActive.Load(),
-		MinWatermarkStripes: s.stats.minWatermark.Load(),
+		MinWatermarkStripes: table.minWatermark(),
 	}
+	for _, g := range gs {
+		ch := g.vol.Health()
+		h.DegradedReads += ch.DegradedReads
+		h.CRCReadErrors += ch.CRCReadErrors
+	}
+	return h
 }

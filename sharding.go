@@ -6,7 +6,7 @@ import (
 )
 
 // Sharded multi-group volume: one logical address space striped across
-// many shifted-mirror groups, routed through a replica/placement table.
+// many shifted-mirror groups.
 // A rebuild stays confined to its group — the other groups' backends
 // serve zero rebuild traffic — while capacity and aggregate bandwidth
 // scale with the group count instead of being capped at n disks. See
@@ -33,9 +33,11 @@ type (
 	// home.
 	ShardExtent = shard.Extent
 
-	// PlacementTable tracks device→group assignment and per-device state
-	// (online / dead / replacement-pending / rebuilding) with per-disk
-	// incompleteness stats; it marshals to JSON for smtool inspection.
+	// PlacementTable is ShardedVolume.Placement()'s view of the fleet at
+	// one instant: device→group assignment and per-device state (online /
+	// dead / replacement-pending / rebuilding) with per-disk
+	// incompleteness, read from the groups when asked for; it marshals to
+	// JSON for smtool inspection.
 	PlacementTable = shard.PlacementTable
 	// PlacementDevice is one backend slot of the placement table.
 	PlacementDevice = shard.Device

@@ -169,31 +169,19 @@ const (
 )
 
 // NewTraditionalArrangement returns the classic RAID-1 identity
-// arrangement over n disks.
-//
-// Legacy — new code should go through the layout registry instead:
-// NewArrangement("traditional", n), or WithLayout("traditional") on a
-// volume constructor.
+// arrangement over n disks (NewArrangement("traditional", n)).
 func NewTraditionalArrangement(n int) Arrangement { return layout.NewTraditional(n) }
 
 // NewShiftedArrangement returns the paper's arrangement:
-// a[i][j] -> b[(i+j) mod n][i].
-//
-// Legacy — new code should go through the layout registry instead:
-// NewArrangement("shifted", n), or WithLayout("shifted") on a volume
-// constructor.
+// a[i][j] -> b[(i+j) mod n][i] (NewArrangement("shifted", n)).
 func NewShiftedArrangement(n int) Arrangement { return layout.NewShifted(n) }
 
-// NewIteratedArrangement applies the Fig 8 transformation k times.
-//
-// Legacy — new code should go through the layout registry
-// (NewArrangement("iterated", n) registers k=3) or ParseArrangement
-// ("iterated:K" for other iteration counts).
+// NewIteratedArrangement applies the Fig 8 transformation k times
+// (ParseArrangement("iterated:K", n); the registry's "iterated" is k=3).
 func NewIteratedArrangement(n, k int) Arrangement { return layout.NewIterated(n, k) }
 
 // LayoutNames lists every layout family registered with the catalog, in
-// sorted order — the names NewArrangement, ParseArrangement, and
-// WithLayout accept.
+// sorted order — the names NewArrangement and ParseArrangement accept.
 func LayoutNames() []string { return layout.Names() }
 
 // NewArrangement builds a registered layout family by name at size n:
@@ -237,13 +225,12 @@ func NewShiftedThreeMirror(n int) *Mirror {
 	return raid.NewThreeMirror(layout.NewGeneralShifted(n, 1, 1), layout.NewGeneralShifted(n, 2, 1))
 }
 
-// NewMirrorWithArrangement builds a plain mirror method over a custom
-// arrangement (e.g. one found by layout.SearchValid).
-//
-// Legacy — for registered families, prefer keeping the architecture on
-// the shifted frame and selecting the placement by name with
-// WithLayout; a custom hand-built arrangement is the only reason to
-// call this directly.
+// NewMirrorWithArrangement builds a plain mirror method over any
+// arrangement: a registered family (NewArrangement, ParseArrangement) or
+// a custom one (e.g. found by layout.SearchValid). The architecture
+// names the layout — a cluster or sharded volume built over it places
+// every copy where the arrangement says, and a pooled family such as
+// "declustered" spreads them over all 2n backends.
 func NewMirrorWithArrangement(a Arrangement) *Mirror { return raid.NewMirror(a) }
 
 // NewRAID6 returns the RAID-6 baseline over n data disks (shortened
@@ -477,18 +464,6 @@ func WithHedging(percentile float64, minDelay, maxDelay time.Duration) Option {
 // takes the default of 1 stripe/sec). Volume side only.
 func WithRebuildQoS(slo time.Duration, minStripesPerSec float64) Option {
 	return Option{cluster: cluster.WithRebuildQoS(slo, minStripesPerSec)}
-}
-
-// WithLayout selects the placement family driving a cluster volume's
-// read failover, write fan-out, rebuild gather, scrub, and hedging by
-// registered name (see LayoutNames) instead of the architecture's own
-// arrangement. The architecture supplies the frame — disk count and
-// addressing — and must be a single-mirror method without parity;
-// pooled families like "declustered" reinterpret all 2n backends as one
-// pool. On a sharded volume the layout applies to every group. Volume
-// side only.
-func WithLayout(name string) Option {
-	return Option{cluster: cluster.WithLayout(name)}
 }
 
 // WithMetrics registers the target's metric series on reg: sm_cluster_*
