@@ -458,9 +458,11 @@ func measureTail(n int, element int64, stripes int, stall time.Duration, reads i
 		return tr, err
 	}
 
-	hedged, err := cluster.Open(arch, backends,
-		cluster.WithGeometry(element, stripes),
-		cluster.WithHedging(0.9, time.Millisecond, 10*time.Millisecond))
+	hedged, err := cluster.New(arch, backends, cluster.Config{
+		ElementSize: element, Stripes: stripes,
+		HedgeEnabled: true, HedgePercentile: 0.9,
+		HedgeMinDelay: time.Millisecond, HedgeMaxDelay: 10 * time.Millisecond,
+	})
 	if err != nil {
 		return tr, err
 	}

@@ -3,12 +3,10 @@
 // traditional and shifted variants of the mirror method, with and without
 // parity. The shifted arrangement keeps the theoretical-optimal write
 // strategy (Property 3), so throughputs should be "compatible" — within a
-// few percent.
-//
-// The run closes with the networked write path over loopback TCP: the
-// same full-stripe writes against a cluster volume with the batched
-// (OpWriteV) fan-out and with batching disabled (one OpWrite round trip
-// per element copy), an A/B of what coalescing is worth on the wire.
+// few percent. The run closes with the parity-update strategies on
+// partial-row writes and the wall-clock cost of the byte-level parity
+// encode. (The networked write and read paths are measured, with every
+// byte verified, by the repo benchmark: bench/, workload large_seq.)
 package main
 
 import (
@@ -17,8 +15,6 @@ import (
 	"time"
 
 	"shiftedmirror"
-	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/erasure"
 	"shiftedmirror/internal/gf"
 	"shiftedmirror/internal/sim"
@@ -90,122 +86,4 @@ func main() {
 		}
 		fmt.Printf("  n=%d %10.0f MB/s\n", n, sim.MBPerSec(bytes, time.Since(start).Seconds()))
 	}
-
-	// The cluster write path over real sockets: one coalesced OpWriteV
-	// frame per replica backend per stripe.
-	mbps, err := clusterWrites(5, 4096, 16)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ncluster full-stripe writes over loopback TCP, n=5: %8.1f MB/s\n", mbps)
-
-	// The read path A/B: the same volume read end to end with the plain
-	// wire protocol and with per-element CRC32C verification — what
-	// end-to-end integrity costs on the vectored read path.
-	fmt.Println("\ncluster full-volume reads over loopback TCP, n=5:")
-	for _, mode := range []struct {
-		name string
-		crc  bool
-	}{{"plain", false}, {"crc32c verified", true}} {
-		mbps, err := clusterReads(5, 4096, 16, mode.crc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-20s %8.1f MB/s\n", mode.name, mbps)
-	}
-}
-
-// clusterWrites serves one in-memory backend per disk over loopback,
-// opens a cluster volume on them through the facade, and times one
-// full-stripe write per stripe.
-func clusterWrites(n int, element int64, stripes int) (float64, error) {
-	arch := shiftedmirror.NewShiftedMirror(n)
-	diskSize := int64(stripes) * int64(n) * element
-	var servers []*blockserver.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	backends := map[shiftedmirror.DiskID]string{}
-	for _, id := range arch.Disks() {
-		srv := blockserver.NewStoreServer(dev.NewMemStore(diskSize))
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		servers = append(servers, srv)
-		backends[id] = bound.String()
-	}
-	v, err := shiftedmirror.NewClusterVolume(arch, backends,
-		shiftedmirror.WithGeometry(element, stripes))
-	if err != nil {
-		return 0, err
-	}
-	defer v.Close()
-	stripeSize := int64(n) * int64(n) * element
-	p := make([]byte, stripeSize)
-	for i := range p {
-		p[i] = byte(i)
-	}
-	start := time.Now()
-	for s := 0; s < stripes; s++ {
-		if _, err := v.WriteAt(p, int64(s)*stripeSize); err != nil {
-			return 0, err
-		}
-	}
-	return sim.MBPerSec(stripeSize*int64(stripes), time.Since(start).Seconds()), nil
-}
-
-// clusterReads fills a loopback volume once, then times repeated
-// full-volume reads — with crc, every element is checksummed by the
-// backend and verified by the client on the way through.
-func clusterReads(n int, element int64, stripes int, crc bool) (float64, error) {
-	arch := shiftedmirror.NewShiftedMirror(n)
-	diskSize := int64(stripes) * int64(n) * element
-	var servers []*blockserver.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	var srvOpts []blockserver.ServerOption
-	if crc {
-		srvOpts = append(srvOpts, blockserver.WithCRC(element))
-	}
-	backends := map[shiftedmirror.DiskID]string{}
-	for _, id := range arch.Disks() {
-		srv := blockserver.NewStoreServer(dev.NewMemStore(diskSize), srvOpts...)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		servers = append(servers, srv)
-		backends[id] = bound.String()
-	}
-	opts := []shiftedmirror.Option{shiftedmirror.WithGeometry(element, stripes)}
-	if crc {
-		opts = append(opts, shiftedmirror.WithWireCRC(element))
-	}
-	v, err := shiftedmirror.NewClusterVolume(arch, backends, opts...)
-	if err != nil {
-		return 0, err
-	}
-	defer v.Close()
-	p := make([]byte, v.Size())
-	for i := range p {
-		p[i] = byte(i)
-	}
-	if _, err := v.WriteAt(p, 0); err != nil {
-		return 0, err
-	}
-	var bytes int64
-	start := time.Now()
-	for time.Since(start) < 300*time.Millisecond {
-		if _, err := v.ReadAt(p, 0); err != nil {
-			return 0, err
-		}
-		bytes += v.Size()
-	}
-	return sim.MBPerSec(bytes, time.Since(start).Seconds()), nil
 }

@@ -59,6 +59,9 @@ type Client struct {
 	// With a pipe, ops bypass the mu/beginOp path entirely — many may
 	// be in flight concurrently, completing out of order.
 	pipe *pipe
+	// lim is what one request frame may carry: wireLimits, except in
+	// tests. Set once, before the client is shared.
+	lim frameLimits
 
 	mu sync.Mutex
 	// broken is set once a transport or framing error leaves the stream
@@ -124,7 +127,7 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Client, error) 
 }
 
 func newClient(cfg Config, conn net.Conn) *Client {
-	return &Client{cfg: cfg, conn: conn, dec: decoder{r: conn}}
+	return &Client{cfg: cfg, conn: conn, lim: wireLimits, dec: decoder{r: conn}}
 }
 
 // negotiate runs the OpFeatures exchange on a fresh connection. ok =
@@ -224,7 +227,14 @@ func (c *Client) Close() error {
 }
 
 // Broken returns the error that poisoned the connection, or nil while it
-// is still usable.
+// is still usable. It is also how a caller reads an op's error: with
+// Broken still nil the request was answered on a stream that is in step
+// (a RemoteError, a CRCError), refused before it touched the wire
+// (mismatched buffers, an unframeable range, ErrNoCRC) or cancelled
+// without harm, and the same request on another connection would fare
+// no better; once it is non-nil the transport failed, and a fresh
+// connection may succeed. internal/cluster's pool retries on exactly
+// that.
 func (c *Client) Broken() error {
 	if c.pipe != nil {
 		c.pipe.mu.Lock()
@@ -369,44 +379,75 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadAtCtx is ReadAt with cancellation: ctx interrupts the exchange
-// even mid-frame (poisoning a synchronous connection — see beginOp).
+// even mid-frame (poisoning a synchronous connection — see beginOp). A
+// buffer larger than one frame may carry travels as consecutive frames;
+// the count returned with an error is the bytes of the frames before
+// the one that failed.
 func (c *Client) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	var total int64
-	if err := admit(Vec{Off: off, Len: len(p)}, &total); err != nil {
-		return 0, err
-	}
-	cl := getCall()
-	cl.buildRead(p, off)
-	if _, err := c.do(ctx, cl); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	return c.rangeOp(ctx, p, off, (*call).buildRead)
 }
 
-// ReadV gathers len(vecs) ranges in one round trip (OpReadV), filling
-// dst[i] (which must have length vecs[i].Len) with range i. The total
-// length is bounded by MaxIOSize and the range count by MaxVecCount;
-// split larger gathers into batches.
+// rangeOp runs a one-range read or write, cut by bytes into as many
+// frames as the limit asks for, in order, stopping at the first failure.
+func (c *Client) rangeOp(ctx context.Context, p []byte, off int64, build func(*call, []byte, int64)) (int, error) {
+	for at := 0; ; {
+		n := int(min(int64(len(p)-at), c.lim.bytes))
+		cl := getCall()
+		build(cl, p[at:at+n], off+int64(at))
+		if _, err := c.do(ctx, cl); err != nil {
+			return at, err
+		}
+		if at += n; at == len(p) {
+			return at, nil
+		}
+	}
+}
+
+// ReadV gathers len(vecs) ranges, filling dst[i] (which must have
+// length vecs[i].Len) with range i. See ReadVCtx.
 func (c *Client) ReadV(vecs []Vec, dst [][]byte) error {
 	return c.ReadVCtx(context.Background(), vecs, dst)
 }
 
 // ReadVCtx is ReadV with cancellation: ctx interrupts the exchange even
-// mid-frame (poisoning a synchronous connection — see beginOp). With
-// FeatureCRC negotiated the gather travels as OpReadVC and every range
-// is verified against its carried CRC-32C as it lands in dst; a
-// mismatch is reported as a CRCError after the full response is
-// consumed, so the connection stays usable and the caller can fail over
-// to a replica. Payloads land directly in the caller's dst slices — the
-// client never copies them through an intermediate buffer.
+// mid-frame (poisoning a synchronous connection — see beginOp). A
+// request of any size is accepted: it travels as one OpReadV round trip
+// when the protocol's limits allow (MaxVecCount ranges, MaxIOSize
+// bytes), and otherwise as consecutive frames cut by frameEnd, stopping
+// at the first that fails; only a single range larger than MaxIOSize is
+// refused. With FeatureCRC negotiated the gather travels as OpReadVC and
+// every range is verified against its carried CRC-32C as it lands in
+// dst; a mismatch is reported as a CRCError (Range indexes vecs) after
+// its frame's response is consumed, so the connection stays usable and
+// the caller can fail over to a replica. Payloads land directly in the
+// caller's dst slices — the client never copies them through an
+// intermediate buffer.
 func (c *Client) ReadVCtx(ctx context.Context, vecs []Vec, dst [][]byte) error {
-	total, err := checkBufs("ReadV", vecs, dst)
-	if err != nil || len(vecs) == 0 {
+	if err := checkBufs("ReadV", vecs, dst); err != nil {
 		return err
 	}
-	cl := getCall()
-	cl.buildReadV(c.HasCRC(), vecs, dst, total)
-	_, err = c.do(ctx, cl)
+	for lo := 0; lo < len(vecs); {
+		hi, total, err := frameEnd(vecs, lo, c.lim)
+		if err != nil {
+			return err
+		}
+		cl := getCall()
+		cl.buildReadV(c.HasCRC(), vecs[lo:hi], dst[lo:hi], total)
+		if _, err := c.do(ctx, cl); err != nil {
+			return rebase(err, lo)
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// rebase makes a frame's CRC verdict speak of the caller's request: the
+// frame began at range lo of it. Every other error passes through.
+func rebase(err error, lo int) error {
+	var ce *CRCError
+	if errors.As(err, &ce) {
+		ce.Range += lo
+	}
 	return err
 }
 
@@ -417,56 +458,69 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 
 // WriteAtCtx is WriteAt with cancellation: ctx interrupts the exchange
 // even mid-frame (poisoning a synchronous connection — see beginOp).
+// Like ReadAtCtx it cuts a large buffer into consecutive frames and
+// counts the bytes of the frames before a failure.
 func (c *Client) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	var total int64
-	if err := admit(Vec{Off: off, Len: len(p)}, &total); err != nil {
-		return 0, err
-	}
-	cl := getCall()
-	cl.buildWrite(p, off)
-	if _, err := c.do(ctx, cl); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	return c.rangeOp(ctx, p, off, (*call).buildWrite)
 }
 
-// WriteV scatters len(vecs) ranges in one round trip (OpWriteV),
-// writing data[i] (which must have length vecs[i].Len) at vecs[i].Off.
-// See WriteVCtx for the partial-success contract.
+// WriteV scatters len(vecs) ranges, writing data[i] (which must have
+// length vecs[i].Len) at vecs[i].Off. See WriteVCtx for the
+// partial-success contract.
 func (c *Client) WriteV(vecs []Vec, data [][]byte) (int, error) {
 	return c.WriteVCtx(context.Background(), vecs, data)
 }
 
 // WriteVCtx is WriteV with cancellation: ctx interrupts the exchange
 // even mid-frame (poisoning a synchronous connection — see beginOp).
-// With FeatureCRC negotiated the scatter travels as OpWriteVC, each
-// range carrying the CRC-32C of its payload; a server-side mismatch
-// comes back as a CRCError with the connection still usable.
+// It frames the request the way ReadVCtx does — one OpWriteV round trip
+// when the limits allow, consecutive frames applied in request order
+// otherwise. With FeatureCRC negotiated the scatter travels as
+// OpWriteVC, each range carrying the CRC-32C of its payload; a
+// server-side mismatch comes back as a CRCError (Range indexes vecs)
+// with the connection still usable.
 //
 // It returns applied, the number of leading ranges the server durably
 // applied. On a clean exchange applied == len(vecs). On a RemoteError
 // or CRCError the server rejected range `applied` — ranges [0, applied)
-// are durable — and the connection remains usable. On transport,
-// framing, or cancellation errors applied is 0: the server may have
-// applied a prefix, but the client cannot know which, so nothing from
-// the exchange may be credited.
+// are durable — and the connection remains usable; the same holds when
+// the client refuses range `applied` as larger than any frame. On
+// transport, framing, or cancellation errors applied is 0: the server
+// may have applied a prefix, but the client cannot know which, so
+// nothing from the request may be credited.
 func (c *Client) WriteVCtx(ctx context.Context, vecs []Vec, data [][]byte) (int, error) {
-	if _, err := checkBufs("WriteV", vecs, data); err != nil || len(vecs) == 0 {
+	if err := checkBufs("WriteV", vecs, data); err != nil {
 		return 0, err
 	}
-	cl := getCall()
-	cl.buildWriteV(c.HasCRC(), vecs, data)
-	res, err := c.do(ctx, cl)
-	return res.applied, err
+	for lo := 0; lo < len(vecs); {
+		hi, _, err := frameEnd(vecs, lo, c.lim)
+		if err != nil {
+			return lo, err
+		}
+		cl := getCall()
+		cl.buildWriteV(c.HasCRC(), vecs[lo:hi], data[lo:hi])
+		res, err := c.do(ctx, cl)
+		if err != nil {
+			if IsRemote(err) || IsCRC(err) {
+				return lo + res.applied, rebase(err, lo)
+			}
+			return 0, err
+		}
+		lo = hi
+	}
+	return len(vecs), nil
 }
 
-// CrcV fetches freshly recomputed CRC-32Cs of len(vecs) store ranges in
-// one round trip (OpCrcV), filling out[i] with range i's checksum. The
-// server reads the ranges from its store and checksums them — it never
-// serves its write-time sidecar here — so the result reflects the bytes
-// as they are now, which is what lets Volume.Scrub compare replicas
-// without shipping the data. Returns ErrNoCRC (before touching the
-// wire) when the connection did not negotiate FeatureCRC.
+// CrcV fetches freshly recomputed CRC-32Cs of len(vecs) store ranges
+// (OpCrcV), filling out[i] with range i's checksum. The server reads
+// the ranges from its store and checksums them — it never serves its
+// write-time sidecar here — so the result reflects the bytes as they
+// are now, which is what lets Volume.Scrub compare replicas without
+// shipping the data. The request is framed like a gather of the same
+// ranges: the server reads every byte it checksums, so the byte limit
+// applies even though only 4 bytes per range travel back. Returns
+// ErrNoCRC (before touching the wire) when the connection did not
+// negotiate FeatureCRC.
 func (c *Client) CrcV(ctx context.Context, vecs []Vec, out []uint32) error {
 	if !c.HasCRC() {
 		return ErrNoCRC
@@ -474,17 +528,20 @@ func (c *Client) CrcV(ctx context.Context, vecs []Vec, out []uint32) error {
 	if len(vecs) != len(out) {
 		return fmt.Errorf("blockserver: CrcV has %d ranges but %d slots", len(vecs), len(out))
 	}
-	if len(vecs) == 0 {
-		return nil
+	for lo := 0; lo < len(vecs); {
+		hi, _, err := frameEnd(vecs, lo, c.lim)
+		if err != nil {
+			return err
+		}
+		cl := getCall()
+		cl.buildVecs(OpCrcV, vecs[lo:hi])
+		cl.outCrcs = out[lo:hi]
+		if _, err := c.do(ctx, cl); err != nil {
+			return err
+		}
+		lo = hi
 	}
-	if _, err := checkVecs(vecs); err != nil {
-		return err
-	}
-	cl := getCall()
-	cl.buildVecs(OpCrcV, vecs)
-	cl.outCrcs = out
-	_, err := c.do(ctx, cl)
-	return err
+	return nil
 }
 
 // mgmt runs one management exchange.

@@ -253,10 +253,11 @@ func checkCount(n int64) error {
 }
 
 // admit applies MaxIOSize to one more range of a request whose ranges
-// so far sum to *total. Both ends run every range through it: a client
-// before it sends, a server as it decodes (where a violation in a write
-// means the payload boundary cannot be trusted and the connection is
-// torn). The sum is an int64 because on 32-bit platforms int(uint32)
+// so far sum to *total. A server runs every range through it as it
+// decodes (where a violation in a write means the payload boundary
+// cannot be trusted and the connection is torn); a client never sends a
+// frame that fails it, because frameEnd cut the request under the same
+// limits. The sum is an int64 because on 32-bit platforms int(uint32)
 // can go negative and slip past a limit check.
 func admit(v Vec, total *int64) error {
 	if v.Len < 0 || v.Len > MaxIOSize {
@@ -278,35 +279,48 @@ func checkVec(v Vec, size int64) error {
 	return nil
 }
 
-// checkVecs validates a client-side vector request against the protocol
-// limits and returns the summed payload size.
-func checkVecs(vecs []Vec) (int64, error) {
-	if err := checkCount(int64(len(vecs))); err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, v := range vecs {
-		if err := admit(v, &total); err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
+// frameLimits are the bounds one request frame must stay within: its
+// range count and its summed payload. Every client frames under
+// wireLimits, the limits the server enforces (checkCount, admit); they
+// are a value rather than the constants so tests can walk the
+// multi-frame paths without moving gigabytes.
+type frameLimits struct {
+	vecs  int
+	bytes int64
 }
 
-// checkBufs is checkVecs for a request that moves payload: bufs must
-// match the ranges length for length. An empty request is valid and
-// sums to zero.
-func checkBufs(name string, vecs []Vec, bufs [][]byte) (int64, error) {
-	if len(vecs) != len(bufs) {
-		return 0, fmt.Errorf("blockserver: %s has %d ranges but %d buffers", name, len(vecs), len(bufs))
+var wireLimits = frameLimits{vecs: MaxVecCount, bytes: MaxIOSize}
+
+// frameEnd cuts the next frame off a vector request: vecs[lo:hi] is the
+// longest run of ranges starting at lo that one frame may carry, summing
+// to the returned byte count. It is the only place a client applies the
+// protocol limits — every vector op walks its request with it, frame by
+// frame — and a range no frame can carry is the one thing it refuses.
+func frameEnd(vecs []Vec, lo int, lim frameLimits) (hi int, bytes int64, err error) {
+	for hi = lo; hi < len(vecs) && hi-lo < lim.vecs; hi++ {
+		n := int64(vecs[hi].Len)
+		if n < 0 || n > lim.bytes {
+			return lo, 0, fmt.Errorf("%w: range %d of %d bytes exceeds the %d-byte frame limit",
+				ErrProtocol, hi, uint32(vecs[hi].Len), lim.bytes)
+		}
+		if bytes+n > lim.bytes {
+			break
+		}
+		bytes += n
 	}
-	if len(vecs) == 0 {
-		return 0, nil
+	return hi, bytes, nil
+}
+
+// checkBufs matches a vector request's buffers against its ranges,
+// length for length. An empty request is valid.
+func checkBufs(name string, vecs []Vec, bufs [][]byte) error {
+	if len(vecs) != len(bufs) {
+		return fmt.Errorf("blockserver: %s has %d ranges but %d buffers", name, len(vecs), len(bufs))
 	}
 	for i, v := range vecs {
 		if len(bufs[i]) != v.Len {
-			return 0, fmt.Errorf("blockserver: %s buffer %d has %d bytes for a %d-byte range", name, i, len(bufs[i]), v.Len)
+			return fmt.Errorf("blockserver: %s buffer %d has %d bytes for a %d-byte range", name, i, len(bufs[i]), v.Len)
 		}
 	}
-	return checkVecs(vecs)
+	return nil
 }

@@ -32,6 +32,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"shiftedmirror/internal/blockserver"
@@ -65,17 +66,16 @@ var (
 	ErrRebuildInProgress = errors.New("cluster: rebuild already in progress")
 )
 
-// Config tunes a Volume. Zero fields take the defaults below.
-//
-// New code should prefer the functional options in options.go (or the
-// shiftedmirror facade's options) over filling struct fields ad hoc;
-// the fields remain for compatibility and for tests that need full
-// control.
+// Config tunes a Volume. Zero fields take the defaults below. The
+// shiftedmirror facade's options set these fields; each is documented
+// here, once.
 type Config struct {
-	// ElementSize is the element (striping unit) size in bytes.
-	// Default 4096.
+	// ElementSize is the element (striping unit) size in bytes. An
+	// element travels as one wire range, so New rejects a size above
+	// blockserver.MaxIOSize. Default 4096.
 	ElementSize int64
-	// Stripes is the stripe count per array. Default 8.
+	// Stripes is the stripe count per array; New rejects a count whose
+	// disk or volume size overflows. Default 8.
 	Stripes int
 	// PoolSize is the number of pooled connections per backend; one
 	// blockserver client serializes, so this bounds per-backend
@@ -99,9 +99,6 @@ type Config struct {
 	// again, doubling up to MaxProbe. Defaults 250ms and 5s.
 	ProbeEvery time.Duration
 	MaxProbe   time.Duration
-	// MaxBatch bounds the ranges per OpReadV request. Default 512,
-	// capped at blockserver.MaxVecCount.
-	MaxBatch int
 	// RebuildBatch is how many stripes RebuildDisk recovers per
 	// exclusive-lock slice; user I/O flows between slices. Default 16.
 	RebuildBatch int
@@ -216,9 +213,6 @@ func (c Config) withDefaults() Config {
 	if c.PipelineWindow <= 0 {
 		c.PipelineWindow = blockserver.DefaultPipeWindow
 	}
-	if c.MaxBatch <= 0 || c.MaxBatch > maxVecCount {
-		c.MaxBatch = 512
-	}
 	if c.RebuildBatch <= 0 {
 		c.RebuildBatch = 16
 	}
@@ -253,4 +247,25 @@ func (c Config) withDefaults() Config {
 		c.RebuildQoSMinSamples = 8
 	}
 	return c
+}
+
+// checkGeometry rejects, by field name, a geometry over n-disk arrays
+// that the volume could not address: an element no wire range can carry
+// (it would surface at the first I/O as a backend that serves nothing),
+// a disk size — Stripes × n × ElementSize, which sizes buffers — beyond
+// int, or a volume size beyond int64. c has its defaults applied.
+func (c Config) checkGeometry(n int) error {
+	if c.ElementSize > blockserver.MaxIOSize {
+		return fmt.Errorf("cluster: Config.ElementSize %d exceeds the %d bytes one wire range may carry",
+			c.ElementSize, blockserver.MaxIOSize)
+	}
+	if int64(c.Stripes) > math.MaxInt/int64(n)/c.ElementSize {
+		return fmt.Errorf("cluster: Config.Stripes %d × n %d × Config.ElementSize %d overflows the disk size (int)",
+			c.Stripes, n, c.ElementSize)
+	}
+	if int64(c.Stripes) > math.MaxInt64/int64(n)/int64(n)/c.ElementSize {
+		return fmt.Errorf("cluster: Config.Stripes %d × n² %d × Config.ElementSize %d overflows the volume size (int64)",
+			c.Stripes, n*n, c.ElementSize)
+	}
+	return nil
 }

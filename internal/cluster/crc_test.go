@@ -14,35 +14,15 @@ import (
 	"shiftedmirror/internal/raid"
 )
 
-// startCRCBackends serves one MemStore per disk with a CRC sidecar
-// sized to the element, the server half of WireCRC mode.
-func startCRCBackends(t *testing.T, arch *raid.Mirror, elementSize int64, stripes int) *testBackends {
-	t.Helper()
-	b := &testBackends{
-		t:       t,
-		addrs:   map[raid.DiskID]string{},
-		servers: map[raid.DiskID]*blockserver.Server{},
-		stores:  map[raid.DiskID]*dev.MemStore{},
-	}
-	perDisk := int64(stripes) * int64(arch.N()) * elementSize
-	for _, id := range arch.Disks() {
-		store := dev.NewMemStore(perDisk)
-		srv := blockserver.NewStoreServer(store, blockserver.WithCRC(elementSize))
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.addrs[id] = addr.String()
-		b.servers[id] = srv
-		b.stores[id] = store
-	}
-	t.Cleanup(b.closeAll)
-	return b
+// withCRC gives every server a CRC sidecar sized to the element, the
+// server half of WireCRC mode.
+func withCRC(elementSize int64) backendOpt {
+	return withServerOptions(blockserver.WithCRC(elementSize))
 }
 
 func newCRCVolume(t *testing.T, arch *raid.Mirror, elementSize int64, stripes int) (*Volume, *testBackends) {
 	t.Helper()
-	backends := startCRCBackends(t, arch, elementSize, stripes)
+	backends := startBackends(t, arch, elementSize, stripes, withCRC(elementSize))
 	cfg := fastConfig(elementSize, stripes)
 	cfg.WireCRC = true
 	v, err := New(arch, backends.addrs, cfg)

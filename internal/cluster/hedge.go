@@ -221,10 +221,9 @@ func (v *Volume) readBackups(ctx context.Context, groups []hedgeGroup) error {
 }
 
 func (v *Volume) readBackupGroup(ctx context.Context, g hedgeGroup) error {
-	x := vecOp{vecs: make([]blockserver.Vec, len(g.targets)), bufs: make([][]byte, len(g.targets))}
-	for i, t := range g.targets {
-		x.vecs[i] = blockserver.Vec{Off: v.storeOffset(t.s.stripe, t.loc.row) + t.s.inner, Len: len(t.buf)}
-		x.bufs[i] = t.buf
+	var x vecOp
+	for _, t := range g.targets {
+		x.add(v.storeOffset(t.s.stripe, t.loc.row)+t.s.inner, t.buf)
 	}
 	return v.readVecs(ctx, g.slot, &x, fetchUser)
 }

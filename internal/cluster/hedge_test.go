@@ -9,44 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 )
-
-// startBackendsInject serves one MemStore per disk like startBackends,
-// wrapping the listed disks' stores with fault injection. The stores
-// map still holds the raw MemStores, so image comparisons see through
-// the injection layer.
-func startBackendsInject(t *testing.T, arch *raid.Mirror, elementSize int64, stripes int, inject map[raid.DiskID]faultinject.Config) *testBackends {
-	t.Helper()
-	b := &testBackends{
-		t:       t,
-		addrs:   map[raid.DiskID]string{},
-		servers: map[raid.DiskID]*blockserver.Server{},
-		stores:  map[raid.DiskID]*dev.MemStore{},
-	}
-	perDisk := int64(stripes) * int64(arch.N()) * elementSize
-	for _, id := range arch.Disks() {
-		store := dev.NewMemStore(perDisk)
-		var serve blockserver.Store = store
-		if cfg, ok := inject[id]; ok {
-			serve = faultinject.Wrap(store, cfg)
-		}
-		srv := blockserver.NewStoreServer(serve)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.addrs[id] = addr.String()
-		b.servers[id] = srv
-		b.stores[id] = store
-	}
-	t.Cleanup(b.closeAll)
-	return b
-}
 
 // hedgedConfig is fastConfig with hedging pinned deterministic: the
 // huge MinSamples keeps the adaptive delay at HedgeMaxDelay for the
@@ -68,9 +34,9 @@ func TestHedgedReadByteIdentical(t *testing.T) {
 	const n, stripes, elementSize = 4, 4, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
 	straggler := raid.DiskID{Role: raid.RoleData, Index: 0}
-	backends := startBackendsInject(t, arch, elementSize, stripes, map[raid.DiskID]faultinject.Config{
+	backends := startBackends(t, arch, elementSize, stripes, withFaults(map[raid.DiskID]faultinject.Config{
 		straggler: {Seed: 1, StallEvery: 1, StallFor: 60 * time.Millisecond},
-	})
+	}))
 	v, err := New(arch, backends.addrs, hedgedConfig(elementSize, stripes))
 	if err != nil {
 		t.Fatal(err)
@@ -114,9 +80,9 @@ func TestHedgedReadNoGoroutineLeak(t *testing.T) {
 	const n, stripes, elementSize = 3, 2, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
 	straggler := raid.DiskID{Role: raid.RoleData, Index: 1}
-	backends := startBackendsInject(t, arch, elementSize, stripes, map[raid.DiskID]faultinject.Config{
+	backends := startBackends(t, arch, elementSize, stripes, withFaults(map[raid.DiskID]faultinject.Config{
 		straggler: {Seed: 2, StallEvery: 1, StallFor: 20 * time.Millisecond},
-	})
+	}))
 	before := runtime.NumGoroutine()
 	v, err := New(arch, backends.addrs, hedgedConfig(elementSize, stripes))
 	if err != nil {
@@ -165,7 +131,7 @@ func TestHedgeDisabledWhenDegraded(t *testing.T) {
 			inject[id] = faultinject.Config{Seed: 3, StallEvery: 1, StallFor: 20 * time.Millisecond}
 		}
 	}
-	backends := startBackendsInject(t, arch, elementSize, stripes, inject)
+	backends := startBackends(t, arch, elementSize, stripes, withFaults(inject))
 	v, err := New(arch, backends.addrs, hedgedConfig(elementSize, stripes))
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +167,9 @@ func TestReadAtCtxCancellation(t *testing.T) {
 	const n, stripes, elementSize = 3, 2, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
 	straggler := raid.DiskID{Role: raid.RoleData, Index: 0}
-	backends := startBackendsInject(t, arch, elementSize, stripes, map[raid.DiskID]faultinject.Config{
+	backends := startBackends(t, arch, elementSize, stripes, withFaults(map[raid.DiskID]faultinject.Config{
 		straggler: {Seed: 4, StallEvery: 1, StallFor: time.Second},
-	})
+	}))
 	v, err := New(arch, backends.addrs, fastConfig(elementSize, stripes)) // no hedging to rescue the read
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +218,7 @@ func TestRebuildDiskCancelResumable(t *testing.T) {
 			inject[id] = faultinject.Config{Seed: 5, ReadDelay: 30 * time.Millisecond}
 		}
 	}
-	backends := startBackendsInject(t, arch, elementSize, stripes, inject)
+	backends := startBackends(t, arch, elementSize, stripes, withFaults(inject))
 	cfg := fastConfig(elementSize, stripes)
 	cfg.RebuildBatch = 1
 	v, err := New(arch, backends.addrs, cfg)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/raid"
 )
 
@@ -38,42 +37,16 @@ const (
 // BENCH_layouts.json gate, so renaming one breaks CI on purpose.
 var layoutBenchFamilies = []string{"traditional", "rotated", "shifted", "declustered"}
 
-// startThrottledBackends serves one read-throttled MemStore per disk.
-func startThrottledBackends(b testing.TB, arch *raid.Mirror, elementSize int64, stripes int, rate float64) *testBackends {
-	b.Helper()
-	tb := &testBackends{
-		t:       b,
-		addrs:   map[raid.DiskID]string{},
-		servers: map[raid.DiskID]*blockserver.Server{},
-		stores:  map[raid.DiskID]*dev.MemStore{},
-	}
-	perDisk := int64(stripes) * int64(arch.N()) * elementSize
-	for _, id := range arch.Disks() {
-		store := dev.NewMemStore(perDisk)
-		srv := blockserver.NewStoreServer(store, blockserver.WithReadRate(rate))
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		tb.addrs[id] = addr.String()
-		tb.servers[id] = srv
-		tb.stores[id] = store
-	}
-	b.Cleanup(tb.closeAll)
-	return tb
-}
-
 // layoutBenchVolume builds a filled volume running the named layout
 // over throttled backends.
 func layoutBenchVolume(b *testing.B, name string, rate float64) *Volume {
 	b.Helper()
 	arch := layoutArch(b, name, layoutBenchN)
-	var backends *testBackends
+	var opts []backendOpt
 	if rate > 0 {
-		backends = startThrottledBackends(b, arch, layoutBenchElement, layoutBenchStripes, rate)
-	} else {
-		backends = startBackends(b, arch, layoutBenchElement, layoutBenchStripes)
+		opts = append(opts, withServerOptions(blockserver.WithReadRate(rate)))
 	}
+	backends := startBackends(b, arch, layoutBenchElement, layoutBenchStripes, opts...)
 	cfg := fastConfig(layoutBenchElement, layoutBenchStripes)
 	// One slice per rebuild: each backend's share is a single paced
 	// transfer well above sleep granularity, so the wall clock is the

@@ -9,46 +9,23 @@ import (
 	"testing"
 
 	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 )
-
-// replaceCRC is testBackends.replace with a CRC sidecar on the spare,
-// so a WireCRC volume keeps checksummed opcodes on the replacement.
-// (It also keeps this file's race-detector discipline: every backend
-// access is ordered through the server's sidecar mutex, which an
-// in-process socket alone would not make visible.)
-func (b *testBackends) replaceCRC(id raid.DiskID, elementSize int64) string {
-	b.t.Helper()
-	b.servers[id].Close()
-	store := dev.NewMemStore(b.stores[id].Size())
-	srv := blockserver.NewStoreServer(store, blockserver.WithCRC(elementSize))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.t.Fatal(err)
-	}
-	b.stores[id] = store
-	b.servers[id] = srv
-	return addr.String()
-}
 
 // TestVolumePipelinedEndToEnd runs the full volume lifecycle — fill,
 // verify, fail, degraded read, rebuild, scrub — over the pipelined wire
 // mode with end-to-end CRC, and checks the pipeline actually carried
 // the traffic: ops submitted, frames coalesced into fewer writevs, and
-// a drained window at rest. MaxBatch is tiny so the gather planner's
-// per-backend span lists split into several OpReadV batches, which
-// pipelined mode submits as one concurrent burst per backend.
+// a drained window at rest.
 func TestVolumePipelinedEndToEnd(t *testing.T) {
 	const element = 512
 	const stripes = 4
 	arch := raid.NewMirror(layout.NewShifted(3))
-	backends := startCRCBackends(t, arch, element, stripes)
+	backends := startBackends(t, arch, element, stripes, withCRC(element))
 	cfg := fastConfig(element, stripes)
 	cfg.WireCRC = true
 	cfg.Pipeline = true
-	cfg.MaxBatch = 4 // force multi-batch gathers through the burst path
 	v, err := New(arch, backends.addrs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +61,7 @@ func TestVolumePipelinedEndToEnd(t *testing.T) {
 		t.Fatal("degraded pipelined read mismatch")
 	}
 
-	if err := v.ReplaceBackend(lost, backends.replaceCRC(lost, element)); err != nil {
+	if err := v.ReplaceBackend(lost, backends.replace(lost, blockserver.WithCRC(element))); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.RebuildDisk(ctx, lost); err != nil {
@@ -135,7 +112,7 @@ func TestVolumePipelinedEndToEnd(t *testing.T) {
 func TestPipelinedRebuildUnderLoad(t *testing.T) {
 	const n, element, stripes, cycles = 4, 1024, 64, 40
 	arch := raid.NewMirror(layout.NewShifted(n))
-	backends := startCRCBackends(t, arch, element, stripes)
+	backends := startBackends(t, arch, element, stripes, withCRC(element))
 	cfg := fastConfig(element, stripes)
 	cfg.WireCRC = true // also what orders store accesses for the race detector
 	cfg.Pipeline = true

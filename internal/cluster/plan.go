@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/layout"
@@ -120,13 +119,13 @@ type writeOp struct {
 	data   []byte
 	elem   int32 // index of the logical element this op replicates
 	stripe int32 // stripe the element belongs to, for watermark rollback
-	vec    int32 // index in backendPlan.vecs of the wire range carrying it
+	vec    int32 // index in the share's xfer.vecs of the wire range carrying it
 }
 
-// vecOp is one vectored wire exchange and its outcome. It lives inside
-// the op plan and is handed to pool.doCtx by pointer.
+// vecOp is one vectored exchange with a backend and its outcome. It
+// lives inside the op plan and is handed to pool.doCtx by pointer.
 type vecOp struct {
-	write   bool // OpWriteV from bufs; else OpReadV into bufs
+	write   bool // scatter from bufs; else gather into bufs
 	vecs    []blockserver.Vec
 	bufs    [][]byte
 	applied int   // leading ranges the server applied (write modes)
@@ -142,38 +141,34 @@ func (o *vecOp) run(ctx context.Context, c *blockserver.Client) error {
 	return err
 }
 
-// wframe is one write round trip bound for a backend: a run of the
-// backend's offset-sorted ops and the coalesced wire ranges carrying
-// them, both as windows into the backendPlan's arrays. An op's vec
-// index says which range carries it, so a mid-batch remote error
-// (ranges before the failed index are durable) can be credited back to
-// exact elements.
-type wframe struct {
-	opLo, opHi   int
-	vecLo, vecHi int
-	xfer         vecOp
-}
-
-// backendPlan is one backend's share of an op, with the wire scratch it
-// is shipped from. Exactly one goroutine works on a backendPlan at a
-// time, except that several write workers may drain frames through the
-// next cursor (each frame is touched by one of them only).
+// backendPlan is one backend's share of an op and the one exchange
+// (xfer) it travels as; how many wire frames that takes is the wire
+// client's business. Exactly one goroutine works on a backendPlan at a
+// time.
 type backendPlan struct {
 	// Read side: the spans routed here this round (indices into
-	// opPlan.spans), the MaxBatch-sized exchanges carrying them, and
-	// the spans that must fail over.
+	// opPlan.spans) and, after the round, those that must fail over.
 	spans  []int32
-	reads  []vecOp
 	failed []int32
 
-	// Write side: the element copies bound here, sorted and packed
-	// into frames by packFrames.
-	ops    []writeOp
-	frames []wframe
-	next   atomic.Int32
+	// Write side: the element copies bound here, sorted and laid out as
+	// wire ranges by packScatter.
+	ops []writeOp
 
-	vecs []blockserver.Vec
-	bufs [][]byte
+	xfer vecOp
+}
+
+// begin empties the exchange for a new share, keeping its range arrays'
+// capacity and dropping their references to caller memory.
+func (o *vecOp) begin(write bool) {
+	clear(o.bufs)
+	*o = vecOp{write: write, vecs: o.vecs[:0], bufs: o.bufs[:0]}
+}
+
+// add appends one wire range and the buffer it moves.
+func (o *vecOp) add(off int64, buf []byte) {
+	o.vecs = append(o.vecs, blockserver.Vec{Off: off, Len: len(buf)})
+	o.bufs = append(o.bufs, buf)
 }
 
 // brokenBackend is a backend whose transport failed a write, with the
@@ -227,8 +222,8 @@ func (pl *opPlan) clearRound() {
 		b := &pl.backends[slot]
 		b.spans, b.failed = b.spans[:0], b.failed[:0]
 		clear(b.ops)
-		clear(b.bufs)
-		b.ops, b.frames, b.bufs, b.vecs = b.ops[:0], b.frames[:0], b.bufs[:0], b.vecs[:0]
+		b.ops = b.ops[:0]
+		b.xfer.begin(false)
 	}
 	pl.active = pl.active[:0]
 }
@@ -278,45 +273,31 @@ func buffersAdjacent(a, b []byte) bool {
 	return &ext[len(a)] == &b[0]
 }
 
-// packFrames sorts one backend's ops by store offset and packs them
-// into OpWriteV frames bounded by MaxBatch ranges and MaxIOSize bytes.
-// Ops adjacent in both store offset and memory — rebuild write-back's
-// normal case, where a slice's recovered elements are consecutive
-// subslices of one buffer bound for consecutive store rows — merge into
-// a single wire range. Under WireCRC merging is disabled: each range
-// must stay exactly one element so its checksum maps onto one server
-// sidecar block.
-func (v *Volume) packFrames(b *backendPlan) {
+// packScatter sorts one backend's ops by store offset and lays them out
+// as the wire ranges of the share's one scatter exchange. Ops adjacent
+// in both store offset and memory — rebuild write-back's normal case,
+// where a slice's recovered elements are consecutive subslices of one
+// buffer bound for consecutive store rows — merge into a single range,
+// up to MaxIOSize, the largest range a frame can carry. An op's vec
+// index says which range carries it, so a mid-scatter remote error
+// (ranges before the failed index are durable) can be credited back to
+// exact elements. Under WireCRC merging is disabled: each range must
+// stay exactly one element so its checksum maps onto one server sidecar
+// block.
+func (v *Volume) packScatter(b *backendPlan) {
 	slices.SortFunc(b.ops, func(x, y writeOp) int { return cmp.Compare(x.off, y.off) })
-	maxRanges, merge := v.cfg.MaxBatch, !v.cfg.WireCRC
-	b.frames, b.vecs, b.bufs = b.frames[:0], b.vecs[:0], b.bufs[:0]
-	var frameBytes int64
+	merge := !v.cfg.WireCRC
+	x := &b.xfer
+	x.begin(true)
 	for i := range b.ops {
 		op := &b.ops[i]
-		opLen := int64(len(op.data))
-		fits := len(b.frames) > 0 && frameBytes+opLen <= blockserver.MaxIOSize
-		if last := len(b.vecs) - 1; fits && merge && b.vecs[last].Off+int64(b.vecs[last].Len) == op.off &&
-			buffersAdjacent(b.bufs[last], op.data) {
-			b.vecs[last].Len += len(op.data)
-			b.bufs[last] = b.bufs[last][:len(b.bufs[last])+len(op.data)]
+		if last := len(x.vecs) - 1; merge && last >= 0 && x.vecs[last].Off+int64(x.vecs[last].Len) == op.off &&
+			x.vecs[last].Len+len(op.data) <= blockserver.MaxIOSize && buffersAdjacent(x.bufs[last], op.data) {
+			x.vecs[last].Len += len(op.data)
+			x.bufs[last] = x.bufs[last][:len(x.bufs[last])+len(op.data)]
 		} else {
-			if !fits || len(b.vecs)-b.frames[len(b.frames)-1].vecLo >= maxRanges {
-				b.frames = append(b.frames, wframe{opLo: i, vecLo: len(b.vecs)})
-				frameBytes = 0
-			}
-			b.vecs = append(b.vecs, blockserver.Vec{Off: op.off, Len: len(op.data)})
-			b.bufs = append(b.bufs, op.data)
+			x.add(op.off, op.data)
 		}
-		op.vec = int32(len(b.vecs) - 1)
-		cur := &b.frames[len(b.frames)-1]
-		cur.opHi, cur.vecHi = i+1, len(b.vecs)
-		frameBytes += opLen
+		op.vec = int32(len(x.vecs) - 1)
 	}
-	// The range arrays are final only now (appends may have moved
-	// them), so the frames take their windows last.
-	for i := range b.frames {
-		fr := &b.frames[i]
-		fr.xfer = vecOp{write: true, vecs: b.vecs[fr.vecLo:fr.vecHi], bufs: b.bufs[fr.vecLo:fr.vecHi]}
-	}
-	b.next.Store(0)
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,8 +10,6 @@ import (
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/obs"
 )
-
-const maxVecCount = blockserver.MaxVecCount
 
 // poolStats are one backend's service counters. The Volume owns one
 // per disk slot (see diskStats) so the numbers survive ReplaceBackend:
@@ -239,15 +236,14 @@ func (p *pool) checkout(ctx context.Context) (lease, error) {
 	return lease{c, -1}, err
 }
 
-// settle ends a lease. A connection that is still healthy — the op was
-// served, or a pipelined op abandoned its tag on cancellation — goes
+// settle ends a lease. A connection that is still in step — the op was
+// answered, or a pipelined op abandoned its tag on cancellation — goes
 // back to the pool. A broken one is closed and retired; retired reports
 // whether this caller was the one to do it. On a multiplexed connection
 // only the first observer is: a tear fails every op in the window at
 // once, and counting it once per op would catapult the backend into the
 // dead state on a single flaky socket.
-func (p *pool) settle(l lease, served bool) (retired bool) {
-	broken := !served && l.c.Broken() != nil
+func (p *pool) settle(l lease, broken bool) (retired bool) {
 	if l.slot < 0 {
 		if broken {
 			l.c.Close()
@@ -316,21 +312,23 @@ func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 			continue
 		}
 		err = op.run(ctx, l.c)
-		// CRC verdicts and a missing CRC feature are served on a healthy,
-		// synchronized connection, exactly like remote errors: no retry
-		// (the bytes are bad, not the backend), no dead-marking.
-		served := err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
-			errors.Is(err, blockserver.ErrNoCRC)
-		retired := p.settle(l, served)
-		if served {
+		// The wire client says what an error means for its connection
+		// (blockserver.Client.Broken). An op that failed on a connection
+		// still in step was answered there — a store error, a checksum
+		// verdict, a feature the server lacks — or refused before it
+		// touched the wire (a request the caller built wrong): another
+		// connection would say the same, so no retry, no dead-marking.
+		broken := err != nil && l.c.Broken() != nil
+		retired := p.settle(l, broken)
+		if err != nil && ctx.Err() != nil {
+			p.stats.errors.Inc()
+			return err
+		}
+		if !broken {
 			p.noteSuccess()
 			if err != nil {
 				p.stats.errors.Inc()
 			}
-			return err
-		}
-		if ctx.Err() != nil {
-			p.stats.errors.Inc()
 			return err
 		}
 		if retired {

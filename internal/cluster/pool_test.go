@@ -72,6 +72,57 @@ func TestPoolRemoteErrorKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestPoolCallerBugReturnsAtOnce: an error the wire client raised before
+// touching the wire — here a buffer that does not match its range — is
+// not transport trouble. The connection is in step, so the pool must
+// hand the error back at once: no backoff sleep, no retry, no step
+// toward marking the backend dead; it is still an error, and counted.
+func TestPoolCallerBugReturnsAtOnce(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		name := map[bool]string{false: "sync", true: "pipelined"}[pipelined]
+		t.Run(name, func(t *testing.T) {
+			_, addr, _ := startStoreServer(t, 1024)
+			cfg := fastConfig(64, 2).withDefaults()
+			cfg.Pipeline = pipelined
+			cfg.Retries, cfg.RetryBackoff, cfg.DeadAfter = 3, 250*time.Millisecond, 1
+			cfg.PoolSize = 1 // one connection, so a second dial is a redial
+			p := newPool(addr, cfg, nil, nil)
+			defer p.close()
+			mismatched := func(c *blockserver.Client) error {
+				return c.ReadV([]blockserver.Vec{{Off: 0, Len: 8}}, [][]byte{make([]byte, 4)})
+			}
+			start := time.Now()
+			err := p.do(mismatched)
+			elapsed := time.Since(start)
+			if err == nil || blockserver.IsRemote(err) {
+				t.Fatalf("mismatched-buffer ReadV through the pool: %v, want the client's own rejection", err)
+			}
+			if elapsed >= cfg.RetryBackoff {
+				t.Fatalf("a caller's bug took %v: it slept a retry backoff (%v)", elapsed, cfg.RetryBackoff)
+			}
+			if n := p.stats.retries.Load(); n != 0 {
+				t.Fatalf("a caller's bug was retried %d times", n)
+			}
+			if n := p.stats.errors.Load(); n != 1 {
+				t.Fatalf("errors counter %d, want 1", n)
+			}
+			if p.isDead() || p.stats.poisoned.Load() != 0 {
+				t.Fatal("a caller's bug cost the backend its connection or its standing")
+			}
+			// The connection went back to the pool and still serves.
+			if err := p.do(func(c *blockserver.Client) error {
+				_, err := c.ReadAt(make([]byte, 16), 0)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if dials := p.stats.dials.Load(); dials != 1 {
+				t.Fatalf("a caller's bug forced a redial (%d dials)", dials)
+			}
+		})
+	}
+}
+
 func TestPoolMarksDeadThenFailsFast(t *testing.T) {
 	srv, addr, _ := startStoreServer(t, 1024)
 	cfg := fastConfig(64, 2)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
@@ -276,7 +277,7 @@ func TestScrubYieldsBetweenBatches(t *testing.T) {
 	// read is served by is left unthrottled, so the read measures its
 	// wait for the lock and not its place in a paced disk's queue.
 	arch := raid.NewMirror(layout.NewShifted(3))
-	backends := startThrottledBackends(t, arch, elementSize, stripes, rate)
+	backends := startBackends(t, arch, elementSize, stripes, withServerOptions(blockserver.WithReadRate(rate)))
 	probed := raid.DiskID{Role: raid.RoleData, Index: 0}
 	backends.addrs[probed] = backends.replace(probed)
 	v, err := New(arch, backends.addrs, fastConfig(elementSize, stripes))

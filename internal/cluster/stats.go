@@ -138,10 +138,12 @@ type Stats struct {
 	// detections, each of which failed over to a replica.
 	CRCReadErrors int64 `json:"crc_read_errors"`
 
-	// WriteBatches counts OpWriteV frames issued by the write fan-out
-	// (user writes and rebuild write-back); WriteBatchElements the
-	// element-copy ops those frames carried. Their ratio is the measured
-	// batching factor — elements per wire round trip.
+	// WriteBatches counts the scatter exchanges issued by the write
+	// fan-out (user writes and rebuild write-back) — one per backend per
+	// write, which is one OpWriteV frame whenever the backend's share
+	// fits a frame; WriteBatchElements the element-copy ops those
+	// exchanges carried. Their ratio is the measured batching factor —
+	// elements per wire round trip.
 	WriteBatches       int64 `json:"write_batches"`
 	WriteBatchElements int64 `json:"write_batch_elements"`
 
@@ -292,9 +294,9 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 	counter("sm_cluster_auto_failed_total",
 		"Disks auto-failed by the write path after their backend stopped accepting writes.", &st.autoFailed)
 	counter("sm_cluster_write_batches_total",
-		"OpWriteV frames issued by the write fan-out (user writes and rebuild write-back).", &st.writeBatches)
+		"Scatter exchanges issued by the write fan-out (user writes and rebuild write-back): one per backend per write, one OpWriteV frame each when the share fits a frame.", &st.writeBatches)
 	counter("sm_cluster_write_batch_elements",
-		"Element-copy ops carried by OpWriteV frames; divided by sm_cluster_write_batches_total this is elements per wire round trip.", &st.writeBatchElements)
+		"Element-copy ops carried by those exchanges; divided by sm_cluster_write_batches_total this is elements per wire round trip.", &st.writeBatchElements)
 	histogram("sm_cluster_read_duration_seconds",
 		"Volume.ReadAt wall time.", st.readLat)
 	histogram("sm_cluster_write_duration_seconds",

@@ -98,10 +98,12 @@ type volumeStats struct {
 	// read path (WireCRC mode only).
 	crcReadErrors obs.Counter
 
-	// Write-batching accounting: writeBatches counts OpWriteV frames
-	// issued by the write fan-out (user writes and rebuild write-back);
-	// writeBatchElements counts the element-copy ops those frames
-	// carried, so elements-per-frame is their ratio.
+	// Write-batching accounting: writeBatches counts the scatter
+	// exchanges issued by the write fan-out (user writes and rebuild
+	// write-back), one per backend per write — which is also the wire
+	// frame count whenever a share fits one frame; writeBatchElements
+	// counts the element-copy ops those exchanges carried, so
+	// elements-per-exchange is their ratio.
 	writeBatches       obs.Counter
 	writeBatchElements obs.Counter
 
@@ -221,6 +223,9 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 		return nil, fmt.Errorf("cluster: parity architectures are not supported; use a mirror or three-mirror arrangement")
 	}
 	cfg = cfg.withDefaults()
+	if err := cfg.checkGeometry(arch.N()); err != nil {
+		return nil, err
+	}
 	ids := arch.Disks()
 	table, err := newPlacementTable(arch.Placement(), ids)
 	if err != nil {
@@ -438,99 +443,44 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 	return nil
 }
 
-// fetchGroupBurst bounds the concurrent OpReadV batches one pipelined
-// gather keeps in flight per backend. The per-connection window already
-// bounds the wire; this only caps goroutines for absurdly large spans.
-const fetchGroupBurst = 16
-
-// fetchBackend gathers one backend's share of a fetch round in
-// MaxBatch-sized OpReadV round trips — hedged against the spans'
-// replica locations for user reads — and leaves the spans it could not
-// serve in the share's failed list. In pipelined mode the batches of a
-// multi-batch share are submitted as one concurrent burst: the
-// multiplexed connections interleave the requests, coalesce their
-// frames into few writevs, and complete them out of order, so the
-// gather costs one round-trip time instead of one per batch. In
-// synchronous mode batches stay serial, and a failed batch fails
-// everything after it too — the backend is likely down, so further
-// round trips would each burn a retry cycle. done, when non-nil, is
-// released on return (the share is running on its own goroutine).
+// fetchBackend gathers one backend's share of a fetch round in one
+// exchange — hedged against the spans' replica locations for user reads
+// — and on error leaves the whole share in its failed list: the pool has
+// already retried and possibly marked the backend dead, so the spans
+// fail over together. How many wire frames the share takes is the wire
+// client's business. done, when non-nil, is released on return (the
+// share is running on its own goroutine).
 func (v *Volume) fetchBackend(ctx context.Context, pl *opPlan, slot int, kind fetchKind, done *sync.WaitGroup) {
 	if done != nil {
 		defer done.Done()
 	}
 	b := &pl.backends[slot]
-	b.vecs, b.bufs = b.vecs[:0], b.bufs[:0]
+	b.xfer.begin(false)
 	for _, si := range b.spans {
 		s := &pl.spans[si]
-		b.vecs = append(b.vecs, blockserver.Vec{Off: v.storeOffset(s.stripe, s.loc.row) + s.inner, Len: len(s.buf)})
-		b.bufs = append(b.bufs, s.buf)
+		b.xfer.add(v.storeOffset(s.stripe, s.loc.row)+s.inner, s.buf)
 	}
-	maxBatch := v.cfg.MaxBatch
-	batches := (len(b.spans) + maxBatch - 1) / maxBatch
-	if cap(b.reads) < batches {
-		b.reads = make([]vecOp, batches)
-	}
-	b.reads = b.reads[:batches]
-	for i := range b.reads {
-		lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
-		b.reads[i] = vecOp{vecs: b.vecs[lo:hi], bufs: b.bufs[lo:hi]}
-	}
-	if v.cfg.Pipeline && batches > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, fetchGroupBurst)
-		for i := range b.reads {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
-				b.reads[i].err = v.readBatch(ctx, slot, pl, b.spans[lo:hi], &b.reads[i], kind)
-			}()
+	if err := v.readBatch(ctx, slot, pl, b.spans, &b.xfer, kind); err != nil {
+		for _, si := range b.spans {
+			// Record why, so exhaustion can tell corruption from loss.
+			pl.spans[si].lastErr = err
 		}
-		wg.Wait()
-	} else {
-		for i := range b.reads {
-			lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
-			err := v.readBatch(ctx, slot, pl, b.spans[lo:hi], &b.reads[i], kind)
-			if err != nil {
-				// This batch and everything after it fails over together;
-				// the pool has already retried and possibly marked the
-				// backend dead.
-				for j := i; j < batches; j++ {
-					b.reads[j].err = err
-				}
-				break
-			}
-		}
-	}
-	// Count what was served by exclusion: any subset of the batches can
-	// have failed (the pipelined burst lands them out of order). Spans
-	// with src > 0 were routed to a replica because the primary copy's
-	// disk was failed or dead.
-	served, degraded := 0, 0
-	for i := range b.reads {
-		lo, hi := i*maxBatch, min((i+1)*maxBatch, len(b.spans))
-		for _, si := range b.spans[lo:hi] {
-			s := &pl.spans[si]
-			if err := b.reads[i].err; err != nil {
-				// Record why, so exhaustion can tell corruption from loss.
-				s.lastErr = err
-				b.failed = append(b.failed, si)
-				continue
-			}
-			served++
-			if s.src > 0 {
-				degraded++
-			}
-		}
+		b.failed = append(b.failed, b.spans...)
+		return
 	}
 	switch kind {
 	case fetchUser:
+		// Spans with src > 0 were routed to a replica because the primary
+		// copy's disk was failed or dead.
+		degraded := 0
+		for _, si := range b.spans {
+			if pl.spans[si].src > 0 {
+				degraded++
+			}
+		}
 		v.stats.degradedReads.Add(int64(degraded))
 	case fetchRebuild:
-		v.stats.perDisk[slot].rebuildReads.Add(int64(served))
+		v.stats.perDisk[slot].rebuildReads.Add(int64(len(b.spans)))
 	}
 }
 
@@ -777,25 +727,24 @@ func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int6
 	return nil
 }
 
-// runWrites ships every backend's share of write ops. Each share is
-// packed into coalesced OpWriteV frames (see packFrames), so a
-// full-stripe write costs one round trip per replica backend instead of
-// one per element copy. A backend's frames are drained by up to PoolSize
-// workers; of all the workers the last runs on the calling goroutine,
-// so a write that is one frame to one backend starts no goroutine.
+// runWrites ships every backend's share of write ops, each as one
+// packed scatter exchange (see packScatter), so a full-stripe write
+// costs one round trip per replica backend instead of one per element
+// copy. The shares run concurrently, one of them on the calling
+// goroutine, so a write to a single backend starts no goroutine.
 //
 // It fills pl.succeeded (per element, the backends that took it) and
 // pl.broken: the backends whose transport failed (candidates for
-// auto-fail), each with the lowest stripe among its failed ops (so
-// callers can roll a rebuild watermark back past every missed write).
-// It returns the first remote (store-level) error, which indicates a
-// logic problem rather than a dead machine. A transport-failed frame
-// credits none of its ops — the server may have applied a prefix, but
-// the client cannot know which, so the rollback covers the whole batch.
-// A frame answered with a mid-batch remote error credits exactly the
-// ops whose ranges precede the failed index. Ops that fail because ctx
-// was cancelled count as neither: they do not mark the backend broken
-// (no auto-fail from a caller's cancel) and are not remote errors.
+// auto-fail), each with the lowest stripe among its ops (so callers can
+// roll a rebuild watermark back past every missed write). It returns
+// the first remote (store-level) error, which indicates a logic problem
+// rather than a dead machine. A transport-failed scatter credits none
+// of its ops — the server may have applied a prefix, but the client
+// cannot know which, so the rollback covers the whole share. A scatter
+// answered with a remote error credits exactly the ops whose ranges
+// precede the failed index. Ops that fail because ctx was cancelled
+// count as neither: they do not mark the backend broken (no auto-fail
+// from a caller's cancel) and are not remote errors.
 //
 // Call with v.mu held, read or write: the pools must not be swapped
 // under the fan-out.
@@ -805,81 +754,61 @@ func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
 	}
 	pl.succeeded = pl.succeeded[:elems]
 	clear(pl.succeeded)
-	inline := -1
-	for _, slot := range pl.active {
-		b := &pl.backends[slot]
-		v.packFrames(b)
-		for w := min(v.cfg.PoolSize, len(b.frames)); w > 0; w-- {
-			if inline < 0 {
-				inline = slot
-				continue
-			}
-			pl.wg.Add(1)
-			go v.drainFrames(ctx, slot, b, &pl.wg)
-		}
-	}
-	if inline < 0 {
+	if len(pl.active) == 0 {
 		return nil // every copy of every element is on a failed disk
 	}
-	v.drainFrames(ctx, inline, &pl.backends[inline], nil)
+	for _, slot := range pl.active[1:] {
+		pl.wg.Add(1)
+		go v.sendScatter(ctx, slot, &pl.backends[slot], &pl.wg)
+	}
+	v.sendScatter(ctx, pl.active[0], &pl.backends[pl.active[0]], nil)
 	pl.wg.Wait()
 	var firstRemote error
 	for _, slot := range pl.active {
 		b := &pl.backends[slot]
-		for i := range b.frames {
-			fr := &b.frames[i]
-			ops := b.ops[fr.opLo:fr.opHi]
-			switch err := fr.xfer.err; {
-			case err == nil:
-				for _, op := range ops {
+		switch err := b.xfer.err; {
+		case err == nil:
+			for _, op := range b.ops {
+				pl.succeeded[op.elem]++
+			}
+		case blockserver.IsRemote(err):
+			// Ranges before the failed index are durable: credit
+			// their ops, surface the store error.
+			for _, op := range b.ops {
+				if int(op.vec) < b.xfer.applied {
 					pl.succeeded[op.elem]++
 				}
-			case blockserver.IsRemote(err):
-				// Ranges before the failed index are durable: credit
-				// their ops, surface the store error.
-				for _, op := range ops {
-					if int(op.vec)-fr.vecLo < fr.xfer.applied {
-						pl.succeeded[op.elem]++
-					}
-				}
-				if firstRemote == nil {
-					firstRemote = fmt.Errorf("cluster: backend %v: %w", v.ids[slot], err)
-				}
-			case ctx.Err() != nil:
-				// Cancelled, not broken: the caller reports ctx's error.
-			default:
-				// Transport trouble: nothing from this frame may be
-				// credited, and the watermark must roll back to the
-				// lowest stripe in the batch, not the last acked frame.
-				low := ops[0].stripe
-				for _, op := range ops[1:] {
-					low = min(low, op.stripe)
-				}
-				pl.noteBroken(slot, int(low))
 			}
+			if firstRemote == nil {
+				firstRemote = fmt.Errorf("cluster: backend %v: %w", v.ids[slot], err)
+			}
+		case ctx.Err() != nil:
+			// Cancelled, not broken: the caller reports ctx's error.
+		default:
+			// Transport trouble: nothing from this scatter may be
+			// credited, and the watermark must roll back to the
+			// lowest stripe in the share.
+			low := b.ops[0].stripe
+			for _, op := range b.ops[1:] {
+				low = min(low, op.stripe)
+			}
+			pl.noteBroken(slot, int(low))
 		}
 	}
 	return firstRemote
 }
 
-// drainFrames sends one backend's frames until none are left; several
-// workers may drain the same backend. done, when non-nil, is released
-// on return (the worker is running on its own goroutine).
-func (v *Volume) drainFrames(ctx context.Context, slot int, b *backendPlan, done *sync.WaitGroup) {
+// sendScatter packs and sends one backend's share of a write. done,
+// when non-nil, is released on return (the share is running on its own
+// goroutine).
+func (v *Volume) sendScatter(ctx context.Context, slot int, b *backendPlan, done *sync.WaitGroup) {
 	if done != nil {
 		defer done.Done()
 	}
-	p := v.pools[slot]
-	for {
-		i := int(b.next.Add(1)) - 1
-		if i >= len(b.frames) {
-			return
-		}
-		fr := &b.frames[i]
-		v.stats.writeBatches.Inc()
-		v.stats.writeBatchElements.Add(int64(fr.opHi - fr.opLo))
-		fr.xfer.err = p.doCtx(ctx, &fr.xfer)
-	}
+	v.packScatter(b)
+	v.stats.writeBatches.Inc()
+	v.stats.writeBatchElements.Add(int64(len(b.ops)))
+	b.xfer.err = v.pools[slot].doCtx(ctx, &b.xfer)
 }
 
 // Fail declares a disk's content lost (its backend crashed, was wiped,
@@ -986,54 +915,32 @@ type ScrubReport struct {
 	Skipped []raid.DiskID
 }
 
-// readStore reads one backend's bytes through its pool in
-// MaxIOSize-bounded pieces, so a large buffer never trips the protocol's
-// per-request limit.
+// readStore reads one backend's bytes at store offset off through its
+// pool.
 func (v *Volume) readStore(ctx context.Context, slot int, buf []byte, off int64) error {
-	for at := 0; at < len(buf); {
-		n := len(buf) - at
-		if n > blockserver.MaxIOSize {
-			n = blockserver.MaxIOSize
-		}
-		chunk := buf[at : at+n]
-		err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
-			_, err := c.ReadAtCtx(ctx, chunk, off+int64(at))
-			return err
-		}))
-		if err != nil {
-			return err
-		}
-		at += n
-	}
-	return nil
+	return v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
+		_, err := c.ReadAtCtx(ctx, buf, off)
+		return err
+	}))
 }
 
 // readStoreCRCs fetches the CRC-32C of the len(out)/4 consecutive
 // elements starting at store offset off on one backend, four big-endian
-// bytes per element, in requests bounded by MaxBatch ranges and
-// MaxIOSize covered bytes (the server reads every range to checksum it,
-// so the I/O budget applies even though only 4 bytes per element travel
-// back).
+// bytes per element.
 func (v *Volume) readStoreCRCs(ctx context.Context, slot int, out []byte, off int64) error {
-	perReq := max(1, min(v.cfg.MaxBatch, int(blockserver.MaxIOSize/v.elementSize)))
-	vecs := make([]blockserver.Vec, 0, perReq)
-	sums := make([]uint32, perReq)
-	for at, elems := 0, len(out)/4; at < elems; at += perReq {
-		end := min(at+perReq, elems)
-		vecs = vecs[:0]
-		for i := at; i < end; i++ {
-			vecs = append(vecs, blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)})
-		}
-		chunk := sums[:end-at]
-		err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
-			return c.CrcV(ctx, vecs, chunk)
-		}))
-		if err != nil {
-			return err
-		}
-		for i, sum := range chunk {
-			binary.BigEndian.PutUint32(out[4*(at+i):], sum)
-		}
+	vecs := make([]blockserver.Vec, len(out)/4)
+	for i := range vecs {
+		vecs[i] = blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)}
+	}
+	sums := make([]uint32, len(vecs))
+	err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
+		return c.CrcV(ctx, vecs, sums)
+	}))
+	if err != nil {
+		return err
+	}
+	for i, sum := range sums {
+		binary.BigEndian.PutUint32(out[4*i:], sum)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 )
@@ -21,30 +22,71 @@ type testBackends struct {
 	addrs   map[raid.DiskID]string
 	servers map[raid.DiskID]*blockserver.Server
 	stores  map[raid.DiskID]*dev.MemStore
+	// metrics holds each server's counters on a fleet started
+	// withMetrics, so tests can count wire frames per backend.
+	metrics map[raid.DiskID]*blockserver.Metrics
+}
+
+// backendSpec is one disk's server as startBackends builds it: store
+// starts as the disk's MemStore and may be wrapped, opts are the options
+// the server is made with. A backendOpt adjusts it.
+type backendSpec struct {
+	store blockserver.Store
+	opts  []blockserver.ServerOption
+}
+
+type backendOpt func(b *testBackends, id raid.DiskID, s *backendSpec)
+
+// withServerOptions gives every server the options: WithCRC for the
+// server half of WireCRC mode, WithReadRate for a paced spindle.
+func withServerOptions(o ...blockserver.ServerOption) backendOpt {
+	return func(_ *testBackends, _ raid.DiskID, s *backendSpec) { s.opts = append(s.opts, o...) }
+}
+
+// withFaults wraps the listed disks' stores with fault injection. The
+// stores map still holds the raw MemStores, so image comparisons see
+// through the injection layer.
+func withFaults(inject map[raid.DiskID]faultinject.Config) backendOpt {
+	return func(_ *testBackends, id raid.DiskID, s *backendSpec) {
+		if cfg, ok := inject[id]; ok {
+			s.store = faultinject.Wrap(s.store, cfg)
+		}
+	}
+}
+
+// withMetrics attaches a blockserver.Metrics to every server.
+func withMetrics() backendOpt {
+	return func(b *testBackends, id raid.DiskID, s *backendSpec) {
+		b.metrics[id] = blockserver.NewMetrics()
+		s.opts = append(s.opts, blockserver.WithMetrics(b.metrics[id]))
+	}
 }
 
 // startBackends serves one MemStore per disk of the architecture.
-func startBackends(t testing.TB, arch *raid.Mirror, elementSize int64, stripes int) *testBackends {
+func startBackends(t testing.TB, arch *raid.Mirror, elementSize int64, stripes int, opts ...backendOpt) *testBackends {
 	t.Helper()
 	b := &testBackends{
 		t:       t,
 		addrs:   map[raid.DiskID]string{},
 		servers: map[raid.DiskID]*blockserver.Server{},
 		stores:  map[raid.DiskID]*dev.MemStore{},
+		metrics: map[raid.DiskID]*blockserver.Metrics{},
 	}
+	t.Cleanup(b.closeAll)
 	perDisk := int64(stripes) * int64(arch.N()) * elementSize
 	for _, id := range arch.Disks() {
-		store := dev.NewMemStore(perDisk)
-		srv := blockserver.NewStoreServer(store)
-		addr, err := srv.Listen("127.0.0.1:0")
+		b.stores[id] = dev.NewMemStore(perDisk)
+		spec := backendSpec{store: b.stores[id]}
+		for _, o := range opts {
+			o(b, id, &spec)
+		}
+		b.servers[id] = blockserver.NewStoreServer(spec.store, spec.opts...)
+		addr, err := b.servers[id].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.addrs[id] = addr.String()
-		b.servers[id] = srv
-		b.stores[id] = store
 	}
-	t.Cleanup(b.closeAll)
 	return b
 }
 
@@ -60,13 +102,13 @@ func (b *testBackends) kill(id raid.DiskID) {
 	b.servers[id].Close()
 }
 
-// replace tears down a disk's server and serves a fresh zeroed store,
-// returning its address.
-func (b *testBackends) replace(id raid.DiskID) string {
+// replace tears down a disk's server and serves a fresh zeroed store
+// (with the given server options), returning its address.
+func (b *testBackends) replace(id raid.DiskID, opts ...blockserver.ServerOption) string {
 	b.t.Helper()
 	b.servers[id].Close()
 	store := dev.NewMemStore(b.stores[id].Size())
-	srv := blockserver.NewStoreServer(store)
+	srv := blockserver.NewStoreServer(store, opts...)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.t.Fatal(err)
@@ -99,7 +141,6 @@ func fastConfig(elementSize int64, stripes int) Config {
 		DeadAfter:    2,
 		ProbeEvery:   50 * time.Millisecond,
 		MaxProbe:     200 * time.Millisecond,
-		MaxBatch:     64,
 		RebuildBatch: 2,
 	}
 }

@@ -13,40 +13,6 @@ import (
 	"shiftedmirror/internal/raid"
 )
 
-// startMetricBackends is startBackends with a blockserver.Metrics
-// attached per server, so tests can count wire frames per backend; crc
-// also turns on the servers' element-granular CRC sidecar.
-func startMetricBackends(t *testing.T, arch *raid.Mirror, elementSize int64, stripes int, crc bool) (*testBackends, map[raid.DiskID]*blockserver.Metrics) {
-	t.Helper()
-	b := &testBackends{
-		t:       t,
-		addrs:   map[raid.DiskID]string{},
-		servers: map[raid.DiskID]*blockserver.Server{},
-		stores:  map[raid.DiskID]*dev.MemStore{},
-	}
-	metrics := map[raid.DiskID]*blockserver.Metrics{}
-	perDisk := int64(stripes) * int64(arch.N()) * elementSize
-	for _, id := range arch.Disks() {
-		store := dev.NewMemStore(perDisk)
-		m := blockserver.NewMetrics()
-		opts := []blockserver.ServerOption{blockserver.WithMetrics(m)}
-		if crc {
-			opts = append(opts, blockserver.WithCRC(elementSize))
-		}
-		srv := blockserver.NewStoreServer(store, opts...)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.addrs[id] = addr.String()
-		b.servers[id] = srv
-		b.stores[id] = store
-		metrics[id] = m
-	}
-	t.Cleanup(b.closeAll)
-	return b, metrics
-}
-
 // settled polls cond for up to two seconds. A server folds a request
 // into its metrics after it has answered it, so its counters can trail
 // the client call's return by a scheduling slice; tests wait for the
@@ -85,7 +51,8 @@ func TestFullStripeWriteFrameCount(t *testing.T) {
 	copies := int64(2 * n * n) // data element + one mirror replica each
 
 	t.Run("batched", func(t *testing.T) {
-		backends, metrics := startMetricBackends(t, arch, elementSize, stripes, false)
+		backends := startBackends(t, arch, elementSize, stripes, withMetrics())
+		metrics := backends.metrics
 		v, err := New(arch, backends.addrs, fastConfig(elementSize, stripes))
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +118,12 @@ func TestSubElementWriteWireCost(t *testing.T) {
 	for _, crc := range []bool{false, true} {
 		name := map[bool]string{false: "plain", true: "crc"}[crc]
 		t.Run(name, func(t *testing.T) {
-			backends, metrics := startMetricBackends(t, arch, elementSize, stripes, crc)
+			opts := []backendOpt{withMetrics()}
+			if crc {
+				opts = append(opts, withCRC(elementSize))
+			}
+			backends := startBackends(t, arch, elementSize, stripes, opts...)
+			metrics := backends.metrics
 			cfg := fastConfig(elementSize, stripes)
 			cfg.WireCRC = crc
 			v, err := New(arch, backends.addrs, cfg)
@@ -219,7 +191,7 @@ func TestSubElementWriteWireCost(t *testing.T) {
 func TestRebuildWriteBackBatched(t *testing.T) {
 	const n, stripes, elementSize = 3, 4, 64
 	arch := raid.NewMirror(layout.NewShifted(n))
-	backends, _ := startMetricBackends(t, arch, elementSize, stripes, false)
+	backends := startBackends(t, arch, elementSize, stripes)
 	cfg := fastConfig(elementSize, stripes)
 	v, err := New(arch, backends.addrs, cfg)
 	if err != nil {

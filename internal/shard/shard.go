@@ -66,8 +66,8 @@ type Config struct {
 	MaxConcurrentRebuilds int
 	// Metrics, when set, registers the sm_shard_* series plus each
 	// child's sm_cluster_* series labeled group="<id>" on the registry.
-	// Children must NOT be built with their own cluster.WithMetrics on
-	// the same registry, or the unlabeled series would collide.
+	// Children must NOT be built with cluster.Config.Metrics set to the
+	// same registry, or the unlabeled series would collide.
 	Metrics *obs.Registry
 }
 
@@ -185,8 +185,8 @@ func New(children []*cluster.Volume, cfg Config) (*ShardedVolume, error) {
 // Open builds the child volumes from backend address maps (one map per
 // group) and shards across them — the option-first constructor. The
 // same architecture (and so the same layout) and options apply to every
-// group; do not pass cluster.WithMetrics (set Config.Metrics instead,
-// which labels each group's series).
+// group; do not pass an option that sets cluster.Config.Metrics (set
+// this Config's Metrics instead, which labels each group's series).
 func Open(arch *raid.Mirror, backends []map[raid.DiskID]string, cfg Config, copts ...cluster.Option) (*ShardedVolume, error) {
 	children := make([]*cluster.Volume, 0, len(backends))
 	fail := func(err error) (*ShardedVolume, error) {

@@ -86,7 +86,6 @@ func fastClusterConfig(elementSize int64, stripes int) cluster.Config {
 		DeadAfter:    2,
 		ProbeEvery:   50 * time.Millisecond,
 		MaxProbe:     200 * time.Millisecond,
-		MaxBatch:     64,
 		RebuildBatch: 2,
 	}
 }

@@ -409,7 +409,15 @@ func WithGeometry(elementSize int64, stripes int) Option {
 // a dead backend is probed again and probe[1] caps its exponential
 // backoff. Volume side only.
 func WithTimeouts(dial, op time.Duration, probe ...time.Duration) Option {
-	return Option{cluster: cluster.WithTimeouts(dial, op, probe...)}
+	return Option{cluster: func(c *cluster.Config) {
+		c.DialTimeout, c.OpTimeout = dial, op
+		if len(probe) > 0 {
+			c.ProbeEvery = probe[0]
+		}
+		if len(probe) > 1 {
+			c.MaxProbe = probe[1]
+		}
+	}}
 }
 
 // WithWireCRC turns on end-to-end CRC-32C integrity on the wire path.
@@ -425,7 +433,7 @@ func WithTimeouts(dial, op time.Duration, probe ...time.Duration) Option {
 // gracefully to the plain opcodes. Applies to both sides.
 func WithWireCRC(blockSize int64) Option {
 	return Option{
-		cluster: cluster.WithWireCRC(blockSize > 0),
+		cluster: func(c *cluster.Config) { c.WireCRC = blockSize > 0 },
 		server: func(sc *serverConfig) {
 			if blockSize > 0 {
 				sc.opts = append(sc.opts, blockserver.WithCRC(blockSize))
@@ -444,7 +452,9 @@ func WithWireCRC(blockSize int64) Option {
 // server side grants the feature whenever a client asks. Volume side
 // only.
 func WithPipeline(window int) Option {
-	return Option{cluster: cluster.WithPipeline(window)}
+	return Option{cluster: func(c *cluster.Config) {
+		c.Pipeline, c.PipelineWindow = true, window
+	}}
 }
 
 // WithHedging enables hedged reads on a cluster volume: a backend that
@@ -453,7 +463,10 @@ func WithPipeline(window int) Option {
 // loser is cancelled. Zero values take the defaults (0.9, 1ms, 30ms).
 // Volume side only.
 func WithHedging(percentile float64, minDelay, maxDelay time.Duration) Option {
-	return Option{cluster: cluster.WithHedging(percentile, minDelay, maxDelay)}
+	return Option{cluster: func(c *cluster.Config) {
+		c.HedgeEnabled, c.HedgePercentile = true, percentile
+		c.HedgeMinDelay, c.HedgeMaxDelay = minDelay, maxDelay
+	}}
 }
 
 // WithRebuildQoS enables the rebuild QoS controller on a cluster
@@ -463,7 +476,9 @@ func WithHedging(percentile float64, minDelay, maxDelay time.Duration) Option {
 // throttling below minStripesPerSec (the forward-progress floor; 0
 // takes the default of 1 stripe/sec). Volume side only.
 func WithRebuildQoS(slo time.Duration, minStripesPerSec float64) Option {
-	return Option{cluster: cluster.WithRebuildQoS(slo, minStripesPerSec)}
+	return Option{cluster: func(c *cluster.Config) {
+		c.RebuildQoSSLO, c.RebuildQoSMinRate = slo, minStripesPerSec
+	}}
 }
 
 // WithMetrics registers the target's metric series on reg: sm_cluster_*
@@ -472,7 +487,7 @@ func WithRebuildQoS(slo time.Duration, minStripesPerSec float64) Option {
 // duplicate series.
 func WithMetrics(reg *Registry) Option {
 	return Option{
-		cluster: cluster.WithMetrics(reg),
+		cluster: func(c *cluster.Config) { c.Metrics = reg },
 		metrics: reg,
 		server: func(sc *serverConfig) {
 			m := blockserver.NewMetrics()
@@ -487,7 +502,7 @@ func WithMetrics(reg *Registry) Option {
 // sides. The tracer runs inline and must be concurrency-safe.
 func WithTracer(t Tracer) Option {
 	return Option{
-		cluster: cluster.WithTracer(t),
+		cluster: func(c *cluster.Config) { c.Tracer = t },
 		server: func(sc *serverConfig) {
 			sc.opts = append(sc.opts, blockserver.WithTracer(t))
 		},
