@@ -10,7 +10,6 @@ import (
 
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/cluster"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 )
@@ -108,36 +107,16 @@ func measureBakeoffRun(name string, element int64, stripes int, rate float64) (b
 	arch := raid.NewMirror(arr)
 	diskSize := int64(stripes) * int64(bakeoffN) * element
 
-	var servers []*blockserver.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	spawn := func(throttled bool) (string, *blockserver.Metrics, error) {
-		m := blockserver.NewMetrics()
-		opts := []blockserver.ServerOption{blockserver.WithMetrics(m)}
-		if throttled && rate > 0 {
-			opts = append(opts, blockserver.WithReadRate(rate*1e6))
-		}
-		srv := blockserver.NewStoreServer(dev.NewMemStore(diskSize), opts...)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		servers = append(servers, srv)
-		return bound.String(), m, nil
-	}
-	backends := map[raid.DiskID]string{}
 	var meters []*blockserver.Metrics
-	for _, id := range arch.Disks() {
-		addr, m, err := spawn(true)
-		if err != nil {
-			return run, err
-		}
-		backends[id] = addr
+	f, backends, err := startFleet(arch, diskSize, func(raid.DiskID) backendSpec {
+		m := blockserver.NewMetrics()
 		meters = append(meters, m)
+		return throttled(rate, blockserver.WithMetrics(m))
+	})
+	if err != nil {
+		return run, err
 	}
+	defer f.close()
 
 	v, err := cluster.New(arch, backends, cluster.Config{ElementSize: element, Stripes: stripes})
 	if err != nil {
@@ -187,7 +166,7 @@ func measureBakeoffRun(name string, element int64, stripes int, rate float64) (b
 
 	// Rebuild onto an unthrottled replacement, timing the throttled
 	// gather — the bandwidth-bound side the paper studies.
-	replacement, _, err := spawn(false)
+	replacement, err := f.spawn(backendSpec{})
 	if err != nil {
 		return run, err
 	}

@@ -395,29 +395,19 @@ func measureTail(n int, element int64, stripes int, stall time.Duration, reads i
 	arch := raid.NewMirror(layout.NewShifted(n))
 	diskSize := int64(stripes) * int64(n) * element
 
-	servers := make([]*blockserver.Server, 0, 2*n)
-	defer func() {
-		for _, s := range servers {
-			s.Close()
+	f, backends, err := startFleet(arch, diskSize, func(id raid.DiskID) backendSpec {
+		if id != straggler {
+			return backendSpec{}
 		}
-	}()
-	backends := map[raid.DiskID]string{}
-	for _, id := range arch.Disks() {
-		var store blockserver.Store = dev.NewMemStore(diskSize)
-		if id == straggler {
-			// Stall every read; writes (the fill below) stay fast.
-			store = faultinject.Wrap(store, faultinject.Config{
-				Seed: 7, StallEvery: 1, StallFor: stall,
-			})
-		}
-		srv := blockserver.NewStoreServer(store)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return tr, err
-		}
-		servers = append(servers, srv)
-		backends[id] = bound.String()
+		// Stall every read; writes (the fill below) stay fast.
+		return backendSpec{store: faultinject.Wrap(dev.NewMemStore(diskSize), faultinject.Config{
+			Seed: 7, StallEvery: 1, StallFor: stall,
+		})}
+	})
+	if err != nil {
+		return tr, err
 	}
+	defer f.close()
 
 	payload := make([]byte, diskSize*int64(n))
 	rand.New(rand.NewSource(7)).Read(payload)
@@ -496,36 +486,15 @@ func measure(name string, n int, element int64, stripes int, rate float64, crc, 
 	diskSize := int64(stripes) * int64(n) * element
 
 	// One throttled store server per disk: reads drain at the media rate.
-	servers := make([]*blockserver.Server, 0, 2*n)
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	spawn := func(throttled bool) (string, error) {
-		var opts []blockserver.ServerOption
-		if throttled && rate > 0 {
-			opts = append(opts, blockserver.WithReadRate(rate*1e6))
-		}
-		if crc {
-			opts = append(opts, blockserver.WithCRC(element))
-		}
-		srv := blockserver.NewStoreServer(dev.NewMemStore(diskSize), opts...)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		servers = append(servers, srv)
-		return bound.String(), nil
+	var crcOpts []blockserver.ServerOption
+	if crc {
+		crcOpts = append(crcOpts, blockserver.WithCRC(element))
 	}
-	backends := map[raid.DiskID]string{}
-	for _, id := range arch.Disks() {
-		addr, err := spawn(true)
-		if err != nil {
-			return rr, err
-		}
-		backends[id] = addr
+	f, backends, err := startFleet(arch, diskSize, func(raid.DiskID) backendSpec { return throttled(rate, crcOpts...) })
+	if err != nil {
+		return rr, err
 	}
+	defer f.close()
 
 	v, err := cluster.New(arch, backends, cluster.Config{ElementSize: element, Stripes: stripes, WireCRC: crc, Pipeline: pipeline})
 	if err != nil {
@@ -544,7 +513,7 @@ func measure(name string, n int, element int64, stripes int, rate float64, crc, 
 	}
 	// The replacement backend is unthrottled: a fresh spare's writes are
 	// not the bottleneck the paper studies — surviving-disk reads are.
-	replacement, err := spawn(false)
+	replacement, err := f.spawn(backendSpec{opts: crcOpts})
 	if err != nil {
 		return rr, err
 	}
@@ -628,22 +597,6 @@ func measureWrites(n int, element int64, stripes int) (writeReport, error) {
 	diskSize := int64(stripes) * int64(n) * element
 	stripeSize := int64(n) * int64(n) * element
 
-	var servers []*blockserver.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	spawn := func() (string, *blockserver.Metrics, error) {
-		m := blockserver.NewMetrics()
-		srv := blockserver.NewStoreServer(dev.NewMemStore(diskSize), blockserver.WithMetrics(m))
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		servers = append(servers, srv)
-		return bound.String(), m, nil
-	}
 	payload := make([]byte, stripeSize)
 	rand.New(rand.NewSource(11)).Read(payload)
 	// writeFrames counts the write frames the servers have handled. A
@@ -665,16 +618,18 @@ func measureWrites(n int, element int64, stripes int) (writeReport, error) {
 
 	// Fresh backends: writing every stripe once both fills the volume
 	// and is the measurement.
-	backends := map[raid.DiskID]string{}
-	var ms []*blockserver.Metrics
-	for _, id := range arch.Disks() {
-		addr, m, err := spawn()
-		if err != nil {
-			return wr, err
-		}
-		backends[id] = addr
-		ms = append(ms, m)
+	metered := func(m *blockserver.Metrics) backendSpec {
+		return backendSpec{opts: []blockserver.ServerOption{blockserver.WithMetrics(m)}}
 	}
+	var ms []*blockserver.Metrics
+	f, backends, err := startFleet(arch, diskSize, func(raid.DiskID) backendSpec {
+		ms = append(ms, blockserver.NewMetrics())
+		return metered(ms[len(ms)-1])
+	})
+	if err != nil {
+		return wr, err
+	}
+	defer f.close()
 	batched, err := cluster.New(arch, backends, cluster.Config{
 		ElementSize: element, Stripes: stripes, RebuildBatch: rebuildBatch,
 	})
@@ -699,7 +654,8 @@ func measureWrites(n int, element int64, stripes int) (writeReport, error) {
 	if err := batched.Fail(lost); err != nil {
 		return wr, err
 	}
-	replacement, rm, err := spawn()
+	rm := blockserver.NewMetrics()
+	replacement, err := f.spawn(metered(rm))
 	if err != nil {
 		return wr, err
 	}

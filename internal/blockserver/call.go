@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"shiftedmirror/internal/crc32c"
@@ -50,7 +49,7 @@ type call struct {
 	bufs [][]byte
 
 	// Response decode inputs/outputs. dst are caller read buffers
-	// (touched only while the call is claimed, never after abandon);
+	// (touched only while the call is claimed, never after a drop);
 	// outCrcs is CrcV's caller slice; raw is scratch for fixed-size
 	// response blocks (it cannot be hdr: a response may be decoded
 	// while the writev that sends hdr is still in progress).
@@ -62,49 +61,41 @@ type call struct {
 	result
 	err error
 
-	// Pipelined scheduling state (see pipeline.go).
+	// Pipelined scheduling state (see pipeline.go). enq and deadline are
+	// set by submit; phase, users and dropped are read and written only
+	// with the pipe's lock held.
 	enq      time.Time
 	deadline time.Time
-	state    atomic.Int32
-	// done (cap 1) is signalled once the call completes or the pipe
-	// fails; only the submitting goroutine receives on it. sent (cap 2,
-	// signalled twice) is the writer's "your buffers are free" signal:
-	// an abandoning caller and the fail path may each consume one.
+	phase    phase
+	users    int  // the writer inside a writev of bufs, the reader decoding into dst
+	dropped  bool // the caller cancelled: nobody waits on done, never recycled
+	// done (cap 1) is signalled by settle, once, when the call is handed
+	// back; only the submitting goroutine receives on it.
 	done chan struct{}
-	sent chan struct{}
 }
 
 var callPool = sync.Pool{New: func() any {
-	return &call{done: make(chan struct{}, 1), sent: make(chan struct{}, 2)}
+	return &call{done: make(chan struct{}, 1)}
 }}
 
 func getCall() *call {
 	cl := callPool.Get().(*call)
-	// Drain stale signals from the previous use (a completed call's sent
-	// signals are consumed only on the abandon/fail paths).
+	// A caller that cancelled and found its call complete anyway took it
+	// back without receiving the signal.
 	select {
 	case <-cl.done:
 	default:
-	}
-	for {
-		select {
-		case <-cl.sent:
-			continue
-		default:
-		}
-		break
 	}
 	cl.err = nil
 	cl.result = result{}
 	cl.nvecs = 0
 	cl.total = 0
 	cl.deadline = time.Time{}
-	cl.state.Store(pipeQueued)
 	return cl
 }
 
 // putCall recycles a completed call. Callers must own it (never one
-// that was abandoned mid-flight). Caller payload references are dropped
+// that was dropped mid-flight). Caller payload references are cleared
 // so the pool does not pin user memory.
 func putCall(cl *call) {
 	clear(cl.bufs)
@@ -230,7 +221,7 @@ func (d *decoder) block(cl *call, n int) ([]byte, error) {
 }
 
 // response consumes the payload of cl's response, whose status byte the
-// transport has already read. claimed=false means the caller abandoned
+// transport has already read. claimed=false means the caller dropped
 // the call: the payload is drained, caller memory is never touched.
 // Per-call verdicts (remote error, CRC mismatch) land in cl.err with a
 // nil return; a non-nil return is transport or framing trouble that

@@ -63,6 +63,12 @@ func TestServerMetricsAndTracer(t *testing.T) {
 		t.Fatalf("scrub on bare store: got %v, want remote error", err)
 	}
 
+	// The server folds a request into its metrics and its tracer after
+	// answering it, so the last op can trail the client's return; Close
+	// joins the connection's goroutine, after which it is in. (A close
+	// between requests is not a torn connection.)
+	c.Close()
+	srv.Close()
 	s := m.Snapshot()
 	if s.Conns != 1 {
 		t.Errorf("connections = %d, want 1", s.Conns)
@@ -159,6 +165,11 @@ func TestMetricsExposition(t *testing.T) {
 	if _, err := c.ReadAt(make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
+	// The server folds a request into its metrics after answering it, so
+	// the counts can trail the client's return; Close joins the
+	// connection's goroutine, after which they are in.
+	c.Close()
+	srv.Close()
 	reg := obs.NewRegistry()
 	m.Register(reg)
 	var buf bytes.Buffer

@@ -22,20 +22,29 @@ import (
 // built and decoded by the shared codec (call.go); only the framing is
 // decided here (op|tag|payload requests, tag|status|payload responses).
 //
-// Cancellation never poisons the stream: a cancelled op abandons its
-// waiter, the reader later drains that tag's response into scratch, and
-// every other in-flight op is untouched. Only transport/framing trouble
-// (or an expired OpTimeout) tears the pipe, failing every in-flight tag
-// with the same terminal error.
+// Cancellation never poisons the stream: a cancelled op is dropped by
+// its caller, the reader later drains that tag's response into scratch,
+// and every other in-flight op is untouched. Only transport/framing
+// trouble (or an expired OpTimeout) tears the pipe, failing every
+// in-flight tag with the same terminal error.
 //
-// Ownership protocol: every op has exactly one cleanup owner, decided
-// by compare-and-swap on its state. The submitting goroutine owns ops
-// that reach pipeDone (and is the only recycler); an op that was
-// abandoned mid-flight is deliberately never recycled — whichever
-// goroutine drains or drops it just lets the GC take it, because a
-// pooled op that is still referenced from a dead pipe's queue must
-// never re-enter circulation. Cancellations are rare (hedge losers), so
-// the lost recycle is noise.
+// Ownership: the pipe's lock owns a call's lifecycle. A call is queued,
+// then sent (its frame is inside or past a writev), then done (it has
+// its verdict or the pipe's terminal error); users counts the loops
+// holding its buffers right now — the writer for as long as the writev
+// that carries its frame runs, the reader while it decodes into the
+// caller's memory. phase, users and dropped change only under p.mu, and
+// one function, settle, hands a call back to its caller: when it is
+// done and users is zero, never earlier. So a response that overtakes
+// the writer's return from its writev completes the call but does not
+// release it, and a call can never be recycled, and resubmitted on
+// another pipe, under a writer that still holds it. A cancelling caller
+// (drop) waits for users to reach zero and then either keeps a call
+// that completed anyway or marks it dropped. A dropped call is
+// deliberately never recycled — the queue or the table of a pipe may
+// still reference it, and a pooled call in their reach must not
+// re-enter circulation; the GC takes it. Cancellations are rare (hedge
+// losers), so the lost recycle is noise.
 
 // PipeStats collects one or more pipelined connections' counters. A nil
 // *PipeStats is never used — the client builds a private one when the
@@ -65,29 +74,17 @@ func NewPipeStats() *PipeStats {
 	return &PipeStats{QueueWait: obs.NewHistogram()}
 }
 
-// Pipelined call states. The lifecycle is queued → sending → sent →
-// receiving → done; an abandoning caller CASes queued→abandoned or
-// sent→abandoned and joins the writer/reader when the op is
-// mid-transfer, so caller-owned buffers are never touched after a
-// cancelled call returns.
+// phase is where a pipelined call stands; see the ownership note above.
+type phase uint8
+
 const (
-	pipeQueued int32 = iota
-	pipeSending
-	pipeSent
-	pipeReceiving
-	pipeDone
-	pipeAbandoned
+	phaseQueued phase = iota // registered; its frame has not reached a writev
+	phaseSent                // its frame is inside or past a writev; the response is awaited
+	phaseDone                // it has its verdict, or the pipe's terminal error
 )
 
-func signalPipe(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
 // pipe is one pipelined connection's shared machinery: the bounded
-// in-flight window, the tag→waiter table, and the writer/reader pair.
+// in-flight window, the tag→call table, and the writer/reader pair.
 type pipe struct {
 	conn      net.Conn
 	br        *bufio.Reader
@@ -96,20 +93,23 @@ type pipe struct {
 	stats     *PipeStats
 
 	window chan struct{} // in-flight token semaphore
-	reqCh  chan *call    // cap == window, so sends never block
+	wake   chan struct{} // cap 1: the queue has gone non-empty
 	quit   chan struct{}
 
 	mu      sync.Mutex
-	waiters map[uint32]*call
+	calls   map[uint32]*call // by tag, until the response is claimed (or the call dropped while queued)
+	queue   []*call          // submitted, not yet taken by the writer
 	nextTag uint32
 	err     error // terminal; set once by fail
+	// idle is signalled when a loop lets go of calls; drop waits on it.
+	idle sync.Cond
 
-	failOnce sync.Once
-	wg       sync.WaitGroup
+	wg sync.WaitGroup
 
-	// Writer scratch: the assembled iovec list and the persistent
-	// net.Buffers header (WriteTo consumes its receiver, so keeping the
-	// field stops the slice header escaping per batch).
+	// Writer scratch: the batch in hand, the assembled iovec list and the
+	// persistent net.Buffers header (WriteTo consumes its receiver, so
+	// keeping the field stops the slice header escaping per batch).
+	batch []*call
 	wbufs [][]byte
 	nb    net.Buffers
 	// dec decodes responses off br; only the reader goroutine uses it.
@@ -142,10 +142,11 @@ func newPipe(conn net.Conn, window int, opTimeout time.Duration, crcMode bool, s
 		crcMode:   crcMode,
 		stats:     stats,
 		window:    make(chan struct{}, window),
-		reqCh:     make(chan *call, window),
+		wake:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
-		waiters:   make(map[uint32]*call, window),
+		calls:     make(map[uint32]*call, window),
 	}
+	p.idle.L = &p.mu
 	p.br = bufio.NewReaderSize(conn, pipeReaderSize)
 	p.dec.r = p.br
 	p.wg.Add(2)
@@ -172,47 +173,52 @@ func (p *pipe) terminalErr() error {
 	return errPipeClosed
 }
 
-// fail is the single teardown path: record the terminal error, stop
-// both goroutines, close the connection, and fail the in-flight
-// waiters. Ops the writer is mid-writev on are joined via their sent
-// signal first, so no caller resumes while a writev still references
-// its buffers; ops still queued are left to the writer, which delivers
-// the terminal error to everything it has dequeued but not sent
-// (writeBatch) and to everything still in the queue (drainQueue) — and
-// is guaranteed to see them all, because submit enqueues under the same
-// lock fail uses to set the terminal error.
+// settle hands op back to its caller — window token first, then the
+// signal, so a caller that has seen its op complete also sees the
+// window (and the in-flight gauge) without it — if op is done and no
+// loop still holds its buffers. It is the only place a completed call
+// is released, and each of the three events that can make the condition
+// true calls it: the reader finishing a decode, the writer returning
+// from a writev, and fail. Called with p.mu held.
+func (p *pipe) settle(op *call) {
+	if op.phase != phaseDone || op.users > 0 {
+		return
+	}
+	p.releaseToken()
+	select {
+	case op.done <- struct{}{}:
+	default: // cannot happen: done is empty at submit and a call settles once
+	}
+}
+
+// fail is the single teardown path: record the terminal error, give it
+// to every call still in the table — queued or sent alike; one the
+// writer holds inside a writev is handed back by the writer when the
+// closed connection aborts that writev — then stop both goroutines and
+// close the connection. A call the reader has already claimed is out
+// of the table and gets the reader's own verdict.
 func (p *pipe) fail(err error) {
-	p.failOnce.Do(func() {
-		p.mu.Lock()
-		p.err = err
-		ws := p.waiters
-		p.waiters = map[uint32]*call{}
+	p.mu.Lock()
+	if p.err != nil {
 		p.mu.Unlock()
-		close(p.quit)
-		p.conn.Close()
-		for _, op := range ws {
-			for done := false; !done; {
-				switch op.state.Load() {
-				case pipeSending:
-					<-op.sent // the closed conn aborts the writev promptly
-				case pipeSent:
-					if op.state.CompareAndSwap(pipeSent, pipeDone) {
-						op.err = err
-						p.releaseToken()
-						signalPipe(op.done)
-						done = true
-					}
-				default:
-					// pipeQueued: the writer delivers it (see failQueued).
-					// pipeAbandoned: the abandoner released its token and
-					// nobody waits; the GC reclaims it.
-					// pipeReceiving/pipeDone: the reader owns(-ed) it and
-					// delivers its own verdict.
-					done = true
-				}
-			}
+		return
+	}
+	p.err = err
+	for _, op := range p.calls {
+		if op.dropped {
+			continue // nobody waits, and drop released its token
 		}
-	})
+		op.err = err
+		op.phase = phaseDone
+		p.settle(op)
+	}
+	// Calls handed back above may be recycled at once: neither the table
+	// nor the queue may keep them in the loops' reach.
+	clear(p.calls)
+	p.queue = nil
+	p.mu.Unlock()
+	close(p.quit)
+	p.conn.Close()
 }
 
 func (p *pipe) acquireToken(ctx context.Context) error {
@@ -227,20 +233,16 @@ func (p *pipe) acquireToken(ctx context.Context) error {
 	}
 }
 
-// releaseToken returns an op's window slot. Completion paths call it
-// before they signal the op done, so a caller that has seen its op
-// complete also sees the window (and the in-flight gauge) without it.
+// releaseToken returns an op's window slot.
 func (p *pipe) releaseToken() {
 	<-p.window
 	p.stats.InFlight.Add(-1)
 }
 
-// submit registers op under a fresh tag and hands it to the writer. The
-// caller must hold a window token. Registration and the queue push
-// happen under the pipe lock — the push can never block (reqCh's cap is
-// the window size and every queued op holds a token) — so fail() can
-// rely on every registered op either being visible in the queue or
-// having observed the terminal error.
+// submit registers op under a fresh tag and queues it for the writer.
+// The caller must hold a window token. Registration and the queue push
+// happen under the lock fail uses to publish the terminal error, so a
+// submitted op is always in fail's reach.
 func (p *pipe) submit(ctx context.Context, op *call) error {
 	p.mu.Lock()
 	if p.err != nil {
@@ -260,205 +262,134 @@ func (p *pipe) submit(ctx context.Context, op *call) error {
 	// Tagged framing: op | tag fill the request room.
 	op.hdr[0] = op.op
 	binary.BigEndian.PutUint32(op.hdr[1:reqRoom], op.tag)
-	p.waiters[op.tag] = op
-	p.reqCh <- op
+	op.phase = phaseQueued
+	p.calls[op.tag] = op
+	first := len(p.queue) == 0
+	p.queue = append(p.queue, op)
 	p.mu.Unlock()
+	if first {
+		// The queue went non-empty: wake the writer. Later submits ride
+		// on this wake-up until the writer takes the queue.
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
 	p.stats.Submitted.Inc()
 	return nil
 }
 
-// wait blocks until the op completes or ctx is cancelled. On
-// cancellation the op is abandoned — its response will be drained off
-// the stream without touching caller memory — and the pipe stays
-// healthy. The returned bool reports whether the caller still owns the
-// op (and must recycle it); an abandoned op must never be recycled.
-func (p *pipe) wait(ctx context.Context, op *call) (error, bool) {
-	if ctx.Done() == nil {
-		<-op.done
-		return op.err, true
-	}
-	select {
-	case <-op.done:
-		return op.err, true
-	case <-ctx.Done():
-	}
-	return ctx.Err(), p.abandon(op)
-}
-
-// abandon detaches a cancelled caller from op. It returns true when the
-// op reached a terminal state anyway (the caller keeps ownership),
-// false when the op was handed off mid-flight. It never returns while
-// another goroutine may still touch the caller's buffers.
-func (p *pipe) abandon(op *call) (callerOwns bool) {
-	for {
-		switch op.state.Load() {
-		case pipeQueued:
-			if op.state.CompareAndSwap(pipeQueued, pipeAbandoned) {
-				// Still in reqCh: the writer (or its shutdown drain) will
-				// see the state and drop the frame without sending.
-				p.stats.Abandoned.Inc()
-				p.unregister(op.tag)
-				p.releaseToken()
-				return false
-			}
-		case pipeSending:
-			<-op.sent // the writev referencing our buffers must finish first
-		case pipeSent:
-			if op.state.CompareAndSwap(pipeSent, pipeAbandoned) {
-				// The reader will drain this tag's response into scratch.
-				p.stats.Abandoned.Inc()
-				p.releaseToken()
-				return false
-			}
-		case pipeReceiving:
-			<-op.done // the reader is writing our dst; join it
-			return true
-		default: // pipeDone
-			return true
-		}
-	}
-}
-
-// unregister removes a tag from the waiters table if still present.
-func (p *pipe) unregister(tag uint32) {
+// drop detaches a cancelled caller from op. It first waits until
+// neither loop holds the caller's buffers — the writev that carries the
+// frame has returned, the reader is not decoding into dst — and then
+// returns true when the op completed anyway (the caller keeps it and
+// must recycle it), false when it was marked dropped: a frame still
+// queued is never sent, a response still to come is drained into
+// scratch, and the op is never recycled.
+func (p *pipe) drop(op *call) (callerOwns bool) {
 	p.mu.Lock()
-	delete(p.waiters, tag)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	for op.users > 0 {
+		p.idle.Wait()
+	}
+	if op.phase == phaseDone {
+		return true
+	}
+	if op.phase == phaseQueued {
+		delete(p.calls, op.tag) // no response will come; the writer skips it
+	}
+	op.dropped = true
+	p.stats.Abandoned.Inc()
+	p.releaseToken()
+	return false
 }
 
 // --- writer -----------------------------------------------------------
 
-// writeLoop drains the request queue, coalescing every queued frame
-// into one vectored write: under load, many ops cost one writev
-// syscall. Abandoned-while-queued ops are dropped here. On exit the
-// queue is drained so no submitted op is left hanging.
+// writeLoop sends whatever is queued each time it is woken, coalescing
+// every queued frame into one vectored write: under load, many ops cost
+// one writev syscall.
 func (p *pipe) writeLoop() {
 	defer p.wg.Done()
-	defer p.drainQueue()
-	batch := make([]*call, 0, cap(p.reqCh))
 	for {
 		select {
-		case op := <-p.reqCh:
-			batch = append(batch[:0], op)
-			// One cooperative yield before draining: the callers that
-			// raced us to the queue get a scheduling slot to finish their
-			// enqueues, so the drain below coalesces a deeper batch into
-			// one writev. With nothing else runnable this costs well under
-			// a microsecond; under load it roughly halves the syscall rate.
+		case <-p.wake:
+			// One cooperative yield before taking the queue: the callers
+			// that raced us to it get a scheduling slot to finish their
+			// enqueues, so the batch below coalesces deeper into one
+			// writev. With nothing else runnable this costs well under a
+			// microsecond; under load it roughly halves the syscall rate.
 			runtime.Gosched()
-		drain:
-			for {
-				select {
-				case op2 := <-p.reqCh:
-					batch = append(batch, op2)
-				default:
-					break drain
-				}
-			}
-			if !p.writeBatch(batch) {
-				return
-			}
+			p.writeBatch()
 		case <-p.quit:
 			return
 		}
 	}
 }
 
-// writeBatch streams one coalesced batch. Returns false when the pipe
-// has failed and the writer should exit.
-func (p *pipe) writeBatch(batch []*call) bool {
-	select {
-	case <-p.quit:
-		// The pipe failed while this batch sat in the queue. Its ops have
-		// already been taken out of reqCh, so the shutdown drain will
-		// never see them, and fail() leaves queued ops alone: they get
-		// their terminal error here or their callers wait forever.
-		err := p.terminalErr()
-		for _, op := range batch {
-			p.failQueued(op, err)
+// take moves the queue into the writer's batch, skipping frames whose
+// caller dropped them while queued. From here until letGo the writer is
+// a user of every call in the batch.
+func (p *pipe) take() []*call {
+	p.mu.Lock()
+	batch := p.batch[:0]
+	for _, op := range p.queue {
+		if op.dropped {
+			continue
 		}
-		return false
-	default:
+		op.phase = phaseSent
+		op.users++
+		batch = append(batch, op)
+	}
+	clear(p.queue)
+	p.queue = p.queue[:0]
+	p.mu.Unlock()
+	p.batch = batch
+	return batch
+}
+
+// letGo ends the writer's hold on its batch and hands back the calls
+// that completed — answered by the server, or failed with the pipe —
+// while their frames were inside the writev.
+func (p *pipe) letGo(batch []*call) {
+	p.mu.Lock()
+	for _, op := range batch {
+		op.users--
+		p.settle(op)
+	}
+	p.mu.Unlock()
+	p.idle.Broadcast()
+}
+
+// writeBatch streams the queued frames as one writev. A failed write
+// tears the pipe; on a torn pipe the queue is empty (fail emptied it and
+// submit refuses), so the writer finds nothing more to send and exits
+// on quit.
+func (p *pipe) writeBatch() {
+	batch := p.take()
+	if len(batch) == 0 {
+		return
 	}
 	now := time.Now()
 	bufs := p.wbufs[:0]
-	live := 0
 	for _, op := range batch {
-		if !op.state.CompareAndSwap(pipeQueued, pipeSending) {
-			continue // abandoned while queued; its frame is never sent
-		}
 		p.stats.QueueWait.Observe(now.Sub(op.enq))
 		bufs = append(bufs, op.bufs...)
-		batch[live] = op
-		live++
 	}
 	p.wbufs = bufs
-	if live == 0 {
-		return true
-	}
 	if p.opTimeout > 0 {
 		p.conn.SetWriteDeadline(now.Add(p.opTimeout))
 	}
 	p.nb = net.Buffers(bufs)
 	_, werr := p.nb.WriteTo(p.conn)
+	// Counted before the batch is let go, so a completed op's frame is
+	// always in the count.
 	p.stats.Writevs.Inc()
-	p.stats.Frames.Add(int64(live))
-	for _, op := range batch[:live] {
-		op.state.CompareAndSwap(pipeSending, pipeSent)
-		// Two signals: an abandoning caller and fail() may each join.
-		signalPipe(op.sent)
-		signalPipe(op.sent)
-	}
+	p.stats.Frames.Add(int64(len(batch)))
 	if werr != nil {
 		p.fail(werr)
 	}
-	select {
-	case <-p.quit:
-		// fail() hands the terminal error to every sent op it finds, but
-		// it may have looked at this batch while it was still queued and
-		// left it to the writer; whichever of the two moves an op out of
-		// pipeSent owns its delivery.
-		err := p.terminalErr()
-		for _, op := range batch[:live] {
-			if op.state.CompareAndSwap(pipeSent, pipeDone) {
-				op.err = err
-				p.releaseToken()
-				signalPipe(op.done)
-			}
-		}
-		return false
-	default:
-	}
-	return true
-}
-
-// failQueued delivers the pipe's terminal error to an op the writer
-// dequeued but never sent. An op abandoned while queued is skipped: its
-// abandoner already unregistered it and released its token, and the GC
-// reclaims it.
-func (p *pipe) failQueued(op *call, err error) {
-	if op.state.CompareAndSwap(pipeQueued, pipeDone) {
-		p.unregister(op.tag)
-		op.err = err
-		p.releaseToken()
-		signalPipe(op.done)
-	}
-}
-
-// drainQueue delivers the terminal error to every op still queued when
-// the writer exits. submit pushes under the same lock fail() uses to
-// publish the terminal error, so everything submitted before the pipe
-// died is guaranteed to be in the channel by now.
-func (p *pipe) drainQueue() {
-	err := p.terminalErr()
-	for {
-		select {
-		case op := <-p.reqCh:
-			p.failQueued(op, err)
-		default:
-			return
-		}
-	}
+	p.letGo(batch)
 }
 
 // --- reader -----------------------------------------------------------
@@ -482,67 +413,67 @@ func (p *pipe) readLoop() {
 		}
 		hdr, err := p.br.Peek(5)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !p.anyExpired() {
-				continue // spurious wake: no waiter actually timed out
-			}
-			select {
-			case <-p.quit:
-			default:
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					err = fmt.Errorf("blockserver: pipelined op timed out: %w", os.ErrDeadlineExceeded)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				if !p.anyExpired() {
+					continue // spurious wake: no waiter actually timed out
 				}
-				p.fail(err)
+				err = fmt.Errorf("blockserver: pipelined op timed out: %w", os.ErrDeadlineExceeded)
 			}
+			p.fail(err) // a no-op when the pipe failed first and closed the conn under us
 			return
 		}
 		tag := binary.BigEndian.Uint32(hdr)
 		status := hdr[4]
 		p.br.Discard(5)
+		// Claim the call for decoding. Its frame is fully on the wire even
+		// if the writev that carried it is still sending later frames of
+		// the batch, so decoding is safe; the call is just not handed back
+		// until the writer lets go of it too. A dropped call's response is
+		// drained without touching caller memory. A tag that is not in the
+		// table, or whose frame was never sent, is the server's invention.
 		p.mu.Lock()
-		op := p.waiters[tag]
-		delete(p.waiters, tag)
+		op := p.calls[tag]
+		if op != nil && op.phase == phaseSent {
+			delete(p.calls, tag)
+		} else {
+			op = nil
+		}
+		claimed := op != nil && !op.dropped
+		if claimed {
+			op.users++
+		}
 		p.mu.Unlock()
 		if op == nil {
 			p.fail(fmt.Errorf("%w: response for unknown tag %d", ErrProtocol, tag))
 			return
 		}
-		// Claim the op for decoding. A response can arrive while the op
-		// is still formally "sending" (the server answered an early frame
-		// of a coalesced batch mid-writev); that frame is fully on the
-		// wire, so decoding is safe. A failed claim means the caller
-		// abandoned: drain the payload without touching caller memory.
-		claimed := op.state.CompareAndSwap(pipeSent, pipeReceiving) ||
-			op.state.CompareAndSwap(pipeSending, pipeReceiving)
 		err = p.dec.response(op, status, claimed)
+		if claimed {
+			p.mu.Lock()
+			if err != nil {
+				op.err = err
+			}
+			op.phase = phaseDone
+			op.users--
+			p.settle(op)
+			p.mu.Unlock()
+			p.idle.Broadcast()
+		}
 		if err != nil {
 			// Transport/framing trouble mid-response: the stream is
-			// desynchronized. Fail the pipe, then deliver to this op (it
-			// is already out of the waiters table, so fail missed it).
+			// desynchronized.
 			p.fail(err)
-			if claimed {
-				op.err = err
-				op.state.Store(pipeDone)
-				p.releaseToken()
-				signalPipe(op.done)
-			}
 			return
 		}
-		if claimed {
-			op.state.Store(pipeDone)
-			p.releaseToken()
-			signalPipe(op.done)
-		}
-		// Abandoned ops: token already released by the abandoner; the op
-		// is intentionally not recycled (see the ownership note on top).
 	}
 }
 
-// minDeadline returns the earliest deadline among in-flight waiters, or
+// minDeadline returns the earliest deadline among in-flight calls, or
 // zero when none carry one.
 func (p *pipe) minDeadline() time.Time {
 	var min time.Time
 	p.mu.Lock()
-	for _, op := range p.waiters {
+	for _, op := range p.calls {
 		if op.deadline.IsZero() {
 			continue
 		}
@@ -554,13 +485,13 @@ func (p *pipe) minDeadline() time.Time {
 	return min
 }
 
-// anyExpired reports whether some waiter's deadline has actually passed
-// (as opposed to an idle-heartbeat wake).
+// anyExpired reports whether some in-flight call's deadline has actually
+// passed (as opposed to an idle-heartbeat wake).
 func (p *pipe) anyExpired() bool {
 	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, op := range p.waiters {
+	for _, op := range p.calls {
 		if !op.deadline.IsZero() && !now.Before(op.deadline) {
 			return true
 		}
@@ -568,8 +499,9 @@ func (p *pipe) anyExpired() bool {
 	return false
 }
 
-// run submits a built call and waits for it, recycling the call when
-// ownership stays with the caller.
+// run submits a built call and waits for it, recycling the call unless
+// it had to be dropped. A cancelled caller returns ctx's error whether
+// or not the op completed anyway, and the pipe stays healthy.
 func (p *pipe) run(ctx context.Context, op *call) (result, error) {
 	if err := p.acquireToken(ctx); err != nil {
 		putCall(op)
@@ -580,11 +512,19 @@ func (p *pipe) run(ctx context.Context, op *call) (result, error) {
 		putCall(op)
 		return result{}, err
 	}
-	err, owns := p.wait(ctx, op)
-	if !owns {
-		return result{}, err
+	if ctx.Done() == nil {
+		<-op.done
+	} else {
+		select {
+		case <-op.done:
+		case <-ctx.Done():
+			if !p.drop(op) {
+				return result{}, ctx.Err()
+			}
+			op.err = ctx.Err()
+		}
 	}
-	res := op.result
+	res, err := op.result, op.err
 	putCall(op)
 	return res, err
 }

@@ -1,6 +1,7 @@
 package blockserver
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -387,79 +388,263 @@ func TestPipelineStatsAccount(t *testing.T) {
 	if got := stats.InFlight.Load(); got != 0 {
 		t.Fatalf("InFlight = %d at rest, want 0", got)
 	}
-	// The writer counts a batch after its writev returns, which the last
-	// op's response can overtake: wait for the count.
-	for deadline := time.Now().Add(2 * time.Second); stats.Frames.Load() < 4 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
 	if stats.Frames.Load() < 4 || stats.Writevs.Load() < 1 {
 		t.Fatalf("Frames=%d Writevs=%d, want >=4 frames over >=1 writevs",
 			stats.Frames.Load(), stats.Writevs.Load())
 	}
 }
 
-// TestPipelineTearAfterDequeue pins the writer's shutdown hand-off: ops
-// the writer has already taken out of the request queue when the pipe
-// fails are in nobody else's reach — the shutdown drain only empties
-// the queue, and fail() leaves queued ops to the writer — so writeBatch
-// itself must hand them the terminal error. The test plays the writer
-// by hand (a pipe with no goroutines of its own), tears the pipe
-// between the dequeue and writeBatch, and requires every submitted op
-// to come back with the tear, its window token returned.
+// handPipe builds a pipe with no goroutines of its own over conn, so a
+// test can play the writer (take, writeBatch, letGo) and start the
+// reader when it chooses.
+func handPipe(conn net.Conn, window int) *pipe {
+	p := &pipe{
+		conn:   conn,
+		br:     bufio.NewReader(conn),
+		stats:  NewPipeStats(),
+		window: make(chan struct{}, window),
+		wake:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+		calls:  map[uint32]*call{},
+	}
+	p.idle.L = &p.mu
+	p.dec.r = p.br
+	return p
+}
+
+// handSubmit takes a window token and submits op, as run does.
+func handSubmit(t *testing.T, p *pipe, op *call) {
+	t.Helper()
+	if err := p.acquireToken(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.submit(context.Background(), op); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPipelineTearAfterDequeue pins the teardown hand-off around the
+// writer: when the pipe fails, every submitted op comes back with the
+// tear — the ones the writer has already taken out of the queue (it
+// hands them back itself when its writev on the closed connection
+// returns) and the ones still queued (fail hands them back) — with the
+// window empty afterwards. The test plays the writer by hand on a pipe
+// with no goroutines of its own and tears the pipe between the dequeue
+// and the send.
 func TestPipelineTearAfterDequeue(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
 	const ops = 4
-	stats := NewPipeStats()
-	p := &pipe{
-		conn:    client,
-		stats:   stats,
-		window:  make(chan struct{}, ops),
-		reqCh:   make(chan *call, ops),
-		quit:    make(chan struct{}),
-		waiters: map[uint32]*call{},
-	}
-	ctx := context.Background()
+	p := handPipe(client, ops)
 	var submitted []*call
-	for i := 0; i < ops; i++ {
-		if err := p.acquireToken(ctx); err != nil {
-			t.Fatal(err)
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			op := getCall()
+			op.buildMgmt(OpSize)
+			handSubmit(t, p, op)
+			submitted = append(submitted, op)
 		}
-		op := getCall()
-		op.buildMgmt(OpSize)
-		if err := p.submit(ctx, op); err != nil {
-			t.Fatal(err)
-		}
-		submitted = append(submitted, op)
 	}
-	// The writer's dequeue: the whole queue moves into its batch.
-	var batch []*call
-	for len(p.reqCh) > 0 {
-		batch = append(batch, <-p.reqCh)
+	submit(ops / 2)
+	batch := p.take() // the writer's dequeue
+	if len(batch) != ops/2 {
+		t.Fatalf("the writer took %d ops, want %d", len(batch), ops/2)
 	}
+	submit(ops / 2) // these stay queued
 	tear := errors.New("torn between dequeue and send")
 	p.fail(tear)
-	if p.writeBatch(batch) {
-		t.Fatal("writeBatch kept the writer alive on a failed pipe")
+	p.letGo(batch) // the writer's writev on the closed connection returned
+	if left := p.take(); len(left) != 0 {
+		t.Fatalf("%d ops left in the writer's reach on a failed pipe", len(left))
 	}
-	p.drainQueue() // the writer's exit path; the queue is already empty
 	for i, op := range submitted {
 		select {
 		case <-op.done:
 		default:
-			t.Fatalf("op %d was left queued with no one to fail it: its caller would wait forever", i)
+			t.Fatalf("op %d was left with no one to fail it: its caller would wait forever", i)
 		}
 		if !errors.Is(op.err, tear) {
 			t.Fatalf("op %d completed with %v, want the tear", i, op.err)
 		}
-		if got := op.state.Load(); got != pipeDone {
-			t.Fatalf("op %d ended in state %d, want done", i, got)
+		if op.phase != phaseDone || op.users != 0 {
+			t.Fatalf("op %d ended in phase %d with %d users, want done and 0", i, op.phase, op.users)
 		}
 	}
 	if n := len(p.window); n != 0 {
 		t.Fatalf("%d window tokens still held after the tear", n)
 	}
-	if n := stats.InFlight.Load(); n != 0 {
+	if n := p.stats.InFlight.Load(); n != 0 {
 		t.Fatalf("in-flight gauge reads %d after the tear", n)
+	}
+}
+
+// answerSize plays a server answering the OpSize frame it reads off
+// conn, and returns once the pipe's reader has finished with the
+// answer: net.Pipe is unbuffered, so the extra byte — the start of a
+// response that never completes — is taken only by the reader's next
+// fill, after the previous response is fully processed.
+func answerSize(t *testing.T, conn net.Conn) {
+	t.Helper()
+	frame := make([]byte, reqRoom)
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	resp := append(append([]byte{}, frame[1:]...), statusOK, 0, 0, 0, 0, 0, 0, 0, 42)
+	if _, err := conn.Write(resp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPipelineEarlyResponseWaitsForWriter pins that a call is not
+// handed back while the writev that carries its frame is running, even
+// when its response has already arrived and been decoded: two calls
+// travel in one writev, the server reads and answers the first frame
+// while the second is still unread, and the first call must come back
+// only when the writev returns — a call handed back earlier is recycled
+// under a writer that still holds it.
+func TestPipelineEarlyResponseWaitsForWriter(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	p := handPipe(client, 2)
+	defer p.close()
+	var ops [2]*call
+	for i := range ops {
+		ops[i] = getCall()
+		ops[i].buildMgmt(OpSize)
+		handSubmit(t, p, ops[i])
+	}
+	p.wg.Add(1)
+	go p.readLoop()
+	wrote := make(chan struct{})
+	go func() { p.writeBatch(); close(wrote) }()
+
+	answerSize(t, server)
+	select {
+	case <-ops[0].done:
+		t.Fatal("call 0 was handed back while the writev that carries its frame is still running")
+	default:
+	}
+	if n := len(p.window); n != 2 {
+		t.Fatalf("%d window tokens held while both calls are in the writer's hands, want 2", n)
+	}
+	// The server reads frame 1; the writev returns and lets both calls go.
+	if _, err := io.ReadFull(server, make([]byte, reqRoom)); err != nil {
+		t.Fatal(err)
+	}
+	<-wrote
+	select {
+	case <-ops[0].done:
+	default:
+		t.Fatal("call 0 was not handed back when the writer let go of it")
+	}
+	if ops[0].err != nil || ops[0].u64 != 42 {
+		t.Fatalf("call 0 came back with size %d, err %v; want 42, nil", ops[0].u64, ops[0].err)
+	}
+	if n := len(p.window); n != 1 {
+		t.Fatalf("%d window tokens held with one call outstanding, want 1", n)
+	}
+}
+
+// TestRecycledCallNotTouchedByOldWriter walks the chain that let a
+// cancelled write return while a writev still referenced its payload:
+// a call answered mid-writev on pipe A is recycled by run, the pool
+// hands the same object to a write on pipe B whose writer is blocked
+// inside its writev, writer A returns and finishes with its batch, and
+// B's caller cancels. Whenever writer A lets go of the call, the
+// cancelled write must not return before writer B's writev does.
+func TestRecycledCallNotTouchedByOldWriter(t *testing.T) {
+	clientA, serverA := net.Pipe()
+	defer serverA.Close()
+	pA := handPipe(clientA, 2)
+	defer pA.close()
+	x := getCall()
+	x.buildMgmt(OpSize)
+	xBack := make(chan error, 1)
+	go func() {
+		_, err := pA.run(context.Background(), x)
+		xBack <- err
+	}()
+	<-pA.wake // x is queued
+	y := getCall()
+	y.buildMgmt(OpSize)
+	handSubmit(t, pA, y)
+	pA.wg.Add(1)
+	go pA.readLoop()
+	wroteA := make(chan struct{})
+	go func() { pA.writeBatch(); close(wroteA) }()
+	answerSize(t, serverA)
+	// Writer A is still inside the writev that carries x and y. It lets
+	// go when the server reads y's frame: now, if x has to wait for that,
+	// or with x already resubmitted on pipe B, if x came back early.
+	finishA := func() {
+		if _, err := io.ReadFull(serverA, make([]byte, reqRoom)); err != nil {
+			t.Fatal(err)
+		}
+		<-wroteA
+	}
+	early := false
+	select {
+	case err := <-xBack:
+		if err != nil {
+			t.Fatal(err)
+		}
+		early = true
+	case <-time.After(50 * time.Millisecond):
+		finishA()
+		if err := <-xBack; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run recycled x; take it out of the pool again.
+	var others []*call
+	cl := getCall()
+	for tries := 0; cl != x && tries < 16; tries++ {
+		others = append(others, cl)
+		cl = getCall()
+	}
+	for _, o := range others {
+		putCall(o)
+	}
+	if cl != x {
+		putCall(cl)
+		t.Skip("the pool handed out a different call object")
+	}
+
+	clientB, serverB := net.Pipe()
+	defer serverB.Close()
+	pB := handPipe(clientB, 1)
+	defer pB.close()
+	payload := make([]byte, 512)
+	x.buildWrite(payload, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	bBack := make(chan error, 1)
+	go func() {
+		_, err := pB.run(ctx, x)
+		bBack <- err
+	}()
+	<-pB.wake // x is queued on B
+	wroteB := make(chan struct{})
+	go func() { pB.writeBatch(); close(wroteB) }()
+	// One byte read: writer B is inside its writev, payload still to go.
+	if _, err := io.ReadFull(serverB, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if early {
+		finishA()
+	}
+	cancel()
+	select {
+	case err := <-bBack:
+		t.Fatalf("the cancelled write returned (%v) while the writev that carries its payload is still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	go io.Copy(io.Discard, serverB)
+	<-wroteB
+	if err := <-bBack; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled write returned %v, want context.Canceled", err)
 	}
 }

@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"flag"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/layout"
@@ -180,4 +183,109 @@ func TestPipelinedRebuildUnderLoad(t *testing.T) {
 	if _, err := v.Scrub(ctx); err != nil {
 		t.Fatalf("scrub after %d rebuild cycles: %v", cycles, err)
 	}
+}
+
+// pipeStress is how long TestVolumePipelinedNoLostCompletion keeps its
+// closed loop running; the nightly run passes -pipestress 60s.
+var pipeStress = flag.Duration("pipestress", 10*time.Second, "duration of TestVolumePipelinedNoLostCompletion's closed loop")
+
+// TestVolumePipelinedNoLostCompletion is the repository benchmark's
+// small_rand shape on the pipelined transport, held for longer than any
+// other test holds it: two closed-loop clients of 4 KiB reads and writes
+// through a volume at its default timeouts. An op whose completion the
+// wire client loses stops its client, and a watchdog fails the test
+// when one stops for 5 s — well before the 15 s default OpTimeout would
+// tear the connection and hide the loss behind a retry (the check on
+// retries and errors at the end is for a loss hidden that way). Each
+// client owns every other element, so a read must return what that
+// client last wrote.
+func TestVolumePipelinedNoLostCompletion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("closed-loop stress: runs for -pipestress (10s by default)")
+	}
+	const n, element, stripes = 3, 4096, 16
+	arch := raid.NewMirror(layout.NewShifted(n))
+	backends := startBackends(t, arch, element, stripes, withCRC(element))
+	v, err := New(arch, backends.addrs, Config{
+		ElementSize: element, Stripes: stripes,
+		WireCRC:  true, // also what orders store accesses for the race detector
+		Pipeline: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	shadow := randomPayload(t, v, 81)
+	elements := int(v.Size() / element)
+
+	ops := make([]atomic.Int64, 2)
+	var stop atomic.Bool
+	exited := make(chan error, len(ops))
+	for w := range ops {
+		go func(w int) {
+			rng := rand.New(rand.NewSource(int64(82 + w)))
+			buf := make([]byte, element)
+			for i := 0; !stop.Load(); i++ {
+				off := int64(2*rng.Intn(elements/2)+w) * element
+				mine := shadow[off : off+element]
+				if rng.Intn(10) < 3 {
+					rng.Read(buf)
+					if _, err := v.WriteAt(buf, off); err != nil {
+						exited <- fmt.Errorf("client %d write at %d: %w", w, off, err)
+						return
+					}
+					copy(mine, buf)
+				} else if _, err := v.ReadAt(buf, off); err != nil {
+					exited <- fmt.Errorf("client %d read at %d: %w", w, off, err)
+					return
+				} else if !bytes.Equal(buf, mine) {
+					exited <- fmt.Errorf("client %d read at %d: not what it last wrote", w, off)
+					return
+				}
+				ops[w].Add(1)
+			}
+			exited <- nil
+		}(w)
+	}
+	const stall = 5 * time.Second
+	last := make([]int64, len(ops))
+	moved := make([]time.Time, len(ops))
+	for w := range moved {
+		moved[w] = time.Now()
+	}
+	for end := time.Now().Add(*pipeStress); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		for w := range ops {
+			if k := ops[w].Load(); k != last[w] {
+				last[w], moved[w] = k, time.Now()
+			} else if time.Since(moved[w]) > stall {
+				t.Fatalf("client %d: op %d has not come back in %v with every backend healthy: its completion was lost", w, k+1, stall)
+			}
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("a client stopped early: %v", err)
+		default:
+		}
+	}
+	stop.Store(true)
+	for range ops {
+		select {
+		case err := <-exited:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(stall):
+			t.Fatal("a client did not come back after the stop: its completion was lost")
+		}
+	}
+	st := v.Stats()
+	for _, b := range st.Backends {
+		if b.Retries != 0 || b.Errors != 0 {
+			t.Fatalf("%s: %d retries and %d errors on a healthy backend, want none", b.Disk, b.Retries, b.Errors)
+		}
+	}
+	if st.Pipeline.InFlight != 0 {
+		t.Fatalf("%d ops in flight at rest", st.Pipeline.InFlight)
+	}
+	t.Logf("%d ops, none lost", ops[0].Load()+ops[1].Load())
 }
