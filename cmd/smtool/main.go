@@ -455,6 +455,16 @@ func cmdSearch(args []string) error {
 	return nil
 }
 
+// openDiskImage opens the file servedisk serves: an existing image as it
+// is — its bytes and its size, whatever -size says — or a new zeroed one
+// of the given size. Restarting a backend must not wipe its disk.
+func openDiskImage(path string, size int64) (*dev.FileStore, error) {
+	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+		return dev.OpenFileStore(path, size)
+	}
+	return dev.ReopenFileStore(path)
+}
+
 func cmdServeDisk(args []string) error {
 	fs := flag.NewFlagSet("servedisk", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9800", "listen address")
@@ -470,7 +480,7 @@ func cmdServeDisk(args []string) error {
 	if *path == "" {
 		store = dev.NewMemStore(*size)
 	} else {
-		f, err := dev.OpenFileStore(*path, *size)
+		f, err := openDiskImage(*path, *size)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -75,5 +77,37 @@ func TestClusterSelfHosted(t *testing.T) {
 		if b.Disk != "data[0]" && b.RebuildReadElements == 0 {
 			t.Fatalf("backend %s served no rebuild reads: the pooled layout is not in use", b.Disk)
 		}
+	}
+}
+
+// TestServeDiskKeepsExistingImage: servedisk -path on a disk image that
+// already exists serves it as it is — a restarted backend still holds
+// its copy of every element — and only a missing file is created at
+// -size.
+func TestServeDiskKeepsExistingImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "disk.img")
+	image := bytes.Repeat([]byte{0xA5, 0x5A, 0x01}, 1000)
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := openDiskImage(path, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != int64(len(image)) {
+		t.Fatalf("serving %d bytes of a %d-byte image", f.Size(), len(image))
+	}
+	f.Close()
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, image) {
+		t.Fatalf("opening the image for serving changed it (read error %v)", err)
+	}
+
+	fresh, err := openDiskImage(filepath.Join(t.TempDir(), "new.img"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if fresh.Size() != 4096 {
+		t.Fatalf("new image has %d bytes, want 4096", fresh.Size())
 	}
 }

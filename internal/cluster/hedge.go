@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"slices"
-	"sync"
 	"time"
 
 	"shiftedmirror/internal/blockserver"
@@ -14,37 +12,24 @@ import (
 // arrangement one disk's replicas spread across all n mirror backends
 // (P2) — so racing a slow backend against the replica locations fans
 // the backup load out over the whole cluster instead of doubling one
-// twin's traffic. The race fires only after an adaptive delay (a
-// quantile of recent per-backend fetch latency), so in the common case
-// the hedge costs nothing but a timer.
+// twin's traffic.
+//
+// A hedge is failover started early: the backup is the share's spans,
+// each one copy further down its failover order, served by the same
+// fetchSpans every other read goes through. It fires only after an
+// adaptive delay (a quantile of recent per-backend fetch latency). Until
+// then the primary exchange runs on the calling goroutine and a hedged
+// share has paid for a cancellable context, a timer and the channel the
+// timer's goroutine would answer on — no goroutine, no scratch buffer,
+// no second plan; those are taken only when the timer fires.
 
-// hedgeTarget is one span's backup location, with a private scratch
-// buffer: the primary writes straight into the span's real buffer, so
-// the backup must land elsewhere until the primary is known to have
-// stopped (cancelled and joined) — otherwise the two transfers race.
-type hedgeTarget struct {
-	s   *span
-	loc location
-	buf []byte
-}
-
-// hedgeGroup is one backup backend's share of a hedged batch.
-type hedgeGroup struct {
-	slot    int
-	targets []hedgeTarget
-}
-
-// readBatch serves one backend's batch of spans through the exchange x
-// (already loaded with the batch's ranges), racing it against the
-// spans' replica locations when hedging is on, the fetch is a user
-// read, and every span still has a live backup copy.
+// readBatch serves one backend's share of a fetch round through the
+// exchange x (already loaded with the share's ranges), hedging it when
+// hedging is on, the fetch is a user read, and every span has another
+// copy to race against.
 func (v *Volume) readBatch(ctx context.Context, slot int, pl *opPlan, batch []int32, x *vecOp, kind fetchKind) error {
-	if v.cfg.HedgeEnabled && kind == fetchUser {
-		if backups := v.backupGroups(slot, pl, batch); backups != nil {
-			return v.hedgedRead(ctx, slot, x, backups)
-		}
-		// Degraded to a single surviving copy somewhere in the batch (or
-		// the replicas' backends are dead): nothing to race against.
+	if v.cfg.HedgeEnabled && kind == fetchUser && v.hedgeable(pl, batch) {
+		return v.hedgedRead(ctx, slot, pl, batch, x)
 	}
 	return v.readVecs(ctx, slot, x, kind)
 }
@@ -73,35 +58,20 @@ func (v *Volume) readVecs(ctx context.Context, slot int, x *vecOp, kind fetchKin
 	return err
 }
 
-// backupGroups finds each span's next surviving replica location and
-// groups them by backend, allocating scratch buffers. It returns nil —
-// disabling the hedge — when any span has no usable backup: the volume
-// is degraded to a single copy there, and a half-hedged batch would
-// still tail on the un-hedged spans.
-func (v *Volume) backupGroups(primary int, pl *opPlan, batch []int32) []hedgeGroup {
-	var groups []hedgeGroup
+// hedgeable reports whether every span of the share has a next live
+// copy on a backend that is not marked dead. One span degraded to its
+// last copy disables the hedge for the whole share: there is nothing to
+// race it against, and a half-hedged share would still tail on it.
+func (v *Volume) hedgeable(pl *opPlan, batch []int32) bool {
 	for _, si := range batch {
 		s := &pl.spans[si]
 		locs := v.locations(s.stripe, s.disk, s.row)
-		found := false
-		for _, loc := range locs[s.src+1:] {
-			if loc.slot == primary || !v.available(loc.slot, s.stripe) || v.pools[loc.slot].isDead() {
-				continue
-			}
-			g := slices.IndexFunc(groups, func(g hedgeGroup) bool { return g.slot == loc.slot })
-			if g < 0 {
-				g = len(groups)
-				groups = append(groups, hedgeGroup{slot: loc.slot})
-			}
-			groups[g].targets = append(groups[g].targets, hedgeTarget{s: s, loc: loc, buf: make([]byte, len(s.buf))})
-			found = true
-			break
-		}
-		if !found {
-			return nil
+		next := v.nextLive(s.stripe, locs, s.src+1)
+		if next == len(locs) || v.pools[locs[next].slot].isDead() {
+			return false
 		}
 	}
-	return groups
+	return true
 }
 
 // hedgeDelay is the adaptive trigger: the configured quantile of recent
@@ -125,115 +95,85 @@ func (v *Volume) hedgeDelay() time.Duration {
 	return d
 }
 
-// hedgedRead races the primary batch against its replica locations.
-// The primary reads into the spans' real buffers; the backup fires only
-// after the adaptive delay, reads into scratch, and is copied over only
-// after the primary has been cancelled *and joined* — so the span
-// buffers are never written by two goroutines at once. Both goroutines
-// are always drained before returning: they touch pools and stats that
-// are only safe while the caller holds the volume lock, and leaking
-// them would also break the no-goroutine-leak guarantee the tests pin.
-func (v *Volume) hedgedRead(ctx context.Context, slot int, x *vecOp, backups []hedgeGroup) error {
-	primCtx, cancelPrim := context.WithCancel(ctx)
-	defer cancelPrim()
-	primDone := make(chan error, 1)
-	go func() { primDone <- v.readVecs(primCtx, slot, x, fetchUser) }()
-
-	timer := time.NewTimer(v.hedgeDelay())
-	select {
-	case err := <-primDone:
-		timer.Stop()
-		return err
-	case <-ctx.Done():
-		timer.Stop()
-		cancelPrim()
-		<-primDone
-		return ctx.Err()
-	case <-timer.C:
-	}
-
-	// The primary is slow: fire the backup fan-out and race the two.
-	v.stats.hedgeAttempts.Inc()
-	backupCtx, cancelBackup := context.WithCancel(ctx)
-	defer cancelBackup()
-	backupDone := make(chan error, 1)
-	go func() { backupDone <- v.readBackups(backupCtx, backups) }()
-
-	select {
-	case err := <-primDone:
-		cancelBackup()
-		berr := <-backupDone
-		if err == nil {
-			// The primary recovered before the backup landed.
-			v.stats.hedgeLosses.Inc()
-			v.stats.hedgeCancels.Inc()
-			return nil
-		}
-		if berr == nil {
-			// The primary died after the hedge fired; the backup carried it.
-			commitBackups(backups)
-			v.stats.hedgeWins.Inc()
-			return nil
-		}
-		return err
-	case berr := <-backupDone:
-		if berr != nil {
-			// The backup lost its own race with failure; fall back to
-			// whatever the primary delivers (failover handles its error).
-			return <-primDone
-		}
-		cancelPrim()
-		<-primDone // the primary must stop writing the span buffers first
-		commitBackups(backups)
-		v.stats.hedgeWins.Inc()
-		v.stats.hedgeCancels.Inc()
-		return nil
-	case <-ctx.Done():
-		cancelPrim()
-		cancelBackup()
-		<-primDone
-		<-backupDone
-		return ctx.Err()
-	}
+// backupFetch is what a fired hedge timer hands back: the backup's bytes
+// in the share's span order, and the fetch's verdict.
+type backupFetch struct {
+	scratch []byte
+	err     error
 }
 
-// readBackups fans the backup spans out to their (distinct, by P2)
-// backends in parallel and returns the first error, if any. All-or-
-// nothing: a partially served backup set cannot win the race.
-func (v *Volume) readBackups(ctx context.Context, groups []hedgeGroup) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, len(groups))
-	for _, g := range groups {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- v.readBackupGroup(ctx, g)
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
+// hedgedRead runs the share's primary exchange on the calling goroutine
+// and, if it outlasts the adaptive delay, races it against fetchBackup
+// on the timer's goroutine. Whichever lands first serves the share and
+// cancels the other; a side that fails leaves the race to the one still
+// running. The primary reads into the spans' real buffers and the
+// backup into scratch, copied over only once the primary has returned,
+// so no buffer is written by two transfers at once. A timer that fired
+// is always waited for: its goroutine touches pools and per-disk state
+// that are only safe while the caller holds the volume lock, and no
+// goroutine may outlive the read.
+func (v *Volume) hedgedRead(ctx context.Context, slot int, pl *opPlan, batch []int32, x *vecOp) error {
+	race, stop := context.WithCancel(ctx)
+	defer stop()
+	fired := make(chan backupFetch, 1)
+	timer := time.AfterFunc(v.hedgeDelay(), func() {
+		v.stats.hedgeAttempts.Inc()
+		scratch, err := v.fetchBackup(race, pl, batch)
+		if err == nil {
+			stop() // the backup landed first: the primary is the loser
 		}
+		fired <- backupFetch{scratch, err}
+	})
+	err := v.readVecs(race, slot, x, fetchUser)
+	if timer.Stop() {
+		return err // the primary beat its delay
+	}
+	if err == nil {
+		stop() // the primary recovered first: the backup is the loser
+		<-fired
+		v.stats.hedgeLosses.Inc()
+		v.stats.hedgeCancels.Inc()
+		return nil
+	}
+	// The primary was stopped mid-flight if the backup had already won
+	// when it returned.
+	stopped := race.Err() != nil
+	backup := <-fired
+	if backup.err != nil {
+		return err // neither landed: failover handles the primary's error
+	}
+	n := 0
+	for _, si := range batch {
+		n += copy(pl.spans[si].buf, backup.scratch[n:])
+	}
+	v.stats.hedgeWins.Inc()
+	if stopped {
+		v.stats.hedgeCancels.Inc()
 	}
 	return nil
 }
 
-func (v *Volume) readBackupGroup(ctx context.Context, g hedgeGroup) error {
-	var x vecOp
-	for _, t := range g.targets {
-		x.add(v.storeOffset(t.s.stripe, t.loc.row)+t.s.inner, t.buf)
+// fetchBackup is the hedge itself: the share's next fetch round, started
+// before the current one has failed. It copies the share's spans into a
+// plan of its own — each routed from the copy after the one the primary
+// is reading, with buffers cut from one scratch allocation — and runs
+// the fetch engine on it as an internal fetch: never hedged in turn,
+// timed into the fetch-latency histogram, counted as neither degraded
+// nor rebuild reads, and failed over like any other.
+func (v *Volume) fetchBackup(ctx context.Context, pl *opPlan, batch []int32) ([]byte, error) {
+	size := 0
+	for _, si := range batch {
+		size += len(pl.spans[si].buf)
 	}
-	return v.readVecs(ctx, g.slot, &x, fetchUser)
-}
-
-// commitBackups copies the winning backup's scratch buffers into the
-// spans' real buffers. Only called after the primary has been joined.
-func commitBackups(groups []hedgeGroup) {
-	for _, g := range groups {
-		for _, t := range g.targets {
-			copy(t.s.buf, t.buf)
-		}
+	scratch := make([]byte, size)
+	backup := v.getPlan()
+	defer v.putPlan(backup)
+	n := 0
+	for _, si := range batch {
+		s := pl.spans[si]
+		s.src, s.buf = s.src+1, scratch[n:n+len(s.buf)]
+		n += len(s.buf)
+		backup.spans = append(backup.spans, s)
 	}
+	return scratch, v.fetchSpans(ctx, backup, fetchInternal)
 }

@@ -160,6 +160,94 @@ func TestHedgeDisabledWhenDegraded(t *testing.T) {
 	}
 }
 
+// TestHedgedBackupFailsOver: a hedge's backup is a fetch like any other,
+// so when the copy it tries first answers with an error it moves on to
+// the next one instead of waiting the straggling primary out.
+func TestHedgedBackupFailsOver(t *testing.T) {
+	const n, stripes, elementSize = 3, 2, 64
+	arch := raid.NewThreeMirror(layout.NewGeneralShifted(n, 1, 1), layout.NewGeneralShifted(n, 2, 1))
+	inject := map[raid.DiskID]faultinject.Config{}
+	for _, id := range arch.Disks() {
+		switch id.Role {
+		case raid.RoleData:
+			inject[id] = faultinject.Config{Seed: 6, StallEvery: 1, StallFor: 400 * time.Millisecond}
+		case raid.RoleMirror:
+			inject[id] = faultinject.Config{Seed: 6, ErrEvery: 1}
+		}
+	}
+	backends := startBackends(t, arch, elementSize, stripes, withFaults(inject))
+	v, err := New(arch, backends.addrs, hedgedConfig(elementSize, stripes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	payload := randomPayload(t, v, 27)
+
+	buf := make([]byte, elementSize)
+	start := time.Now()
+	if _, err := v.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if !bytes.Equal(buf, payload[:elementSize]) {
+		t.Fatal("hedged read served by the third copy diverges from payload")
+	}
+	if elapsed > 200*time.Millisecond {
+		t.Fatalf("read took %v: the backup waited out the 400ms primary instead of failing over", elapsed)
+	}
+	if hs := v.Stats().Hedge; hs.Wins != 1 {
+		t.Fatalf("want exactly one hedge win, got %+v", hs)
+	}
+	t.Logf("read served by the third copy in %v", elapsed)
+}
+
+// TestHedgedReadIdleCost: a hedged read that beats its delay must not
+// pay for the backup it never sends — no scratch copy of the read, no
+// hedge attempt.
+func TestHedgedReadIdleCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, stripes, elementSize = 4, 8, 16 << 10
+	const readSize, reads = 1 << 20, 32
+	arch := raid.NewMirror(layout.NewShifted(n))
+	backends := startBackends(t, arch, elementSize, stripes)
+	cfg := hedgedConfig(elementSize, stripes)
+	cfg.HedgeMaxDelay = 10 * time.Second
+	v, err := New(arch, backends.addrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	payload := randomPayload(t, v, 28)
+
+	buf := make([]byte, readSize)
+	read := func(i int) {
+		off := int64(i) * readSize % v.Size()
+		if _, err := v.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, payload[off:off+readSize]) {
+			t.Fatalf("read at %d diverges from payload", off)
+		}
+	}
+	read(0) // dial the pools, size the pooled plan
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read(i)
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	if perRead > readSize/10 {
+		t.Fatalf("an idle hedged 1 MiB read allocated %d bytes, want under %d", perRead, readSize/10)
+	}
+	if hs := v.Stats().Hedge; hs.Attempts != 0 {
+		t.Fatalf("healthy loopback reads outlasted a 10s hedge delay: %+v", hs)
+	}
+	t.Logf("%d bytes allocated per idle hedged 1 MiB read", perRead)
+}
+
 // TestReadAtCtxCancellation: a cancelled context must surface promptly
 // as context.Canceled — both when cancelled up front and when cancelled
 // mid-stall, without waiting out the straggler or the op timeout.

@@ -24,6 +24,9 @@ import (
 //     reads keep a bounded fraction of their idle throughput while a
 //     throttled rebuild runs (the benchmark-side face of the p99 gate
 //     in examples/clusterrecon -live).
+//   - hedge-idle-overhead: UserReadHedgedIdle / UserReadIdle — a hedged
+//     read that beats its delay costs a timer and a context, not a
+//     goroutine hand-off and a scratch copy.
 //
 // The under-load configs pin the SLO at 25us — below the fetch
 // histogram's smallest bucket bound, so any window with samples reads
@@ -149,6 +152,15 @@ func benchUserReads(b *testing.B, v *Volume) {
 func BenchmarkUserReadIdle(b *testing.B) {
 	v := benchQoSVolume(b, benchQoSConfig(25*time.Microsecond, 50, 1e6))
 	benchUserReads(b, v)
+}
+
+// BenchmarkUserReadHedgedIdle is the same healthy volume with hedging on
+// at the default clamps: no loopback read outlasts its delay, so the gap
+// to UserReadIdle is what a hedge costs when it does not fire.
+func BenchmarkUserReadHedgedIdle(b *testing.B) {
+	cfg := benchQoSConfig(25*time.Microsecond, 50, 1e6)
+	cfg.HedgeEnabled = true
+	benchUserReads(b, benchQoSVolume(b, cfg))
 }
 
 // BenchmarkUserReadDuringRebuild times the same reads while a

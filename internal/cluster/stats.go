@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"time"
-
 	"shiftedmirror/internal/obs"
 )
 
@@ -389,10 +387,4 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 				return v.watermark(slot)
 			}, "disk", label)
 	}
-}
-
-// SliceLatencyP99 is a convenience for operators: the p99 of rebuild
-// slice wall time, the longest exclusive-lock hold user I/O waits on.
-func (s Stats) SliceLatencyP99() time.Duration {
-	return s.Rebuild.SliceLatency.Quantile(0.99)
 }

@@ -360,6 +360,16 @@ func (v *Volume) available(slot, stripe int) bool {
 	return !v.failed[slot] || stripe < v.progress[slot]
 }
 
+// nextLive is the read failover order: the index of the first of an
+// element's copies, at or after from, whose disk can serve the stripe,
+// or len(locs) when none can.
+func (v *Volume) nextLive(stripe int, locs []location, from int) int {
+	for from < len(locs) && !v.available(locs[from].slot, stripe) {
+		from++
+	}
+	return from
+}
+
 // fetchKind says on whose behalf fetchSpans is running, which decides
 // how served spans are attributed in the stats.
 type fetchKind int
@@ -368,8 +378,10 @@ const (
 	// fetchUser is a client read: spans served from a non-primary copy
 	// count as degraded reads.
 	fetchUser fetchKind = iota
-	// fetchInternal is a read-modify-write pre-read (WireCRC volumes
-	// only): replica serving is routine, nothing extra is counted.
+	// fetchInternal is a fetch the volume makes for itself — the
+	// read-modify-write pre-read of a WireCRC volume, the backup of a
+	// hedged share: replica serving is routine, nothing extra is counted,
+	// and it is never hedged.
 	fetchInternal
 	// fetchRebuild is a rebuild gather: every served span is credited
 	// to the backend that sourced it, so the per-backend rebuild load
@@ -400,10 +412,8 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 		for _, si := range pl.pending {
 			s := &pl.spans[si]
 			locs := v.locations(s.stripe, s.disk, s.row)
-			for s.src < len(locs) && !v.available(locs[s.src].slot, s.stripe) {
-				s.src++
-			}
-			if s.src >= len(locs) {
+			s.src = v.nextLive(s.stripe, locs, s.src)
+			if s.src == len(locs) {
 				// Every location is exhausted. If the last copy died on a
 				// checksum verdict the bytes exist but are rotten — that is
 				// corruption, not data loss, and retrying other replicas
@@ -431,20 +441,22 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 				pl.pending = append(pl.pending, si)
 			}
 		}
-		v.stats.failovers.Add(int64(len(pl.pending)))
 		pl.clearRound()
 		if err := ctx.Err(); err != nil {
 			// Cancellation fails every in-flight share at once; without
 			// this check the failover loop would burn through all replica
-			// locations and misreport the cancel as data loss.
+			// locations and misreport the cancel as data loss. Nor is a
+			// cancelled span a failover — a hedge's losing backup ends here
+			// every time — so those are counted only past this point.
 			return err
 		}
+		v.stats.failovers.Add(int64(len(pl.pending)))
 	}
 	return nil
 }
 
 // fetchBackend gathers one backend's share of a fetch round in one
-// exchange — hedged against the spans' replica locations for user reads
+// exchange — hedged against the spans' next copies for user reads
 // — and on error leaves the whole share in its failed list: the pool has
 // already retried and possibly marked the backend dead, so the spans
 // fail over together. How many wire frames the share takes is the wire

@@ -33,6 +33,21 @@ func OpenFileStore(path string, size int64) (*FileStore, error) {
 	return &FileStore{f: f, size: size}, nil
 }
 
+// ReopenFileStore wraps an existing file as a BackingStore without
+// touching its bytes; the store's size is the file's.
+func ReopenFileStore(path string) (*FileStore, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, fmt.Errorf("dev: open %s: %w", path, err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("dev: stat %s: %w", path, err)
+	}
+	return &FileStore{f: f, size: info.Size()}, nil
+}
+
 // ReadAt implements io.ReaderAt.
 func (s *FileStore) ReadAt(p []byte, off int64) (int, error) { return s.f.ReadAt(p, off) }
 

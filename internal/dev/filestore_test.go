@@ -93,3 +93,46 @@ func TestOpenFileStoreValidation(t *testing.T) {
 		t.Fatal("unwritable path accepted")
 	}
 }
+
+// TestReopenFileStore: reopening a disk file keeps its bytes and takes
+// its size from the file; a file that is not there is an error, never a
+// fresh disk.
+func TestReopenFileStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "disk.img")
+	pattern := make([]byte, 3000)
+	rand.New(rand.NewSource(2)).Read(pattern)
+	fs, err := OpenFileStore(path, int64(len(pattern)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt(pattern, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := ReopenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Size() != int64(len(pattern)) {
+		t.Fatalf("reopened store reports %d bytes, want %d", re.Size(), len(pattern))
+	}
+	got := make([]byte, len(pattern))
+	if _, err := re.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pattern) {
+		t.Fatal("reopening changed the file's bytes")
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing.img")
+	if _, err := ReopenFileStore(missing); err == nil {
+		t.Fatal("reopened a file that does not exist")
+	}
+	if _, err := os.Stat(missing); err == nil {
+		t.Fatal("ReopenFileStore created the missing file")
+	}
+}

@@ -143,18 +143,17 @@ func OpenOnFiles(dir string) (*Device, error) {
 	perDisk := int64(m.Stripes) * int64(m.N) * m.ElementSize
 	for _, id := range arch.Disks() {
 		path := filepath.Join(dir, fmt.Sprintf("%s-%d.disk", id.Role, id.Index))
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		fs, err := ReopenFileStore(path)
 		if err != nil {
 			d.CloseStores()
-			return nil, fmt.Errorf("dev: open %s: %w", path, err)
+			return nil, err
 		}
-		info, err := f.Stat()
-		if err != nil || info.Size() != perDisk {
-			f.Close()
+		if fs.Size() != perDisk {
+			fs.Close()
 			d.CloseStores()
-			return nil, fmt.Errorf("dev: disk file %s has size %d, manifest wants %d", path, info.Size(), perDisk)
+			return nil, fmt.Errorf("dev: disk file %s has size %d, manifest wants %d", path, fs.Size(), perDisk)
 		}
-		d.stores[id] = &FileStore{f: f, size: perDisk}
+		d.stores[id] = fs
 	}
 	return d, nil
 }

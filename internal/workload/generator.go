@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -184,11 +183,6 @@ type TenantResult struct {
 // (nearest-rank; see internal/obs).
 func (t TenantResult) ReadP(q float64) time.Duration {
 	return obs.NearestRankDur(t.ReadLats, q)
-}
-
-// WriteP returns the q-quantile of the tenant's write service times.
-func (t TenantResult) WriteP(q float64) time.Duration {
-	return obs.NearestRankDur(t.WriteLats, q)
 }
 
 // Result is a replay's outcome: per-tenant service-time recordings in
@@ -406,18 +400,4 @@ func ReplayClosed(ctx context.Context, t Target, ops []Op, cfg ReplayConfig) (Re
 	default:
 	}
 	return rec.result(), nil
-}
-
-// SortOps orders a copy of the stream canonically (tenant, then
-// position) — a helper for determinism assertions that compare what two
-// replay modes actually issued.
-func SortOps(ops []Op) []Op {
-	out := append([]Op(nil), ops...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Tenant != out[j].Tenant {
-			return out[i].Tenant < out[j].Tenant
-		}
-		return out[i].Arrival < out[j].Arrival
-	})
-	return out
 }

@@ -13,6 +13,7 @@ import (
 	"shiftedmirror"
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/layout"
 )
 
@@ -411,5 +412,150 @@ func TestFacadeSubElementWritersKeepEachOthersBytes(t *testing.T) {
 	}
 	if _, err := v.Scrub(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFacadeShardedOptions checks, through NewShardedVolume over
+// loopback store servers (two groups of n = 3), that each volume-side
+// option does what its documentation says — by its effect on the
+// volume's own reports, not by reading back a config field.
+func TestFacadeShardedOptions(t *testing.T) {
+	// 40 stripes are three rebuild slices: Stats can look in between.
+	const n, stripes, elementSize = 3, 40, 4096
+	arch := shiftedmirror.NewShiftedMirror(n)
+	straggler := shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0} // of group 0
+	lost := shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 1}      // of each group
+
+	// readBack writes a pattern over the whole volume and reads it back.
+	readBack := func(t *testing.T, v *shiftedmirror.ShardedVolume) {
+		t.Helper()
+		want := make([]byte, v.Size())
+		for i := range want {
+			want[i] = byte(i*7 + i>>8)
+		}
+		if _, err := v.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if _, err := v.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("read diverges from what was written")
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		server []blockserver.ServerOption // every backend's
+		slow   *faultinject.Config        // group 0's straggler, if any
+		option shiftedmirror.Option
+		check  func(t *testing.T, v *shiftedmirror.ShardedVolume, groups []map[shiftedmirror.DiskID]string)
+	}{{
+		name:   "WithWireCRC",
+		server: []blockserver.ServerOption{blockserver.WithCRC(elementSize)},
+		option: shiftedmirror.WithWireCRC(elementSize),
+		check: func(t *testing.T, v *shiftedmirror.ShardedVolume, _ []map[shiftedmirror.DiskID]string) {
+			readBack(t, v)
+			rep, err := v.Scrub(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ElementsCompared == 0 || rep.ChecksumCompared != rep.ElementsCompared {
+				t.Fatalf("scrub compared %d of %d elements by checksum, want all", rep.ChecksumCompared, rep.ElementsCompared)
+			}
+		},
+	}, {
+		name:   "WithPipeline",
+		option: shiftedmirror.WithPipeline(0),
+		check: func(t *testing.T, v *shiftedmirror.ShardedVolume, _ []map[shiftedmirror.DiskID]string) {
+			readBack(t, v)
+			for _, g := range v.Stats().PerGroup {
+				if p := g.Cluster.Pipeline; !p.Enabled || p.Submitted == 0 {
+					t.Fatalf("group %d moved no op over a pipelined connection: %+v", g.Group, p)
+				}
+			}
+		},
+	}, {
+		name:   "WithHedging",
+		slow:   &faultinject.Config{Seed: 1, StallEvery: 1, StallFor: 60 * time.Millisecond},
+		option: shiftedmirror.WithHedging(0.9, time.Millisecond, 5*time.Millisecond),
+		check: func(t *testing.T, v *shiftedmirror.ShardedVolume, _ []map[shiftedmirror.DiskID]string) {
+			readBack(t, v)
+			if h := v.Stats().PerGroup[0].Cluster.Hedge; h.Attempts == 0 {
+				t.Fatalf("no hedge fired against a 60ms straggler: %+v", h)
+			}
+		},
+	}, {
+		name:   "WithRebuildQoS",
+		option: shiftedmirror.WithRebuildQoS(20*time.Millisecond, 5),
+		check: func(t *testing.T, v *shiftedmirror.ShardedVolume, _ []map[shiftedmirror.DiskID]string) {
+			for _, g := range v.Stats().PerGroup {
+				if q := g.Cluster.QoS; !q.Enabled || q.SLO != 0.02 {
+					t.Fatalf("group %d has no QoS controller holding 20ms: %+v", g.Group, q)
+				}
+			}
+		},
+	}, {
+		name:   "WithRebuildConcurrency",
+		server: []blockserver.ServerOption{blockserver.WithReadRate(4e6)}, // ~40ms per rebuild
+		option: shiftedmirror.WithRebuildConcurrency(1),
+		check: func(t *testing.T, v *shiftedmirror.ShardedVolume, groups []map[shiftedmirror.DiskID]string) {
+			for gid, addrs := range groups {
+				if err := v.Fail(gid, lost); err != nil {
+					t.Fatal(err)
+				}
+				if err := v.ReplaceBackend(gid, lost, addrs[lost]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan error, 1)
+			go func() { done <- v.RebuildPending(context.Background()) }()
+			var peak int64
+			for rebuilding := true; rebuilding; {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					rebuilding = false
+				default:
+					peak = max(peak, v.Stats().RebuildActive)
+				}
+			}
+			if peak != 1 {
+				t.Fatalf("saw %d rebuilds in flight at once, want the scheduler to run exactly 1", peak)
+			}
+			if st := v.Stats(); st.Rebuilds != 2 || st.Placement.Rollup.Online != len(st.Placement.Devices) {
+				t.Fatalf("after RebuildPending: %d rebuilds, placement %+v", st.Rebuilds, st.Placement.Rollup)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var groups []map[shiftedmirror.DiskID]string
+			for g := 0; g < 2; g++ {
+				addrs := map[shiftedmirror.DiskID]string{}
+				for _, id := range arch.Disks() {
+					var store blockserver.Store = dev.NewMemStore(stripes * n * elementSize)
+					if tc.slow != nil && g == 0 && id == straggler {
+						store = faultinject.Wrap(store, *tc.slow)
+					}
+					srv := blockserver.NewStoreServer(store, tc.server...)
+					addr, err := srv.Listen("127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { srv.Close() })
+					addrs[id] = addr.String()
+				}
+				groups = append(groups, addrs)
+			}
+			v, err := shiftedmirror.NewShardedVolume(arch, groups, shiftedmirror.WithGeometry(elementSize, stripes), tc.option)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			tc.check(t, v, groups)
+		})
 	}
 }
