@@ -3,6 +3,7 @@ package main
 import (
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/raid"
 )
 
@@ -51,6 +52,10 @@ func startFleet(arch *raid.Mirror, diskSize int64, spec func(raid.DiskID) backen
 func (f *fleet) spawn(b backendSpec) (string, error) {
 	if b.store == nil {
 		b.store = dev.NewMemStore(f.diskSize)
+		if raceEnabled {
+			// See faultinject.OrderedStore: the lock is for the detector.
+			b.store = &faultinject.OrderedStore{Store: b.store}
+		}
 	}
 	srv := blockserver.NewStoreServer(b.store, b.opts...)
 	bound, err := srv.Listen("127.0.0.1:0")

@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/cluster"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
@@ -27,32 +25,6 @@ import (
 // The same run hard-asserts the rebuild's forward progress: the
 // watermark advances monotonically and the end-to-end rate stays at or
 // above the QoS floor.
-
-// orderedStore puts a lock around a backend's store in race-enabled
-// runs. A MemStore, like the disk it models, serves overlapping reads
-// and writes with no synchronization of its own, and the live phase
-// gives it two kinds: the two tenant ops in flight at once may overlap
-// by design, and accesses the volume does order — a user write, then
-// the rebuild's gather of the same element — reach a backend on
-// different connections, ordered through the volume's lock and a TCP
-// round trip, which the detector cannot see. The lock gives it an edge
-// for both, so what a race-enabled run reports is the volume's own.
-type orderedStore struct {
-	blockserver.Store
-	mu sync.RWMutex
-}
-
-func (s *orderedStore) ReadAt(p []byte, off int64) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.Store.ReadAt(p, off)
-}
-
-func (s *orderedStore) WriteAt(p []byte, off int64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Store.WriteAt(p, off)
-}
 
 // tenantLive is one tenant's latency summary from the live phase.
 type tenantLive struct {
@@ -124,14 +96,7 @@ func measureLive(name string, arr layout.Arrangement, element int64, stripes int
 	n := arch.N()
 	diskSize := int64(stripes) * int64(n) * element
 
-	backend := func(rate float64) backendSpec {
-		b := throttled(rate)
-		if raceEnabled {
-			b.store = &orderedStore{Store: dev.NewMemStore(diskSize)}
-		}
-		return b
-	}
-	f, backends, err := startFleet(arch, diskSize, func(raid.DiskID) backendSpec { return backend(rate) })
+	f, backends, err := startFleet(arch, diskSize, func(raid.DiskID) backendSpec { return throttled(rate) })
 	if err != nil {
 		return lr, 0, err
 	}
@@ -196,7 +161,7 @@ func measureLive(name string, arr layout.Arrangement, element int64, stripes int
 	if err := v.Fail(lost); err != nil {
 		return lr, 0, err
 	}
-	replacement, err := f.spawn(backend(0))
+	replacement, err := f.spawn(throttled(0))
 	if err != nil {
 		return lr, 0, err
 	}

@@ -40,6 +40,7 @@ import (
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/cluster"
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 	"shiftedmirror/internal/shard"
@@ -77,7 +78,12 @@ func startBackendSet(arch *raid.Mirror, elementSize int64, stripes int, rateMBps
 
 func (b *backendSet) serve(id raid.DiskID) (string, error) {
 	store := dev.NewMemStore(b.perDisk)
-	srv := blockserver.NewStoreServer(store, b.opts...)
+	var served blockserver.Store = store
+	if raceEnabled {
+		// See faultinject.OrderedStore: the lock is for the detector.
+		served = &faultinject.OrderedStore{Store: store}
+	}
+	srv := blockserver.NewStoreServer(served, b.opts...)
 	bound, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return "", err

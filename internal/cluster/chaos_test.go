@@ -102,6 +102,7 @@ func TestChaosBackendKilledMidRebuild(t *testing.T) {
 	if h.Rebuilds != 1 {
 		t.Fatalf("rebuild not counted: %+v", h)
 	}
+	assertCopiesEqual(t, v, backends)
 }
 
 // TestChaosBackendRecoveryAfterRestart verifies the marked-dead/probe

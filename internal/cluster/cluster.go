@@ -99,8 +99,10 @@ type Config struct {
 	// again, doubling up to MaxProbe. Defaults 250ms and 5s.
 	ProbeEvery time.Duration
 	MaxProbe   time.Duration
-	// RebuildBatch is how many stripes RebuildDisk recovers per
-	// exclusive-lock slice; user I/O flows between slices. Default 16.
+	// RebuildBatch is how many stripes RebuildDisk recovers per slice:
+	// one gather, one write-back, one watermark step — and the stripe
+	// window a slice fences writes to the rebuilding disk out of while it
+	// runs (reads, and writes elsewhere, are never held). Default 16.
 	RebuildBatch int
 	// WireCRC turns on end-to-end integrity: every backend dial
 	// negotiates blockserver.FeatureCRC, element reads and writes travel

@@ -31,7 +31,7 @@ func (v *Volume) readBatch(ctx context.Context, slot int, pl *opPlan, batch []in
 	if v.cfg.HedgeEnabled && kind == fetchUser && v.hedgeable(pl, batch) {
 		return v.hedgedRead(ctx, slot, pl, batch, x)
 	}
-	return v.readVecs(ctx, slot, x, kind)
+	return v.readVecs(ctx, pl.st.slots[slot].pool, x, kind)
 }
 
 // readVecs is the shared wire call: one ReadV through the backend's
@@ -42,9 +42,9 @@ func (v *Volume) readBatch(ctx context.Context, slot int, pl *opPlan, batch []in
 // round trip is not user-visible latency, and letting it into the
 // histogram would feed the QoS controller its own throttling as
 // apparent SLO pressure.
-func (v *Volume) readVecs(ctx context.Context, slot int, x *vecOp, kind fetchKind) error {
+func (v *Volume) readVecs(ctx context.Context, p *pool, x *vecOp, kind fetchKind) error {
 	start := time.Now()
-	err := v.pools[slot].doCtx(ctx, x)
+	err := p.doCtx(ctx, x)
 	if err == nil {
 		if kind != fetchRebuild {
 			v.stats.fetchLat.Observe(time.Since(start))
@@ -58,16 +58,17 @@ func (v *Volume) readVecs(ctx context.Context, slot int, x *vecOp, kind fetchKin
 	return err
 }
 
-// hedgeable reports whether every span of the share has a next live
-// copy on a backend that is not marked dead. One span degraded to its
-// last copy disables the hedge for the whole share: there is nothing to
-// race it against, and a half-hedged share would still tail on it.
+// hedgeable reports whether, in the state the round was routed against,
+// every span of the share has a next live copy on a backend that is not
+// marked dead. One span degraded to its last copy disables the hedge for
+// the whole share: there is nothing to race it against, and a
+// half-hedged share would still tail on it.
 func (v *Volume) hedgeable(pl *opPlan, batch []int32) bool {
 	for _, si := range batch {
 		s := &pl.spans[si]
 		locs := v.locations(s.stripe, s.disk, s.row)
-		next := v.nextLive(s.stripe, locs, s.src+1)
-		if next == len(locs) || v.pools[locs[next].slot].isDead() {
+		next := pl.st.nextLive(s.stripe, locs, s.src+1)
+		if next == len(locs) || pl.st.slots[locs[next].slot].pool.isDead() {
 			return false
 		}
 	}
@@ -109,8 +110,7 @@ type backupFetch struct {
 // running. The primary reads into the spans' real buffers and the
 // backup into scratch, copied over only once the primary has returned,
 // so no buffer is written by two transfers at once. A timer that fired
-// is always waited for: its goroutine touches pools and per-disk state
-// that are only safe while the caller holds the volume lock, and no
+// is always waited for: its goroutine reads the caller's plan, and no
 // goroutine may outlive the read.
 func (v *Volume) hedgedRead(ctx context.Context, slot int, pl *opPlan, batch []int32, x *vecOp) error {
 	race, stop := context.WithCancel(ctx)
@@ -124,7 +124,7 @@ func (v *Volume) hedgedRead(ctx context.Context, slot int, pl *opPlan, batch []i
 		}
 		fired <- backupFetch{scratch, err}
 	})
-	err := v.readVecs(race, slot, x, fetchUser)
+	err := v.readVecs(race, pl.st.slots[slot].pool, x, fetchUser)
 	if timer.Stop() {
 		return err // the primary beat its delay
 	}

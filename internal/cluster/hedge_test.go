@@ -327,11 +327,7 @@ func TestRebuildDiskCancelResumable(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- v.RebuildDisk(ctx, lost) }()
 	// Wait for real progress, then pull the plug mid-slice.
-	progressAt := func() int {
-		v.mu.RLock()
-		defer v.mu.RUnlock()
-		return v.progress[slotOf(v, lost)]
-	}
+	progressAt := func() int { return v.state.Load().slots[slotOf(v, lost)].progress }
 	waitUntil := time.Now().Add(10 * time.Second)
 	for progressAt() < 2 {
 		if time.Now().After(waitUntil) {
@@ -352,10 +348,7 @@ func TestRebuildDiskCancelResumable(t *testing.T) {
 	if watermark < 2 || watermark >= stripes {
 		t.Fatalf("watermark %d after cancel, want partial progress in [2, %d)", watermark, stripes)
 	}
-	v.mu.RLock()
-	stillFailed := v.failed[slotOf(v, lost)]
-	v.mu.RUnlock()
-	if !stillFailed {
+	if stillFailed := v.state.Load().slots[slotOf(v, lost)].failed; !stillFailed {
 		t.Fatal("cancelled rebuild returned the disk to service")
 	}
 

@@ -109,29 +109,22 @@ type DiskStatus struct {
 	WatermarkStripes int64
 }
 
-// Disks returns every disk's status in arch.Disks() order, all read
-// under one lock hold so the entries are mutually consistent.
+// Disks returns every disk's status in arch.Disks() order. It is one
+// load of the volume's state: the entries are mutually consistent — no
+// management op or rebuild slice is half-applied across them — and the
+// call waits for nothing.
 func (v *Volume) Disks() []DiskStatus {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+	st := v.state.Load()
 	out := make([]DiskStatus, len(v.ids))
 	for slot, id := range v.ids {
+		s := &st.slots[slot]
 		out[slot] = DiskStatus{
 			ID:               id,
-			Addr:             v.addrs[slot],
-			State:            diskState(v.failed[slot], v.replacement[slot], v.rebuilding[slot], v.pools[slot].isDead()),
-			Replacement:      v.replacement[slot],
-			WatermarkStripes: v.watermark(slot),
+			Addr:             s.pool.addr,
+			State:            diskState(s.failed, s.replacement, s.rebuilding, s.pool.isDead()),
+			Replacement:      s.replacement,
+			WatermarkStripes: st.watermark(slot, v.stripes),
 		}
 	}
 	return out
-}
-
-// watermark is a disk's availability frontier in stripes. Call with
-// v.mu held.
-func (v *Volume) watermark(slot int) int64 {
-	if v.failed[slot] {
-		return int64(v.progress[slot])
-	}
-	return int64(v.stripes)
 }

@@ -183,6 +183,7 @@ func TestPipelinedRebuildUnderLoad(t *testing.T) {
 	if _, err := v.Scrub(ctx); err != nil {
 		t.Fatalf("scrub after %d rebuild cycles: %v", cycles, err)
 	}
+	assertCopiesEqual(t, v, backends)
 }
 
 // pipeStress is how long TestVolumePipelinedNoLostCompletion keeps its

@@ -171,16 +171,25 @@ func (o *vecOp) add(off int64, buf []byte) {
 	o.bufs = append(o.bufs, buf)
 }
 
-// brokenBackend is a backend whose transport failed a write, with the
-// lowest stripe among the ops it missed.
+// brokenBackend is a backend whose share of a write did not land, with
+// the lowest stripe among the ops it missed. cancelled says the share
+// was cut off by the caller's cancellation rather than by transport
+// trouble: grounds to roll a rebuild watermark back, never to fail the
+// disk.
 type brokenBackend struct {
 	slot, stripe int
+	cancelled    bool
 }
 
 // opPlan is the scratch one read, write or rebuild slice plans and runs
 // from. Plans are pooled per volume and every slice in one keeps its
 // capacity, so a steady-state op allocates nothing here.
 type opPlan struct {
+	// st is the volume state the current round (reads) or the whole
+	// fan-out (writes) is routed against; dropped when the plan is
+	// recycled so a pooled plan pins no retired state or pool.
+	st *volState
+
 	spans    []span
 	pending  []int32 // spans awaiting service, by index
 	backends []backendPlan
@@ -199,7 +208,7 @@ func (v *Volume) getPlan() *opPlan {
 	if pl, ok := v.plans.Get().(*opPlan); ok {
 		return pl
 	}
-	return &opPlan{backends: make([]backendPlan, len(v.pools))}
+	return &opPlan{backends: make([]backendPlan, len(v.ids))}
 }
 
 // putPlan recycles a plan, dropping its references to caller memory.
@@ -210,6 +219,7 @@ func (v *Volume) putPlan(pl *opPlan) {
 
 // reset empties the plan for its next op (or rebuild slice).
 func (pl *opPlan) reset() {
+	pl.st = nil
 	pl.clearRound()
 	clear(pl.spans)
 	pl.spans = pl.spans[:0]
@@ -246,19 +256,6 @@ func (pl *opPlan) tornElement(k int, elementSize int64) []byte {
 		pl.torn = make([]byte, 2*elementSize)
 	}
 	return pl.torn[int64(k)*elementSize : int64(k+1)*elementSize]
-}
-
-// noteBroken records that slot's transport failed ops down to stripe.
-func (pl *opPlan) noteBroken(slot, stripe int) {
-	for i := range pl.broken {
-		if pl.broken[i].slot == slot {
-			if stripe < pl.broken[i].stripe {
-				pl.broken[i].stripe = stripe
-			}
-			return
-		}
-	}
-	pl.broken = append(pl.broken, brokenBackend{slot, stripe})
 }
 
 // buffersAdjacent reports whether b starts exactly where a ends in

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -86,6 +87,11 @@ func newPool(addr string, cfg Config, stats *poolStats, pipeStats *blockserver.P
 	}
 	return p
 }
+
+// errPoolClosed is what an op gets from a pool that has been closed: the
+// volume was closed, or ReplaceBackend swapped the pool out while the op
+// still held the state that named it.
+var errPoolClosed = errors.New("cluster: connection pool is closed")
 
 // close tears down idle and multiplexed connections and aborts any dial
 // in flight; synchronous in-flight operations finish on their own
@@ -303,7 +309,11 @@ func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 		}
 		l, err := p.checkout(ctx)
 		if err != nil {
-			if ctx.Err() != nil {
+			// A cancelled caller or a retired pool says nothing about the
+			// backend: no retry, and no step toward the dead state — the
+			// slot's counters outlive this pool, and its successor must not
+			// inherit a death it never died.
+			if ctx.Err() != nil || errors.Is(err, errPoolClosed) {
 				p.stats.errors.Inc()
 				return err
 			}
@@ -355,7 +365,7 @@ func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			return 0, nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+			return 0, nil, fmt.Errorf("%w: %s", errPoolClosed, p.addr)
 		}
 		if c := p.pipes[slot]; c != nil {
 			if c.Broken() == nil {
@@ -375,7 +385,7 @@ func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error
 			case <-ctx.Done():
 				return 0, nil, ctx.Err()
 			case <-p.closeCtx.Done():
-				return 0, nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+				return 0, nil, fmt.Errorf("%w: %s", errPoolClosed, p.addr)
 			}
 		}
 		ch := make(chan struct{})
@@ -390,7 +400,7 @@ func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error
 			if c != nil {
 				c.Close()
 			}
-			return 0, nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+			return 0, nil, fmt.Errorf("%w: %s", errPoolClosed, p.addr)
 		}
 		if err != nil {
 			p.mu.Unlock()
@@ -432,7 +442,7 @@ func (p *pool) acquire(ctx context.Context) (*blockserver.Client, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+		return nil, fmt.Errorf("%w: %s", errPoolClosed, p.addr)
 	}
 	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]

@@ -24,8 +24,10 @@ import (
 // immediately (tokens may go negative) and then sleeps the debt off in
 // interval-sized naps, re-reading the feedback on every wake. Debiting
 // first keeps the call sites trivial — RebuildDisk acquires right
-// before each exclusive-lock slice, outside the lock, so throttling
-// never blocks user I/O.
+// before each slice, before the slice publishes its write fence, so a
+// throttled rebuild parks with no user write waiting on it. The feedback
+// is honest because a user read holds no lock a slice takes: its
+// latency is its round trips, and fetchLat sees all of them.
 
 type qosController struct {
 	slo        time.Duration
@@ -71,9 +73,9 @@ func newQoSController(cfg Config, st *volumeStats) *qosController {
 }
 
 // acquire debits cost stripes from the bucket and blocks until the debt
-// is amortized at the current rate (or ctx is done). It must be called
-// WITHOUT the volume lock: the whole point is that user I/O proceeds
-// while the rebuild is parked here.
+// is amortized at the current rate (or ctx is done). A slice calls it
+// before opening its window, with no lock held: the whole point is that
+// user I/O proceeds while the rebuild is parked here.
 func (q *qosController) acquire(ctx context.Context, cost int) error {
 	if q == nil || cost <= 0 {
 		return ctx.Err()

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"shiftedmirror/internal/obs"
@@ -19,73 +21,114 @@ import (
 // is one parallel access across the whole cluster; under the
 // traditional arrangement every replica lives on the single twin
 // backend and the same loop drains it sequentially at one disk's
-// bandwidth. The rebuild is incremental: the device lock is released
-// between stripe slices so reads and writes keep flowing, and rebuilt
-// stripes are served from the replacement backend immediately. Each
-// slice starts at the current watermark, so when a write that missed the
-// replacement backend rolls the watermark back (see WriteAt), the
-// affected stripes are recovered again before the rebuild can finish.
-// Only one rebuild may run per disk; a second concurrent call returns
-// ErrRebuildInProgress (wrapped).
+// bandwidth. The rebuild runs beside user I/O, not in turns with it: a
+// slice holds no lock a read takes, and fences only the writes that
+// touch the rebuilding disk's copies in the slice's own stripes (see
+// gatherSlice). Rebuilt stripes are served from the replacement backend
+// as soon as their slice publishes the watermark.
+//
+// The slices run as a two-stage pipeline: while slice k is written to
+// the replacement, slice k+1 is already being gathered into a second
+// buffer, so the sources never sit idle through a write-back. Slices
+// publish in order, each only on top of the one before it; when a write
+// that missed the replacement backend rolls the watermark back (see
+// settleWrites), or ReplaceBackend swaps the replacement, the slices in
+// flight are discarded and the pipeline restarts from the watermark it
+// finds — the affected stripes are recovered again before the rebuild
+// can finish. Only one rebuild may run per disk; a second concurrent
+// call returns ErrRebuildInProgress (wrapped).
 //
 // Cancelling ctx stops the rebuild promptly — between slices, and
 // mid-slice by interrupting the in-flight gathers and writes — and
-// returns ctx's error. The watermark keeps whatever slices completed:
-// a later RebuildDisk call resumes from there, and rebuilt stripes stay
-// served from the replacement backend in the meantime.
+// returns ctx's error. The watermark keeps whatever slices were
+// published: a later RebuildDisk call resumes from there, and rebuilt
+// stripes stay served from the replacement backend in the meantime.
 func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 	slot, ok := v.slot(id)
 	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	v.mu.Lock()
-	if !v.failed[slot] {
-		v.mu.Unlock()
-		return fmt.Errorf("cluster: disk %v is not failed", id)
+	err := v.update(func(next *volState) error {
+		s := &next.slots[slot]
+		switch {
+		case next.closed:
+			return errVolumeClosed
+		case !s.failed:
+			return fmt.Errorf("cluster: disk %v is not failed", id)
+		case s.rebuilding:
+			return fmt.Errorf("%w: disk %v", ErrRebuildInProgress, id)
+		}
+		// Trying to rebuild onto the current backend is what makes it the
+		// replacement: an attempt that fails leaves the disk
+		// replacement-pending at the watermark it reached, not dead.
+		s.rebuilding, s.replacement = true, true
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if v.rebuilding[slot] {
-		v.mu.Unlock()
-		return fmt.Errorf("%w: disk %v", ErrRebuildInProgress, id)
-	}
-	// Trying to rebuild onto the current backend is what makes it the
-	// replacement: an attempt that fails leaves the disk
-	// replacement-pending at the watermark it reached, not dead.
-	v.rebuilding[slot], v.replacement[slot] = true, true
-	v.mu.Unlock()
 	v.stats.rebuildActive.Add(1)
 	defer func() {
 		v.stats.rebuildActive.Add(-1)
-		v.mu.Lock()
-		v.rebuilding[slot] = false
-		v.mu.Unlock()
+		v.updateSlot(slot, func(s *slotState) error {
+			s.rebuilding = false
+			return nil
+		})
 	}()
-	// One plan and one slice buffer serve every slice of this rebuild.
-	pl := v.getPlan()
-	defer v.putPlan(pl)
-	buf := make([]byte, int64(v.cfg.RebuildBatch)*int64(v.n)*v.elementSize)
+	// Two plans and two slice buffers serve every slice of this rebuild:
+	// one being gathered into, one being written back from.
+	var jobs [2]sliceJob
+	for i := range jobs {
+		jobs[i].pl = v.getPlan()
+		defer v.putPlan(jobs[i].pl)
+		jobs[i].buf = make([]byte, int64(v.cfg.RebuildBatch)*int64(v.n)*v.elementSize)
+	}
 	start := time.Now()
 	var rebuilt int64
-	for {
+	fail := func(err error) error {
+		v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
+		return err
+	}
+	var ready *sliceJob // gathered, waiting to be written back
+	from := -1          // where the next gather starts; -1: at the watermark
+	for i := 0; ; i++ {
 		if err := ctx.Err(); err != nil {
-			v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
-			return err
+			v.endSlice(slot, ready)
+			return fail(err)
 		}
-		// QoS throttle: pay for the next slice in stripes before taking
-		// the exclusive lock, so a throttled rebuild parks here with user
-		// I/O flowing, never inside the slice.
-		if err := v.qos.acquire(ctx, v.nextSliceStripes(slot)); err != nil {
-			v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
-			return err
+		// Gather the next slice beside the write-back of the ready one.
+		next := &jobs[i%2]
+		gctx, stop := context.WithCancel(ctx)
+		gathered := make(chan error, 1)
+		go func(from int) { gathered <- v.gatherSlice(gctx, slot, from, next) }(from)
+		published, done, werr := true, false, error(nil)
+		if ready != nil {
+			published, done, werr = v.writeBackSlice(ctx, slot, ready)
+			if werr != nil || !published {
+				stop() // what was gathered behind a slice that did not land is void
+			}
 		}
-		done, n, err := v.rebuildSlice(ctx, slot, pl, buf)
-		rebuilt += n
-		if err != nil {
-			v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
-			return err
+		gerr := <-gathered
+		stop()
+		switch {
+		case werr != nil:
+			v.endSlice(slot, next)
+			return fail(werr)
+		case !published:
+			v.endSlice(slot, next)
+			ready, from = nil, -1
+			continue
+		}
+		if ready != nil {
+			rebuilt += int64(len(ready.pl.spans)) * v.elementSize
 		}
 		if done {
 			break
 		}
+		if gerr != nil {
+			return fail(gerr)
+		}
+		ready, from = next, next.win.s1
 	}
 	elapsed := time.Since(start)
 	v.stats.rebuilds.Inc()
@@ -95,81 +138,181 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 	return nil
 }
 
-// rebuildSlice recovers the next RebuildBatch stripes past the watermark
-// under the exclusive lock: fetch every lost element from surviving
-// replicas (fanning out per backend, with failover) into buf, then write
-// the recovered bytes to the replacement backend. The watermark only
-// advances once the writes are durable there, and the final slice
-// returns the disk to service under the same lock hold — so a failed
-// user write can never slip between "last stripe recovered" and "disk
-// marked clean". pl and buf (RebuildBatch stripes of one disk) are the
-// rebuild's own, reused slice after slice.
-func (v *Volume) rebuildSlice(ctx context.Context, slot int, pl *opPlan, buf []byte) (done bool, written int64, err error) {
-	start := time.Now()
-	defer func() { v.stats.sliceLat.Observe(time.Since(start)) }()
-	id := v.ids[slot]
-	pl.reset()
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.failed[slot] {
-		return false, 0, fmt.Errorf("cluster: disk %v is not failed", id)
+// sliceJob is one rebuild slice on its way through the pipeline: its
+// plan and buffer (RebuildBatch stripes of one disk, the rebuild's own,
+// reused slice after slice) and, from gatherSlice on, the window it
+// published, the state that publication produced — whose pool for the
+// slot is where the slice will be written — and when it began.
+type sliceJob struct {
+	pl     *opPlan
+	buf    []byte
+	win    *window // nil: no slice in the job
+	opened *volState
+	start  time.Time
+}
+
+// gatherSlice opens the slice of up to RebuildBatch stripes starting at
+// from (at the watermark when from < 0) and fetches every lost element
+// in it from surviving replicas (fanning out per backend, with failover)
+// into the job's buffer; nothing past the last stripe is no slice and
+// no error. It pays the slice's QoS cost first, then holds no lock
+// across the fetch, and nothing a read ever takes; what keeps the
+// replacement coherent is a fence for writes only:
+//
+//	(a) Publish the window [s0, s1) on the slot. From here on a write
+//	    with a copy on the slot inside the window waits for the slice
+//	    (WriteAtCtx); every other write — to other stripes, or to the
+//	    window's stripes on elements the slot holds no copy of — goes
+//	    ahead.
+//	(b) Drain: take the write drain exclusively and let it go. Every
+//	    write planned before (a) has now finished on the surviving
+//	    copies, so the gather cannot miss its bytes.
+//	(c) Gather; writeBackSlice then writes back and publishes.
+//
+// On error the slice is ended here; a gathered slice stays open until
+// writeBackSlice (or endSlice) ends it.
+func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob) error {
+	job.win = nil
+	if from >= v.stripes {
+		return nil
 	}
-	s0 := v.progress[slot]
-	s1 := min(s0+v.cfg.RebuildBatch, v.stripes)
-	count := (s1 - s0) * v.n // lost elements: n per stripe on one disk
-	buf = buf[:int64(count)*v.elementSize]
+	s0 := from
+	if from < 0 {
+		s0 = v.state.Load().slots[slot].progress
+	}
+	// QoS throttle: pay for the slice in stripes before it opens its
+	// window, so a throttled rebuild parks here with nothing fenced
+	// behind this slice, never inside it.
+	if err := v.qos.acquire(ctx, min(v.stripes-s0, v.cfg.RebuildBatch)); err != nil {
+		return err
+	}
+	job.start = time.Now()
+	win := &window{done: make(chan struct{})}
+	err := v.update(func(next *volState) error {
+		s := &next.slots[slot]
+		if !s.failed {
+			return fmt.Errorf("cluster: disk %v is not failed", v.ids[slot])
+		}
+		if from < 0 {
+			s0 = s.progress
+		}
+		win.s0, win.s1 = s0, min(s0+v.cfg.RebuildBatch, v.stripes)
+		s.wins = append(s.wins[:len(s.wins):len(s.wins)], win) // published states share the old array
+		job.opened = next
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	job.win = win
+	v.drain.Lock()
+	v.drain.Unlock() //nolint:staticcheck // empty critical section: the wait is the point
+	pl := job.pl
+	pl.reset()
+	count := (win.s1 - win.s0) * v.n // lost elements: n per stripe on one disk
 	for i := 0; i < count; i++ {
-		stripe, r := s0+i/v.n, i%v.n
+		stripe, r := win.s0+i/v.n, i%v.n
 		// The content of target slot (slot, row r) is whatever logical
 		// element the placement stores there in this stripe. fetchSpans
-		// routes to surviving copies only (the target disk is failed, so
-		// it is never a source).
+		// routes to surviving copies only (the target disk is failed and
+		// its watermark is at or below the window, so it is never a
+		// source).
 		a := v.table.owner(stripe, slot, r)
 		pl.spans = append(pl.spans, span{
 			stripe: stripe, disk: a.Disk, row: a.Row,
-			buf: buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize],
+			buf: job.buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize],
 		})
 	}
 	if err := v.fetchSpans(ctx, pl, fetchRebuild); err != nil {
-		return false, 0, err
+		v.endSlice(slot, job)
+		return err
 	}
-	b := pl.backend(slot)
-	for i := range pl.spans {
-		stripe, r := s0+i/v.n, i%v.n
-		b.ops = append(b.ops, writeOp{
-			off: v.storeOffset(stripe, r), data: pl.spans[i].buf, elem: int32(i), stripe: int32(stripe),
-		})
-	}
-	if err := v.runWrites(ctx, pl, count); err != nil {
-		return false, 0, err
+	return nil
+}
+
+// writeBackSlice writes a gathered slice to the replacement backend —
+// the pool the slot had when the slice's window opened, whatever has
+// happened since — and publishes progress = s1, or, for the last slice,
+// returns the disk to service in the same swap (done). It publishes only
+// if the slot still has the pool that was written to, is still failed,
+// and its watermark still reads s0: a roll-back or a ReplaceBackend that
+// landed since the window opened makes the slice's bytes stale or
+// misplaced, and so does the slice before it not having been published.
+// Such a slice is discarded — published=false, no error — and the
+// caller starts over from the watermark it finds.
+//
+// The last slice publishes under the write drain, held exclusively:
+// every write planned while the disk was failed has then settled (see
+// settleWrites), so none can find, too late to roll anything back, that
+// it missed a disk already declared whole. The slice is ended on every
+// path.
+func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (published, done bool, err error) {
+	defer v.endSlice(slot, job)
+	id, pl, win := v.ids[slot], job.pl, job.win
+	pl.st = job.opened
+	target := job.opened.slots[slot].pool
+	if len(pl.spans) > 0 {
+		b := pl.backend(slot)
+		for i := range pl.spans {
+			stripe, r := win.s0+i/v.n, i%v.n
+			b.ops = append(b.ops, writeOp{
+				off: v.storeOffset(stripe, r), data: pl.spans[i].buf, elem: int32(i), stripe: int32(stripe),
+			})
+		}
+		if err := v.runWrites(ctx, pl, len(pl.spans)); err != nil {
+			return false, false, err
+		}
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		// Cancelled mid-slice: the watermark stays put, so this slice is
 		// recovered again when the rebuild resumes.
-		return false, 0, cerr
+		return false, false, cerr
 	}
-	if len(pl.broken) > 0 {
-		return false, 0, fmt.Errorf("cluster: replacement backend %s for %v not accepting writes", v.addrs[slot], id)
+	if len(pl.broken) > 0 && v.state.Load().slots[slot].pool == target {
+		return false, false, fmt.Errorf("cluster: replacement backend %s for %v not accepting writes", target.addr, id)
 	}
-	v.progress[slot] = s1
-	v.stats.rebuildStripes.Add(int64(s1 - s0))
-	v.trace(obs.Event{Op: "rebuild_slice", Target: id.String(), Bytes: int64(len(buf)), Dur: time.Since(start)})
-	if s1 >= v.stripes {
-		v.failed[slot], v.replacement[slot] = false, false
-		v.progress[slot] = 0
-		return true, int64(len(buf)), nil
+	last := win.s1 >= v.stripes
+	if last {
+		v.drain.Lock()
 	}
-	return false, int64(len(buf)), nil
+	err = v.updateSlot(slot, func(s *slotState) error {
+		if len(pl.broken) > 0 || s.pool != target || !s.failed || s.progress != win.s0 {
+			return errSliceDiscarded
+		}
+		s.progress = win.s1
+		if last {
+			s.failed, s.replacement, s.progress = false, false, 0
+		}
+		return nil
+	})
+	if last {
+		v.drain.Unlock()
+	}
+	if err != nil {
+		return false, false, nil
+	}
+	v.stats.rebuildStripes.Add(int64(win.s1 - win.s0))
+	bytes := int64(len(pl.spans)) * v.elementSize
+	v.trace(obs.Event{Op: "rebuild_slice", Target: id.String(), Bytes: bytes, Dur: time.Since(job.start)})
+	return true, last, nil
 }
 
-// nextSliceStripes returns how many stripes the next rebuild slice for
-// the disk in slot will recover — the QoS cost paid before taking the
-// exclusive lock.
-func (v *Volume) nextSliceStripes(slot int) int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if !v.failed[slot] {
-		return 0
+// endSlice takes a slice's window off the slot and lets the writes
+// fenced behind it go, however the slice ended. A job with no slice in
+// it is left alone.
+func (v *Volume) endSlice(slot int, job *sliceJob) {
+	if job == nil || job.win == nil {
+		return
 	}
-	return max(0, min(v.stripes-v.progress[slot], v.cfg.RebuildBatch))
+	v.updateSlot(slot, func(s *slotState) error {
+		s.wins = slices.DeleteFunc(slices.Clone(s.wins), func(w *window) bool { return w == job.win })
+		return nil
+	})
+	close(job.win.done)
+	v.stats.sliceLat.Observe(time.Since(job.start))
+	job.win = nil
 }
+
+// errSliceDiscarded is why a slice's publish edit declines; it never
+// leaves writeBackSlice.
+var errSliceDiscarded = errors.New("cluster: rebuild slice discarded")

@@ -28,26 +28,21 @@ func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
 // cursor, buying each batch's stripes from the QoS bucket first and
 // parking the cursor after it.
 //
-// Each batch is verified under its own read-lock hold and the lock is
-// dropped between batches. A pass-long hold would stop the world, not
-// just writers: sync.RWMutex parks every new reader behind the first
-// queued writer, so one Fail, auto-fail or rebuild slice arriving
-// mid-pass would stall all user I/O until the pass ended. Per batch,
-// the longest anything waits on a scrub is one batch's gather.
+// Each batch is verified against one load of the volume's state and
+// holds no lock, so a pass delays nothing: the longest a Fail, a rebuild
+// slice or a user op waits on a scrub is its place in a backend's queue.
 //
-// The pass is not a snapshot. User writes share the read lock, so one
-// that lands on a batch's stripes while the batch is gathering can be
-// seen on some copies and not others and read as a mismatch; a verdict
-// is only as good as the quiescence of the stripes it covers.
+// The pass is not a snapshot. A user write that lands on a batch's
+// stripes while the batch is gathering can be seen on some copies and
+// not others and read as a mismatch; a verdict is only as good as the
+// quiescence of the stripes it covers.
 func (v *Volume) scrubPass(ctx context.Context, online bool) (ScrubReport, error) {
 	var report ScrubReport
 	batch, stripes := v.cfg.RebuildBatch, v.stripes
 	crc := v.cfg.WireCRC
 	first := 0
 	if online {
-		v.mu.RLock()
-		first = v.scrubPos / batch
-		v.mu.RUnlock()
+		first = int(v.scrubPos.Load()) / batch
 	}
 	numBatches := (stripes + batch - 1) / batch
 	skipped := make([]bool, len(v.ids))
@@ -61,22 +56,19 @@ func (v *Volume) scrubPass(ctx context.Context, online bool) (ScrubReport, error
 		if err := v.qos.acquire(ctx, cost); err != nil {
 			return report, err
 		}
-		v.mu.RLock()
-		done, err := v.scrubBatch(ctx, &report, skipped, s0, s1, crc)
+		st := v.state.Load()
+		done, err := v.scrubBatch(ctx, st, &report, skipped, s0, s1, crc)
 		if err == nil && !done {
 			// A backend predates or did not enable the CRC feature:
 			// re-verify this batch — and every later one — byte-for-byte.
 			crc = false
-			_, err = v.scrubBatch(ctx, &report, skipped, s0, s1, false)
+			_, err = v.scrubBatch(ctx, st, &report, skipped, s0, s1, false)
 		}
-		v.mu.RUnlock()
 		if err != nil {
 			return report, err
 		}
 		if online {
-			v.mu.Lock()
-			v.scrubPos = s1 % stripes
-			v.mu.Unlock()
+			v.scrubPos.Store(int64(s1 % stripes))
 		}
 	}
 	return report, v.scrubFinish(&report, skipped)

@@ -61,9 +61,7 @@ func TestScrubOnlineCircularFromCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.mu.Lock()
-	v.scrubPos = 4 // as if a prior pass was cancelled halfway
-	v.mu.Unlock()
+	v.scrubPos.Store(4) // as if a prior pass was cancelled halfway
 	online, err := v.ScrubOnline(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +70,7 @@ func TestScrubOnlineCircularFromCursor(t *testing.T) {
 		t.Fatalf("mid-cursor pass compared %d elements, want full coverage %d",
 			online.ElementsCompared, full.ElementsCompared)
 	}
-	v.mu.RLock()
-	pos := v.scrubPos
-	v.mu.RUnlock()
+	pos := int(v.scrubPos.Load())
 	if pos != 4 {
 		t.Fatalf("cursor after a full circuit = %d, want back at 4", pos)
 	}
@@ -109,9 +105,7 @@ func TestScrubOnlineCancelKeepsCursor(t *testing.T) {
 	// Let at least one batch land, then cancel mid-pass.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		v.mu.RLock()
-		pos := v.scrubPos
-		v.mu.RUnlock()
+		pos := int(v.scrubPos.Load())
 		if pos > 0 {
 			break
 		}
@@ -129,9 +123,7 @@ func TestScrubOnlineCancelKeepsCursor(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled pass did not return")
 	}
-	v.mu.RLock()
-	pos := v.scrubPos
-	v.mu.RUnlock()
+	pos := int(v.scrubPos.Load())
 	if pos == 0 {
 		t.Fatal("cursor lost the cancelled pass's progress")
 	}

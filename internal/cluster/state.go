@@ -1,0 +1,156 @@
+package cluster
+
+import "errors"
+
+// slotState is everything the volume knows about one disk slot. failed
+// marks a disk whose content is declared lost; progress is its rebuild
+// watermark (stripes already recovered onto the replacement backend,
+// served and written there even before RebuildDisk ends). rebuilding
+// marks a disk with a RebuildDisk in flight, so a second concurrent
+// rebuild of the same disk is rejected instead of racing on the
+// watermark. replacement marks a failed disk that has a backend to
+// rebuild onto: set by ReplaceBackend on a failed disk and by a
+// RebuildDisk attempt, cleared when a rebuild completes. These four,
+// the pool (whose addr is the backend's address) and the pool's dead
+// verdict are all the state a disk has; Disks derives everything
+// reported about it from them.
+type slotState struct {
+	pool                            *pool
+	failed, replacement, rebuilding bool
+	progress                        int
+	// wins are the fences of the rebuild slices in flight on the slot,
+	// oldest first: the one being written back and the one being gathered
+	// behind it. The array is never written once published.
+	wins []*window
+}
+
+// window is one in-flight rebuild slice's fence: while it is published
+// on a slot, a write with a copy on that slot in stripes [s0, s1) waits
+// for done and plans again. done is closed when the slice ends, however
+// it ends.
+type window struct {
+	s0, s1 int
+	done   chan struct{}
+}
+
+// volState is the volume's per-disk state, immutable once published:
+// the data path loads the current one with a single atomic read and
+// plans against it with no lock; whoever changes anything publishes a
+// modified copy under stateMu. An op therefore sees one consistent
+// state for as long as it holds the pointer, and a state change costs
+// its author a copy and a pointer store, never a wait for I/O.
+type volState struct {
+	slots  []slotState
+	closed bool
+}
+
+func (st *volState) clone() *volState {
+	next := *st
+	next.slots = append([]slotState(nil), st.slots...)
+	return &next
+}
+
+// available reports whether a disk can serve the given stripe: it is
+// healthy, or its rebuild watermark has passed the stripe.
+func (st *volState) available(slot, stripe int) bool {
+	s := &st.slots[slot]
+	return !s.failed || stripe < s.progress
+}
+
+// fence returns the in-flight rebuild window covering the stripe on the
+// slot, if any. Only meaningful for a stripe the slot cannot serve.
+func (st *volState) fence(slot, stripe int) *window {
+	for _, w := range st.slots[slot].wins {
+		if stripe >= w.s0 && stripe < w.s1 {
+			return w
+		}
+	}
+	return nil
+}
+
+// nextLive is the read failover order: the index of the first of an
+// element's copies, at or after from, whose disk can serve the stripe,
+// or len(locs) when none can.
+func (st *volState) nextLive(stripe int, locs []location, from int) int {
+	for from < len(locs) && !st.available(locs[from].slot, stripe) {
+		from++
+	}
+	return from
+}
+
+// watermark is a disk's availability frontier in stripes.
+func (st *volState) watermark(slot, stripes int) int64 {
+	if s := &st.slots[slot]; s.failed {
+		return int64(s.progress)
+	}
+	return int64(stripes)
+}
+
+// update publishes a copy of the current state as modified by edit, or,
+// when edit returns an error, publishes nothing and returns the error.
+// It is the only writer of v.state. edit runs under stateMu and must
+// not block.
+func (v *Volume) update(edit func(next *volState) error) error {
+	v.stateMu.Lock()
+	defer v.stateMu.Unlock()
+	next := v.state.Load().clone()
+	if err := edit(next); err != nil {
+		return err
+	}
+	v.state.Store(next)
+	return nil
+}
+
+// updateSlot is update for one slot's entry.
+func (v *Volume) updateSlot(slot int, edit func(s *slotState) error) error {
+	return v.update(func(next *volState) error { return edit(&next.slots[slot]) })
+}
+
+// settleWrites applies what a write's fan-out learned about its
+// backends to the state it finds, which may no longer be the one the
+// write planned against (pl.st).
+//
+//   - A verdict about a pool the slot no longer has is dropped: what a
+//     write learned about one backend says nothing about its successor.
+//     (WriteAtCtx settles under the write drain, which ReplaceBackend
+//     holds around its swap, so its verdicts are never that stale; the
+//     check makes that the caller's choice, not this function's
+//     assumption.)
+//   - A transport-broken backend is auto-failed.
+//   - One that is already failed — a disk mid-rebuild that missed a write
+//     below its watermark, so its rebuilt copy of that stripe is now
+//     stale — has its watermark pulled back, so reads fail over to the
+//     copies that did take the write and the rebuild re-recovers
+//     everything from there. Only ever lowering the watermark is what
+//     keeps this safe against a slice publishing concurrently: the slice
+//     is re-run, never skipped.
+//   - A share cut off by the caller's cancellation only ever pulls a
+//     watermark back: cancellation says nothing about the backend's
+//     health.
+//
+// It returns the slots it auto-failed, for the caller to announce once
+// it holds no lock.
+func (v *Volume) settleWrites(pl *opPlan) (failed []int) {
+	if len(pl.broken) == 0 {
+		return nil
+	}
+	v.update(func(next *volState) error {
+		for _, br := range pl.broken {
+			s := &next.slots[br.slot]
+			switch {
+			case s.pool != pl.st.slots[br.slot].pool:
+			case s.failed:
+				s.progress = min(s.progress, br.stripe)
+			case !br.cancelled:
+				s.failed, s.progress = true, 0
+				failed = append(failed, br.slot)
+			}
+		}
+		return nil
+	})
+	return failed
+}
+
+// errVolumeClosed is returned by management operations on a closed
+// volume.
+var errVolumeClosed = errors.New("cluster: volume is closed")

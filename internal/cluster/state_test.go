@@ -227,6 +227,7 @@ func TestReplaceBackendRestartsWatermark(t *testing.T) {
 	if _, err := v.Scrub(context.Background()); err != nil {
 		t.Fatalf("scrub after rebuilding onto a second replacement: %v", err)
 	}
+	assertCopiesEqual(t, v, backends)
 }
 
 // TestWatermarkGaugeReadsLiveState: a scrape right after a failure shows

@@ -162,8 +162,7 @@ type Stats struct {
 // histograms. It is safe to call concurrently with the data path; the
 // numbers are as consistent as independent atomic loads can be.
 func (v *Volume) Stats() Stats {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+	st := v.state.Load()
 	s := Stats{
 		ElementsRead:    v.stats.elementsRead.Load(),
 		ElementsWritten: v.stats.elementsWritten.Load(),
@@ -225,12 +224,12 @@ func (v *Volume) Stats() Stats {
 	}
 	for slot, id := range v.ids {
 		ds := &v.stats.perDisk[slot]
-		p := v.pools[slot]
+		p := st.slots[slot].pool
 		s.Backends = append(s.Backends, BackendStats{
 			Disk:                id.String(),
 			Addr:                p.addr,
 			Dead:                p.isDead(),
-			Failed:              v.failed[slot],
+			Failed:              st.slots[slot].failed,
 			Requests:            ds.pool.requests.Load(),
 			Retries:             ds.pool.retries.Load(),
 			Dials:               ds.pool.dials.Load(),
@@ -239,7 +238,7 @@ func (v *Volume) Stats() Stats {
 			Deaths:              ds.pool.deaths.Load(),
 			Revivals:            ds.pool.revivals.Load(),
 			RebuildReadElements: ds.rebuildReads.Load(),
-			WatermarkStripes:    v.watermark(slot),
+			WatermarkStripes:    st.watermark(slot, v.stripes),
 		})
 	}
 	return s
@@ -249,8 +248,6 @@ func (v *Volume) Stats() Stats {
 // caller can measure one rebuild's source distribution in isolation
 // (examples/clusterrecon does this per arrangement run).
 func (v *Volume) ResetRebuildReads() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	for i := range v.stats.perDisk {
 		v.stats.perDisk[i].rebuildReads.Reset()
 	}
@@ -310,7 +307,7 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 	counter("sm_cluster_rebuild_nanoseconds_total",
 		"Wall time spent inside completed rebuilds, in nanoseconds.", &st.rebuildNanos)
 	histogram("sm_cluster_rebuild_slice_duration_seconds",
-		"Per-slice rebuild wall time (one exclusive-lock hold).", st.sliceLat)
+		"Per-slice rebuild wall time, from opening the slice's write fence to publishing its watermark (reads never wait on a slice; writes to the rebuilding disk's copies in its stripes do).", st.sliceLat)
 	counter("sm_cluster_scrubs_total",
 		"Completed scrub passes.", &st.scrubs)
 	counter("sm_cluster_scrub_elements_compared_total",
@@ -342,11 +339,7 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 	counter("sm_cluster_qos_wait_nanoseconds_total",
 		"Time rebuild and online scrub spent parked waiting for QoS tokens, in nanoseconds.", &st.qosWaitNanos)
 	gaugeFunc("sm_cluster_scrub_cursor_stripes",
-		"Online scrubber's resumable position.", func() int64 {
-			v.mu.RLock()
-			defer v.mu.RUnlock()
-			return int64(v.scrubPos)
-		})
+		"Online scrubber's resumable position.", v.scrubPos.Load)
 	gauge("sm_cluster_pipeline_in_flight",
 		"Current pipelined-window occupancy summed over all backend connections (submitted-but-uncompleted ops).", &st.pipe.InFlight)
 	counter("sm_cluster_pipeline_submitted_total",
@@ -382,9 +375,7 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 			"Elements this backend served as a source for other disks' rebuilds.", &ds.rebuildReads, "disk", label)
 		gaugeFunc("sm_cluster_rebuild_watermark_stripes",
 			"Disk availability frontier: Stripes when healthy, rebuild watermark while failed.", func() int64 {
-				v.mu.RLock()
-				defer v.mu.RUnlock()
-				return v.watermark(slot)
+				return v.state.Load().watermark(slot, v.stripes)
 			}, "disk", label)
 	}
 }

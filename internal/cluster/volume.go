@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shiftedmirror/internal/blockserver"
@@ -37,34 +38,35 @@ type Volume struct {
 	stripes     int
 	cfg         Config
 
-	// mu orders the data path like internal/dev: reads and writes share
-	// it, rebuild slices and state changes exclude them, so a replica
-	// set never tears under a rebuild.
-	mu    sync.RWMutex
-	pools []*pool
-	addrs []string
-	// failed marks disks whose content is declared lost; progress is the
-	// rebuild watermark (stripes already recovered onto the replacement
-	// backend, served and written there even before RebuildDisk ends).
-	// rebuilding marks disks with a RebuildDisk in flight, so a second
-	// concurrent rebuild of the same disk is rejected instead of racing
-	// on the watermark. replacement marks failed disks that have a
-	// backend to rebuild onto: set by ReplaceBackend on a failed disk and
-	// by a RebuildDisk attempt, cleared when a rebuild completes. These
-	// four, plus the pool's dead verdict, are all the state a disk has;
-	// Disks derives everything reported about it from them.
-	failed      []bool
-	progress    []int
-	rebuilding  []bool
-	replacement []bool
+	// state is the per-disk state every op plans against: one immutable
+	// snapshot, loaded with one atomic read and held for as long as the op
+	// needs a consistent view (see volState). stateMu serializes the
+	// copy-and-swap of whoever changes it — Fail, ReplaceBackend,
+	// RebuildDisk, a slice's window and watermark, a write's auto-fail —
+	// and is never held across I/O, so none of them waits for any.
+	state   atomic.Pointer[volState]
+	stateMu sync.Mutex
+
+	// drain is the write drain, the one lock a user write holds across
+	// its fan-out: shared, around load-state + plan + scatter + settling
+	// what the scatter learned. Nothing on the read path touches it. A
+	// rebuild slice takes it exclusively for an instant, after publishing
+	// its window, to wait out the writes planned before the window
+	// existed; ReplaceBackend holds it around its swap so no write
+	// straddles a backend change; the slice that returns a disk to
+	// service publishes under it so no write planned against the failed
+	// disk is still in flight when the disk turns healthy. Order: rmwMu,
+	// drain, stateMu.
+	drain sync.RWMutex
+
 	// scrubPos is ScrubOnline's resumable cursor: the stripe the next
 	// online pass (or the resumption of a cancelled one) starts from.
-	scrubPos int
+	scrubPos atomic.Int64
 
 	// rmwMu serializes the read-modify-write of torn elements, which
 	// only WireCRC volumes do (see WriteAtCtx): two writers patching
 	// disjoint parts of one element would otherwise each write back the
-	// other's stale bytes. Taken before mu.
+	// other's stale bytes. Taken before drain.
 	rmwMu sync.Mutex
 
 	// plans recycles opPlans, the per-op planning scratch.
@@ -72,7 +74,8 @@ type Volume struct {
 
 	// qos, when non-nil, throttles rebuild slices and online scrub
 	// batches through a shared adaptive token bucket (Config.RebuildQoS*
-	// / WithRebuildQoS). Never blocks while mu is held.
+	// / WithRebuildQoS). A slice pays before it opens its window, so a
+	// throttled rebuild parks with no write fenced behind that slice.
 	qos *qosController
 
 	stats volumeStats
@@ -131,7 +134,7 @@ type volumeStats struct {
 
 	readLat  *obs.Histogram // ReadAt wall time
 	writeLat *obs.Histogram // WriteAt wall time
-	sliceLat *obs.Histogram // rebuild slice wall time (one exclusive-lock hold)
+	sliceLat *obs.Histogram // rebuild slice wall time (window open to watermark published)
 	fetchLat *obs.Histogram // per-backend vectored-read round trips (hedge trigger source)
 
 	// pipe aggregates the pipelined-mode wire counters (in-flight window
@@ -239,25 +242,20 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 		elementSize: cfg.ElementSize,
 		stripes:     cfg.Stripes,
 		cfg:         cfg,
-		pools:       make([]*pool, len(ids)),
-		addrs:       make([]string, len(ids)),
-		failed:      make([]bool, len(ids)),
-		progress:    make([]int, len(ids)),
-		rebuilding:  make([]bool, len(ids)),
-		replacement: make([]bool, len(ids)),
 	}
 	v.stats.init(len(ids))
 	if cfg.RebuildQoSSLO > 0 {
 		v.qos = newQoSController(cfg, &v.stats)
 	}
+	st := &volState{slots: make([]slotState, len(ids))}
+	v.state.Store(st)
 	for slot, id := range ids {
 		addr, ok := backends[id]
 		if !ok {
 			v.Close()
 			return nil, fmt.Errorf("cluster: no backend address for disk %v", id)
 		}
-		v.pools[slot] = newPool(addr, cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
-		v.addrs[slot] = addr
+		st.slots[slot].pool = newPool(addr, cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
 	}
 	if len(backends) != len(ids) {
 		v.Close()
@@ -269,14 +267,27 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 	return v, nil
 }
 
-// Close releases every pooled connection.
+// Close releases every pooled connection: it publishes a closed state,
+// which refuses further management operations, and closes the pools that
+// state names. Operations in flight are not waited for — synchronous
+// ones finish on the connections they hold, pipelined ones fail — and
+// calling Close again is harmless.
 func (v *Volume) Close() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, p := range v.pools {
-		if p != nil {
-			p.close()
+	var pools []*pool
+	v.update(func(next *volState) error {
+		if next.closed {
+			return errVolumeClosed
 		}
+		next.closed = true
+		for _, s := range next.slots {
+			if s.pool != nil {
+				pools = append(pools, s.pool)
+			}
+		}
+		return nil
+	})
+	for _, p := range pools {
+		p.close()
 	}
 }
 
@@ -297,9 +308,8 @@ func (v *Volume) Arch() *raid.Mirror { return v.arch }
 // worth of bytes, catching mis-wired address maps before data flows.
 func (v *Volume) Verify() error {
 	want := v.DiskSize()
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for slot, p := range v.pools {
+	for slot, s := range v.state.Load().slots {
+		p := s.pool
 		var size int64
 		err := p.do(func(c *blockserver.Client) error {
 			var err error
@@ -354,22 +364,6 @@ func (v *Volume) slot(id raid.DiskID) (slot int, ok bool) {
 	return slot, slot >= 0
 }
 
-// available reports whether a disk can serve the given stripe: it is
-// healthy, or the rebuild watermark has passed the stripe.
-func (v *Volume) available(slot, stripe int) bool {
-	return !v.failed[slot] || stripe < v.progress[slot]
-}
-
-// nextLive is the read failover order: the index of the first of an
-// element's copies, at or after from, whose disk can serve the stripe,
-// or len(locs) when none can.
-func (v *Volume) nextLive(stripe int, locs []location, from int) int {
-	for from < len(locs) && !v.available(locs[from].slot, stripe) {
-		from++
-	}
-	return from
-}
-
 // fetchKind says on whose behalf fetchSpans is running, which decides
 // how served spans are attributed in the stats.
 type fetchKind int
@@ -391,15 +385,21 @@ const (
 
 // fetchSpans serves every span in pl.spans from its first surviving
 // location, failing over to later locations (replica backends) as
-// backends fail. Call with v.mu held (read or write). kind attributes
-// the serving: degraded-read counting for user reads, per-backend source
-// counting for rebuild gathers. Only user reads hedge (when enabled):
-// rebuild gathers must keep their deterministic per-backend source
-// attribution (the wire-measurable Properties 1/2).
+// backends fail. kind attributes the serving: degraded-read counting
+// for user reads, per-backend source counting for rebuild gathers. Only
+// user reads hedge (when enabled): rebuild gathers must keep their
+// deterministic per-backend source attribution (the wire-measurable
+// Properties 1/2).
 //
-// Each round routes the pending spans into per-backend shares and runs
-// the shares concurrently — one of them on the calling goroutine, so a
-// read that touches a single backend starts no goroutine at all.
+// Each round loads the volume's state once into pl.st, routes the
+// pending spans against it into per-backend shares and runs the shares
+// concurrently — one of them on the calling goroutine, so a read that
+// touches a single backend starts no goroutine at all. No lock is held:
+// a round that raced a state change ran against the state it loaded —
+// every copy that state calls available holds every acknowledged write
+// — and the next round sees the new one. A pool swapped out and closed
+// mid-round fails its share like any other backend trouble, and the
+// spans fail over.
 func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) error {
 	pl.pending = pl.pending[:0]
 	for i := range pl.spans {
@@ -409,10 +409,11 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		pl.st = v.state.Load()
 		for _, si := range pl.pending {
 			s := &pl.spans[si]
 			locs := v.locations(s.stripe, s.disk, s.row)
-			s.src = v.nextLive(s.stripe, locs, s.src)
+			s.src = pl.st.nextLive(s.stripe, locs, s.src)
 			if s.src == len(locs) {
 				// Every location is exhausted. If the last copy died on a
 				// checksum verdict the bytes exist but are rotten — that is
@@ -527,7 +528,6 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 	defer func() { v.stats.readLat.Observe(time.Since(start)) }()
 	pl := v.getPlan()
 	defer v.putPlan(pl)
-	v.mu.RLock()
 	for total := 0; total < n; {
 		stripe, disk, row, inner := v.elemAddr(off + int64(total))
 		chunk := int(min(v.elementSize-inner, int64(n-total)))
@@ -538,9 +538,7 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 		total += chunk
 	}
 	v.stats.elementsRead.Add(int64(len(pl.spans)))
-	err := v.fetchSpans(ctx, pl, fetchUser)
-	v.mu.RUnlock()
-	if err != nil {
+	if err := v.fetchSpans(ctx, pl, fetchUser); err != nil {
 		return 0, err
 	}
 	if n < len(p) {
@@ -583,16 +581,27 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // whole, every wire range stays exactly one sidecar block, and rmwMu
 // keeps two such patches of one element from overwriting each other.
 //
-// Locking: the network fan-out runs under the shared lock, so writes do
-// not block readers or each other; only rebuild slices (which hold the
-// exclusive lock across their fetch+write to keep the replacement
-// backend coherent) still exclude writes. The exclusive lock is retaken
-// after the fan-out, solely for failed/watermark bookkeeping. Writers
-// running concurrently means overlapping WriteAt calls race exactly as
-// they do on a raw block device: each range lands atomically per copy,
-// but which writer's bytes survive — per replica — is unordered, so
-// callers that overlap writes must serialize themselves (see DESIGN.md
-// §11; TestConcurrentWriters documents the semantics).
+// Locking: a write holds the write drain, shared, from loading the state
+// it plans against until it has settled what its fan-out learned, and
+// no other lock — so writes block neither readers nor each other, and
+// only a rebuild slice's drain, ReplaceBackend and the slice returning a
+// disk to service ever wait for them. A write with a copy on a
+// rebuilding disk inside a slice's in-flight window [s0, s1) lets go of
+// the drain, waits for that slice and plans again against the state it
+// leaves; writes elsewhere — other elements of the same stripes included
+// — proceed. Together with the slice's drain this gives the invariant a
+// rebuild relies on: a write is acknowledged only when every copy that
+// any later state can call available holds its bytes. It either wrote
+// the replacement itself (stripe below the watermark it planned
+// against; if that share failed, settleWrites pulled the watermark back
+// before the acknowledgement), or finished before the slice covering
+// its stripe began gathering (the drain), or waited for that slice (the
+// fence). Writers running concurrently means overlapping WriteAt calls
+// race exactly as they do on a raw block device: each range lands
+// atomically per copy, but which writer's bytes survive — per replica —
+// is unordered, so callers that overlap writes must serialize
+// themselves (see DESIGN.md §11; TestConcurrentWriters documents the
+// semantics).
 func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	end := off + int64(len(p))
 	if off < 0 || end > v.Size() {
@@ -608,44 +617,38 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	es := v.elementSize
 	rmw := v.cfg.WireCRC && (off%es != 0 || end%es != 0)
 	if rmw {
+		// The pre-read is a read: it runs before the drain is taken, so a
+		// slice's drain never waits on a paced disk. rmwMu alone keeps the
+		// images current until they are written back.
 		v.rmwMu.Lock()
-	}
-	v.mu.RLock()
-	unlock := func() {
-		v.mu.RUnlock()
-		if rmw {
-			v.rmwMu.Unlock()
-		}
-	}
-	if rmw {
+		defer v.rmwMu.Unlock()
 		if err := v.preReadTorn(ctx, pl, p, off); err != nil {
-			unlock()
 			return 0, err
 		}
 	}
-	elems, torn := 0, 0
-	for total := 0; total < len(p); {
-		stripe, disk, row, inner := v.elemAddr(off + int64(total))
-		chunk := int(min(es-inner, int64(len(p)-total)))
-		data := p[total : total+chunk]
-		if rmw && int64(chunk) != es {
-			data, inner = pl.tornElement(torn, es), 0
-			torn++
+	var elems int
+	for {
+		v.drain.RLock()
+		pl.st = v.state.Load()
+		var fence *window
+		if elems, fence = v.planWrite(pl, p, off, rmw); fence == nil {
+			break
 		}
-		for _, loc := range v.locations(stripe, disk, row) {
-			if !v.available(loc.slot, stripe) {
-				continue // redundancy carries it until rebuild catches up
-			}
-			b := pl.backend(loc.slot)
-			b.ops = append(b.ops, writeOp{
-				off: v.storeOffset(stripe, loc.row) + inner, data: data,
-				elem: int32(elems), stripe: int32(stripe),
-			})
+		v.drain.RUnlock()
+		pl.clearRound()
+		select {
+		case <-fence.done:
+		case <-ctx.Done():
+			return 0, ctx.Err()
 		}
-		elems++
-		total += chunk
 	}
 	err := v.runWrites(ctx, pl, elems)
+	autoFailed := v.settleWrites(pl)
+	v.drain.RUnlock()
+	for _, slot := range autoFailed {
+		v.stats.autoFailed.Inc()
+		v.trace(obs.Event{Op: "auto_fail", Target: v.ids[slot].String()})
+	}
 	// An element counts as written only once it reached at least one
 	// backend; cancelled or all-failed fan-outs do not inflate the
 	// counter.
@@ -658,29 +661,6 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 		}
 	}
 	v.stats.elementsWritten.Add(int64(written))
-	unlock()
-	if len(pl.broken) > 0 {
-		// Bookkeeping needs the exclusive lock. The broken verdicts stay
-		// valid across the lock gap: auto-fail re-checks v.failed, and the
-		// rollback below only ever pulls a watermark down, so a rebuild
-		// slice that advanced it meanwhile is re-run, never skipped.
-		v.mu.Lock()
-		for _, br := range pl.broken {
-			if !v.failed[br.slot] {
-				v.failed[br.slot] = true
-				v.progress[br.slot] = 0
-				v.stats.autoFailed.Inc()
-				v.trace(obs.Event{Op: "auto_fail", Target: v.ids[br.slot].String()})
-			} else if v.progress[br.slot] > br.stripe {
-				// A disk mid-rebuild missed a write below its watermark: the
-				// rebuilt copy of that stripe is now stale. Pull the watermark
-				// back so reads fail over to the replicas that did take the
-				// write and the rebuild re-recovers everything from there.
-				v.progress[br.slot] = br.stripe
-			}
-		}
-		v.mu.Unlock()
-	}
 	if err != nil {
 		return 0, err
 	}
@@ -695,13 +675,50 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	return len(p), nil
 }
 
+// planWrite routes the write of p at off into pl's per-backend shares
+// against pl.st: every element's written range to every copy pl.st
+// calls available (redundancy carries the others until a rebuild
+// catches up). It returns the number of elements planned — or, with the
+// plan left partial, the fence of the first copy found inside a rebuild
+// slice's in-flight window, which the caller waits out before planning
+// again. rmw says torn elements travel as the whole images preReadTorn
+// left in the plan.
+func (v *Volume) planWrite(pl *opPlan, p []byte, off int64, rmw bool) (elems int, fence *window) {
+	es := v.elementSize
+	torn := 0
+	for total := 0; total < len(p); {
+		stripe, disk, row, inner := v.elemAddr(off + int64(total))
+		chunk := int(min(es-inner, int64(len(p)-total)))
+		data := p[total : total+chunk]
+		if rmw && int64(chunk) != es {
+			data, inner = pl.tornElement(torn, es), 0
+			torn++
+		}
+		for _, loc := range v.locations(stripe, disk, row) {
+			if !pl.st.available(loc.slot, stripe) {
+				if w := pl.st.fence(loc.slot, stripe); w != nil {
+					return 0, w
+				}
+				continue
+			}
+			b := pl.backend(loc.slot)
+			b.ops = append(b.ops, writeOp{
+				off: v.storeOffset(stripe, loc.row) + inner, data: data,
+				elem: int32(elems), stripe: int32(stripe),
+			})
+		}
+		elems++
+		total += chunk
+	}
+	return elems, nil
+}
+
 // preReadTorn fetches the current image of each element the write
 // [off, off+len(p)) covers only partly — at most its first and its last
 // — into the plan's torn images and patches p's bytes over them, so the
 // WireCRC write path can ship whole elements. All torn elements are
 // fetched in one gather: an unaligned write pays one round trip per
-// involved backend, not one per torn edge. Call with v.mu and v.rmwMu
-// held.
+// involved backend, not one per torn edge. Call with v.rmwMu held.
 func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int64) error {
 	es := v.elementSize
 	end := off + int64(len(p))
@@ -755,11 +772,16 @@ func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int6
 // cannot know which, so the rollback covers the whole share. A scatter
 // answered with a remote error credits exactly the ops whose ranges
 // precede the failed index. Ops that fail because ctx was cancelled
-// count as neither: they do not mark the backend broken (no auto-fail
-// from a caller's cancel) and are not remote errors.
+// are not remote errors and never mark a healthy backend broken (no
+// auto-fail from a caller's cancel); on a disk mid-rebuild, though, a
+// cancelled share was bound below the watermark and may have left the
+// rebuilt copy behind the others, so it is recorded as a roll-back of
+// the watermark and nothing more.
 //
-// Call with v.mu held, read or write: the pools must not be swapped
-// under the fan-out.
+// The shares go to the pools of pl.st, the state the ops were planned
+// against. A user write holds the write drain across the call, so
+// ReplaceBackend cannot swap a pool under its fan-out; a rebuild
+// slice's write-back holds nothing and validates when it publishes.
 func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
 	if cap(pl.succeeded) < elems {
 		pl.succeeded = make([]int32, elems)
@@ -771,9 +793,9 @@ func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
 	}
 	for _, slot := range pl.active[1:] {
 		pl.wg.Add(1)
-		go v.sendScatter(ctx, slot, &pl.backends[slot], &pl.wg)
+		go v.sendScatter(ctx, pl, slot, &pl.wg)
 	}
-	v.sendScatter(ctx, pl.active[0], &pl.backends[pl.active[0]], nil)
+	v.sendScatter(ctx, pl, pl.active[0], nil)
 	pl.wg.Wait()
 	var firstRemote error
 	for _, slot := range pl.active {
@@ -794,17 +816,18 @@ func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
 			if firstRemote == nil {
 				firstRemote = fmt.Errorf("cluster: backend %v: %w", v.ids[slot], err)
 			}
-		case ctx.Err() != nil:
+		case ctx.Err() != nil && !pl.st.slots[slot].failed:
 			// Cancelled, not broken: the caller reports ctx's error.
 		default:
-			// Transport trouble: nothing from this scatter may be
-			// credited, and the watermark must roll back to the
-			// lowest stripe in the share.
+			// Transport trouble, or a cancel that cut off a rebuilding
+			// disk's share: nothing from this scatter may be credited,
+			// and the watermark must roll back to the lowest stripe in
+			// the share.
 			low := b.ops[0].stripe
 			for _, op := range b.ops[1:] {
 				low = min(low, op.stripe)
 			}
-			pl.noteBroken(slot, int(low))
+			pl.broken = append(pl.broken, brokenBackend{slot, int(low), ctx.Err() != nil})
 		}
 	}
 	return firstRemote
@@ -813,34 +836,39 @@ func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
 // sendScatter packs and sends one backend's share of a write. done,
 // when non-nil, is released on return (the share is running on its own
 // goroutine).
-func (v *Volume) sendScatter(ctx context.Context, slot int, b *backendPlan, done *sync.WaitGroup) {
+func (v *Volume) sendScatter(ctx context.Context, pl *opPlan, slot int, done *sync.WaitGroup) {
 	if done != nil {
 		defer done.Done()
 	}
+	b := &pl.backends[slot]
 	v.packScatter(b)
 	v.stats.writeBatches.Inc()
 	v.stats.writeBatchElements.Add(int64(len(b.ops)))
-	b.xfer.err = v.pools[slot].doCtx(ctx, &b.xfer)
+	b.xfer.err = pl.st.slots[slot].pool.doCtx(ctx, &b.xfer)
 }
 
 // Fail declares a disk's content lost (its backend crashed, was wiped,
 // or is being decommissioned). Service continues from replicas; the
 // bytes are restored by RebuildDisk, optionally after ReplaceBackend
-// points the disk at a fresh server.
+// points the disk at a fresh server. Fail publishes a state and
+// returns: it waits for no I/O, and ops in flight finish against the
+// state they planned on.
 func (v *Volume) Fail(id raid.DiskID) error {
 	slot, ok := v.slot(id)
 	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.failed[slot] {
-		return fmt.Errorf("%w: %v already failed", ErrDiskFailed, id)
+	err := v.updateSlot(slot, func(s *slotState) error {
+		if s.failed {
+			return fmt.Errorf("%w: %v already failed", ErrDiskFailed, id)
+		}
+		s.failed, s.progress = true, 0
+		return nil
+	})
+	if err == nil {
+		v.trace(obs.Event{Op: "fail", Target: id.String()})
 	}
-	v.failed[slot] = true
-	v.progress[slot] = 0
-	v.trace(obs.Event{Op: "fail", Target: id.String()})
-	return nil
+	return err
 }
 
 // trace emits ev to the configured tracer, if any.
@@ -850,36 +878,52 @@ func (v *Volume) trace(ev obs.Event) {
 	}
 }
 
-// ReplaceBackend points a disk at a new (typically fresh) backend,
-// closing the old pool. The usual sequence for a lost machine is
+// ReplaceBackend points a disk at a new (typically fresh) backend and
+// closes the old pool. The usual sequence for a lost machine is
 // Fail → ReplaceBackend → RebuildDisk; on a failed disk the new backend
 // is what makes it replacement-pending rather than dead.
+//
+// The swap happens under the write drain, so no write straddles it:
+// those planned against the old backend have finished, later ones plan
+// against the new. Reads are not waited for. One still holding the old
+// state finishes on the connection it checked out (the pool closes it
+// at check-in) or, pipelined, fails over to another copy. A rebuild
+// slice in flight onto the old backend is discarded when it tries to
+// publish, and the rebuild carries on from the restarted watermark.
 func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 	slot, ok := v.slot(id)
 	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.pools[slot].close()
-	// The disk slot's counters carry over: replacing the machine does
-	// not erase the disk's service history.
-	v.pools[slot] = newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
-	v.addrs[slot] = addr
-	if v.failed[slot] {
-		// Whatever an earlier rebuild recovered lives on the old backend:
-		// the watermark starts over with the new one.
-		v.replacement[slot] = true
-		v.progress[slot] = 0
+	var old *pool
+	v.drain.Lock()
+	err := v.update(func(next *volState) error {
+		if next.closed {
+			return errVolumeClosed
+		}
+		s := &next.slots[slot]
+		// The disk slot's counters carry over: replacing the machine does
+		// not erase the disk's service history.
+		old, s.pool = s.pool, newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
+		if s.failed {
+			// Whatever an earlier rebuild recovered lives on the old backend:
+			// the watermark starts over with the new one.
+			s.replacement, s.progress = true, 0
+		}
+		return nil
+	})
+	v.drain.Unlock()
+	if err != nil {
+		return err
 	}
+	old.close()
 	v.trace(obs.Event{Op: "replace_backend", Target: id.String()})
 	return nil
 }
 
 // Health returns a snapshot of cluster-wide and per-backend counters.
 func (v *Volume) Health() Health {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+	st := v.state.Load()
 	h := Health{
 		ElementsRead:    v.stats.elementsRead.Load(),
 		ElementsWritten: v.stats.elementsWritten.Load(),
@@ -894,12 +938,13 @@ func (v *Volume) Health() Health {
 	if h.RebuildSeconds > 0 {
 		h.RebuildMBps = float64(h.RebuildBytes) / 1e6 / h.RebuildSeconds
 	}
-	for slot, p := range v.pools {
+	for slot, s := range st.slots {
+		p := s.pool
 		h.Backends = append(h.Backends, BackendHealth{
 			ID:       v.ids[slot],
 			Addr:     p.addr,
 			Dead:     p.isDead(),
-			Failed:   v.failed[slot],
+			Failed:   s.failed,
 			Requests: p.stats.requests.Load(),
 			Retries:  p.stats.retries.Load(),
 			Dials:    p.stats.dials.Load(),
@@ -929,8 +974,8 @@ type ScrubReport struct {
 
 // readStore reads one backend's bytes at store offset off through its
 // pool.
-func (v *Volume) readStore(ctx context.Context, slot int, buf []byte, off int64) error {
-	return v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
+func (v *Volume) readStore(ctx context.Context, p *pool, buf []byte, off int64) error {
+	return p.doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
 		_, err := c.ReadAtCtx(ctx, buf, off)
 		return err
 	}))
@@ -939,13 +984,13 @@ func (v *Volume) readStore(ctx context.Context, slot int, buf []byte, off int64)
 // readStoreCRCs fetches the CRC-32C of the len(out)/4 consecutive
 // elements starting at store offset off on one backend, four big-endian
 // bytes per element.
-func (v *Volume) readStoreCRCs(ctx context.Context, slot int, out []byte, off int64) error {
+func (v *Volume) readStoreCRCs(ctx context.Context, p *pool, out []byte, off int64) error {
 	vecs := make([]blockserver.Vec, len(out)/4)
 	for i := range vecs {
 		vecs[i] = blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)}
 	}
 	sums := make([]uint32, len(vecs))
-	err := v.pools[slot].doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
+	err := p.doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
 		return c.CrcV(ctx, vecs, sums)
 	}))
 	if err != nil {
@@ -964,8 +1009,10 @@ func (v *Volume) readStoreCRCs(ctx context.Context, slot int, out []byte, off in
 // then every replica's digest compared against its data element's. It
 // reports done=false, with nothing counted, when a backend answers
 // ErrNoCRC, so the pass can redo the batch byte-for-byte. skipped is
-// indexed by slot. Call with v.mu held (read).
-func (v *Volume) scrubBatch(ctx context.Context, report *ScrubReport, skipped []bool, s0, s1 int, crc bool) (done bool, err error) {
+// indexed by slot. The whole batch — which disks to gather, which of
+// their stripes count — is decided against st, one state loaded by the
+// caller.
+func (v *Volume) scrubBatch(ctx context.Context, st *volState, report *ScrubReport, skipped []bool, s0, s1 int, crc bool) (done bool, err error) {
 	width, how := v.elementSize, "" // digest bytes per element
 	if crc {
 		width, how = 4, " (checksum)"
@@ -977,7 +1024,7 @@ func (v *Volume) scrubBatch(ctx context.Context, report *ScrubReport, skipped []
 	var remoteErr error
 	noCRC := false
 	for slot := range v.ids {
-		if !v.available(slot, s1-1) && !v.available(slot, s0) {
+		if !st.available(slot, s1-1) && !st.available(slot, s0) {
 			skipped[slot] = true
 			continue
 		}
@@ -989,7 +1036,7 @@ func (v *Volume) scrubBatch(ctx context.Context, report *ScrubReport, skipped []
 			if crc {
 				read = v.readStoreCRCs
 			}
-			err := read(ctx, slot, buf, v.storeOffset(s0, 0))
+			err := read(ctx, st.slots[slot].pool, buf, v.storeOffset(s0, 0))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -1021,7 +1068,7 @@ func (v *Volume) scrubBatch(ctx context.Context, report *ScrubReport, skipped []
 		// gathered or does not hold this stripe yet.
 		digest := func(loc location) []byte {
 			d := digests[loc.slot]
-			if d == nil || !v.available(loc.slot, stripe) {
+			if d == nil || !st.available(loc.slot, stripe) {
 				return nil
 			}
 			at := (int64(stripe-s0)*int64(v.n) + int64(loc.row)) * width

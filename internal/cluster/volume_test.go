@@ -25,6 +25,10 @@ type testBackends struct {
 	// metrics holds each server's counters on a fleet started
 	// withMetrics, so tests can count wire frames per backend.
 	metrics map[raid.DiskID]*blockserver.Metrics
+	// ordered says the fleet was started withOrderedStores; views then
+	// holds each disk's store behind the lock it is served through.
+	ordered bool
+	views   map[raid.DiskID]blockserver.Store
 }
 
 // backendSpec is one disk's server as startBackends builds it: store
@@ -54,6 +58,32 @@ func withFaults(inject map[raid.DiskID]faultinject.Config) backendOpt {
 	}
 }
 
+// withOrderedStores serves every store — replacements included — from
+// behind a lock (faultinject.OrderedStore), for tests that read and
+// write the same elements from several goroutines under the race
+// detector. Give it before withFaults, so the faults wrap the lock.
+func withOrderedStores() backendOpt {
+	return func(b *testBackends, id raid.DiskID, s *backendSpec) {
+		b.ordered = true
+		s.store = b.order(id, s.store)
+	}
+}
+
+// order puts id's store behind a lock and remembers the locked view.
+func (b *testBackends) order(id raid.DiskID, store blockserver.Store) blockserver.Store {
+	b.views[id] = &faultinject.OrderedStore{Store: store}
+	return b.views[id]
+}
+
+// view is id's store as a test should read it: through the lock when
+// the fleet is ordered, raw otherwise.
+func (b *testBackends) view(id raid.DiskID) blockserver.Store {
+	if v, ok := b.views[id]; ok {
+		return v
+	}
+	return b.stores[id]
+}
+
 // withMetrics attaches a blockserver.Metrics to every server.
 func withMetrics() backendOpt {
 	return func(b *testBackends, id raid.DiskID, s *backendSpec) {
@@ -71,6 +101,7 @@ func startBackends(t testing.TB, arch *raid.Mirror, elementSize int64, stripes i
 		servers: map[raid.DiskID]*blockserver.Server{},
 		stores:  map[raid.DiskID]*dev.MemStore{},
 		metrics: map[raid.DiskID]*blockserver.Metrics{},
+		views:   map[raid.DiskID]blockserver.Store{},
 	}
 	t.Cleanup(b.closeAll)
 	perDisk := int64(stripes) * int64(arch.N()) * elementSize
@@ -105,10 +136,23 @@ func (b *testBackends) kill(id raid.DiskID) {
 // replace tears down a disk's server and serves a fresh zeroed store
 // (with the given server options), returning its address.
 func (b *testBackends) replace(id raid.DiskID, opts ...blockserver.ServerOption) string {
+	return b.replaceWrapped(id, nil, opts...)
+}
+
+// replaceWrapped is replace with the fresh store served through wrap
+// (a fault layer, say) when wrap is not nil.
+func (b *testBackends) replaceWrapped(id raid.DiskID, wrap func(blockserver.Store) blockserver.Store, opts ...blockserver.ServerOption) string {
 	b.t.Helper()
 	b.servers[id].Close()
 	store := dev.NewMemStore(b.stores[id].Size())
-	srv := blockserver.NewStoreServer(store, opts...)
+	var served blockserver.Store = store
+	if b.ordered {
+		served = b.order(id, store)
+	}
+	if wrap != nil {
+		served = wrap(served)
+	}
+	srv := blockserver.NewStoreServer(served, opts...)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.t.Fatal(err)
@@ -486,10 +530,10 @@ func TestFailedWriteBelowWatermarkRollsBack(t *testing.T) {
 	// Stage the mid-rebuild state directly: content on the backend is
 	// correct (it took every write), the watermark covers all stripes,
 	// but the rebuild has not yet returned the disk to service.
-	v.mu.Lock()
-	v.failed[slotOf(v, lost)] = true
-	v.progress[slotOf(v, lost)] = stripes
-	v.mu.Unlock()
+	v.updateSlot(slotOf(v, lost), func(s *slotState) error {
+		s.failed, s.progress = true, stripes
+		return nil
+	})
 	// The backend machine drops off the network, then a write lands on a
 	// stripe below the watermark: replicas take it, the rebuilt copy
 	// cannot.
@@ -502,9 +546,8 @@ func TestFailedWriteBelowWatermarkRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(payload[off:], patch)
-	v.mu.RLock()
-	progress, stillFailed := v.progress[slotOf(v, lost)], v.failed[slotOf(v, lost)]
-	v.mu.RUnlock()
+	at := v.state.Load().slots[slotOf(v, lost)]
+	progress, stillFailed := at.progress, at.failed
 	if !stillFailed || progress > 1 {
 		t.Fatalf("watermark not rolled back past the missed write: failed=%v progress=%d", stillFailed, progress)
 	}
@@ -566,9 +609,10 @@ func TestRebuildDiskRejectsConcurrentRebuild(t *testing.T) {
 	if err := v.Fail(lost); err != nil {
 		t.Fatal(err)
 	}
-	v.mu.Lock()
-	v.rebuilding[slotOf(v, lost)] = true // a RebuildDisk is in flight
-	v.mu.Unlock()
+	v.updateSlot(slotOf(v, lost), func(s *slotState) error {
+		s.rebuilding = true // a RebuildDisk is in flight
+		return nil
+	})
 	if err := v.RebuildDisk(context.Background(), lost); !errors.Is(err, ErrRebuildInProgress) {
 		t.Fatalf("second concurrent rebuild returned %v, want ErrRebuildInProgress", err)
 	}

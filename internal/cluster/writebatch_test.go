@@ -401,10 +401,10 @@ func TestBackendKilledMidBatchRollsWatermarkToBatchLowStripe(t *testing.T) {
 	// Stage the mid-rebuild state directly (the backend's content is
 	// correct, the watermark covers every stripe, the disk is not yet
 	// back in service), as TestFailedWriteBelowWatermarkRollsBack does.
-	v.mu.Lock()
-	v.failed[slotOf(v, lost)] = true
-	v.progress[slotOf(v, lost)] = stripes
-	v.mu.Unlock()
+	v.updateSlot(slotOf(v, lost), func(s *slotState) error {
+		s.failed, s.progress = true, stripes
+		return nil
+	})
 	addr := backends.addrs[lost]
 	store := backends.stores[lost]
 	backends.kill(lost)
@@ -417,9 +417,8 @@ func TestBackendKilledMidBatchRollsWatermarkToBatchLowStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(payload[off:], patch)
-	v.mu.RLock()
-	progress, stillFailed := v.progress[slotOf(v, lost)], v.failed[slotOf(v, lost)]
-	v.mu.RUnlock()
+	at := v.state.Load().slots[slotOf(v, lost)]
+	progress, stillFailed := at.progress, at.failed
 	if !stillFailed {
 		t.Fatal("disk no longer marked failed after the dead-batch write")
 	}

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -104,6 +105,49 @@ func TestParseSpec(t *testing.T) {
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted, want error", bad)
+		}
+	}
+}
+
+// TestGateHoldsAndReleases: ops of a held kind park at the gate and get
+// the release verdict — through to the store, or turned away untouched;
+// ops of the other kind, and everything after the release, pass.
+func TestGateHoldsAndReleases(t *testing.T) {
+	inner := dev.NewMemStore(64)
+	g := NewGate(&OrderedStore{Store: inner})
+	if _, err := g.WriteAt([]byte{1}, 0); err != nil {
+		t.Fatalf("open gate write: %v", err)
+	}
+	for _, verdict := range []error{nil, errors.New("dropped")} {
+		g.HoldWrites()
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := g.WriteAt([]byte{2}, 0)
+			wrote <- err
+		}()
+		for g.Waiting() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		buf := make([]byte, 1)
+		if _, err := g.ReadAt(buf, 0); err != nil || buf[0] != 1 {
+			t.Fatalf("read past a write hold: %v, byte %d", err, buf[0])
+		}
+		g.Release(verdict)
+		if err := <-wrote; err != verdict {
+			t.Fatalf("held write released with %v returned %v", verdict, err)
+		}
+		if _, err := g.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := byte(2) // let through
+		if verdict != nil {
+			want = 1 // turned away: the store keeps what it had
+		}
+		if buf[0] != want {
+			t.Fatalf("held write released with %v left byte %d in the store, want %d", verdict, buf[0], want)
+		}
+		if _, err := g.WriteAt([]byte{1}, 0); err != nil { // reset for the next round
+			t.Fatal(err)
 		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"shiftedmirror/internal/cluster"
+	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
 )
@@ -85,7 +87,7 @@ func runDiskStateModel(t *testing.T, seed int64) {
 	// its next slice lands: a cancellation at a known watermark.
 	var cancelAfterSlice context.CancelFunc
 	reg := obs.NewRegistry()
-	s, backends := newTestShard(t, n, elementSize, []int{stripes, stripes}, Config{Metrics: reg}, func(c *cluster.Config) {
+	s, backends := newTestShardOn(t, startGatedGroupBackends, n, elementSize, []int{stripes, stripes}, Config{Metrics: reg}, func(c *cluster.Config) {
 		c.Tracer = obs.TracerFunc(func(ev obs.Event) {
 			if ev.Op == "rebuild_slice" && cancelAfterSlice != nil {
 				cancelAfterSlice()
@@ -170,12 +172,48 @@ func runDiskStateModel(t *testing.T, seed int64) {
 		}
 	}
 
+	// midSlice runs a RebuildDisk of id with its first gather parked at
+	// the gates of its sources (the disks of the other array), calls
+	// during while it is parked — the rebuild is then inside a slice, its
+	// window published, nothing written back — lets the gather go and
+	// returns the rebuild's verdict.
+	midSlice := func(rctx context.Context, id raid.DiskID, during func()) error {
+		var held []*faultinject.Gate
+		for other, g := range backends[gid].gates {
+			if other.Role != id.Role {
+				g.HoldReads()
+				held = append(held, g)
+			}
+		}
+		release := func() {
+			for _, g := range held {
+				g.Release(nil)
+			}
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.RebuildDisk(rctx, gid, id) }()
+		for parked := false; !parked; time.Sleep(100 * time.Microsecond) {
+			select {
+			case err := <-done: // refused before it read anything
+				release()
+				return err
+			default:
+			}
+			for _, g := range held {
+				parked = parked || g.Waiting() > 0
+			}
+		}
+		during()
+		release()
+		return <-done
+	}
+
 	check("start")
 	for i := 0; i < steps; { // a draw that does not apply is redrawn, not counted
 		id := ids[rng.Intn(len(ids))]
 		m := model[id]
 		var step string
-		switch op := rng.Intn(7); op {
+		switch op := rng.Intn(10); op {
 		case 0, 1: // Fail, through the shard or behind its back
 			if otherRoleFailed(id) {
 				continue
@@ -241,6 +279,52 @@ func runDiskStateModel(t *testing.T, seed int64) {
 			}
 			if err := s.RebuildPending(ctx); (err == nil) != allOK {
 				t.Fatalf("seed %d, %s: %v, model says ok=%v", seed, step, err, allOK)
+			}
+		case 7: // a fresh backend attached mid-slice: the slice in flight is discarded, the rebuild starts over onto it
+			if !m.failed {
+				continue
+			}
+			step = fmt.Sprintf("step %d: ReplaceBackend %v mid-slice", i, id)
+			err := midSlice(ctx, id, func() {
+				if err := s.ReplaceBackend(gid, id, backends[gid].replace(id)); err != nil {
+					t.Fatalf("seed %d, %s: %v", seed, step, err)
+				}
+			})
+			m.replace()
+			if ok := m.rebuild(stripes, stripes); (err == nil) != ok {
+				t.Fatalf("seed %d, %s: rebuild %v, model says ok=%v", seed, step, err, ok)
+			}
+		case 8: // Fail mid-slice: refused for the rebuilding disk, immediate for a neighbour
+			if !m.failed {
+				continue
+			}
+			step = fmt.Sprintf("step %d: Fail mid-slice of %v's rebuild", i, id)
+			err := midSlice(ctx, id, func() {
+				if err := s.Fail(gid, id); !errors.Is(err, cluster.ErrDiskFailed) {
+					t.Fatalf("seed %d, %s: Fail of the rebuilding disk = %v", seed, step, err)
+				}
+				for _, other := range ids {
+					if o := model[other]; other.Role == id.Role && !o.failed {
+						if err := s.Fail(gid, other); err != nil {
+							t.Fatalf("seed %d, %s: Fail %v: %v", seed, step, other, err)
+						}
+						o.fail()
+						break
+					}
+				}
+			})
+			if ok := m.rebuild(stripes, stripes); (err == nil) != ok {
+				t.Fatalf("seed %d, %s: rebuild %v, model says ok=%v", seed, step, err, ok)
+			}
+		case 9: // cancelled mid-slice: the watermark stays where the slice found it
+			if !m.failed {
+				continue
+			}
+			step = fmt.Sprintf("step %d: RebuildDisk %v cancelled mid-slice", i, id)
+			cctx, cancel := context.WithCancel(ctx)
+			err := midSlice(cctx, id, cancel)
+			if m.rebuild(m.watermark, stripes) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("seed %d, %s: %v", seed, step, err)
 			}
 		}
 		check(step)

@@ -16,6 +16,7 @@ import (
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/cluster"
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/faultinject"
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
@@ -29,9 +30,21 @@ type groupBackends struct {
 	addrs   map[raid.DiskID]string
 	servers map[raid.DiskID]*blockserver.Server
 	stores  map[raid.DiskID]*dev.MemStore
+	// gates, on a fleet started gated, holds the gate each disk's store
+	// — a replacement's included — is served through, so a test can park
+	// a rebuild's gather mid-slice.
+	gates map[raid.DiskID]*faultinject.Gate
 }
 
 func startGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int) *groupBackends {
+	return startBackends(tb, arch, elementSize, stripes, false)
+}
+
+func startGatedGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int) *groupBackends {
+	return startBackends(tb, arch, elementSize, stripes, true)
+}
+
+func startBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int, gated bool) *groupBackends {
 	tb.Helper()
 	b := &groupBackends{
 		tb:      tb,
@@ -39,17 +52,12 @@ func startGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, str
 		servers: map[raid.DiskID]*blockserver.Server{},
 		stores:  map[raid.DiskID]*dev.MemStore{},
 	}
+	if gated {
+		b.gates = map[raid.DiskID]*faultinject.Gate{}
+	}
 	perDisk := int64(stripes) * int64(arch.N()) * elementSize
 	for _, id := range arch.Disks() {
-		store := dev.NewMemStore(perDisk)
-		srv := blockserver.NewStoreServer(store)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		b.addrs[id] = addr.String()
-		b.servers[id] = srv
-		b.stores[id] = store
+		b.addrs[id] = b.serve(id, perDisk)
 	}
 	tb.Cleanup(func() {
 		for _, srv := range b.servers {
@@ -59,19 +67,30 @@ func startGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, str
 	return b
 }
 
-// replace tears down a disk's server and serves a fresh zeroed store.
-func (b *groupBackends) replace(id raid.DiskID) string {
+// serve starts a server for id over a fresh zeroed store.
+func (b *groupBackends) serve(id raid.DiskID, size int64) string {
 	b.tb.Helper()
-	b.servers[id].Close()
-	store := dev.NewMemStore(b.stores[id].Size())
-	srv := blockserver.NewStoreServer(store)
+	store := dev.NewMemStore(size)
+	var served blockserver.Store = store
+	if b.gates != nil {
+		b.gates[id] = faultinject.NewGate(store)
+		served = b.gates[id]
+	}
+	srv := blockserver.NewStoreServer(served)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.tb.Fatal(err)
 	}
-	b.stores[id] = store
 	b.servers[id] = srv
+	b.stores[id] = store
 	return addr.String()
+}
+
+// replace tears down a disk's server and serves a fresh zeroed store.
+func (b *groupBackends) replace(id raid.DiskID) string {
+	b.tb.Helper()
+	b.servers[id].Close()
+	return b.serve(id, b.stores[id].Size())
 }
 
 func fastClusterConfig(elementSize int64, stripes int) cluster.Config {
@@ -96,11 +115,18 @@ func fastClusterConfig(elementSize int64, stripes int) cluster.Config {
 // configuration.
 func newTestShard(tb testing.TB, n int, elementSize int64, stripesPer []int, cfg Config, tweak ...func(*cluster.Config)) (*ShardedVolume, []*groupBackends) {
 	tb.Helper()
+	return newTestShardOn(tb, startGroupBackends, n, elementSize, stripesPer, cfg, tweak...)
+}
+
+// newTestShardOn is newTestShard with the groups' fleets started by
+// start.
+func newTestShardOn(tb testing.TB, start func(testing.TB, *raid.Mirror, int64, int) *groupBackends, n int, elementSize int64, stripesPer []int, cfg Config, tweak ...func(*cluster.Config)) (*ShardedVolume, []*groupBackends) {
+	tb.Helper()
 	children := make([]*cluster.Volume, len(stripesPer))
 	backends := make([]*groupBackends, len(stripesPer))
 	for i, stripes := range stripesPer {
 		arch := raid.NewMirror(layout.NewShifted(n))
-		backends[i] = startGroupBackends(tb, arch, elementSize, stripes)
+		backends[i] = start(tb, arch, elementSize, stripes)
 		ccfg := fastClusterConfig(elementSize, stripes)
 		for _, f := range tweak {
 			f(&ccfg)
