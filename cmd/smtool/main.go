@@ -9,6 +9,7 @@
 //	verify  -n 5 -parity -fail data:0,parity:0 byte-level recovery verification
 //	write     -n 5 -parity -ops 1000           simulate the random large-write workload
 //	search    -n 3 -limit 4                    enumerate alternative valid arrangements
+//	device    -parity -fail data:1,mirror:3    run an in-process device: fail, degraded reads, rebuild, scrub
 //	servedisk -addr :9800 -size 1048576        serve one raw disk store over TCP
 //	cluster   -n 4 -fail data:0                run a networked volume end to end
 //	shard     -groups 3 -fail 1:data:0         run a sharded multi-group volume
@@ -68,8 +69,6 @@ func main() {
 		err = cmdMTTDL(os.Args[2:])
 	case "device":
 		err = cmdDevice(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
 	case "servedisk":
 		err = cmdServeDisk(os.Args[2:])
 	case "cluster":
@@ -90,7 +89,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: smtool <layout|layouts|plan|recon|verify|write|search|trace|mttdl|device|serve|servedisk|cluster|shard> [flags]
+	fmt.Fprintln(os.Stderr, `usage: smtool <layout|layouts|plan|recon|verify|write|search|trace|mttdl|device|servedisk|cluster|shard> [flags]
 run "smtool <subcommand> -h" for subcommand flags`)
 }
 
@@ -346,7 +345,7 @@ func cmdDevice(args []string) error {
 	n := fs.Int("n", 4, "data disks")
 	arrName := fs.String("arrangement", "shifted", "arrangement")
 	parity := fs.Bool("parity", false, "include the parity disk")
-	dir := fs.String("dir", "", "directory for disk files (default: in-memory)")
+	dir := fs.String("dir", "", "directory for disk files and manifest (default: in-memory)")
 	elementSize := fs.Int64("element", 4096, "element size in bytes")
 	stripes := fs.Int("stripes", 8, "stripes per array")
 	failSpec := fs.String("fail", "data:0", "disks to fail during the demo")
@@ -355,24 +354,36 @@ func cmdDevice(args []string) error {
 	if err != nil {
 		return err
 	}
-	var d *dev.Device
+	diskSize := int64(*stripes) * int64(*n) * *elementSize
+	stores := map[raid.DiskID]blockserver.Store{}
+	where := "in-memory device"
 	if *dir == "" {
-		d = dev.New(arch, *elementSize, *stripes)
-		fmt.Printf("in-memory device: %s, %d KiB\n", arch.Name(), d.Size()/1024)
+		for _, id := range arch.Disks() {
+			stores[id] = dev.NewMemStore(diskSize)
+		}
 	} else {
-		d, err = dev.NewOnFiles(arch, *elementSize, *stripes, *dir)
+		files, err := dev.CreateOnFiles(arch, *elementSize, *stripes, *dir)
 		if err != nil {
 			return err
 		}
-		defer d.CloseStores()
-		fmt.Printf("file-backed device in %s: %s, %d KiB\n", *dir, arch.Name(), d.Size()/1024)
+		for id, f := range files {
+			stores[id] = f
+		}
+		where = "file-backed device in " + *dir
 	}
+	d, err := cluster.NewLocal(arch, stores, cluster.Config{ElementSize: *elementSize, Stripes: *stripes})
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	fmt.Printf("%s: %s, %d KiB\n", where, arch.Name(), d.Size()/1024)
+	ctx := context.Background()
 	payload := make([]byte, d.Size())
 	rand.New(rand.NewSource(1)).Read(payload)
 	if _, err := d.WriteAt(payload, 0); err != nil {
 		return err
 	}
-	if err := d.Scrub(); err != nil {
+	if _, err := d.Scrub(ctx); err != nil {
 		return err
 	}
 	fmt.Println("filled; scrub clean")
@@ -381,10 +392,15 @@ func cmdDevice(args []string) error {
 		return err
 	}
 	for _, id := range failed {
-		if err := d.FailDisk(id); err != nil {
+		if err := d.Fail(id); err != nil {
 			return err
 		}
-		fmt.Printf("failed %v\n", id)
+		// The disk's content is lost: wipe it, so the rebuild has to
+		// bring every byte back.
+		if _, err := stores[id].WriteAt(make([]byte, diskSize), 0); err != nil {
+			return err
+		}
+		fmt.Printf("failed %v (store wiped)\n", id)
 	}
 	check := make([]byte, d.Size())
 	if _, err := d.ReadAt(check, 0); err != nil {
@@ -393,49 +409,19 @@ func cmdDevice(args []string) error {
 	if !bytes.Equal(check, payload) {
 		return fmt.Errorf("degraded read returned wrong data")
 	}
-	fmt.Println("degraded reads intact")
+	h := d.Health()
+	fmt.Printf("degraded reads intact (%d from replicas, %d from parity)\n", h.DegradedReads-h.ParityReads, h.ParityReads)
 	for _, id := range failed {
-		if err := d.Rebuild(id); err != nil {
+		if err := d.RebuildDisk(ctx, id); err != nil {
 			return err
 		}
 		fmt.Printf("rebuilt %v\n", id)
 	}
-	if err := d.Scrub(); err != nil {
+	if _, err := d.Scrub(ctx); err != nil {
 		return err
 	}
 	fmt.Println("post-rebuild scrub clean")
 	return nil
-}
-
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	n := fs.Int("n", 4, "data disks")
-	arrName := fs.String("arrangement", "shifted", "arrangement")
-	parity := fs.Bool("parity", false, "include the parity disk")
-	dir := fs.String("dir", "", "directory for disk files (default: in-memory)")
-	elementSize := fs.Int64("element", 4096, "element size in bytes")
-	stripes := fs.Int("stripes", 8, "stripes per array")
-	addr := fs.String("addr", "127.0.0.1:9750", "listen address")
-	fs.Parse(args)
-	arch, err := buildArch(*arrName, *n, *parity)
-	if err != nil {
-		return err
-	}
-	var d *dev.Device
-	if *dir == "" {
-		d = dev.New(arch, *elementSize, *stripes)
-	} else if d, err = dev.CreateOnFiles(arch, *elementSize, *stripes, *dir); err != nil {
-		return err
-	} else {
-		defer d.CloseStores()
-	}
-	srv := blockserver.NewServer(d)
-	bound, err := srv.Listen(*addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serving %s (%d KiB) on %s — ctrl-c to stop\n", arch.Name(), d.Size()/1024, bound)
-	select {} // serve until killed
 }
 
 func cmdSearch(args []string) error {

@@ -55,7 +55,7 @@ func ExampleMirror_RecoveryPlan() {
 func ExampleNewDevice() {
 	d := shiftedmirror.NewDevice(shiftedmirror.NewShiftedMirror(3), 512, 4)
 	d.WriteAt([]byte("important data"), 0)
-	d.FailDisk(shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0})
+	d.Fail(shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0})
 	buf := make([]byte, 14)
 	d.ReadAt(buf, 0)
 	fmt.Println(string(buf))

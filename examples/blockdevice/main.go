@@ -1,11 +1,15 @@
 // Block device: the shifted mirror method as a working storage data
-// path, not just a planner. Writes keep replicas and parity consistent,
-// a disk failure is survived transparently (degraded reads), the
-// replacement disk is rebuilt online, and a scrub proves the invariants.
+// path, not just a planner. The device is the volume core every backend
+// kind shares, here over in-process disks: writes keep replicas and
+// parity consistent, two disk failures are survived transparently
+// (degraded reads, from parity where both copies of an element are
+// gone), each failed disk is rebuilt in place while it stays online, and
+// a scrub proves the invariants.
 package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -30,17 +34,19 @@ func main() {
 	if _, err := device.WriteAt(payload, 0); err != nil {
 		log.Fatal(err)
 	}
-	if err := device.Scrub(); err != nil {
+	ctx := context.Background()
+	if _, err := device.Scrub(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("filled and scrubbed clean")
 
 	// Two disks die.
-	for _, id := range []shiftedmirror.DiskID{
+	failed := []shiftedmirror.DiskID{
 		{Role: shiftedmirror.RoleData, Index: 1},
 		{Role: shiftedmirror.RoleMirror, Index: 3},
-	} {
-		if err := device.FailDisk(id); err != nil {
+	}
+	for _, id := range failed {
+		if err := device.Fail(id); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("failed %v\n", id)
@@ -54,7 +60,9 @@ func main() {
 	if !bytes.Equal(check, payload) {
 		log.Fatal("degraded read returned wrong data")
 	}
-	fmt.Println("degraded reads: all data intact")
+	h := device.Health()
+	fmt.Printf("degraded reads: all data intact (%d elements from a replica or parity, %d of them from parity)\n",
+		h.DegradedReads, h.ParityReads)
 	update := []byte("written while two disks were down")
 	if _, err := device.WriteAt(update, 12345); err != nil {
 		log.Fatal(err)
@@ -62,13 +70,13 @@ func main() {
 	copy(payload[12345:], update)
 
 	// Rebuild both replacements and verify.
-	for _, id := range device.FailedDisks() {
-		if err := device.Rebuild(id); err != nil {
+	for _, id := range failed {
+		if err := device.RebuildDisk(ctx, id); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("rebuilt %v\n", id)
 	}
-	if err := device.Scrub(); err != nil {
+	if _, err := device.Scrub(ctx); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := device.ReadAt(check, 0); err != nil {

@@ -17,6 +17,14 @@
 // uniform within ±1; a violation is a hard failure. -json emits the
 // whole report machine-readably so CI can assert on it.
 //
+// A mirror-with-parity leg (§V) follows on every run: data[0] and the
+// mirror disk holding one of its replicas fail together, both are
+// rebuilt, and the busiest backend's source reads per stripe must equal
+// the recovery plan's access count exactly, for the shifted and the
+// traditional arrangement; their ratio is printed beside the paper's
+// (2n+1)/4, and the rebuilt disks must match their pre-failure images
+// byte for byte.
+//
 // The run closes with a tail-latency experiment: data[0]'s store is
 // wrapped with a deterministic 100ms stall (internal/faultinject) and
 // the same seeded element reads are timed without and with hedged
@@ -132,6 +140,8 @@ type report struct {
 	Tail *tailReport `json:"tail,omitempty"`
 	// Writes is the write-batching experiment.
 	Writes *writeReport `json:"writes,omitempty"`
+	// Parity is the mirror-with-parity double rebuild.
+	Parity *parityReport `json:"parity,omitempty"`
 	// Live is the availability-under-load experiment (-live): a
 	// QoS-throttled rebuild racing a seeded multi-tenant workload.
 	Live *liveReport `json:"live,omitempty"`
@@ -194,6 +204,17 @@ func main() {
 	// deterministic — unlike the timing, a violation is always a bug.
 	if err := assertWireProperty(rep); err != nil {
 		fmt.Fprintf(os.Stderr, "clusterrecon: wire property violated: %v\n", err)
+		os.Exit(1)
+	}
+
+	prep, err := measureParityLeg(*n, *element, *stripes, *rate, *crc, *pipeline)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clusterrecon: mirror with parity: %v\n", err)
+		os.Exit(1)
+	}
+	rep.Parity = &prep
+	if err := assertParityProperty(prep); err != nil {
+		fmt.Fprintf(os.Stderr, "clusterrecon: parity access count violated: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -277,6 +298,14 @@ func main() {
 		// warn instead of failing the smoke test.
 		fmt.Println("warning: expected shifted to be faster; machine load may have skewed the timing")
 	}
+	fmt.Printf("\nmirror with parity, two disks lost together (rebuilt byte-identical):\n")
+	fmt.Printf("%-14s %-22s %12s %14s %8s\n", "arrangement", "failed", "rebuild", "accesses/strp", "plan")
+	for _, r := range prep.Runs {
+		fmt.Printf("%-14s %-22s %12v %14.2f %8d\n", r.Arrangement, fmt.Sprint(r.Failed),
+			time.Duration(r.RebuildSeconds*float64(time.Second)).Round(time.Millisecond), r.MaxPerStripe, r.PlanAccesses)
+	}
+	fmt.Printf("availability improvement (traditional/shifted accesses): %.2fx; the paper's (2n+1)/4 = %.2fx over all double failures\n",
+		prep.Improvement, prep.PaperImprovement)
 	fmt.Printf("\ntail latency under a %.0fms straggler on %s (%d seeded element reads):\n",
 		tail.StallMs, tail.Straggler, tail.Reads)
 	fmt.Printf("%-10s %10s %10s\n", "", "p50", "p99")

@@ -11,37 +11,29 @@ import (
 	"time"
 
 	"shiftedmirror/internal/dev"
-	"shiftedmirror/internal/layout"
-	"shiftedmirror/internal/raid"
 )
 
-// startServer spins up a served device and a connected client, both torn
-// down with the test.
-func startServer(t *testing.T, arch *raid.Mirror, stripes int) (*dev.Device, *Client) {
+// startServer serves a MemStore of the given size and connects a client,
+// both torn down with the test.
+func startServer(t *testing.T, size int64) (*dev.MemStore, *Client) {
 	t.Helper()
-	device := dev.New(arch, 64, stripes)
-	srv := NewServer(device)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	client, err := Dial(addr.String())
+	addr, store := startStoreServer(t, size)
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	return device, client
+	return store, client
 }
 
 func TestRemoteReadWrite(t *testing.T) {
-	device, client := startServer(t, raid.NewMirrorWithParity(layout.NewShifted(3)), 2)
+	store, client := startServer(t, 1152)
 	size, err := client.Size()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != device.Size() {
-		t.Fatalf("remote size %d, local %d", size, device.Size())
+	if size != store.Size() {
+		t.Fatalf("remote size %d, local %d", size, store.Size())
 	}
 	payload := make([]byte, size)
 	rand.New(rand.NewSource(1)).Read(payload)
@@ -66,55 +58,16 @@ func TestRemoteReadWrite(t *testing.T) {
 	if string(small) != "over the wire" {
 		t.Fatalf("unaligned remote read: %q", small)
 	}
-	if err := client.Scrub(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoteFailureManagement(t *testing.T) {
-	device, client := startServer(t, raid.NewMirrorWithParity(layout.NewShifted(3)), 2)
-	payload := make([]byte, device.Size())
-	rand.New(rand.NewSource(2)).Read(payload)
-	if _, err := client.WriteAt(payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	id := raid.DiskID{Role: raid.RoleData, Index: 1}
-	if err := client.FailDisk(id); err != nil {
-		t.Fatal(err)
-	}
-	// Degraded reads over the wire.
-	got := make([]byte, device.Size())
-	if _, err := client.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("remote degraded read mismatch")
-	}
-	h, failed, err := client.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.DegradedReads == 0 {
-		t.Fatal("health did not report degraded reads")
-	}
-	if len(failed) != 1 || failed[0] != id {
-		t.Fatalf("failed list %v", failed)
-	}
-	if err := client.Rebuild(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Scrub(); err != nil {
-		t.Fatal(err)
-	}
-	if _, failed, _ := client.Health(); len(failed) != 0 {
-		t.Fatalf("still failed after rebuild: %v", failed)
+	// The bytes landed in the store itself.
+	if _, err := store.ReadAt(small, 100); err != nil || string(small) != "over the wire" {
+		t.Fatalf("store holds %q, %v", small, err)
 	}
 }
 
 func TestRemoteErrorsPropagate(t *testing.T) {
-	_, client := startServer(t, raid.NewMirror(layout.NewShifted(3)), 1)
-	// Unknown disk.
-	err := client.FailDisk(raid.DiskID{Role: raid.RoleData, Index: 42})
+	_, client := startServer(t, 1024)
+	// Out-of-range write.
+	_, err := client.WriteAt([]byte("past the end"), 1020)
 	if err == nil || !strings.Contains(err.Error(), "remote") {
 		t.Fatalf("want remote error, got %v", err)
 	}
@@ -126,23 +79,28 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if _, err := client.ReadAt(make([]byte, 1), size+10); err == nil {
 		t.Fatal("out-of-range remote read accepted")
 	}
-	// The connection survives device-level errors.
-	if err := client.Scrub(); err != nil {
+	// The connection survives store-level errors.
+	if _, err := client.Size(); err != nil {
 		t.Fatalf("connection broken after remote error: %v", err)
 	}
 }
 
+// TestConcurrentClients: eight clients on one server, half of them
+// writing their own region and half reading at random; every writer's
+// last bytes are in the store afterwards.
 func TestConcurrentClients(t *testing.T) {
-	device, _ := startServer(t, raid.NewMirrorWithParity(layout.NewShifted(4)), 4)
-	srv := NewServer(device)
+	const clients, region = 8, 512
+	store := dev.NewMemStore(clients * region)
+	srv := NewStoreServer(store)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, clients)
+	last := make([][]byte, clients)
+	for g := 0; g < clients; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
@@ -155,16 +113,22 @@ func TestConcurrentClients(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			buf := make([]byte, 64)
 			for i := 0; i < 40; i++ {
-				off := rng.Int63n(device.Size() - 64)
 				if seed%2 == 0 {
 					rng.Read(buf)
-					if _, err := c.WriteAt(buf, off); err != nil {
+					if _, err := c.WriteAt(buf, seed*region+rng.Int63n(region-64)); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := c.ReadAt(buf, off); err != nil {
+				} else if _, err := c.ReadAt(buf, rng.Int63n(store.Size()-64)); err != nil {
 					errs <- err
 					return
+				}
+			}
+			if seed%2 == 0 {
+				// The writer's region as it left it.
+				last[seed] = make([]byte, region)
+				if _, err := c.ReadAt(last[seed], seed*region); err != nil {
+					errs <- err
 				}
 			}
 		}(int64(g))
@@ -174,14 +138,17 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := device.Scrub(); err != nil {
-		t.Fatal(err)
+	srv.Close() // orders the handlers' store accesses before ours
+	for g := 0; g < clients; g += 2 {
+		got, _ := store.Slice(int64(g)*region, region)
+		if !bytes.Equal(got, last[g]) {
+			t.Fatalf("client %d's region differs from what it read back", g)
+		}
 	}
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {
-	device := dev.New(raid.NewMirror(layout.NewShifted(2)), 64, 1)
-	srv := NewServer(device)
+	srv := NewStoreServer(dev.NewMemStore(1024))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -202,13 +169,13 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestOversizedReadRejected(t *testing.T) {
-	_, client := startServer(t, raid.NewMirror(layout.NewShifted(2)), 1)
+	_, client := startServer(t, 1024)
 	if _, err := client.ReadAt(make([]byte, MaxIOSize+1), 0); err == nil {
-		t.Fatal("read past the end of the device accepted")
+		t.Fatal("read past the end of the store accepted")
 	}
 }
 
-// startStoreServer serves a bare MemStore (no device management).
+// startStoreServer serves a MemStore.
 func startStoreServer(t *testing.T, size int64) (string, *dev.MemStore) {
 	t.Helper()
 	store := dev.NewMemStore(size)
@@ -282,9 +249,11 @@ func TestReadV(t *testing.T) {
 	}
 }
 
+// TestReadVAgainstDevice gathers what plain writes put on the served
+// disk.
 func TestReadVAgainstDevice(t *testing.T) {
-	device, client := startServer(t, raid.NewMirror(layout.NewShifted(3)), 2)
-	payload := make([]byte, device.Size())
+	store, client := startServer(t, 1152)
+	payload := make([]byte, store.Size())
 	rand.New(rand.NewSource(8)).Read(payload)
 	if _, err := client.WriteAt(payload, 0); err != nil {
 		t.Fatal(err)
@@ -295,7 +264,7 @@ func TestReadVAgainstDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst[0], payload[64:128]) || !bytes.Equal(dst[1], payload[:32]) {
-		t.Fatal("device gather mismatch")
+		t.Fatal("gather mismatch")
 	}
 }
 
@@ -373,8 +342,8 @@ func TestClientPoisonedAfterMidFrameError(t *testing.T) {
 }
 
 func TestRemoteErrorDoesNotPoison(t *testing.T) {
-	_, client := startServer(t, raid.NewMirror(layout.NewShifted(3)), 1)
-	err := client.FailDisk(raid.DiskID{Role: raid.RoleData, Index: 42})
+	_, client := startServer(t, 1024)
+	_, err := client.ReadAt(make([]byte, 16), 1020)
 	if !IsRemote(err) {
 		t.Fatalf("want remote error, got %v", err)
 	}
@@ -383,36 +352,6 @@ func TestRemoteErrorDoesNotPoison(t *testing.T) {
 	}
 	if _, err := client.Size(); err != nil {
 		t.Fatalf("connection unusable after remote error: %v", err)
-	}
-}
-
-func TestStoreServerRejectsManagement(t *testing.T) {
-	addr, _ := startStoreServer(t, 1024)
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	size, err := client.Size()
-	if err != nil || size != 1024 {
-		t.Fatalf("store size: %d, %v", size, err)
-	}
-	if err := client.Scrub(); !IsRemote(err) {
-		t.Fatalf("store server answered Scrub: %v", err)
-	}
-	if err := client.FailDisk(raid.DiskID{}); !IsRemote(err) {
-		t.Fatalf("store server answered FailDisk: %v", err)
-	}
-	// Raw I/O works and the connection survived the rejections.
-	if _, err := client.WriteAt([]byte("raw disk"), 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 8)
-	if _, err := client.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "raw disk" {
-		t.Fatalf("store round trip: %q", got)
 	}
 }
 

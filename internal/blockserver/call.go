@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"shiftedmirror/internal/crc32c"
-	"shiftedmirror/internal/dev"
-	"shiftedmirror/internal/raid"
 )
 
 // This file is the client's wire codec: each opcode's request builder
@@ -30,8 +28,6 @@ const reqRoom = 5
 type result struct {
 	applied int    // scatter writes: leading ranges the server applied
 	u64     uint64 // OpSize: the size; OpFeatures: flags<<32 | crcblock
-	health  dev.Health
-	failed  []raid.DiskID
 }
 
 // call is one request/response exchange: the encoded request, where the
@@ -103,7 +99,6 @@ func putCall(cl *call) {
 	clear(cl.dst)
 	cl.dst = cl.dst[:0]
 	cl.outCrcs = nil
-	cl.failed = nil
 	callPool.Put(cl)
 }
 
@@ -186,8 +181,8 @@ func (cl *call) buildWriteV(withCRC bool, vecs []Vec, data [][]byte) {
 	cl.nvecs = len(vecs)
 }
 
-// buildMgmt encodes a management request (OpSize, OpScrub, OpHealth,
-// OpFeatures, disk ops); extra is the opcode's fixed request payload.
+// buildMgmt encodes a management request (OpSize, OpFeatures); extra is
+// the opcode's fixed request payload.
 func (cl *call) buildMgmt(op byte, extra ...byte) {
 	copy(cl.begin(op, len(extra)), extra)
 }
@@ -261,7 +256,7 @@ func (d *decoder) response(cl *call, status byte, claimed bool) error {
 				}
 			}
 		}
-	case OpWrite, OpFail, OpRebuild, OpScrub:
+	case OpWrite:
 	case OpWriteV, OpWriteVC:
 		m, err := d.uint32()
 		if err != nil {
@@ -293,33 +288,6 @@ func (d *decoder) response(cl *call, status byte, claimed bool) error {
 			return err
 		}
 		cl.u64 = uint64(p[0])<<32 | uint64(binary.BigEndian.Uint32(p[1:]))
-	case OpHealth:
-		p, err := d.block(cl, 5*8+4)
-		if err != nil {
-			return err
-		}
-		var vals [5]int64
-		for i := range vals {
-			vals[i] = int64(binary.BigEndian.Uint64(p[8*i:]))
-		}
-		cl.health = dev.Health{
-			ElementsRead:    vals[0],
-			ElementsWritten: vals[1],
-			DegradedReads:   vals[2],
-			ParityFallbacks: vals[3],
-			StripesRebuilt:  vals[4],
-		}
-		nFailed := binary.BigEndian.Uint32(p[40:])
-		if nFailed > 1<<16 {
-			return fmt.Errorf("%w: implausible failed-disk count %d", ErrProtocol, nFailed)
-		}
-		if p, err = d.block(cl, 5*int(nFailed)); err != nil {
-			return err
-		}
-		cl.failed = make([]raid.DiskID, nFailed)
-		for i := range cl.failed {
-			cl.failed[i] = raid.DiskID{Role: raid.Role(p[5*i]), Index: int(binary.BigEndian.Uint32(p[5*i+1:]))}
-		}
 	default:
 		return fmt.Errorf("%w: response for unexpected opcode %d", ErrProtocol, cl.op)
 	}

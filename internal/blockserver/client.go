@@ -9,9 +9,6 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"shiftedmirror/internal/dev"
-	"shiftedmirror/internal/raid"
 )
 
 // Config tunes a client's network behaviour. The zero value means no
@@ -42,7 +39,7 @@ type Config struct {
 	PipeStats *PipeStats
 }
 
-// Client is a remote handle to a served device or store. It implements
+// Client is a remote handle to a served store. It implements
 // io.ReaderAt and io.WriterAt; requests on one client are serialized
 // over its single connection (open several clients for parallelism —
 // internal/cluster pools them).
@@ -373,7 +370,7 @@ func (c *Client) send(cl *call) error {
 	return err
 }
 
-// ReadAt implements io.ReaderAt against the remote device.
+// ReadAt implements io.ReaderAt against the remote store.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	return c.ReadAtCtx(context.Background(), p, off)
 }
@@ -451,7 +448,7 @@ func rebase(err error, lo int) error {
 	return err
 }
 
-// WriteAt implements io.WriterAt against the remote device.
+// WriteAt implements io.WriterAt against the remote store.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	return c.WriteAtCtx(context.Background(), p, off)
 }
@@ -544,39 +541,10 @@ func (c *Client) CrcV(ctx context.Context, vecs []Vec, out []uint32) error {
 	return nil
 }
 
-// mgmt runs one management exchange.
-func (c *Client) mgmt(op byte, extra ...byte) (result, error) {
-	cl := getCall()
-	cl.buildMgmt(op, extra...)
-	return c.do(context.Background(), cl)
-}
-
-// Size returns the remote device's logical capacity.
+// Size returns the remote store's capacity.
 func (c *Client) Size() (int64, error) {
-	res, err := c.mgmt(OpSize)
+	cl := getCall()
+	cl.buildMgmt(OpSize)
+	res, err := c.do(context.Background(), cl)
 	return int64(res.u64), err
-}
-
-// FailDisk marks a remote disk failed.
-func (c *Client) FailDisk(id raid.DiskID) error { return c.diskOp(OpFail, id) }
-
-// Rebuild reconstructs a remote failed disk.
-func (c *Client) Rebuild(id raid.DiskID) error { return c.diskOp(OpRebuild, id) }
-
-func (c *Client) diskOp(op byte, id raid.DiskID) error {
-	i := uint32(id.Index)
-	_, err := c.mgmt(op, byte(id.Role), byte(i>>24), byte(i>>16), byte(i>>8), byte(i))
-	return err
-}
-
-// Scrub runs a remote consistency scrub.
-func (c *Client) Scrub() error {
-	_, err := c.mgmt(OpScrub)
-	return err
-}
-
-// Health fetches the remote service counters and failed-disk list.
-func (c *Client) Health() (dev.Health, []raid.DiskID, error) {
-	res, err := c.mgmt(OpHealth)
-	return res.health, res.failed, err
 }

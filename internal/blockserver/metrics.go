@@ -13,10 +13,6 @@ var opNames = [OpCrcV + 1]string{
 	OpRead:     "read",
 	OpWrite:    "write",
 	OpSize:     "size",
-	OpFail:     "fail",
-	OpRebuild:  "rebuild",
-	OpScrub:    "scrub",
-	OpHealth:   "health",
 	OpReadV:    "readv",
 	OpWriteV:   "writev",
 	OpFeatures: "features",

@@ -58,9 +58,9 @@ func TestServerMetricsAndTracer(t *testing.T) {
 	if _, err := c.ReadAt(make([]byte, 16), 1<<20); !IsRemote(err) {
 		t.Fatalf("out-of-bounds read: got %v, want remote error", err)
 	}
-	// Management op on a bare store: remote error too.
-	if err := c.Scrub(); !IsRemote(err) {
-		t.Fatalf("scrub on bare store: got %v, want remote error", err)
+	// A management op.
+	if _, err := c.Size(); err != nil {
+		t.Fatal(err)
 	}
 
 	// The server folds a request into its metrics and its tracer after
@@ -91,8 +91,8 @@ func TestServerMetricsAndTracer(t *testing.T) {
 	if op := s.Ops["readv"]; op.Ops != 1 || op.Lat.Count != 1 {
 		t.Errorf("readv ops = %+v, want 1 op with 1 latency sample", op)
 	}
-	if op := s.Ops["scrub"]; op.Errors != 1 {
-		t.Errorf("scrub errors = %d, want 1", op.Errors)
+	if op := s.Ops["size"]; op.Ops != 1 || op.Errors != 0 {
+		t.Errorf("size ops = %+v, want 1 op, 0 errors", op)
 	}
 
 	sink.mu.Lock()

@@ -1,8 +1,10 @@
-// Package blockserver exports a dev.Device over TCP with a small
-// length-prefixed binary protocol (an NBD-style remote block device), so
-// the shifted-mirror data path can back clients on other machines. The
-// client side implements io.ReaderAt/io.WriterAt plus the management
-// operations (fail, rebuild, scrub, health).
+// Package blockserver exports one disk's store over TCP with a small
+// length-prefixed binary protocol (an NBD-style remote block device):
+// internal/cluster stripes a volume over one such backend per disk. The
+// client side implements io.ReaderAt/io.WriterAt plus the vectored,
+// checksummed and pipelined operations the volume runs. A server knows
+// nothing of the volume its disk belongs to; failure handling, rebuild
+// and scrub are the volume's.
 //
 // Protocol, all integers big-endian:
 //
@@ -14,11 +16,8 @@
 //	OpRead     req: off(8) len(4)          ok: len(4) data
 //	OpWrite    req: off(8) len(4) data     ok: -
 //	OpSize     req: -                      ok: size(8)
-//	OpFail     req: role(1) index(4)       ok: -
-//	OpRebuild  req: role(1) index(4)       ok: -
-//	OpScrub    req: -                      ok: -
-//	OpHealth   req: -                      ok: 5 counters(8 each) |
-//	                                           nfailed(4) | nfailed*(role(1) index(4))
+//	(4–7)      retired: the device-management opcodes of a whole-device
+//	           server; never reused, torn like any unknown opcode
 //	OpReadV    req: count(4) | count*(off(8) len(4))
 //	                                       ok: total(4) | concatenated data
 //	OpWriteV   req: count(4) | count*(off(8) len(4) data)
@@ -75,21 +74,19 @@ import (
 	"sync"
 )
 
-// Opcodes.
+// Opcodes. Bytes 4–7 carried the management opcodes of the retired
+// whole-device server (fail, rebuild, scrub, health); they are never
+// reused, and a server treats them as it treats any unknown opcode.
 const (
-	OpRead byte = iota + 1
-	OpWrite
-	OpSize
-	OpFail
-	OpRebuild
-	OpScrub
-	OpHealth
-	OpReadV
-	OpWriteV
-	OpFeatures
-	OpReadVC
-	OpWriteVC
-	OpCrcV
+	OpRead     byte = 1
+	OpWrite    byte = 2
+	OpSize     byte = 3
+	OpReadV    byte = 8
+	OpWriteV   byte = 9
+	OpFeatures byte = 10
+	OpReadVC   byte = 11
+	OpWriteVC  byte = 12
+	OpCrcV     byte = 13
 )
 
 // Status codes.
@@ -140,7 +137,7 @@ type Vec struct {
 }
 
 // RemoteError is an application-level error reported by the server (the
-// device or store rejected the operation). The connection remains
+// store rejected the operation). The connection remains
 // synchronized after one: the full response frame was consumed, so the
 // client keeps using it. Transport and framing errors are NOT
 // RemoteErrors and poison the client connection.

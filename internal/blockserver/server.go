@@ -8,14 +8,12 @@ import (
 	"sync"
 	"time"
 
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/obs"
-	"shiftedmirror/internal/raid"
 )
 
-// Store is the minimal served surface: raw positioned I/O over one byte
-// space. dev.Device implements it, and so does any single-disk backing
-// store — internal/cluster serves one bare disk per backend this way.
+// Store is the served surface: raw positioned I/O over one disk's byte
+// space (dev.MemStore, dev.FileStore, a fault-injection wrapper) —
+// internal/cluster serves one disk per backend this way.
 type Store interface {
 	io.ReaderAt
 	io.WriterAt
@@ -35,17 +33,6 @@ type DirectStore interface {
 	// memory-resident, ...). A returned slice must stay valid for the
 	// lifetime of the store and alias the bytes ReadAt/WriteAt see.
 	Slice(off, n int64) ([]byte, bool)
-}
-
-// manager is the optional management surface behind OpFail/OpRebuild/
-// OpScrub/OpHealth. Full devices implement it; bare stores do not, and
-// their servers answer those opcodes with a remote error.
-type manager interface {
-	FailDisk(raid.DiskID) error
-	Rebuild(raid.DiskID) error
-	Scrub() error
-	Health() dev.Health
-	FailedDisks() []raid.DiskID
 }
 
 // ServerOption configures a Server.
@@ -114,14 +101,12 @@ func (l *rateLimiter) wait(n int) {
 	time.Sleep(time.Until(due))
 }
 
-// Server exports one store (optionally with device management) over a
-// listener. Connections are handled concurrently; the store's own
-// locking provides consistency.
+// Server exports one store over a listener. Connections are handled
+// concurrently; the store's own locking provides consistency.
 type Server struct {
 	store    Store
 	size     int64       // store.Size(), fixed for the server's lifetime; every decoded range is checked against it
 	direct   DirectStore // non-nil = zero-copy wire path enabled
-	mgmt     manager     // nil for bare stores
 	readRate *rateLimiter
 	metrics  *Metrics   // nil = no metric collection
 	tracer   obs.Tracer // nil = no per-op tracing
@@ -148,18 +133,9 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// NewServer wraps a full device for serving, management included.
-func NewServer(device *dev.Device, opts ...ServerOption) *Server {
-	s := &Server{store: device, mgmt: device, conns: map[net.Conn]struct{}{}}
-	for _, o := range opts {
-		o(s)
-	}
-	s.initWire()
-	return s
-}
-
-// NewStoreServer wraps a bare store (one disk) for serving. Management
-// opcodes return remote errors; the cluster layer owns failure handling.
+// NewStoreServer wraps a store (one disk) for serving. The server knows
+// nothing of the volume the disk belongs to: failure handling, rebuild
+// and scrub are the cluster layer's.
 func NewStoreServer(store Store, opts ...ServerOption) *Server {
 	s := &Server{store: store, conns: map[net.Conn]struct{}{}}
 	for _, o := range opts {

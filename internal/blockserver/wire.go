@@ -2,12 +2,10 @@ package blockserver
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"shiftedmirror/internal/crc32c"
-	"shiftedmirror/internal/raid"
 )
 
 // This file is the server's wire codec: each opcode's request parse,
@@ -139,11 +137,13 @@ func (s *Server) decode(r io.Reader, op byte, req *request, rp *reply) (pending 
 		return s.decodeRanges(r, req, rp)
 	case OpWrite, OpWriteV, OpWriteVC:
 		return false, s.applyWrites(r, req, rp)
-	case OpSize, OpFail, OpRebuild, OpScrub, OpHealth:
-		return false, s.applyMgmt(r, req, rp)
+	case OpSize:
+		binary.BigEndian.PutUint64(rp.begin(statusOK, 8), uint64(s.size))
+		return false, nil
 	default:
-		// Includes OpFeatures: negotiation belongs to the connection loop,
-		// before the first request, and never recurs mid-stream.
+		// Includes OpFeatures — negotiation belongs to the connection loop,
+		// before the first request, and never recurs mid-stream — and the
+		// retired bytes 4–7.
 		return false, fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, op)
 	}
 }
@@ -392,57 +392,6 @@ func verifyCRC(withCRC bool, i int, data []byte, want uint32) error {
 		if got := crc32c.Sum(data); got != want {
 			return &CRCError{Range: i, Want: want, Got: got, Write: true}
 		}
-	}
-	return nil
-}
-
-// errUnmanaged answers management opcodes on a bare-store server.
-var errUnmanaged = errors.New("store server has no device management")
-
-// applyMgmt serves OpSize and the device-management opcodes, which only
-// a server wrapping a full device supports.
-func (s *Server) applyMgmt(r io.Reader, req *request, rp *reply) error {
-	var id raid.DiskID
-	if req.op == OpFail || req.op == OpRebuild {
-		if _, err := io.ReadFull(r, req.hdr[:5]); err != nil {
-			return err
-		}
-		id = raid.DiskID{Role: raid.Role(req.hdr[0]), Index: int(binary.BigEndian.Uint32(req.hdr[1:5]))}
-	}
-	if req.op == OpSize {
-		binary.BigEndian.PutUint64(rp.begin(statusOK, 8), uint64(s.size))
-		return nil
-	}
-	if s.mgmt == nil {
-		rp.fail(errUnmanaged)
-		return nil
-	}
-	var err error
-	switch req.op {
-	case OpFail:
-		err = s.mgmt.FailDisk(id)
-	case OpRebuild:
-		err = s.mgmt.Rebuild(id)
-	case OpScrub:
-		err = s.mgmt.Scrub()
-	case OpHealth:
-		h, failed := s.mgmt.Health(), s.mgmt.FailedDisks()
-		// begin sized the head, so the appends below fill it in place.
-		p := rp.begin(statusOK, 5*8+4+5*len(failed))[:0]
-		for _, v := range [...]int64{h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.ParityFallbacks, h.StripesRebuilt} {
-			p = binary.BigEndian.AppendUint64(p, uint64(v))
-		}
-		p = binary.BigEndian.AppendUint32(p, uint32(len(failed)))
-		for _, f := range failed {
-			p = append(p, byte(f.Role))
-			p = binary.BigEndian.AppendUint32(p, uint32(f.Index))
-		}
-		return nil
-	}
-	if err != nil {
-		rp.fail(err)
-	} else {
-		rp.begin(statusOK, 0)
 	}
 	return nil
 }

@@ -174,6 +174,14 @@ var (
 		{"unknown opcode", []byte{0xFF}, wantTorn},
 		{"opcode zero", []byte{0}, wantTorn},
 	}
+	// The retired management opcodes of the whole-device server, each
+	// with the payload it once carried: torn like any unknown opcode.
+	retiredOpCases = []wireCase{
+		{"retired fail", []byte{4, 0, 0, 0, 0, 1}, wantTorn},
+		{"retired rebuild", []byte{5, 0, 0, 0, 0, 1}, wantTorn},
+		{"retired scrub", []byte{6}, wantTorn},
+		{"retired health", []byte{7}, wantTorn},
+	}
 	gatherCases = []wireCase{
 		{"zero count", vecFrame(OpReadV), wantTorn},
 		{"oversized count", binary.BigEndian.AppendUint32([]byte{OpReadV}, MaxVecCount+1), wantTorn},
@@ -301,6 +309,12 @@ func runWireCases(t *testing.T, cases []wireCase) {
 
 func TestMalformedRequestsDropConnection(t *testing.T) { runWireCases(t, unknownOpCases) }
 
+// TestStoreServerRejectsManagement: bytes 4–7, the retired opcodes that
+// once failed, rebuilt, scrubbed and reported on a served device, tear
+// the connection like any unknown opcode — a server has no management
+// surface, and the bytes mean nothing now.
+func TestStoreServerRejectsManagement(t *testing.T) { runWireCases(t, retiredOpCases) }
+
 func TestServerReadVRejectsOversizedRanges(t *testing.T) { runWireCases(t, gatherCases) }
 
 func TestServerWriteVRejectsMalformedFrames(t *testing.T) { runWireCases(t, scatterCases) }
@@ -426,8 +440,6 @@ func frameLen(op byte, p []byte) (n int, ok bool) {
 		for i := 0; i < count && ok; i++ {
 			n += hdr + u32(n+8)
 		}
-	case OpFail, OpRebuild:
-		n = 5
 	}
 	return n, ok && n <= len(p)
 }
@@ -439,7 +451,7 @@ func frameLen(op byte, p []byte) (n int, ok bool) {
 // [0, Size), and must leave the stream either torn or synchronized: a
 // frame it answers was consumed exactly, and its reply is well-formed.
 func FuzzDecodeRequest(f *testing.F) {
-	for _, cases := range [][]wireCase{unknownOpCases, gatherCases, scatterCases} {
+	for _, cases := range [][]wireCase{unknownOpCases, retiredOpCases, gatherCases, scatterCases} {
 		for _, tc := range cases {
 			if len(tc.frame) < 1<<16 {
 				f.Add(tc.frame)
@@ -451,8 +463,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	good = append(good, rangeFrame(OpWrite, 8, 4, []byte("efgh"))...)
 	good = append(good, rangeFrame(OpRead, 0, 16, nil)...)
 	good = append(good, vecFrame(OpCrcV, Vec{Off: 0, Len: 64})...)
-	good = append(good, OpSize, OpScrub, OpHealth, OpFail, 0, 0, 0, 0, 1)
+	good = append(good, OpSize)
 	f.Add(good)
+	f.Add(append(good, 4, 0, 0, 0, 0, 1)) // a retired opcode after served frames
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		for _, direct := range []bool{true, false} {
 			guard := &guardStore{mem: dev.NewMemStore(wireStoreSize)}
@@ -496,8 +509,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // clean return must carry a verdict of a known kind and a credible
 // applied count, and an abandoned call's buffers must stay untouched.
 func FuzzDecodeResponse(f *testing.F) {
-	ops := []byte{OpRead, OpWrite, OpSize, OpFail, OpRebuild, OpScrub, OpHealth,
-		OpReadV, OpWriteV, OpFeatures, OpReadVC, OpWriteVC, OpCrcV, 0xFF}
+	ops := []byte{OpRead, OpWrite, OpSize, OpReadV, OpWriteV, OpFeatures, OpReadVC, OpWriteVC, OpCrcV, 0xFF}
 	u32 := func(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 	const rangeLen = 8
 	seed := func(op byte, n int, claimed bool, resp []byte) {
@@ -520,12 +532,13 @@ func FuzzDecodeResponse(f *testing.F) {
 	// Plain errors: a short message, and a length past the sanity limit.
 	seed(OpRead, 1, true, append(u32([]byte{statusErr}, 3), "bad"...))
 	seed(OpRead, 1, true, u32([]byte{statusErr}, 1<<16+1))
-	// Management payloads, including an implausible failed-disk count.
+	// Management payloads, whole and cut short.
 	seed(OpSize, 1, true, append([]byte{statusOK}, make([]byte, 8)...))
+	seed(OpSize, 1, true, append([]byte{statusOK}, make([]byte, 5)...))
 	seed(OpFeatures, 1, true, []byte{statusOK, FeatureCRC, 0, 0, 0, 128})
-	seed(OpHealth, 1, true, append(u32(append([]byte{statusOK}, make([]byte, 40)...), 1), 2, 0, 0, 0, 3))
-	seed(OpHealth, 1, true, u32(append([]byte{statusOK}, make([]byte, 40)...), 1<<16+1))
 	seed(OpCrcV, 2, true, u32(u32([]byte{statusOK}, 1), 2))
+	// Checksums answering a call its caller abandoned.
+	seed(OpCrcV, 2, false, u32(u32([]byte{statusOK}, 1), 2))
 	f.Fuzz(func(t *testing.T, opIdx, count uint8, claimed bool, resp []byte) {
 		if len(resp) == 0 {
 			return

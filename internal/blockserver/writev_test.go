@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"shiftedmirror/internal/dev"
-	"shiftedmirror/internal/layout"
-	"shiftedmirror/internal/raid"
 )
 
 func TestWriteV(t *testing.T) {
@@ -84,18 +82,18 @@ func TestWriteV(t *testing.T) {
 }
 
 func TestWriteVAgainstDevice(t *testing.T) {
-	device, client := startServer(t, raid.NewMirror(layout.NewShifted(3)), 2)
+	store, client := startServer(t, 1152)
 	vecs := []Vec{{Off: 64, Len: 64}, {Off: 0, Len: 32}}
 	data := [][]byte{bytes.Repeat([]byte{0xA5}, 64), bytes.Repeat([]byte{0x5A}, 32)}
 	if applied, err := client.WriteV(vecs, data); err != nil || applied != 2 {
-		t.Fatalf("device scatter: %d, %v", applied, err)
+		t.Fatalf("scatter: %d, %v", applied, err)
 	}
 	got := make([]byte, 128)
-	if _, err := device.ReadAt(got, 0); err != nil {
+	if _, err := store.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[64:128], data[0]) || !bytes.Equal(got[:32], data[1]) {
-		t.Fatal("device scatter mismatch")
+		t.Fatal("scatter mismatch")
 	}
 }
 

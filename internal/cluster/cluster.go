@@ -4,15 +4,21 @@
 // and turns a failed disk's rebuild into the paper's single parallel
 // access, now across machines.
 //
-// The data path is io.ReaderAt/io.WriterAt over the same logical
-// geometry as internal/dev (stripes × n × n × elementSize, row-major
-// elements). Reads scatter/gather element ranges into per-backend
-// OpReadV batches over pooled connections; writes fan each element out
-// to its data disk and every mirror replica concurrently. When a data
-// disk's backend is failed or dead, reads fail over to the replica's
-// backend — under the shifted arrangement that is always a *different*
-// server (Property 1), so one lost backend never funnels its load onto
-// a single twin the way the traditional arrangement does.
+// The data path is io.ReaderAt/io.WriterAt over stripes × n × n ×
+// elementSize bytes, row-major elements. Reads scatter/gather element
+// ranges into per-backend OpReadV batches over pooled connections;
+// writes fan each element out to its data disk and every mirror replica
+// concurrently. When a data disk's backend is failed or dead, reads fail
+// over to the replica's backend — under the shifted arrangement that is
+// always a *different* server (Property 1), so one lost backend never
+// funnels its load onto a single twin the way the traditional
+// arrangement does. Mirror-with-parity (§V) runs on the same core, its
+// parity disk one more backend (see parity.go).
+//
+// The same Volume is also the in-process block device: NewLocal serves
+// each disk from a store in this process instead of a blockserver, and
+// every read, write, rebuild and scrub is planned exactly as over the
+// wire (see backend.go).
 //
 // RebuildDisk is the paper's one-access reconstruction over TCP: the
 // lost disk's n replica elements per stripe live on n distinct backends
@@ -36,27 +42,23 @@ import (
 	"time"
 
 	"shiftedmirror/internal/blockserver"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/obs"
 )
 
-// Errors. The cluster sentinels that have an internal/dev counterpart
-// wrap it, so one errors.Is check spans the local device and the
-// networked volume — this is the error taxonomy the shiftedmirror
-// facade re-exports.
+// Errors: the error taxonomy the shiftedmirror facade re-exports.
 var (
 	// ErrBackendDead is returned (wrapped) when a backend is marked dead
 	// and its probe window has not yet reopened.
 	ErrBackendDead = errors.New("cluster: backend marked dead")
 	// ErrDataLoss is returned when an element cannot be served from any
 	// surviving location.
-	ErrDataLoss = fmt.Errorf("cluster: element unrecoverable: %w", dev.ErrDataLoss)
+	ErrDataLoss = errors.New("cluster: data loss: element unrecoverable")
 	// ErrDiskFailed is returned for operations that address a disk
 	// currently marked failed.
-	ErrDiskFailed = fmt.Errorf("cluster: %w", dev.ErrDiskFailed)
-	// ErrScrubMismatch is returned by Scrub when a replica disagrees
-	// with its data element.
-	ErrScrubMismatch = fmt.Errorf("cluster: inconsistent replica: %w", dev.ErrScrubMismatch)
+	ErrDiskFailed = errors.New("cluster: disk is failed")
+	// ErrScrubMismatch is returned by Scrub when a replica or a parity
+	// element disagrees with the data it covers.
+	ErrScrubMismatch = errors.New("cluster: scrub found inconsistent redundancy")
 	// ErrDegraded is returned (wrapped, alongside a valid report) by
 	// Scrub when at least one disk's content went unverified — the
 	// volume is serving, but with reduced redundancy or coverage.

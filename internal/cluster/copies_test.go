@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"shiftedmirror/internal/gf"
 	"shiftedmirror/internal/raid"
 )
 
@@ -14,7 +15,10 @@ import (
 // see a stale second one — and compares, element by element, every
 // location on a disk that is available for the element's stripe: every
 // stripe of a disk in service, the stripes below the watermark of one
-// still failed. Availability comes from Disks(), so the check judges the
+// still failed. On a mirror-with-parity volume each row's parity, where
+// the parity disk holds the stripe, must also equal the XOR of the row's
+// data elements (each taken from any of its copies that holds the
+// stripe). Availability comes from Disks(), so the check judges the
 // volume by what it says about itself.
 func assertCopiesEqual(t testing.TB, v *Volume, b *testBackends) {
 	t.Helper()
@@ -32,6 +36,10 @@ func assertCopiesEqual(t testing.TB, v *Volume, b *testBackends) {
 		images[d.ID] = img
 	}
 	for stripe := 0; stripe < v.stripes; stripe++ {
+		rows := make([][]byte, v.n) // per row: the XOR of its data, nil once an element has no copy here
+		for row := range rows {
+			rows[row] = make([]byte, v.elementSize)
+		}
 		for disk := 0; disk < v.n; disk++ {
 			for row := 0; row < v.n; row++ {
 				var ref []byte
@@ -49,6 +57,20 @@ func assertCopiesEqual(t testing.TB, v *Volume, b *testBackends) {
 							disk, stripe, row, loc.id, refLoc.id)
 					}
 				}
+				if ref == nil {
+					rows[row] = nil
+				} else if rows[row] != nil {
+					gf.XorSlice(ref, rows[row])
+				}
+			}
+		}
+		if v.parity < 0 || int64(stripe) >= watermark[v.ids[v.parity]] {
+			continue
+		}
+		for row, want := range rows {
+			at := v.storeOffset(stripe, row)
+			if got := images[v.ids[v.parity]][at : at+v.elementSize]; want != nil && !bytes.Equal(got, want) {
+				t.Fatalf("parity of stripe %d row %d is not the XOR of the row's data", stripe, row)
 			}
 		}
 	}

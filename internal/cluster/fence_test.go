@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,6 +363,13 @@ var (
 // it), every acknowledged write must read back, every copy must equal
 // every other, and — no slice having been discarded or re-run — each
 // backend must have sourced exactly layout.RebuildSources per cycle.
+//
+// The mirror-with-parity variants rebuild a data disk whose replica
+// holder for one row stays failed throughout — so that row's elements
+// are written through parity alone and rebuilt from it, every write and
+// every XOR serialized on rmwMu beside the fence — and the parity disk
+// itself. Each variant runs under a watchdog that dumps every goroutine
+// if it hangs.
 func TestWriterHammersRebuildWindow(t *testing.T) {
 	seed := *rebuildSeed
 	if seed == 0 {
@@ -369,24 +379,38 @@ func TestWriterHammersRebuildWindow(t *testing.T) {
 	three := func(n int) *raid.Mirror {
 		return raid.NewThreeMirror(layout.NewGeneralShifted(n, 1, 1), layout.NewGeneralShifted(n, 2, 1))
 	}
+	parity := raid.NewMirrorWithParity(layout.NewShifted(3))
 	for _, tc := range []struct {
 		name          string
 		arch          *raid.Mirror
 		pipeline, crc bool
 		lost          raid.DiskID
+		down          []raid.DiskID // failed before the cycles start, and left failed
 	}{
-		{"mirror/sync", raid.NewMirror(layout.NewShifted(3)), false, false, raid.DiskID{Role: raid.RoleData, Index: 1}},
-		{"mirror/pipeline/crc", raid.NewMirror(layout.NewShifted(3)), true, true, raid.DiskID{Role: raid.RoleMirror, Index: 2}},
-		{"three-mirror/sync/crc", three(4), false, true, raid.DiskID{Role: raid.RoleData, Index: 0}},
-		{"three-mirror/pipeline", three(4), true, false, raid.DiskID{Role: raid.RoleMirror, Index: 3}},
+		{"mirror/sync", raid.NewMirror(layout.NewShifted(3)), false, false, raid.DiskID{Role: raid.RoleData, Index: 1}, nil},
+		{"mirror/pipeline/crc", raid.NewMirror(layout.NewShifted(3)), true, true, raid.DiskID{Role: raid.RoleMirror, Index: 2}, nil},
+		{"three-mirror/sync/crc", three(4), false, true, raid.DiskID{Role: raid.RoleData, Index: 0}, nil},
+		{"three-mirror/pipeline", three(4), true, false, raid.DiskID{Role: raid.RoleMirror, Index: 3}, nil},
+		{"parity/holder-down/sync", parity, false, false, raid.DiskID{Role: raid.RoleData, Index: 1},
+			[]raid.DiskID{{Role: raid.RoleMirror, Index: 2}}}, // holds data[1] row 1
+		{"parity/holder-down/pipeline/crc", parity, true, true, raid.DiskID{Role: raid.RoleData, Index: 1},
+			[]raid.DiskID{{Role: raid.RoleMirror, Index: 2}}},
+		{"parity/parity-disk/sync/crc", parity, false, true, raid.DiskID{Role: raid.RoleParity}, nil},
+		{"parity/parity-disk/pipeline", parity, true, false, raid.DiskID{Role: raid.RoleParity}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hammerRebuildWindow(t, seed, tc.arch, tc.pipeline, tc.crc, tc.lost)
+			const limit = 2 * time.Minute
+			watchdog := time.AfterFunc(limit+*rebuildStress, func() {
+				buf := make([]byte, 1<<20)
+				panic(fmt.Sprintf("%s still running after %v: deadlocked?\n%s", t.Name(), limit+*rebuildStress, buf[:runtime.Stack(buf, true)]))
+			})
+			defer watchdog.Stop()
+			hammerRebuildWindow(t, seed, tc.arch, tc.pipeline, tc.crc, tc.lost, tc.down)
 		})
 	}
 }
 
-func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, crc bool, lost raid.DiskID) {
+func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, crc bool, lost raid.DiskID, down []raid.DiskID) {
 	const elementSize, stripes = 256, 24
 	n := arch.N()
 	opts := []backendOpt{withOrderedStores()}
@@ -406,6 +430,13 @@ func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, 
 	shadow := randomPayload(t, v, seed)
 	slot := slotOf(v, lost)
 	perStripe := n * n
+	var downSlots []int
+	for _, id := range down {
+		if err := v.Fail(id); err != nil {
+			t.Fatal(err)
+		}
+		downSlots = append(downSlots, slotOf(v, id))
+	}
 
 	// Writer w owns the elements of index ≡ w mod 2, so each knows what
 	// its elements must hold, and aims at the stripes around the lost
@@ -429,7 +460,7 @@ func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, 
 				}
 				stripe := (wm + rng.Intn(cfg.RebuildBatch+2) - 1 + stripes) % stripes
 				elem := rng.Intn(perStripe)
-				if rng.Intn(2) == 0 {
+				if rng.Intn(2) == 0 && slot != v.parity {
 					a := v.table.owner(stripe, slot, rng.Intn(n))
 					elem = a.Row*n + a.Disk
 				}
@@ -493,7 +524,14 @@ func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, 
 	if !bytes.Equal(got, shadow) {
 		t.Fatal("volume diverges from the acknowledged writes")
 	}
-	want := layout.RebuildSources(arch.Placement(), slot, stripes)
+	var want []int64
+	if arch.Parity() {
+		if want = paritySources(v, slot, downSlots...); want[v.parity] == 0 && len(down) > 0 {
+			t.Fatal("no lost element had to come from parity")
+		}
+	} else {
+		want = layout.RebuildSources(arch.Placement(), slot, stripes)
+	}
 	for i, b := range v.Stats().Backends {
 		if b.RebuildReadElements != want[i]*int64(cycles) {
 			t.Errorf("%s sourced %d rebuild elements over %d cycles, want %d each", b.Disk, b.RebuildReadElements, cycles, want[i])
@@ -567,4 +605,44 @@ func TestQoSFeedbackSeesUserLatency(t *testing.T) {
 	}
 	t.Logf("readLat p50 %v mean %v, fetchLat p50 %v mean %v, %d reads",
 		read.Quantile(0.5), read.Mean(), fetch.Quantile(0.5), fetch.Mean(), read.Count)
+}
+
+// paritySources is what one rebuild of slot sources from each backend of
+// a mirror-with-parity volume whose slots in down are failed beside it:
+// each lost element from its first copy on a live slot or, with none,
+// from the first live copy of each of its row-mates and from the parity
+// disk; the parity disk's own rebuild, every data element of every row
+// from its first live copy.
+func paritySources(v *Volume, slot int, down ...int) []int64 {
+	want := make([]int64, len(v.ids))
+	first := func(stripe, disk, row int) bool {
+		for _, loc := range v.locations(stripe, disk, row) {
+			if loc.slot != slot && !slices.Contains(down, loc.slot) {
+				want[loc.slot]++
+				return true
+			}
+		}
+		return false
+	}
+	for stripe := 0; stripe < v.stripes; stripe++ {
+		for r := 0; r < v.n; r++ {
+			if slot == v.parity {
+				for d := 0; d < v.n; d++ {
+					first(stripe, d, r)
+				}
+				continue
+			}
+			a := v.table.owner(stripe, slot, r)
+			if first(stripe, a.Disk, a.Row) {
+				continue
+			}
+			for d := 0; d < v.n; d++ {
+				if d != a.Disk {
+					first(stripe, d, a.Row)
+				}
+			}
+			want[v.parity]++
+		}
+	}
+	return want
 }

@@ -31,20 +31,20 @@ func (v *Volume) readBatch(ctx context.Context, slot int, pl *opPlan, batch []in
 	if v.cfg.HedgeEnabled && kind == fetchUser && v.hedgeable(pl, batch) {
 		return v.hedgedRead(ctx, slot, pl, batch, x)
 	}
-	return v.readVecs(ctx, pl.st.slots[slot].pool, x, kind)
+	return v.readVecs(ctx, pl.st.slots[slot].be, x, kind)
 }
 
-// readVecs is the shared wire call: one ReadV through the backend's
-// pool. Successful round trips feed the fetch-latency histogram the
+// readVecs is the shared wire call: one ReadV through the backend.
+// Successful round trips feed the fetch-latency histogram the
 // adaptive hedge delay and the rebuild QoS controller quantile;
 // failures and cancelled losers are excluded so they cannot drag the
 // trigger around, and so are rebuild gathers — a throttled rebuild
 // round trip is not user-visible latency, and letting it into the
 // histogram would feed the QoS controller its own throttling as
 // apparent SLO pressure.
-func (v *Volume) readVecs(ctx context.Context, p *pool, x *vecOp, kind fetchKind) error {
+func (v *Volume) readVecs(ctx context.Context, b backend, x *vecOp, kind fetchKind) error {
 	start := time.Now()
-	err := p.doCtx(ctx, x)
+	err := b.doCtx(ctx, x)
 	if err == nil {
 		if kind != fetchRebuild {
 			v.stats.fetchLat.Observe(time.Since(start))
@@ -68,7 +68,7 @@ func (v *Volume) hedgeable(pl *opPlan, batch []int32) bool {
 		s := &pl.spans[si]
 		locs := v.locations(s.stripe, s.disk, s.row)
 		next := pl.st.nextLive(s.stripe, locs, s.src+1)
-		if next == len(locs) || pl.st.slots[locs[next].slot].pool.isDead() {
+		if next == len(locs) || pl.st.slots[locs[next].slot].be.isDead() {
 			return false
 		}
 	}
@@ -124,7 +124,7 @@ func (v *Volume) hedgedRead(ctx context.Context, slot int, pl *opPlan, batch []i
 		}
 		fired <- backupFetch{scratch, err}
 	})
-	err := v.readVecs(race, pl.st.slots[slot].pool, x, fetchUser)
+	err := v.readVecs(race, pl.st.slots[slot].be, x, fetchUser)
 	if timer.Stop() {
 		return err // the primary beat its delay
 	}

@@ -120,8 +120,8 @@ func (v *Volume) Disks() []DiskStatus {
 		s := &st.slots[slot]
 		out[slot] = DiskStatus{
 			ID:               id,
-			Addr:             s.pool.addr,
-			State:            diskState(s.failed, s.replacement, s.rebuilding, s.pool.isDead()),
+			Addr:             s.be.address(),
+			State:            diskState(s.failed, s.replacement, s.rebuilding, s.be.isDead()),
 			Replacement:      s.replacement,
 			WatermarkStripes: st.watermark(slot, v.stripes),
 		}

@@ -97,11 +97,12 @@ func (t *placementTable) owner(stripe, slot, row int) layout.Addr {
 	return t.owners[((stripe%t.period)*t.width+slot)*t.n+row]
 }
 
-// span is one contiguous byte range within one data element, routed to
-// its src-th surviving location. The fetch engine advances src on
-// failover until the range is served or every location is exhausted.
+// span is one contiguous byte range within one data element — or, with
+// disk < 0, within a row's parity element — routed to its src-th
+// surviving location. The fetch engine advances src on failover until
+// the range is served or every location is exhausted.
 type span struct {
-	stripe, disk, row int   // data-array element address
+	stripe, disk, row int   // data-array element address (disk < 0: the row's parity)
 	inner             int64 // byte offset within the element
 	buf               []byte
 	src               int      // index into the element's location list
@@ -112,12 +113,20 @@ type span struct {
 	lastErr error
 }
 
+// String names the span's element for an error message.
+func (s *span) String() string {
+	if s.disk < 0 {
+		return fmt.Sprintf("parity stripe %d row %d", s.stripe, s.row)
+	}
+	return fmt.Sprintf("data[%d] stripe %d row %d", s.disk, s.stripe, s.row)
+}
+
 // writeOp is one store write bound for a backend: a whole element copy,
-// or the written sub-range of one.
+// or the written sub-range of one, or a row's parity range.
 type writeOp struct {
 	off    int64
 	data   []byte
-	elem   int32 // index of the logical element this op replicates
+	elem   int32 // index of the logical element this op replicates; a row's parity op: -1 - the row's index in the plan's rows
 	stripe int32 // stripe the element belongs to, for watermark rollback
 	vec    int32 // index in the share's xfer.vecs of the wire range carrying it
 }
@@ -132,7 +141,7 @@ type vecOp struct {
 	err     error // the exchange's final verdict, set by whoever ran it
 }
 
-func (o *vecOp) run(ctx context.Context, c *blockserver.Client) error {
+func (o *vecOp) run(ctx context.Context, c peer) error {
 	if !o.write {
 		return c.ReadVCtx(ctx, o.vecs, o.bufs)
 	}
@@ -192,13 +201,26 @@ type opPlan struct {
 
 	spans    []span
 	pending  []int32 // spans awaiting service, by index
+	lost     []int32 // spans no copy of which could be read, left to parity
 	backends []backendPlan
 	active   []int // slots with work in the current round, in first-use order
 	wg       sync.WaitGroup
 
+	// rmwHeld says the op holds rmwMu whenever it fetches (a pre-reading
+	// write, a parity gather), so a fallback to parity must not take it
+	// again; inXor marks the plan of such a fallback's own gather, where
+	// an element with no copy left is lost for good.
+	rmwHeld, inXor bool
+
 	// torn holds the element images a WireCRC write read-modify-writes
 	// (at most the first and last element of a write).
 	torn []byte
+
+	// A write on a parity volume: the old bytes under p (parallel to
+	// it), and the rows it touches with their parity ranges, carved from
+	// parity.
+	old, parity []byte
+	rows        []parityRow
 
 	succeeded []int32 // per written element: backends that took it
 	broken    []brokenBackend
@@ -224,6 +246,23 @@ func (pl *opPlan) reset() {
 	clear(pl.spans)
 	pl.spans = pl.spans[:0]
 	pl.broken = pl.broken[:0]
+	pl.rmwHeld, pl.inXor = false, false
+	clear(pl.rows)
+	pl.rows = pl.rows[:0]
+}
+
+// credit counts a landed op toward its element — a row's parity op
+// toward every element of the row the write covers, which it makes
+// durable whatever became of their copies.
+func (pl *opPlan) credit(op writeOp) {
+	if op.elem >= 0 {
+		pl.succeeded[op.elem]++
+		return
+	}
+	r := &pl.rows[-1-op.elem]
+	for e := r.first; e < r.end; e++ {
+		pl.succeeded[e]++
+	}
 }
 
 // clearRound empties every active backend's share.

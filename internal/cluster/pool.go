@@ -188,29 +188,8 @@ func (p *pool) probe() {
 	p.release(c)
 }
 
-// wireOp is one exchange a pool runs on a connection. It is an
-// interface rather than a func so the data path can hand the pool a
-// pointer into its pooled op plan (see vecOp): submitting an op then
-// allocates nothing, where a per-call closure costs one heap object.
-// run may be called more than once (transport retries).
-type wireOp interface {
-	run(ctx context.Context, c *blockserver.Client) error
-}
-
-// clientFunc adapts a func to wireOp for the management paths (Verify,
-// scrub), where a closure per call is noise.
-type clientFunc func(context.Context, *blockserver.Client) error
-
-func (f clientFunc) run(ctx context.Context, c *blockserver.Client) error { return f(ctx, c) }
-
-// do runs fn with a pooled connection, retrying transport failures on
-// fresh connections. Remote (application) errors are returned as-is and
-// keep the connection pooled; transport errors poison and close it.
-func (p *pool) do(fn func(*blockserver.Client) error) error {
-	return p.doCtx(context.Background(), clientFunc(func(_ context.Context, c *blockserver.Client) error {
-		return fn(c)
-	}))
-}
+// address is the backend's dial address.
+func (p *pool) address() string { return p.addr }
 
 // lease is one connection an op may run on, and how it goes back: a
 // checked-out synchronous connection (slot < 0, holding a token of the
@@ -274,16 +253,18 @@ func (p *pool) settle(l lease, broken bool) (retired bool) {
 	return retired
 }
 
-// doCtx is do with cancellation threaded through every stage: lease
-// acquisition, retry backoff, the dial, and the wire exchange itself
-// (the client interrupts in-flight frames — see blockserver.Client.do).
-// Transport failures retire the connection and are retried on a fresh
-// one with exponential backoff. A cancelled op is the caller's doing,
-// not the backend's: it is never retried and never feeds the
-// dead-marking state machine, so hedge losers — which are cancelled
-// constantly by design — cannot talk a healthy backend into the dead
-// state. (On a multiplexed connection cancellation only abandons the
-// op's tag; a synchronous connection is poisoned by it and retired.)
+// doCtx runs op on a pooled connection, with cancellation threaded
+// through every stage: lease acquisition, retry backoff, the dial, and
+// the wire exchange itself (the client interrupts in-flight frames — see
+// blockserver.Client.do). Remote (application) errors are returned as-is
+// and keep the connection pooled. Transport failures retire the
+// connection and are retried on a fresh one with exponential backoff. A
+// cancelled op is the caller's doing, not the backend's: it is never
+// retried and never feeds the dead-marking state machine, so hedge
+// losers — which are cancelled constantly by design — cannot talk a
+// healthy backend into the dead state. (On a multiplexed connection
+// cancellation only abandons the op's tag; a synchronous connection is
+// poisoned by it and retired.)
 func (p *pool) doCtx(ctx context.Context, op wireOp) error {
 	p.stats.requests.Inc()
 	if err := ctx.Err(); err != nil {

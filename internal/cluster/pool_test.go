@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -10,6 +11,14 @@ import (
 	"shiftedmirror/internal/blockserver"
 	"shiftedmirror/internal/dev"
 )
+
+// do runs fn on one of the pool's connections, through doCtx with no
+// deadline — the pool tests' way of handing it a wire-client call.
+func (p *pool) do(fn func(*blockserver.Client) error) error {
+	return p.doCtx(context.Background(), clientFunc(func(_ context.Context, c peer) error {
+		return fn(c.(*blockserver.Client))
+	}))
+}
 
 func startStoreServer(t *testing.T, size int64) (*blockserver.Server, string, *dev.MemStore) {
 	t.Helper()

@@ -15,17 +15,19 @@ import (
 // backend and returns the disk to service — the paper's one-access
 // reconstruction over TCP. Each stripe slice is recovered in one pass:
 // the lost elements' replicas are gathered with per-backend OpReadV
-// batches running concurrently, then written to the replacement backend
-// through its pool. Under the shifted arrangement a data disk's n
-// replicas-per-stripe live on n distinct mirror backends, so the fetch
-// is one parallel access across the whole cluster; under the
-// traditional arrangement every replica lives on the single twin
-// backend and the same loop drains it sequentially at one disk's
-// bandwidth. The rebuild runs beside user I/O, not in turns with it: a
-// slice holds no lock a read takes, and fences only the writes that
-// touch the rebuilding disk's copies in the slice's own stripes (see
-// gatherSlice). Rebuilt stripes are served from the replacement backend
-// as soon as their slice publishes the watermark.
+// batches running concurrently, then written to the replacement backend.
+// An element with no readable copy comes back as the XOR of its row
+// (mirror-with-parity), and the parity disk's own slices are the XOR of
+// each row's data (gatherParity). Under the shifted arrangement a data
+// disk's n replicas-per-stripe live on n distinct mirror backends, so
+// the fetch is one parallel access across the whole cluster; under the
+// traditional arrangement every replica lives on the single twin backend
+// and the same loop drains it sequentially at one disk's bandwidth. The
+// rebuild runs beside user I/O, not in turns with it: a slice holds no
+// lock a read takes, and fences only the writes that touch the
+// rebuilding disk's copies in the slice's own stripes (see gatherSlice).
+// Rebuilt stripes are served from the replacement backend as soon as
+// their slice publishes the watermark.
 //
 // The slices run as a two-stage pipeline: while slice k is written to
 // the replacement, slice k+1 is already being gathered into a second
@@ -120,7 +122,7 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 			continue
 		}
 		if ready != nil {
-			rebuilt += int64(len(ready.pl.spans)) * v.elementSize
+			rebuilt += int64(ready.elems) * v.elementSize
 		}
 		if done {
 			break
@@ -140,15 +142,18 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 
 // sliceJob is one rebuild slice on its way through the pipeline: its
 // plan and buffer (RebuildBatch stripes of one disk, the rebuild's own,
-// reused slice after slice) and, from gatherSlice on, the window it
-// published, the state that publication produced — whose pool for the
-// slot is where the slice will be written — and when it began.
+// reused slice after slice; rows holds the row data a parity slice is
+// folded from) and, from gatherSlice on, the window it published and the
+// elements it covers, the state that publication produced — whose
+// backend for the slot is where the slice will be written — and when it
+// began.
 type sliceJob struct {
-	pl     *opPlan
-	buf    []byte
-	win    *window // nil: no slice in the job
-	opened *volState
-	start  time.Time
+	pl        *opPlan
+	buf, rows []byte
+	win       *window // nil: no slice in the job
+	elems     int
+	opened    *volState
+	start     time.Time
 }
 
 // gatherSlice opens the slice of up to RebuildBatch stripes starting at
@@ -209,25 +214,29 @@ func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob)
 	v.drain.Unlock() //nolint:staticcheck // empty critical section: the wait is the point
 	pl := job.pl
 	pl.reset()
-	count := (win.s1 - win.s0) * v.n // lost elements: n per stripe on one disk
-	for i := 0; i < count; i++ {
-		stripe, r := win.s0+i/v.n, i%v.n
-		// The content of target slot (slot, row r) is whatever logical
-		// element the placement stores there in this stripe. fetchSpans
-		// routes to surviving copies only (the target disk is failed and
-		// its watermark is at or below the window, so it is never a
-		// source).
-		a := v.table.owner(stripe, slot, r)
-		pl.spans = append(pl.spans, span{
-			stripe: stripe, disk: a.Disk, row: a.Row,
-			buf: job.buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize],
-		})
+	job.elems = (win.s1 - win.s0) * v.n // lost elements: n per stripe on one disk
+	if slot == v.parity {
+		err = v.gatherParity(ctx, job)
+	} else {
+		for i := 0; i < job.elems; i++ {
+			stripe, r := win.s0+i/v.n, i%v.n
+			// The content of target slot (slot, row r) is whatever logical
+			// element the placement stores there in this stripe. fetchSpans
+			// routes to surviving copies only (the target disk is failed and
+			// its watermark is at or below the window, so it is never a
+			// source).
+			a := v.table.owner(stripe, slot, r)
+			pl.spans = append(pl.spans, span{
+				stripe: stripe, disk: a.Disk, row: a.Row,
+				buf: job.buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize],
+			})
+		}
+		err = v.fetchSpans(ctx, pl, fetchRebuild)
 	}
-	if err := v.fetchSpans(ctx, pl, fetchRebuild); err != nil {
+	if err != nil {
 		v.endSlice(slot, job)
-		return err
 	}
-	return nil
+	return err
 }
 
 // writeBackSlice writes a gathered slice to the replacement backend —
@@ -250,33 +259,32 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 	defer v.endSlice(slot, job)
 	id, pl, win := v.ids[slot], job.pl, job.win
 	pl.st = job.opened
-	target := job.opened.slots[slot].pool
-	if len(pl.spans) > 0 {
-		b := pl.backend(slot)
-		for i := range pl.spans {
-			stripe, r := win.s0+i/v.n, i%v.n
-			b.ops = append(b.ops, writeOp{
-				off: v.storeOffset(stripe, r), data: pl.spans[i].buf, elem: int32(i), stripe: int32(stripe),
-			})
-		}
-		if err := v.runWrites(ctx, pl, len(pl.spans)); err != nil {
-			return false, false, err
-		}
+	target := job.opened.slots[slot].be
+	b := pl.backend(slot)
+	for i := 0; i < job.elems; i++ {
+		stripe, r := win.s0+i/v.n, i%v.n
+		b.ops = append(b.ops, writeOp{
+			off:  v.storeOffset(stripe, r),
+			data: job.buf[int64(i)*v.elementSize : int64(i+1)*v.elementSize], elem: int32(i), stripe: int32(stripe),
+		})
+	}
+	if err := v.runWrites(ctx, pl, job.elems); err != nil {
+		return false, false, err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		// Cancelled mid-slice: the watermark stays put, so this slice is
 		// recovered again when the rebuild resumes.
 		return false, false, cerr
 	}
-	if len(pl.broken) > 0 && v.state.Load().slots[slot].pool == target {
-		return false, false, fmt.Errorf("cluster: replacement backend %s for %v not accepting writes", target.addr, id)
+	if len(pl.broken) > 0 && v.state.Load().slots[slot].be == target {
+		return false, false, fmt.Errorf("cluster: replacement backend %s for %v not accepting writes", target.address(), id)
 	}
 	last := win.s1 >= v.stripes
 	if last {
 		v.drain.Lock()
 	}
 	err = v.updateSlot(slot, func(s *slotState) error {
-		if len(pl.broken) > 0 || s.pool != target || !s.failed || s.progress != win.s0 {
+		if len(pl.broken) > 0 || s.be != target || !s.failed || s.progress != win.s0 {
 			return errSliceDiscarded
 		}
 		s.progress = win.s1
@@ -292,7 +300,7 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 		return false, false, nil
 	}
 	v.stats.rebuildStripes.Add(int64(win.s1 - win.s0))
-	bytes := int64(len(pl.spans)) * v.elementSize
+	bytes := int64(job.elems) * v.elementSize
 	v.trace(obs.Event{Op: "rebuild_slice", Target: id.String(), Bytes: bytes, Dur: time.Since(job.start)})
 	return true, last, nil
 }

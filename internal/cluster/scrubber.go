@@ -39,7 +39,7 @@ func (v *Volume) ScrubOnline(ctx context.Context) (ScrubReport, error) {
 func (v *Volume) scrubPass(ctx context.Context, online bool) (ScrubReport, error) {
 	var report ScrubReport
 	batch, stripes := v.cfg.RebuildBatch, v.stripes
-	crc := v.cfg.WireCRC
+	crc := v.cfg.WireCRC && v.parity < 0
 	first := 0
 	if online {
 		first = int(v.scrubPos.Load()) / batch

@@ -11,11 +11,11 @@ import "errors"
 // watermark. replacement marks a failed disk that has a backend to
 // rebuild onto: set by ReplaceBackend on a failed disk and by a
 // RebuildDisk attempt, cleared when a rebuild completes. These four,
-// the pool (whose addr is the backend's address) and the pool's dead
-// verdict are all the state a disk has; Disks derives everything
-// reported about it from them.
+// the backend (which knows its address) and the backend's dead verdict
+// are all the state a disk has; Disks derives everything reported about
+// it from them.
 type slotState struct {
-	pool                            *pool
+	be                              backend
 	failed, replacement, rebuilding bool
 	progress                        int
 	// wins are the fences of the rebuild slices in flight on the slot,
@@ -110,7 +110,7 @@ func (v *Volume) updateSlot(slot int, edit func(s *slotState) error) error {
 // backends to the state it finds, which may no longer be the one the
 // write planned against (pl.st).
 //
-//   - A verdict about a pool the slot no longer has is dropped: what a
+//   - A verdict about a backend the slot no longer has is dropped: what a
 //     write learned about one backend says nothing about its successor.
 //     (WriteAtCtx settles under the write drain, which ReplaceBackend
 //     holds around its swap, so its verdicts are never that stale; the
@@ -138,7 +138,7 @@ func (v *Volume) settleWrites(pl *opPlan) (failed []int) {
 		for _, br := range pl.broken {
 			s := &next.slots[br.slot]
 			switch {
-			case s.pool != pl.st.slots[br.slot].pool:
+			case s.be != pl.st.slots[br.slot].be:
 			case s.failed:
 				s.progress = min(s.progress, br.stripe)
 			case !br.cancelled:

@@ -128,6 +128,7 @@ type Stats struct {
 	ElementsRead    int64 `json:"elements_read"`
 	ElementsWritten int64 `json:"elements_written"`
 	DegradedReads   int64 `json:"degraded_reads"`
+	ParityReads     int64 `json:"parity_reads"` // see Health.ParityReads
 	Failovers       int64 `json:"failovers"`
 	AutoFailed      int64 `json:"auto_failed"`
 
@@ -167,6 +168,7 @@ func (v *Volume) Stats() Stats {
 		ElementsRead:    v.stats.elementsRead.Load(),
 		ElementsWritten: v.stats.elementsWritten.Load(),
 		DegradedReads:   v.stats.degradedReads.Load(),
+		ParityReads:     v.stats.parityReads.Load(),
 		Failovers:       v.stats.failovers.Load(),
 		AutoFailed:      v.stats.autoFailed.Load(),
 		CRCReadErrors:   v.stats.crcReadErrors.Load(),
@@ -224,11 +226,11 @@ func (v *Volume) Stats() Stats {
 	}
 	for slot, id := range v.ids {
 		ds := &v.stats.perDisk[slot]
-		p := st.slots[slot].pool
+		be := st.slots[slot].be
 		s.Backends = append(s.Backends, BackendStats{
 			Disk:                id.String(),
-			Addr:                p.addr,
-			Dead:                p.isDead(),
+			Addr:                be.address(),
+			Dead:                be.isDead(),
 			Failed:              st.slots[slot].failed,
 			Requests:            ds.pool.requests.Load(),
 			Retries:             ds.pool.retries.Load(),
@@ -284,6 +286,8 @@ func (v *Volume) RegisterMetrics(reg *obs.Registry, labels ...string) {
 		"Logical data elements written.", &st.elementsWritten)
 	counter("sm_cluster_degraded_reads_total",
 		"Element reads served from a replica because the data disk was failed or unreachable.", &st.degradedReads)
+	counter("sm_cluster_parity_reads_total",
+		"Elements served as the XOR of their row's other data and its parity because no copy could be read.", &st.parityReads)
 	counter("sm_cluster_failovers_total",
 		"Element fetches re-routed to another backend after an I/O failure.", &st.failovers)
 	counter("sm_cluster_auto_failed_total",

@@ -17,14 +17,16 @@ import (
 	"shiftedmirror/internal/raid"
 )
 
-// Volume is a networked mirror-family block device: the element layout
-// of a *raid.Mirror architecture striped over one blockserver backend
-// per disk. All methods are safe for concurrent use.
+// Volume is a mirror-family block device: the element layout of a
+// *raid.Mirror architecture striped over one backend per disk — a
+// blockserver reached over TCP (New) or a store in this process
+// (NewLocal). All methods are safe for concurrent use.
 //
 // Per-disk state is dense: the disks are numbered once, in
 // arch.Disks() order — which is the placement's pool-disk order: the
-// data array, then each mirror array — and every per-disk slice below
-// is indexed by that slot, so the data path never hashes a DiskID.
+// data array, then each mirror array, then the parity disk if there is
+// one — and every per-disk slice below is indexed by that slot, so the
+// data path never hashes a DiskID.
 type Volume struct {
 	arch *raid.Mirror
 	// table maps logical elements to the pool slots holding their
@@ -37,6 +39,13 @@ type Volume struct {
 	elementSize int64
 	stripes     int
 	cfg         Config
+
+	// parity is the parity disk's slot — the one past the placement's
+	// Width, holding the XOR of each stripe row — or -1 for an
+	// architecture without one (see parity.go). parityLocs[r] is its row
+	// r, the one location a parity span reads.
+	parity     int
+	parityLocs []location
 
 	// state is the per-disk state every op plans against: one immutable
 	// snapshot, loaded with one atomic read and held for as long as the op
@@ -63,10 +72,14 @@ type Volume struct {
 	// online pass (or the resumption of a cancelled one) starts from.
 	scrubPos atomic.Int64
 
-	// rmwMu serializes the read-modify-write of torn elements, which
-	// only WireCRC volumes do (see WriteAtCtx): two writers patching
-	// disjoint parts of one element would otherwise each write back the
-	// other's stale bytes. Taken before drain.
+	// rmwMu serializes every write that reads before it writes, from its
+	// pre-read to the end of its fan-out: the torn elements of a WireCRC
+	// volume (two writers patching disjoint parts of one element would
+	// otherwise each write back the other's stale bytes) and every write
+	// on a parity volume. Every XOR over a row (a degraded read or a
+	// rebuild gather from parity) holds it too, so none combines bytes
+	// from before and after one write's fan-out. Nothing waits for a
+	// rebuild slice's fence while holding it. Taken before drain.
 	rmwMu sync.Mutex
 
 	// plans recycles opPlans, the per-op planning scratch.
@@ -84,6 +97,7 @@ type Volume struct {
 type volumeStats struct {
 	elementsRead, elementsWritten obs.Counter
 	degradedReads                 obs.Counter
+	parityReads                   obs.Counter // elements served as the XOR of their row (no copy readable)
 	failovers                     obs.Counter
 	autoFailed                    obs.Counter
 	rebuilds                      obs.Counter
@@ -194,6 +208,10 @@ type Health struct {
 	// DegradedReads counts element reads served from a replica because
 	// the data disk was failed or unreachable.
 	DegradedReads int64
+	// ParityReads counts elements served as the XOR of their row's other
+	// data and its parity because no copy could be read (mirror-with-
+	// parity only) — user reads, write pre-reads and rebuild gathers.
+	ParityReads int64
 	// Failovers counts element fetches re-routed to another backend
 	// after an I/O failure (as opposed to planned degraded routing).
 	Failovers int64
@@ -215,33 +233,77 @@ type Health struct {
 	Backends []BackendHealth
 }
 
-// New builds a Volume over the given architecture with one backend
-// address per disk. The architecture names the layout: its Placement
-// decides where every copy lives. Every disk in arch.Disks() must have
-// an address; parity architectures are not supported (the cluster data
-// path is replica-based — use a second mirror array for fault tolerance
-// two).
+// New builds a Volume over the given architecture with one blockserver
+// backend address per disk. The architecture names the layout: its
+// Placement decides where every copy lives, and a parity architecture
+// adds the parity disk past the placement's disks. Every disk in
+// arch.Disks() must have an address.
 func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volume, error) {
-	if arch.Parity() {
-		return nil, fmt.Errorf("cluster: parity architectures are not supported; use a mirror or three-mirror arrangement")
+	if len(backends) != len(arch.Disks()) {
+		return nil, fmt.Errorf("cluster: %d backend addresses for %d disks", len(backends), len(arch.Disks()))
 	}
+	return open(arch, cfg, func(v *Volume, slot int, id raid.DiskID) (backend, error) {
+		addr, ok := backends[id]
+		if !ok {
+			return nil, fmt.Errorf("cluster: no backend address for disk %v", id)
+		}
+		return newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe), nil
+	})
+}
+
+// NewLocal builds a Volume over stores in this process, one per disk —
+// the in-process block device. It is the volume New builds, every op
+// planned the same way; only the last step differs: a slot's exchanges
+// are applied straight to its store instead of crossing a socket. Each
+// store must hold DiskSize bytes. Close closes the stores that hold a
+// resource (files); on an error the stores stay the caller's. A failed
+// disk is rebuilt in place: Fail, then RebuildDisk onto the same store.
+func NewLocal[S blockserver.Store](arch *raid.Mirror, stores map[raid.DiskID]S, cfg Config) (*Volume, error) {
+	if len(stores) != len(arch.Disks()) {
+		return nil, fmt.Errorf("cluster: %d stores for %d disks", len(stores), len(arch.Disks()))
+	}
+	want := cfg.withDefaults()
+	for _, id := range arch.Disks() {
+		s, ok := stores[id]
+		if !ok {
+			return nil, fmt.Errorf("cluster: no store for disk %v", id)
+		}
+		if size := int64(want.Stripes) * int64(arch.N()) * want.ElementSize; s.Size() != size {
+			return nil, fmt.Errorf("cluster: store for %v holds %d bytes, want %d", id, s.Size(), size)
+		}
+	}
+	return open(arch, cfg, func(_ *Volume, _ int, id raid.DiskID) (backend, error) {
+		return &localStore{name: "local:" + id.String(), store: stores[id]}, nil
+	})
+}
+
+// open builds a volume whose slot k is served by the backend mk makes
+// for disk ids[k], closing what it made if mk fails.
+func open(arch *raid.Mirror, cfg Config, mk func(v *Volume, slot int, id raid.DiskID) (backend, error)) (*Volume, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.checkGeometry(arch.N()); err != nil {
 		return nil, err
 	}
 	ids := arch.Disks()
-	table, err := newPlacementTable(arch.Placement(), ids)
-	if err != nil {
-		return nil, err
-	}
 	v := &Volume{
 		arch:        arch,
-		table:       table,
 		ids:         ids,
 		n:           arch.N(),
 		elementSize: cfg.ElementSize,
 		stripes:     cfg.Stripes,
 		cfg:         cfg,
+		parity:      -1,
+	}
+	copies := ids
+	if arch.Parity() {
+		v.parity, copies = len(ids)-1, ids[:len(ids)-1]
+		for r := 0; r < v.n; r++ {
+			v.parityLocs = append(v.parityLocs, location{id: ids[v.parity], slot: v.parity, row: r})
+		}
+	}
+	var err error
+	if v.table, err = newPlacementTable(arch.Placement(), copies); err != nil {
+		return nil, err
 	}
 	v.stats.init(len(ids))
 	if cfg.RebuildQoSSLO > 0 {
@@ -250,16 +312,10 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 	st := &volState{slots: make([]slotState, len(ids))}
 	v.state.Store(st)
 	for slot, id := range ids {
-		addr, ok := backends[id]
-		if !ok {
+		if st.slots[slot].be, err = mk(v, slot, id); err != nil {
 			v.Close()
-			return nil, fmt.Errorf("cluster: no backend address for disk %v", id)
+			return nil, err
 		}
-		st.slots[slot].pool = newPool(addr, cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
-	}
-	if len(backends) != len(ids) {
-		v.Close()
-		return nil, fmt.Errorf("cluster: %d backend addresses for %d disks", len(backends), len(ids))
 	}
 	if cfg.Metrics != nil {
 		v.RegisterMetrics(cfg.Metrics)
@@ -267,27 +323,28 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 	return v, nil
 }
 
-// Close releases every pooled connection: it publishes a closed state,
-// which refuses further management operations, and closes the pools that
-// state names. Operations in flight are not waited for — synchronous
-// ones finish on the connections they hold, pipelined ones fail — and
-// calling Close again is harmless.
+// Close releases every backend — pooled connections, in-process stores
+// that hold files: it publishes a closed state, which refuses further
+// management operations, and closes the backends that state names.
+// Operations in flight are not waited for — synchronous ones finish on
+// the connections they hold, pipelined ones fail — and calling Close
+// again is harmless.
 func (v *Volume) Close() {
-	var pools []*pool
+	var bes []backend
 	v.update(func(next *volState) error {
 		if next.closed {
 			return errVolumeClosed
 		}
 		next.closed = true
 		for _, s := range next.slots {
-			if s.pool != nil {
-				pools = append(pools, s.pool)
+			if s.be != nil {
+				bes = append(bes, s.be)
 			}
 		}
 		return nil
 	})
-	for _, p := range pools {
-		p.close()
+	for _, b := range bes {
+		b.close()
 	}
 }
 
@@ -309,25 +366,24 @@ func (v *Volume) Arch() *raid.Mirror { return v.arch }
 func (v *Volume) Verify() error {
 	want := v.DiskSize()
 	for slot, s := range v.state.Load().slots {
-		p := s.pool
 		var size int64
-		err := p.do(func(c *blockserver.Client) error {
+		err := s.be.doCtx(context.Background(), clientFunc(func(_ context.Context, c peer) error {
 			var err error
 			size, err = c.Size()
 			return err
-		})
+		}))
 		if err != nil {
-			return fmt.Errorf("cluster: backend %v (%s): %w", v.ids[slot], p.addr, err)
+			return fmt.Errorf("cluster: backend %v (%s): %w", v.ids[slot], s.be.address(), err)
 		}
 		if size != want {
-			return fmt.Errorf("cluster: backend %v (%s) serves %d bytes, want %d", v.ids[slot], p.addr, size, want)
+			return fmt.Errorf("cluster: backend %v (%s) serves %d bytes, want %d", v.ids[slot], s.be.address(), size, want)
 		}
 	}
 	return nil
 }
 
 // elemAddr locates logical byte offset off (row-major elements within
-// each stripe, matching internal/dev and the paper's numbering).
+// each stripe, the paper's numbering).
 func (v *Volume) elemAddr(off int64) (stripe, disk, row int, inner int64) {
 	elem := off / v.elementSize
 	inner = off % v.elementSize
@@ -354,6 +410,15 @@ func (v *Volume) storeOffset(stripe, row int) int64 {
 // must not modify it.
 func (v *Volume) locations(stripe, disk, row int) []location {
 	return v.table.locations(stripe, disk, row)
+}
+
+// spanLocs is where span s can be read: its element's locations, or for
+// a parity span the parity disk's row.
+func (v *Volume) spanLocs(s *span) []location {
+	if s.disk < 0 {
+		return v.parityLocs[s.row : s.row+1]
+	}
+	return v.locations(s.stripe, s.disk, s.row)
 }
 
 // slot maps a disk to its dense index; ok is false for a disk the
@@ -389,7 +454,8 @@ const (
 // for user reads, per-backend source counting for rebuild gathers. Only
 // user reads hedge (when enabled): rebuild gathers must keep their
 // deterministic per-backend source attribution (the wire-measurable
-// Properties 1/2).
+// Properties 1/2). On a parity volume a span none of whose copies can be
+// read is served from its row's parity instead (fetchXor).
 //
 // Each round loads the volume's state once into pl.st, routes the
 // pending spans against it into per-backend shares and runs the shares
@@ -401,7 +467,7 @@ const (
 // mid-round fails its share like any other backend trouble, and the
 // spans fail over.
 func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) error {
-	pl.pending = pl.pending[:0]
+	pl.pending, pl.lost = pl.pending[:0], pl.lost[:0]
 	for i := range pl.spans {
 		pl.pending = append(pl.pending, int32(i))
 	}
@@ -412,7 +478,7 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 		pl.st = v.state.Load()
 		for _, si := range pl.pending {
 			s := &pl.spans[si]
-			locs := v.locations(s.stripe, s.disk, s.row)
+			locs := v.spanLocs(s)
 			s.src = pl.st.nextLive(s.stripe, locs, s.src)
 			if s.src == len(locs) {
 				// Every location is exhausted. If the last copy died on a
@@ -420,14 +486,23 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 				// corruption, not data loss, and retrying other replicas
 				// already happened (CRC failures fail over like any other).
 				if blockserver.IsCRC(s.lastErr) {
-					return fmt.Errorf("%w: every copy of data[%d] stripe %d row %d failed its checksum",
-						ErrScrubMismatch, s.disk, s.stripe, s.row)
+					return fmt.Errorf("%w: every copy of %s failed its checksum", ErrScrubMismatch, s)
 				}
-				return fmt.Errorf("%w: data[%d] stripe %d row %d", ErrDataLoss, s.disk, s.stripe, s.row)
+				if s.disk < 0 && !pl.inXor {
+					continue // a write's old parity: the write plans around it (foldParity)
+				}
+				if !v.xorable(pl, s) {
+					return fmt.Errorf("%w: %s", ErrDataLoss, s)
+				}
+				pl.lost = append(pl.lost, si)
+				continue
 			}
 			s.loc = locs[s.src]
 			b := pl.backend(s.loc.slot)
 			b.spans = append(b.spans, si)
+		}
+		if len(pl.active) == 0 {
+			break // every pending span is left to parity
 		}
 		for _, slot := range pl.active[1:] {
 			pl.wg.Add(1)
@@ -452,6 +527,9 @@ func (v *Volume) fetchSpans(ctx context.Context, pl *opPlan, kind fetchKind) err
 			return err
 		}
 		v.stats.failovers.Add(int64(len(pl.pending)))
+	}
+	if len(pl.lost) > 0 {
+		return v.fetchXor(ctx, pl, kind)
 	}
 	return nil
 }
@@ -521,7 +599,7 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 		return 0, io.EOF
 	}
 	n := len(p)
-	if off+int64(n) > size {
+	if int64(n) > size-off {
 		n = int(size - off)
 	}
 	start := time.Now()
@@ -551,9 +629,8 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 // element out to its data disk and every replica backend concurrently
 // (a row write lands on all 2n backends in one parallel access —
 // Property 3 over the network). A backend that stops accepting writes
-// is auto-failed: its disk drops out and redundancy carries the data,
-// matching how internal/dev skips failed disks. It is WriteAtCtx with
-// context.Background().
+// is auto-failed: its disk drops out and redundancy carries the data.
+// It is WriteAtCtx with context.Background().
 func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 	return v.WriteAtCtx(context.Background(), p, off)
 }
@@ -580,18 +657,24 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // torn first or last element is still read, patched and written back
 // whole, every wire range stays exactly one sidecar block, and rmwMu
 // keeps two such patches of one element from overwriting each other.
+// Mirror-with-parity volumes read before they write too: each written
+// row's parity range becomes old ⊕ new ⊕ old-parity (see parity.go), so
+// there every write holds rmwMu.
 //
 // Locking: a write holds the write drain, shared, from loading the state
 // it plans against until it has settled what its fan-out learned, and
-// no other lock — so writes block neither readers nor each other, and
-// only a rebuild slice's drain, ReplaceBackend and the slice returning a
-// disk to service ever wait for them. A write with a copy on a
-// rebuilding disk inside a slice's in-flight window [s0, s1) lets go of
-// the drain, waits for that slice and plans again against the state it
-// leaves; writes elsewhere — other elements of the same stripes included
-// — proceed. Together with the slice's drain this gives the invariant a
-// rebuild relies on: a write is acknowledged only when every copy that
-// any later state can call available holds its bytes. It either wrote
+// no other lock but rmwMu when it pre-reads — so plain writes block
+// neither readers nor each other, and only a rebuild slice's drain,
+// ReplaceBackend and the slice returning a disk to service ever wait for
+// them. A write with a copy on a rebuilding disk inside a slice's
+// in-flight window [s0, s1) lets go of the drain (and rmwMu, which the
+// slice may need for its own XOR), waits for that slice and starts over
+// — pre-read included — against the state it leaves; writes elsewhere —
+// other elements of the same stripes included — proceed. Together with
+// the slice's drain this gives the invariant a rebuild relies on: a
+// write is acknowledged only when every copy that any later state can
+// call available holds its bytes, and at least one copy — or, on a
+// parity volume, its row's parity op — took them. It either wrote
 // the replacement itself (stripe below the watermark it planned
 // against; if that share failed, settleWrites pulled the watermark back
 // before the acknowledgement), or finished before the slice covering
@@ -603,9 +686,8 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // themselves (see DESIGN.md §11; TestConcurrentWriters documents the
 // semantics).
 func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	end := off + int64(len(p))
-	if off < 0 || end > v.Size() {
-		return 0, fmt.Errorf("cluster: write [%d,%d) outside volume of %d bytes", off, end, v.Size())
+	if off < 0 || off > v.Size()-int64(len(p)) {
+		return 0, fmt.Errorf("cluster: write of %d bytes at offset %d outside volume of %d bytes", len(p), off, v.Size())
 	}
 	if len(p) == 0 {
 		return 0, nil
@@ -615,19 +697,20 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	pl := v.getPlan()
 	defer v.putPlan(pl)
 	es := v.elementSize
-	rmw := v.cfg.WireCRC && (off%es != 0 || end%es != 0)
-	if rmw {
-		// The pre-read is a read: it runs before the drain is taken, so a
-		// slice's drain never waits on a paced disk. rmwMu alone keeps the
-		// images current until they are written back.
-		v.rmwMu.Lock()
-		defer v.rmwMu.Unlock()
-		if err := v.preReadTorn(ctx, pl, p, off); err != nil {
-			return 0, err
-		}
-	}
+	rmw := v.cfg.WireCRC && (off%es != 0 || (off+int64(len(p)))%es != 0)
+	pl.rmwHeld = rmw || v.parity >= 0
 	var elems int
 	for {
+		if pl.rmwHeld {
+			// The pre-read is a read: it runs before the drain is taken, so a
+			// slice's drain never waits on a paced disk. rmwMu alone keeps
+			// what it read current until the write lands.
+			v.rmwMu.Lock()
+			if err := v.preRead(ctx, pl, p, off, rmw); err != nil {
+				v.rmwMu.Unlock()
+				return 0, err
+			}
+		}
 		v.drain.RLock()
 		pl.st = v.state.Load()
 		var fence *window
@@ -636,6 +719,9 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 		}
 		v.drain.RUnlock()
 		pl.clearRound()
+		if pl.rmwHeld {
+			v.rmwMu.Unlock()
+		}
 		select {
 		case <-fence.done:
 		case <-ctx.Done():
@@ -645,6 +731,9 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	err := v.runWrites(ctx, pl, elems)
 	autoFailed := v.settleWrites(pl)
 	v.drain.RUnlock()
+	if pl.rmwHeld {
+		v.rmwMu.Unlock()
+	}
 	for _, slot := range autoFailed {
 		v.stats.autoFailed.Inc()
 		v.trace(obs.Event{Op: "auto_fail", Target: v.ids[slot].String()})
@@ -678,14 +767,16 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 // planWrite routes the write of p at off into pl's per-backend shares
 // against pl.st: every element's written range to every copy pl.st
 // calls available (redundancy carries the others until a rebuild
-// catches up). It returns the number of elements planned — or, with the
+// catches up), plus, on a parity volume, each written row's parity op
+// (planParity). It returns the number of elements planned — or, with the
 // plan left partial, the fence of the first copy found inside a rebuild
-// slice's in-flight window, which the caller waits out before planning
-// again. rmw says torn elements travel as the whole images preReadTorn
-// left in the plan.
+// slice's in-flight window, which the caller waits out before starting
+// over. rmw says torn elements travel as the whole images preRead left
+// in the plan.
 func (v *Volume) planWrite(pl *opPlan, p []byte, off int64, rmw bool) (elems int, fence *window) {
 	es := v.elementSize
 	torn := 0
+	pl.broken = pl.broken[:0]
 	for total := 0; total < len(p); {
 		stripe, disk, row, inner := v.elemAddr(off + int64(total))
 		chunk := int(min(es-inner, int64(len(p)-total)))
@@ -710,24 +801,29 @@ func (v *Volume) planWrite(pl *opPlan, p []byte, off int64, rmw bool) (elems int
 		elems++
 		total += chunk
 	}
+	if v.parity >= 0 {
+		return elems, v.planParity(pl)
+	}
 	return elems, nil
 }
 
-// preReadTorn fetches the current image of each element the write
-// [off, off+len(p)) covers only partly — at most its first and its last
-// — into the plan's torn images and patches p's bytes over them, so the
-// WireCRC write path can ship whole elements. All torn elements are
-// fetched in one gather: an unaligned write pays one round trip per
+// preRead fetches, in one gather, what the write of p at off must know
+// before it can plan: with rmw, the current image of each element the
+// write covers only partly — at most its first and its last — patched
+// with p's bytes so the WireCRC write path can ship whole elements; on
+// a parity volume, the old bytes under every range it writes and under
+// each written row's parity range, folded into the row's new parity
+// (stageParity, foldParity). An unaligned write pays one round trip per
 // involved backend, not one per torn edge. Call with v.rmwMu held.
-func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int64) error {
+func (v *Volume) preRead(ctx context.Context, pl *opPlan, p []byte, off int64, rmw bool) error {
 	es := v.elementSize
 	end := off + int64(len(p))
 	// The head element is torn when the write starts inside it or ends
 	// before its end; the tail element when the write ends inside it and
 	// it is not the head element again.
 	tailStart := end - end%es
-	headTorn := off%es != 0 || int64(len(p)) < es
-	tailTorn := end%es != 0 && tailStart > off
+	headTorn := rmw && (off%es != 0 || int64(len(p)) < es)
+	tailTorn := rmw && end%es != 0 && tailStart > off
 	var head, tail []byte
 	image := func(at int64) []byte {
 		stripe, disk, row, _ := v.elemAddr(at)
@@ -741,7 +837,13 @@ func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int6
 	if tailTorn {
 		tail = image(tailStart)
 	}
+	if v.parity >= 0 {
+		v.stageParity(pl, p, off)
+	}
 	err := v.fetchSpans(ctx, pl, fetchInternal)
+	if err == nil && v.parity >= 0 {
+		v.foldParity(pl, p, off)
+	}
 	clear(pl.spans)
 	pl.spans = pl.spans[:0]
 	if err != nil {
@@ -762,7 +864,8 @@ func (v *Volume) preReadTorn(ctx context.Context, pl *opPlan, p []byte, off int6
 // copy. The shares run concurrently, one of them on the calling
 // goroutine, so a write to a single backend starts no goroutine.
 //
-// It fills pl.succeeded (per element, the backends that took it) and
+// It fills pl.succeeded (per element, the backends that took it; a
+// row's parity op counts for every element of the row, see credit) and
 // pl.broken: the backends whose transport failed (candidates for
 // auto-fail), each with the lowest stripe among its ops (so callers can
 // roll a rebuild watermark back past every missed write). It returns
@@ -803,14 +906,14 @@ func (v *Volume) runWrites(ctx context.Context, pl *opPlan, elems int) error {
 		switch err := b.xfer.err; {
 		case err == nil:
 			for _, op := range b.ops {
-				pl.succeeded[op.elem]++
+				pl.credit(op)
 			}
 		case blockserver.IsRemote(err):
 			// Ranges before the failed index are durable: credit
 			// their ops, surface the store error.
 			for _, op := range b.ops {
 				if int(op.vec) < b.xfer.applied {
-					pl.succeeded[op.elem]++
+					pl.credit(op)
 				}
 			}
 			if firstRemote == nil {
@@ -844,7 +947,7 @@ func (v *Volume) sendScatter(ctx context.Context, pl *opPlan, slot int, done *sy
 	v.packScatter(b)
 	v.stats.writeBatches.Inc()
 	v.stats.writeBatchElements.Add(int64(len(b.ops)))
-	b.xfer.err = pl.st.slots[slot].pool.doCtx(ctx, &b.xfer)
+	b.xfer.err = pl.st.slots[slot].be.doCtx(ctx, &b.xfer)
 }
 
 // Fail declares a disk's content lost (its backend crashed, was wiped,
@@ -878,8 +981,8 @@ func (v *Volume) trace(ev obs.Event) {
 	}
 }
 
-// ReplaceBackend points a disk at a new (typically fresh) backend and
-// closes the old pool. The usual sequence for a lost machine is
+// ReplaceBackend points a disk at a new (typically fresh) blockserver
+// backend and closes the old one. The usual sequence for a lost machine is
 // Fail → ReplaceBackend → RebuildDisk; on a failed disk the new backend
 // is what makes it replacement-pending rather than dead.
 //
@@ -895,7 +998,7 @@ func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 	if !ok {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
-	var old *pool
+	var old backend
 	v.drain.Lock()
 	err := v.update(func(next *volState) error {
 		if next.closed {
@@ -904,7 +1007,7 @@ func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 		s := &next.slots[slot]
 		// The disk slot's counters carry over: replacing the machine does
 		// not erase the disk's service history.
-		old, s.pool = s.pool, newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
+		old, s.be = s.be, newPool(addr, v.cfg, &v.stats.perDisk[slot].pool, v.stats.pipe)
 		if s.failed {
 			// Whatever an earlier rebuild recovered lives on the old backend:
 			// the watermark starts over with the new one.
@@ -928,6 +1031,7 @@ func (v *Volume) Health() Health {
 		ElementsRead:    v.stats.elementsRead.Load(),
 		ElementsWritten: v.stats.elementsWritten.Load(),
 		DegradedReads:   v.stats.degradedReads.Load(),
+		ParityReads:     v.stats.parityReads.Load(),
 		Failovers:       v.stats.failovers.Load(),
 		AutoFailed:      v.stats.autoFailed.Load(),
 		CRCReadErrors:   v.stats.crcReadErrors.Load(),
@@ -939,16 +1043,16 @@ func (v *Volume) Health() Health {
 		h.RebuildMBps = float64(h.RebuildBytes) / 1e6 / h.RebuildSeconds
 	}
 	for slot, s := range st.slots {
-		p := s.pool
+		ps := &v.stats.perDisk[slot].pool
 		h.Backends = append(h.Backends, BackendHealth{
 			ID:       v.ids[slot],
-			Addr:     p.addr,
-			Dead:     p.isDead(),
+			Addr:     s.be.address(),
+			Dead:     s.be.isDead(),
 			Failed:   s.failed,
-			Requests: p.stats.requests.Load(),
-			Retries:  p.stats.retries.Load(),
-			Dials:    p.stats.dials.Load(),
-			Errors:   p.stats.errors.Load(),
+			Requests: ps.requests.Load(),
+			Retries:  ps.retries.Load(),
+			Dials:    ps.dials.Load(),
+			Errors:   ps.errors.Load(),
 		})
 	}
 	return h
@@ -972,10 +1076,9 @@ type ScrubReport struct {
 	Skipped []raid.DiskID
 }
 
-// readStore reads one backend's bytes at store offset off through its
-// pool.
-func (v *Volume) readStore(ctx context.Context, p *pool, buf []byte, off int64) error {
-	return p.doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
+// readStore reads one backend's bytes at store offset off.
+func (v *Volume) readStore(ctx context.Context, b backend, buf []byte, off int64) error {
+	return b.doCtx(ctx, clientFunc(func(ctx context.Context, c peer) error {
 		_, err := c.ReadAtCtx(ctx, buf, off)
 		return err
 	}))
@@ -984,13 +1087,13 @@ func (v *Volume) readStore(ctx context.Context, p *pool, buf []byte, off int64) 
 // readStoreCRCs fetches the CRC-32C of the len(out)/4 consecutive
 // elements starting at store offset off on one backend, four big-endian
 // bytes per element.
-func (v *Volume) readStoreCRCs(ctx context.Context, p *pool, out []byte, off int64) error {
+func (v *Volume) readStoreCRCs(ctx context.Context, b backend, out []byte, off int64) error {
 	vecs := make([]blockserver.Vec, len(out)/4)
 	for i := range vecs {
 		vecs[i] = blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)}
 	}
 	sums := make([]uint32, len(vecs))
-	err := p.doCtx(ctx, clientFunc(func(ctx context.Context, c *blockserver.Client) error {
+	err := b.doCtx(ctx, clientFunc(func(ctx context.Context, c peer) error {
 		return c.CrcV(ctx, vecs, sums)
 	}))
 	if err != nil {
@@ -1036,7 +1139,7 @@ func (v *Volume) scrubBatch(ctx context.Context, st *volState, report *ScrubRepo
 			if crc {
 				read = v.readStoreCRCs
 			}
-			err := read(ctx, st.slots[slot].pool, buf, v.storeOffset(s0, 0))
+			err := read(ctx, st.slots[slot].be, buf, v.storeOffset(s0, 0))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -1097,12 +1200,18 @@ func (v *Volume) scrubBatch(ctx context.Context, st *volState, report *ScrubRepo
 				}
 			}
 		}
+		if v.parity >= 0 {
+			if err := v.scrubParity(stripe, digest, report); err != nil {
+				return false, err
+			}
+		}
 	}
 	return true, nil
 }
 
 // Scrub streams every healthy disk's content stripe-batch by
-// stripe-batch and verifies each replica against its data element,
+// stripe-batch and verifies each replica against its data element, and
+// on a parity volume each row's parity against the XOR of its data,
 // returning ErrScrubMismatch (wrapped with the first divergence) on
 // inconsistency. Store-level (remote) read errors are returned — they
 // mean a misconfigured backend, not a dead one. Disks that are failed or
@@ -1116,7 +1225,9 @@ func (v *Volume) scrubBatch(ctx context.Context, st *volState, report *ScrubRepo
 // wire, recomputed server-side so rot is still caught) rather than the
 // disks' full content. A backend that did not negotiate the CRC
 // feature flips the whole pass back to byte comparison — mixing modes
-// across batches would make coverage claims incoherent.
+// across batches would make coverage claims incoherent. A parity volume
+// always compares bytes: a row's parity is checked against the XOR of
+// its data, and checksums do not XOR.
 //
 // The pass runs from stripe 0 at full speed; see scrubPass for how it
 // shares the volume with user I/O, and ScrubOnline for the throttled,

@@ -11,77 +11,68 @@ import (
 	"shiftedmirror/internal/raid"
 )
 
+// TestFileBackedDevice runs a device over one file per disk, on both
+// backend kinds: the files hold the arrangement's bytes, and a failure is
+// served around and rebuilt over files too.
 func TestFileBackedDevice(t *testing.T) {
-	dir := t.TempDir()
-	arch := raid.NewMirrorWithParity(layout.NewShifted(3))
-	d, err := NewOnFiles(arch, 128, 2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.CloseStores()
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			arch := raid.NewMirrorWithParity(layout.NewShifted(3))
+			files, err := CreateOnFiles(arch, elem, 2, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores := map[raid.DiskID]BackingStore{}
+			for id, f := range files {
+				stores[id] = f
+				t.Cleanup(func() { f.Close() })
+			}
+			d := openDevice(t, kind, arch, 2, stores)
+			data := fillRandom(t, d, 1)
+			if !bytes.Equal(mustRead(t, d), data) {
+				t.Fatal("file-backed round trip mismatch")
+			}
+			d.scrub(t)
 
-	data := make([]byte, d.Size())
-	rand.New(rand.NewSource(1)).Read(data)
-	if _, err := d.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, d.Size())
-	if _, err := d.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("file-backed round trip mismatch")
-	}
-	if err := d.Scrub(); err != nil {
-		t.Fatal(err)
-	}
+			// One file per disk exists with the right size, beside the
+			// manifest.
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(arch.Disks())+1 {
+				t.Fatalf("%d files, want %d disks and the manifest", len(entries), len(arch.Disks()))
+			}
+			info, err := os.Stat(filepath.Join(dir, "data-0.disk"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Size() != int64(2*3*elem) {
+				t.Fatalf("disk file size %d", info.Size())
+			}
+			// The replica bytes on disk match the arrangement: element (0,1)
+			// replicates to mirror disk 1, row 0 under shifted n=3; the
+			// parity file holds each row's XOR.
+			mirrorFile, err := os.ReadFile(filepath.Join(dir, "mirror-1.disk"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Logical element (disk 0, row 1) = row-major index 3 of stripe 0.
+			if !bytes.Equal(mirrorFile[:elem], data[3*elem:4*elem]) {
+				t.Fatal("replica on file store does not match arrangement placement")
+			}
+			d.expectImages(t, data)
 
-	// One file per disk exists with the right size.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(arch.Disks()) {
-		t.Fatalf("%d files, want %d", len(entries), len(arch.Disks()))
-	}
-	info, err := os.Stat(filepath.Join(dir, "data-0.disk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != int64(2*3*128) {
-		t.Fatalf("disk file size %d", info.Size())
-	}
-
-	// The replica bytes on disk match the arrangement: element (0,1)
-	// replicates to mirror disk 1, row 0 under shifted n=3.
-	elem := make([]byte, 128)
-	mirrorFile, err := os.ReadFile(filepath.Join(dir, "mirror-1.disk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(elem, mirrorFile[0:128]) // stripe 0, row 0
-	// Logical element (disk 0, row 1) = row-major index 3 of stripe 0.
-	logical := data[3*128 : 4*128]
-	if !bytes.Equal(elem, logical) {
-		t.Fatal("replica on file store does not match arrangement placement")
-	}
-
-	// Failure + rebuild works over files too.
-	id := raid.DiskID{Role: raid.RoleData, Index: 0}
-	if err := d.FailDisk(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("degraded read over files mismatch")
-	}
-	if err := d.Rebuild(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Scrub(); err != nil {
-		t.Fatal(err)
+			// Failure + rebuild works over files too.
+			d.fail(t, data0)
+			if !bytes.Equal(mustRead(t, d), data) {
+				t.Fatal("degraded read over files mismatch")
+			}
+			d.rebuild(t, data0)
+			d.scrub(t)
+			d.expectImages(t, data)
+		})
 	}
 }
 

@@ -97,63 +97,90 @@ func (m Manifest) architecture() (*raid.Mirror, error) {
 	}
 }
 
-// CreateOnFiles builds a fresh file-backed device under dir (truncating
-// any existing disk files) and writes a manifest so OpenOnFiles can
-// reopen it later.
-func CreateOnFiles(arch *raid.Mirror, elementSize int64, stripes int, dir string) (*Device, error) {
+// CreateOnFiles lays out a fresh file-backed device under dir (created
+// if missing): one file per disk of arch, named "<role>-<index>.disk"
+// and sized stripes × n × elementSize bytes (an existing file is
+// truncated), plus the manifest OpenOnFiles reopens it from. The files
+// are the caller's to serve — cluster.NewLocal stripes a volume over
+// them — and to close.
+func CreateOnFiles(arch *raid.Mirror, elementSize int64, stripes int, dir string) (map[raid.DiskID]*FileStore, error) {
 	m, err := manifestFor(arch, elementSize, stripes)
-	if err != nil {
-		return nil, err
-	}
-	d, err := NewOnFiles(arch, elementSize, stripes, dir)
 	if err != nil {
 		return nil, err
 	}
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		d.CloseStores()
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("dev: create %s: %w", dir, err)
+	}
+	files, err := openDisks(arch, dir, func(path string) (*FileStore, error) {
+		return OpenFileStore(path, m.diskSize())
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := os.WriteFile(filepath.Join(dir, manifestName), blob, 0o644); err != nil {
-		d.CloseStores()
+		closeFiles(files)
 		return nil, fmt.Errorf("dev: write manifest: %w", err)
 	}
-	return d, nil
+	return files, nil
 }
 
-// OpenOnFiles reopens a device previously created by CreateOnFiles,
-// preserving the disk contents.
-func OpenOnFiles(dir string) (*Device, error) {
+// OpenOnFiles reopens a device CreateOnFiles laid out under dir, its
+// disks' bytes untouched: the architecture and manifest it records, and
+// one file per disk.
+func OpenOnFiles(dir string) (*raid.Mirror, Manifest, map[raid.DiskID]*FileStore, error) {
+	var m Manifest
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, fmt.Errorf("dev: read manifest: %w", err)
+		return nil, m, nil, fmt.Errorf("dev: read manifest: %w", err)
 	}
-	var m Manifest
 	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("dev: parse manifest: %w", err)
+		return nil, m, nil, fmt.Errorf("dev: parse manifest: %w", err)
 	}
 	if m.ElementSize < 1 || m.Stripes < 1 || m.N < 1 {
-		return nil, fmt.Errorf("dev: manifest has invalid geometry: %+v", m)
+		return nil, m, nil, fmt.Errorf("dev: manifest has invalid geometry: %+v", m)
 	}
 	arch, err := m.architecture()
 	if err != nil {
-		return nil, err
+		return nil, m, nil, err
 	}
-	d := New(arch, m.ElementSize, m.Stripes)
-	perDisk := int64(m.Stripes) * int64(m.N) * m.ElementSize
-	for _, id := range arch.Disks() {
-		path := filepath.Join(dir, fmt.Sprintf("%s-%d.disk", id.Role, id.Index))
+	files, err := openDisks(arch, dir, func(path string) (*FileStore, error) {
 		fs, err := ReopenFileStore(path)
+		if err == nil && fs.Size() != m.diskSize() {
+			fs.Close()
+			return nil, fmt.Errorf("dev: disk file %s has size %d, manifest wants %d", path, fs.Size(), m.diskSize())
+		}
+		return fs, err
+	})
+	if err != nil {
+		return nil, m, nil, err
+	}
+	return arch, m, files, nil
+}
+
+// diskSize is the bytes each disk file holds.
+func (m Manifest) diskSize() int64 { return int64(m.Stripes) * int64(m.N) * m.ElementSize }
+
+// openDisks opens one file per disk of arch under dir with open, closing
+// what it opened if one fails.
+func openDisks(arch *raid.Mirror, dir string, open func(path string) (*FileStore, error)) (map[raid.DiskID]*FileStore, error) {
+	files := map[raid.DiskID]*FileStore{}
+	for _, id := range arch.Disks() {
+		fs, err := open(filepath.Join(dir, fmt.Sprintf("%s-%d.disk", id.Role, id.Index)))
 		if err != nil {
-			d.CloseStores()
+			closeFiles(files)
 			return nil, err
 		}
-		if fs.Size() != perDisk {
-			fs.Close()
-			d.CloseStores()
-			return nil, fmt.Errorf("dev: disk file %s has size %d, manifest wants %d", path, fs.Size(), perDisk)
-		}
-		d.stores[id] = fs
+		files[id] = fs
 	}
-	return d, nil
+	return files, nil
+}
+
+func closeFiles(files map[raid.DiskID]*FileStore) {
+	for _, f := range files {
+		f.Close()
+	}
 }

@@ -235,7 +235,7 @@ func runDiskStateModel(t *testing.T, seed int64) {
 				continue
 			}
 			step = fmt.Sprintf("step %d: kill %v under writes", i, id)
-			backends[gid].servers[id].Close()
+			backends[gid].kill(id)
 			m.up = false
 			rng.Read(payload)
 			if _, err := s.WriteAt(payload, 0); err != nil {

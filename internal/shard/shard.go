@@ -465,8 +465,8 @@ func (s *ShardedVolume) WriteAtCtx(ctx context.Context, p []byte, off int64) (in
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	size := int64(len(s.extents)) * s.stripeB
-	if off+int64(len(p)) > size {
-		return 0, fmt.Errorf("shard: write [%d, %d) exceeds volume size %d", off, off+int64(len(p)), size)
+	if off > size-int64(len(p)) {
+		return 0, fmt.Errorf("shard: write of %d bytes at offset %d exceeds volume size %d", len(p), off, size)
 	}
 	if len(p) == 0 {
 		return 0, nil

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -34,30 +35,40 @@ type groupBackends struct {
 	// — a replacement's included — is served through, so a test can park
 	// a rebuild's gather mid-slice.
 	gates map[raid.DiskID]*faultinject.Gate
+	// ordered serves each store from behind a lock
+	// (faultinject.OrderedStore), for tests whose concurrent writers
+	// overlap: the race detector cannot see the ordering of two
+	// connections.
+	ordered bool
 }
 
 func startGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int) *groupBackends {
-	return startBackends(tb, arch, elementSize, stripes, false)
+	return startBackends(tb, arch, elementSize, stripes, false, false)
 }
 
 func startGatedGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int) *groupBackends {
-	return startBackends(tb, arch, elementSize, stripes, true)
+	return startBackends(tb, arch, elementSize, stripes, true, false)
 }
 
-func startBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int, gated bool) *groupBackends {
+func startOrderedGroupBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int) *groupBackends {
+	return startBackends(tb, arch, elementSize, stripes, false, true)
+}
+
+func startBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes int, gated, ordered bool) *groupBackends {
 	tb.Helper()
 	b := &groupBackends{
 		tb:      tb,
 		addrs:   map[raid.DiskID]string{},
 		servers: map[raid.DiskID]*blockserver.Server{},
 		stores:  map[raid.DiskID]*dev.MemStore{},
+		ordered: ordered,
 	}
 	if gated {
 		b.gates = map[raid.DiskID]*faultinject.Gate{}
 	}
 	perDisk := int64(stripes) * int64(arch.N()) * elementSize
 	for _, id := range arch.Disks() {
-		b.addrs[id] = b.serve(id, perDisk)
+		b.serve(id, perDisk)
 	}
 	tb.Cleanup(func() {
 		for _, srv := range b.servers {
@@ -67,11 +78,15 @@ func startBackends(tb testing.TB, arch *raid.Mirror, elementSize int64, stripes 
 	return b
 }
 
-// serve starts a server for id over a fresh zeroed store.
+// serve starts a server for id over a fresh zeroed store and records its
+// address.
 func (b *groupBackends) serve(id raid.DiskID, size int64) string {
 	b.tb.Helper()
 	store := dev.NewMemStore(size)
 	var served blockserver.Store = store
+	if b.ordered {
+		served = &faultinject.OrderedStore{Store: store}
+	}
 	if b.gates != nil {
 		b.gates[id] = faultinject.NewGate(store)
 		served = b.gates[id]
@@ -83,7 +98,31 @@ func (b *groupBackends) serve(id raid.DiskID, size int64) string {
 	}
 	b.servers[id] = srv
 	b.stores[id] = store
+	b.addrs[id] = addr.String()
 	return addr.String()
+}
+
+// kill takes a disk's server down for good. Its port stays bound to a
+// listener that drops every connection, so the volume's redials meet a
+// dead backend rather than whatever server another test binary running
+// alongside binds on the freed port next.
+func (b *groupBackends) kill(id raid.DiskID) {
+	b.tb.Helper()
+	b.servers[id].Close()
+	ln, err := net.Listen("tcp", b.addrs[id])
+	if err != nil {
+		b.tb.Fatalf("hold the port of killed %v: %v", id, err)
+	}
+	b.tb.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
 }
 
 // replace tears down a disk's server and serves a fresh zeroed store.
@@ -770,7 +809,7 @@ func TestShardStateNeedsNoRefresh(t *testing.T) {
 	expect("child-level fail", 1, 0)
 
 	// A backend that dies under writes is auto-failed by the write path.
-	backends[1].servers[raid.DiskID{Role: raid.RoleData, Index: 2}].Close()
+	backends[1].kill(raid.DiskID{Role: raid.RoleData, Index: 2})
 	if _, err := s.WriteAt(payload, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -778,7 +817,7 @@ func TestShardStateNeedsNoRefresh(t *testing.T) {
 
 	// A backend that dies under reads is never failed, only given up on
 	// by its pool (for as long as the pool's probe window stays shut).
-	backends[1].servers[raid.DiskID{Role: raid.RoleData, Index: 0}].Close()
+	backends[1].kill(raid.DiskID{Role: raid.RoleData, Index: 0})
 	if _, err := s.ReadAt(make([]byte, s.Size()), 0); err != nil {
 		t.Fatal(err)
 	}

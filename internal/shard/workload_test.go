@@ -29,7 +29,8 @@ func TestShardedReplayDuringQoSRebuild(t *testing.T) {
 	backends := make([]*groupBackends, 2)
 	for i := range children {
 		arch := raid.NewMirror(layout.NewShifted(n))
-		backends[i] = startGroupBackends(t, arch, element, stripes)
+		// Two replay workers may write one range at once.
+		backends[i] = startOrderedGroupBackends(t, arch, element, stripes)
 		cfg := fastClusterConfig(element, stripes)
 		cfg.RebuildQoSSLO = 5 * time.Millisecond
 		cfg.RebuildQoSMinRate = 16 // pinned: 4 stripes ≈ 250ms of tokens

@@ -104,8 +104,7 @@ func WithRebuildConcurrency(groups int) Option {
 // architecture with one backend address map per group; every group gets
 // the same architecture and options. Cluster-side options apply to each
 // group's child volume; WithMetrics registers the shard's sm_shard_*
-// series plus each group's sm_cluster_* series labeled group="<id>";
-// server-only options are no-ops here.
+// series plus each group's sm_cluster_* series labeled group="<id>".
 func NewShardedVolume(arch *Mirror, groups []map[DiskID]string, opts ...Option) (*ShardedVolume, error) {
 	var copts []cluster.Option
 	var cfg shard.Config

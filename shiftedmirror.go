@@ -93,26 +93,28 @@ type (
 	// ReadOp is one user read served during on-line reconstruction.
 	ReadOp = workload.ReadOp
 
-	// Device is a working fault-tolerant block device over a mirror
-	// architecture: io.ReaderAt/io.WriterAt with replica and parity
-	// maintenance, degraded reads, failure injection, rebuild and
-	// scrubbing.
-	Device = dev.Device
+	// Device is the in-process fault-tolerant block device: a
+	// ClusterVolume whose disks are stores in this process (NewDevice,
+	// CreateDeviceOnFiles, OpenDeviceOnFiles) — the same core as over
+	// the wire, with replica and parity maintenance, degraded reads,
+	// failure injection (Fail), rebuild in place (RebuildDisk), scrubbing
+	// and Health.
+	Device = cluster.Volume
 )
 
-// Error taxonomy. One set of sentinels spans the local Device and the
-// networked ClusterVolume: the cluster layer's errors wrap the device
-// layer's, so errors.Is(err, shiftedmirror.ErrX) holds for both paths.
-// Use errors.Is/errors.As on these instead of matching error strings.
+// Error taxonomy: the sentinels of the one volume core, so
+// errors.Is(err, shiftedmirror.ErrX) holds for an in-process Device, a
+// ClusterVolume and a ShardedVolume alike. Use errors.Is/errors.As on
+// these instead of matching error strings.
 var (
 	// ErrDataLoss is returned by reads (Device or ClusterVolume) that
 	// exceed the surviving redundancy.
-	ErrDataLoss = dev.ErrDataLoss
+	ErrDataLoss = cluster.ErrDataLoss
 	// ErrScrubMismatch is returned by Scrub on inconsistency.
-	ErrScrubMismatch = dev.ErrScrubMismatch
+	ErrScrubMismatch = cluster.ErrScrubMismatch
 	// ErrDiskFailed is returned for operations addressing a disk that is
 	// currently marked failed.
-	ErrDiskFailed = dev.ErrDiskFailed
+	ErrDiskFailed = cluster.ErrDiskFailed
 	// ErrDegraded is returned (wrapped, alongside a valid report) by
 	// ClusterVolume.Scrub when at least one disk's content went
 	// unverified: the volume serves, but "clean" cannot be claimed.
@@ -137,20 +139,52 @@ func IsRemoteError(err error) bool { return blockserver.IsRemote(err) }
 
 // NewDevice builds an in-memory fault-tolerant block device over a
 // mirror-family architecture with the given element size and stripe
-// count (logical capacity = stripes*n*n*elementSize bytes).
+// count (logical capacity = stripes*n*n*elementSize bytes). It panics
+// on a geometry the volume rejects.
 func NewDevice(arch *Mirror, elementSize int64, stripes int) *Device {
-	return dev.New(arch, elementSize, stripes)
+	stores := map[DiskID]*dev.MemStore{}
+	for _, id := range arch.Disks() {
+		stores[id] = dev.NewMemStore(int64(stripes) * int64(arch.N()) * elementSize)
+	}
+	d, err := cluster.NewLocal(arch, stores, cluster.Config{ElementSize: elementSize, Stripes: stripes})
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // CreateDeviceOnFiles builds a file-backed device under dir (one file
-// per disk plus a manifest) so it can be reopened with OpenDeviceOnFiles.
+// per disk plus a manifest) so it can be reopened with
+// OpenDeviceOnFiles. Close releases the files.
 func CreateDeviceOnFiles(arch *Mirror, elementSize int64, stripes int, dir string) (*Device, error) {
-	return dev.CreateOnFiles(arch, elementSize, stripes, dir)
+	files, err := dev.CreateOnFiles(arch, elementSize, stripes, dir)
+	if err != nil {
+		return nil, err
+	}
+	return deviceOnFiles(arch, elementSize, stripes, files)
 }
 
 // OpenDeviceOnFiles reopens a device created by CreateDeviceOnFiles,
 // preserving its contents.
-func OpenDeviceOnFiles(dir string) (*Device, error) { return dev.OpenOnFiles(dir) }
+func OpenDeviceOnFiles(dir string) (*Device, error) {
+	arch, m, files, err := dev.OpenOnFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	return deviceOnFiles(arch, m.ElementSize, m.Stripes, files)
+}
+
+// deviceOnFiles stripes a device over its disk files, closing them if
+// it cannot.
+func deviceOnFiles(arch *Mirror, elementSize int64, stripes int, files map[DiskID]*dev.FileStore) (*Device, error) {
+	d, err := cluster.NewLocal(arch, files, cluster.Config{ElementSize: elementSize, Stripes: stripes})
+	if err != nil {
+		for _, f := range files {
+			f.Close()
+		}
+	}
+	return d, err
+}
 
 // Disk roles.
 const (
@@ -312,35 +346,6 @@ func MTTDL(arch Architecture, failuresPerHour float64, repair RepairRate) (float
 	return analysis.MTTDL(arch, failuresPerHour, repair)
 }
 
-// ServeDevice exports a device over TCP; the returned server's Close
-// tears it down. Connect with DialDevice. Server-side options
-// (WithMetrics, WithTracer, WithReadRate) apply; cluster-only options
-// are no-ops here.
-func ServeDevice(d *Device, addr string, opts ...Option) (*BlockServer, string, error) {
-	var sc serverConfig
-	for _, o := range opts {
-		if o.server != nil {
-			o.server(&sc)
-		}
-	}
-	srv := blockserver.NewServer(d, sc.opts...)
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound.String(), nil
-}
-
-// DialDevice connects to a served device; the client implements
-// io.ReaderAt/io.WriterAt plus fail/rebuild/scrub/health management.
-func DialDevice(addr string) (*BlockClient, error) { return blockserver.Dial(addr) }
-
-// BlockServer serves a Device over TCP.
-type BlockServer = blockserver.Server
-
-// BlockClient is a remote handle to a served Device.
-type BlockClient = blockserver.Client
-
 // Networked cluster volume: the element layout striped over one
 // blockserver backend per disk, with failover, hedged reads, and
 // one-pass parallel network reconstruction. See internal/cluster for
@@ -375,19 +380,12 @@ type (
 // NewRegistry returns an empty metrics registry for WithMetrics.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// serverConfig accumulates the server-side half of Options.
-type serverConfig struct {
-	opts []blockserver.ServerOption
-}
-
-// Option configures both cluster volumes (NewClusterVolume) and served
-// devices (ServeDevice) through one functional-option set, replacing
-// ad-hoc ClusterConfig field fiddling and raw blockserver.ServerOption
-// plumbing. Each option documents which side it applies to; on the
-// other side it is a no-op.
+// Option configures cluster volumes (NewClusterVolume) and sharded
+// volumes (NewShardedVolume) through one functional-option set,
+// replacing ad-hoc ClusterConfig field fiddling. An option that applies
+// to only one of them documents it; on the other it is a no-op.
 type Option struct {
 	cluster cluster.Option
-	server  func(*serverConfig)
 	// shard is the sharded-volume side (NewShardedVolume); metrics
 	// records WithMetrics' registry so the shard constructor can register
 	// each group's series under a group="<id>" label instead of letting
@@ -397,8 +395,7 @@ type Option struct {
 }
 
 // WithGeometry sets the cluster volume's element size in bytes and
-// stripe count (logical capacity = stripes*n*n*elementSize). Volume
-// side only.
+// stripe count (logical capacity = stripes*n*n*elementSize).
 func WithGeometry(elementSize int64, stripes int) Option {
 	return Option{cluster: cluster.WithGeometry(elementSize, stripes)}
 }
@@ -407,7 +404,7 @@ func WithGeometry(elementSize int64, stripes int) Option {
 // and per-operation timeout. The optional probe durations tune the
 // dead-backend recovery cadence: probe[0] is the base interval before
 // a dead backend is probed again and probe[1] caps its exponential
-// backoff. Volume side only.
+// backoff.
 func WithTimeouts(dial, op time.Duration, probe ...time.Duration) Option {
 	return Option{cluster: func(c *cluster.Config) {
 		c.DialTimeout, c.OpTimeout = dial, op
@@ -421,25 +418,16 @@ func WithTimeouts(dial, op time.Duration, probe ...time.Duration) Option {
 }
 
 // WithWireCRC turns on end-to-end CRC-32C integrity on the wire path.
-// Pass the volume's element size as blockSize (0 disables). On a
-// served device it sizes the server's checksum sidecar — one CRC per
-// blockSize bytes, verified on CRC-carrying writes and served on
-// CRC-carrying reads. On a cluster volume it makes every backend dial
-// negotiate the CRC feature: element reads and writes travel as
+// Pass the volume's element size as blockSize (0 disables); serve each
+// backend with blockserver.WithCRC of the same size. Every backend dial
+// then negotiates the CRC feature: element reads and writes travel as
 // checksummed frames verified at both ends, a read whose every
 // surviving copy fails its checksum surfaces ErrScrubMismatch instead
 // of corrupt bytes, and Scrub compares replicas by checksum instead of
 // shipping both copies. Backends without the feature degrade
-// gracefully to the plain opcodes. Applies to both sides.
+// gracefully to the plain opcodes.
 func WithWireCRC(blockSize int64) Option {
-	return Option{
-		cluster: func(c *cluster.Config) { c.WireCRC = blockSize > 0 },
-		server: func(sc *serverConfig) {
-			if blockSize > 0 {
-				sc.opts = append(sc.opts, blockserver.WithCRC(blockSize))
-			}
-		},
-	}
+	return Option{cluster: func(c *cluster.Config) { c.WireCRC = blockSize > 0 }}
 }
 
 // WithPipeline turns on the pipelined wire mode on a cluster volume:
@@ -448,9 +436,8 @@ func WithWireCRC(blockSize int64) Option {
 // connections with out-of-order completion and coalesced writev
 // submission. window bounds the in-flight ops per connection (0 takes
 // the default). Backends that predate the feature fall back to the
-// synchronous path per connection; served devices need no option — the
-// server side grants the feature whenever a client asks. Volume side
-// only.
+// synchronous path per connection; a server needs no option — it
+// grants the feature whenever a client asks.
 func WithPipeline(window int) Option {
 	return Option{cluster: func(c *cluster.Config) {
 		c.Pipeline, c.PipelineWindow = true, window
@@ -461,7 +448,6 @@ func WithPipeline(window int) Option {
 // exceeds the given fetch-latency percentile (adaptive, clamped to
 // [minDelay, maxDelay]) is raced against the replica locations and the
 // loser is cancelled. Zero values take the defaults (0.9, 1ms, 30ms).
-// Volume side only.
 func WithHedging(percentile float64, minDelay, maxDelay time.Duration) Option {
 	return Option{cluster: func(c *cluster.Config) {
 		c.HedgeEnabled, c.HedgePercentile = true, percentile
@@ -474,53 +460,29 @@ func WithHedging(percentile float64, minDelay, maxDelay time.Duration) Option {
 // a shared token bucket whose rate adapts — fed back from the user-read
 // fetch-latency p99 — to hold that p99 under slo, while never
 // throttling below minStripesPerSec (the forward-progress floor; 0
-// takes the default of 1 stripe/sec). Volume side only.
+// takes the default of 1 stripe/sec).
 func WithRebuildQoS(slo time.Duration, minStripesPerSec float64) Option {
 	return Option{cluster: func(c *cluster.Config) {
 		c.RebuildQoSSLO, c.RebuildQoSMinRate = slo, minStripesPerSec
 	}}
 }
 
-// WithMetrics registers the target's metric series on reg: sm_cluster_*
-// for a volume, sm_blockserver_* for a served device. Applies to both
-// sides. Use one registry per volume or server — a Registry panics on
-// duplicate series.
+// WithMetrics registers the volume's sm_cluster_* series on reg (a
+// sharded volume's sm_shard_* series too, each group's labeled). Use one
+// registry per volume — a Registry panics on duplicate series.
 func WithMetrics(reg *Registry) Option {
-	return Option{
-		cluster: func(c *cluster.Config) { c.Metrics = reg },
-		metrics: reg,
-		server: func(sc *serverConfig) {
-			m := blockserver.NewMetrics()
-			m.Register(reg)
-			sc.opts = append(sc.opts, blockserver.WithMetrics(m))
-		},
-	}
+	return Option{cluster: func(c *cluster.Config) { c.Metrics = reg }, metrics: reg}
 }
 
-// WithTracer routes per-operation events to t: cluster lifecycle events
-// for a volume, per-request events for a served device. Applies to both
-// sides. The tracer runs inline and must be concurrency-safe.
+// WithTracer routes the volume's lifecycle events to t. The tracer runs
+// inline and must be concurrency-safe.
 func WithTracer(t Tracer) Option {
-	return Option{
-		cluster: func(c *cluster.Config) { c.Tracer = t },
-		server: func(sc *serverConfig) {
-			sc.opts = append(sc.opts, blockserver.WithTracer(t))
-		},
-	}
-}
-
-// WithReadRate caps a served device's aggregate read bandwidth at
-// bytesPerSec, modeling one spindle's bounded bandwidth. Server side
-// only.
-func WithReadRate(bytesPerSec float64) Option {
-	return Option{server: func(sc *serverConfig) {
-		sc.opts = append(sc.opts, blockserver.WithReadRate(bytesPerSec))
-	}}
+	return Option{cluster: func(c *cluster.Config) { c.Tracer = t }}
 }
 
 // NewClusterVolume builds a networked volume over a mirror-family
-// architecture with one backend address per disk (see cluster.Open).
-// Cluster-side options apply; server-only options are no-ops here.
+// architecture with one backend address per disk (see cluster.Open);
+// a parity architecture's parity disk is one more backend.
 func NewClusterVolume(arch *Mirror, backends map[DiskID]string, opts ...Option) (*ClusterVolume, error) {
 	var copts []cluster.Option
 	for _, o := range opts {

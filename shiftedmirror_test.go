@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -184,7 +185,7 @@ func TestFacadeDevice(t *testing.T) {
 	if _, err := d.WriteAt(payload, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.FailDisk(shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0}); err != nil {
+	if err := d.Fail(shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(payload))
@@ -206,14 +207,12 @@ func TestFacadeFileDevice(t *testing.T) {
 	if _, err := d.WriteAt([]byte("persist me"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CloseStores(); err != nil {
-		t.Fatal(err)
-	}
+	d.Close()
 	re, err := shiftedmirror.OpenDeviceOnFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.CloseStores()
+	defer re.Close()
 	got := make([]byte, 10)
 	if _, err := re.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
@@ -226,36 +225,223 @@ func TestFacadeFileDevice(t *testing.T) {
 	}
 }
 
+// serveStores serves one fresh store per disk of arch over loopback
+// TCP, returning the backend address map a cluster or shard group takes.
+func serveStores(t *testing.T, arch *shiftedmirror.Mirror, diskSize int64) map[shiftedmirror.DiskID]string {
+	t.Helper()
+	addrs := map[shiftedmirror.DiskID]string{}
+	for _, id := range arch.Disks() {
+		addrs[id] = serveStore(t, diskSize)
+	}
+	return addrs
+}
+
+func serveStore(t *testing.T, diskSize int64) string {
+	t.Helper()
+	srv := blockserver.NewStoreServer(dev.NewMemStore(diskSize))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr.String()
+}
+
+// TestFacadeServeDevice serves a mirror-with-parity device's disks over
+// TCP, one store per backend, and drives it as a ClusterVolume: a write,
+// a data disk and the mirror disk holding one of its replicas lost, the
+// doubly-lost elements read back from parity, both disks rebuilt onto
+// fresh backends and a clean scrub.
 func TestFacadeServeDevice(t *testing.T) {
-	d := shiftedmirror.NewDevice(shiftedmirror.NewShiftedMirrorWithParity(3), 64, 2)
-	srv, addr, err := shiftedmirror.ServeDevice(d, "127.0.0.1:0")
+	const n, elementSize, stripes = 3, 64, 2
+	arch := shiftedmirror.NewShiftedMirrorWithParity(n)
+	v, err := shiftedmirror.NewClusterVolume(arch, serveStores(t, arch, stripes*n*elementSize),
+		shiftedmirror.WithGeometry(elementSize, stripes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	c, err := shiftedmirror.DialDevice(addr)
+	defer v.Close()
+	want := make([]byte, v.Size())
+	for i := range want {
+		want[i] = byte(i*7 + i>>8)
+	}
+	if _, err := v.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	lost := []shiftedmirror.DiskID{{Role: shiftedmirror.RoleData, Index: 0}, {Role: shiftedmirror.RoleMirror, Index: 1}}
+	for _, id := range lost {
+		if err := v.Fail(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, v.Size())
+	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("degraded read: %v", err)
+	}
+	if h := v.Health(); h.ParityReads != stripes {
+		t.Fatalf("%d elements read from parity, want one per stripe", h.ParityReads)
+	}
+	ctx := context.Background()
+	for _, id := range lost {
+		if err := v.ReplaceBackend(id, serveStore(t, stripes*n*elementSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.RebuildDisk(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := v.Scrub(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read after rebuild: %v", err)
+	}
+}
+
+// TestFacadeShardedParity opens a sharded volume over a mirror-with-
+// parity architecture and rebuilds one group's parity disk onto a fresh
+// backend: the other group serves no rebuild read, and the rebuilt
+// parity scrubs clean.
+func TestFacadeShardedParity(t *testing.T) {
+	const n, elementSize, stripes = 3, 256, 4
+	arch := shiftedmirror.NewShiftedMirrorWithParity(n)
+	groups := []map[shiftedmirror.DiskID]string{
+		serveStores(t, arch, stripes*n*elementSize),
+		serveStores(t, arch, stripes*n*elementSize),
+	}
+	v, err := shiftedmirror.NewShardedVolume(arch, groups, shiftedmirror.WithGeometry(elementSize, stripes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.WriteAt([]byte("network block device"), 0); err != nil {
+	defer v.Close()
+	want := make([]byte, v.Size())
+	for i := range want {
+		want[i] = byte(i*13 + i>>9)
+	}
+	if _, err := v.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FailDisk(shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0}); err != nil {
+	parity := shiftedmirror.DiskID{Role: shiftedmirror.RoleParity}
+	ctx := context.Background()
+	if err := v.Fail(1, parity); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 20)
-	if _, err := c.ReadAt(got, 0); err != nil {
+	if err := v.ReplaceBackend(1, parity, serveStore(t, stripes*n*elementSize)); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "network block device" {
-		t.Fatalf("remote degraded read: %q", got)
-	}
-	if err := c.Rebuild(shiftedmirror.DiskID{Role: shiftedmirror.RoleData, Index: 0}); err != nil {
+	if err := v.RebuildDisk(ctx, 1, parity); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Scrub(); err != nil {
+	st := v.Stats()
+	for _, g := range st.PerGroup {
+		var sources int64
+		for _, b := range g.Cluster.Backends {
+			sources += b.RebuildReadElements
+		}
+		if want := int64(0); g.Group == 1 {
+			want = stripes * n * n // every data element of every row, once
+			if sources != want {
+				t.Fatalf("group 1's parity rebuild read %d elements, want %d", sources, want)
+			}
+		} else if sources != want {
+			t.Fatalf("group %d served %d rebuild reads for another group's disk", g.Group, sources)
+		}
+	}
+	if _, err := v.Scrub(ctx); err != nil {
 		t.Fatal(err)
+	}
+	got := make([]byte, v.Size())
+	if _, err := v.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read after the parity rebuild: %v", err)
+	}
+}
+
+// TestWriteNearMaxInt64: a write whose end wraps int64 is refused by
+// every kind of volume with a plain bounds error before any I/O. The
+// bounds checks once formed off+len(p), which wrapped negative and let
+// the write through: into a panic in the sharded volume's segment split,
+// a fan-out to every backend answered with remote errors, or — under
+// WireCRC — a report of data loss.
+func TestWriteNearMaxInt64(t *testing.T) {
+	const n, elementSize, stripes = 3, 64, 2
+	arch := shiftedmirror.NewShiftedMirror(n)
+	// serve starts one group of metered store servers; moved counts the
+	// data ops they have answered.
+	var meters []*blockserver.Metrics
+	moved := func() (ops int64) {
+		for _, m := range meters {
+			for name, op := range m.Snapshot().Ops {
+				if name != "features" && name != "size" {
+					ops += op.Ops
+				}
+			}
+		}
+		return ops
+	}
+	serve := func(t *testing.T, opts ...blockserver.ServerOption) map[shiftedmirror.DiskID]string {
+		addrs := map[shiftedmirror.DiskID]string{}
+		for _, id := range arch.Disks() {
+			m := blockserver.NewMetrics()
+			meters = append(meters, m)
+			srv := blockserver.NewStoreServer(dev.NewMemStore(stripes*n*elementSize), append(opts, blockserver.WithMetrics(m))...)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			addrs[id] = addr.String()
+		}
+		return addrs
+	}
+	type volume interface {
+		WriteAt([]byte, int64) (int, error)
+		Close()
+	}
+	geometry := shiftedmirror.WithGeometry(elementSize, stripes)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (volume, func() int64)
+	}{
+		{"sharded", func(t *testing.T) (volume, func() int64) {
+			v, err := shiftedmirror.NewShardedVolume(arch, []map[shiftedmirror.DiskID]string{serve(t), serve(t)}, geometry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, moved
+		}},
+		{"cluster", func(t *testing.T) (volume, func() int64) {
+			v, err := shiftedmirror.NewClusterVolume(arch, serve(t), geometry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, moved
+		}},
+		{"cluster/crc", func(t *testing.T) (volume, func() int64) {
+			v, err := shiftedmirror.NewClusterVolume(arch, serve(t, blockserver.WithCRC(elementSize)), geometry, shiftedmirror.WithWireCRC(elementSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, moved
+		}},
+		{"device", func(t *testing.T) (volume, func() int64) {
+			d := shiftedmirror.NewDevice(arch, elementSize, stripes)
+			return d, func() int64 { return d.Health().ElementsWritten }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meters = nil
+			w, written := tc.open(t)
+			defer w.Close()
+			for _, off := range []int64{math.MaxInt64 - 8, math.MaxInt64 - 15, math.MaxInt64} {
+				_, err := w.WriteAt(make([]byte, 16), off)
+				if err == nil || errors.Is(err, shiftedmirror.ErrDataLoss) || shiftedmirror.IsRemoteError(err) {
+					t.Fatalf("write of 16 bytes at %d: %v, want a bounds error", off, err)
+				}
+			}
+			if k := written(); k != 0 {
+				t.Fatalf("the refused writes moved %d ops or elements", k)
+			}
+		})
 	}
 }
 
