@@ -10,9 +10,11 @@ import (
 // warms up, the vectored data path performs zero heap allocations per
 // operation at the client — with and without the CRC feature. Pinned
 // with testing.AllocsPerRun (whose first call is the warm-up that grows
-// the scratch) over context.Background(), the steady-state case: a
-// cancellable context registers a cancel callback and is allowed to
-// allocate.
+// the scratch) over context.Background() and over one long-lived
+// cancellable context: a synchronous connection registers its cancel
+// callback on that context's first exchange and keeps it, and a
+// pipelined one waits on ctx.Done() in a select, so neither allocates
+// per exchange.
 func TestVectoredOpsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds its own allocations")
@@ -43,7 +45,6 @@ func TestVectoredOpsAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer client.Close()
-			ctx := context.Background()
 			vecs := make([]Vec, 8)
 			data := make([][]byte, 8)
 			dst := make([][]byte, 8)
@@ -54,33 +55,41 @@ func TestVectoredOpsAllocFree(t *testing.T) {
 				dst[i] = make([]byte, blk)
 				rng.Read(data[i])
 			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, err := client.WriteVCtx(ctx, vecs, data); err != nil {
-					t.Fatal(err)
+			long, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			for _, c := range []struct {
+				name string
+				ctx  context.Context
+			}{{"background", context.Background()}, {"cancellable", long}} {
+				ctx := c.ctx
+				if allocs := testing.AllocsPerRun(50, func() {
+					if _, err := client.WriteVCtx(ctx, vecs, data); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("WriteVCtx (%s): %.1f allocs/op, want 0", c.name, allocs)
 				}
-			}); allocs != 0 {
-				t.Errorf("WriteVCtx: %.1f allocs/op, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if err := client.ReadVCtx(ctx, vecs, dst); err != nil {
-					t.Fatal(err)
+				if allocs := testing.AllocsPerRun(50, func() {
+					if err := client.ReadVCtx(ctx, vecs, dst); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("ReadVCtx (%s): %.1f allocs/op, want 0", c.name, allocs)
 				}
-			}); allocs != 0 {
-				t.Errorf("ReadVCtx: %.1f allocs/op, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, err := client.WriteAtCtx(ctx, data[0], 0); err != nil {
-					t.Fatal(err)
+				if allocs := testing.AllocsPerRun(50, func() {
+					if _, err := client.WriteAtCtx(ctx, data[0], 0); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("WriteAtCtx (%s): %.1f allocs/op, want 0", c.name, allocs)
 				}
-			}); allocs != 0 {
-				t.Errorf("WriteAtCtx: %.1f allocs/op, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, err := client.ReadAtCtx(ctx, dst[0], 0); err != nil {
-					t.Fatal(err)
+				if allocs := testing.AllocsPerRun(50, func() {
+					if _, err := client.ReadAtCtx(ctx, dst[0], 0); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("ReadAtCtx (%s): %.1f allocs/op, want 0", c.name, allocs)
 				}
-			}); allocs != 0 {
-				t.Errorf("ReadAtCtx: %.1f allocs/op, want 0", allocs)
 			}
 		})
 	}

@@ -70,15 +70,24 @@ type Client struct {
 	// and a field does not escape per call).
 	dec decoder
 	nb  net.Buffers
-	// Cancellation state for the op in flight (see beginOp). armed says
-	// the op set a connection deadline endOp must clear; unwatch
-	// deregisters the op's cancel callback. A callback acts only while
-	// opGen — guarded by watchMu, not mu, which the op itself holds —
-	// still has the value its op was given.
-	armed   bool
-	unwatch func() bool
-	watchMu sync.Mutex
-	opGen   uint64
+	// Cancellation (see beginOp). armed says the exchange in flight set a
+	// connection deadline endOp must clear. The connection's one cancel
+	// callback is registered on the context whose Done channel is
+	// watched; unwatch deregisters it, keep says the registration
+	// outlives the exchange in flight, and last is the Done of the
+	// previous exchange under a cancellable context (all guarded by mu;
+	// Close retires the registration). watched, inFlight — the Done of
+	// the exchange in flight, nil between exchanges — and fired — the
+	// watched context's callback has run — are guarded by watchMu, not
+	// mu, which the exchange itself holds; watched is written under both.
+	armed    bool
+	unwatch  func() bool
+	keep     bool
+	last     <-chan struct{}
+	watchMu  sync.Mutex
+	watched  <-chan struct{}
+	inFlight <-chan struct{}
+	fired    bool
 }
 
 // Dial connects to a Server with no timeouts.
@@ -214,13 +223,19 @@ func (c *Client) HasPipeline() bool { return c.pipe != nil }
 
 // Close releases the connection. On a pipelined connection every
 // in-flight op fails with a closed error and both background goroutines
-// are joined before Close returns.
+// are joined before Close returns. A synchronous connection also drops
+// its cancel callback, so no context it watched keeps the client alive;
+// an exchange in flight fails on the closed connection first.
 func (c *Client) Close() error {
 	if c.pipe != nil {
 		c.pipe.close() // closes the conn via fail
 		return nil
 	}
-	return c.conn.Close()
+	err := c.conn.Close()
+	c.mu.Lock()
+	c.retireWatch()
+	c.mu.Unlock()
+	return err
 }
 
 // Broken returns the error that poisoned the connection, or nil while it
@@ -246,8 +261,9 @@ func (c *Client) Broken() error {
 // beginOp opens one request/response exchange: it takes the client
 // lock, fails fast on a poisoned connection or dead context, arms the
 // per-op deadline (the tighter of cfg.OpTimeout and the context
-// deadline), and registers the cancellation callback. Every successful
-// beginOp must be paired with endOp; do is the one caller of both.
+// deadline), and puts the exchange under the connection's cancellation
+// callback. Every successful beginOp must be paired with endOp; do is
+// the one caller of both.
 //
 // Cancellation is honored mid-frame, not just at op start: a callback
 // registered on ctx slams the connection deadline into the past the
@@ -255,10 +271,21 @@ func (c *Client) Broken() error {
 // immediately. It is a context.AfterFunc, not a goroutine parked on
 // ctx.Done(): starting and joining a goroutine per op put two trips
 // through the scheduler on every exchange, which on a small op cost
-// more than the exchange. (The registration still allocates; contexts
-// that cannot be cancelled — ctx.Done() == nil, e.g.
-// context.Background() — skip it, which is the allocation-free steady
-// state.)
+// more than the exchange. And it is registered per connection, not per
+// exchange: the registration allocates and takes the parent context's
+// lock, so it is made when an exchange arrives under a Done channel the
+// connection is not watching, and kept — a long-lived context costs
+// nothing once it has served two exchanges in a row on a connection.
+// Only then: a per-call context (a hedge's race, say) serves one
+// exchange and is cancelled, and a registration kept past that exchange
+// would cost the cancel a goroutine to run the callback, so a context
+// new to the connection is registered for its exchange alone, as every
+// exchange used to be. Between exchanges a kept callback has nothing to
+// interrupt: it acts only on an exchange in flight under its own
+// context, so a context cancelled while the connection idles, or while
+// it serves another context, leaves it alone. Contexts that cannot be
+// cancelled (ctx.Done() == nil, e.g. context.Background()) need no
+// callback at all.
 func (c *Client) beginOp(ctx context.Context) error {
 	c.mu.Lock()
 	if c.broken != nil {
@@ -279,41 +306,83 @@ func (c *Client) beginOp(ctx context.Context) error {
 	if !deadline.IsZero() {
 		c.conn.SetDeadline(deadline)
 	}
-	c.armed = !deadline.IsZero() || ctx.Done() != nil
-	if ctx.Done() != nil {
+	c.armed = !deadline.IsZero()
+	if done := ctx.Done(); done != nil {
+		renew := done != c.watched
+		if renew {
+			c.retireWatch()
+			c.keep = done == c.last
+		}
+		c.last = done
 		c.watchMu.Lock()
-		c.opGen++
-		gen := c.opGen
+		if renew {
+			c.watched, c.fired = done, false
+		}
+		c.inFlight = done
+		fired := c.fired
 		c.watchMu.Unlock()
-		c.unwatch = context.AfterFunc(ctx, func() {
-			c.watchMu.Lock()
-			if c.opGen == gen {
-				c.conn.SetDeadline(time.Now().Add(-time.Second))
-			}
-			c.watchMu.Unlock()
-		})
+		if renew {
+			// Registered only now, with the exchange under it: on a context
+			// already cancelled the callback runs at once and interrupts it.
+			c.unwatch = context.AfterFunc(ctx, func() { c.interrupt(done) })
+		}
+		if fired {
+			// The callback ran between the check above and now, with
+			// nothing to interrupt, and runs only once: the exchange must
+			// not start.
+			c.endOp(ctx, nil)
+			return ctx.Err()
+		}
 	}
 	return nil
 }
 
-// endOp closes the exchange beginOp opened: retires the cancel
-// callback, poisons the connection when the exchange died mid-frame
-// (anything but a clean remote error or a CRC verdict leaves request and
-// response streams out of step), resets the deadline, and releases the
-// lock. It returns the
-// error the caller should surface — a cancellation is rewrapped around
-// ctx.Err() so callers can errors.Is it.
-func (c *Client) endOp(ctx context.Context, err error) error {
+// interrupt is the cancel callback of the context whose Done channel is
+// done. If the connection still watches that context it records that
+// the callback ran and fails the exchange in flight under it, if any,
+// by moving the deadline into the past; the callback of a registration
+// already retired does nothing.
+func (c *Client) interrupt(done <-chan struct{}) {
+	c.watchMu.Lock()
+	defer c.watchMu.Unlock()
+	if done != c.watched {
+		return
+	}
+	c.fired = true
+	if c.inFlight == done {
+		c.conn.SetDeadline(time.Now().Add(-time.Second))
+	}
+}
+
+// retireWatch deregisters the connection's cancel callback; one already
+// running finds its context no longer watched. Call with mu held.
+func (c *Client) retireWatch() {
 	if c.unwatch != nil {
-		// Retire the cancel callback before touching the deadline again.
-		// If it already fired it may still be on its way to the lock;
-		// moving opGen on makes it a no-op from here, so a late
-		// cancellation cannot clobber the reset below (or the next op).
 		c.unwatch()
-		c.unwatch = nil
-		c.watchMu.Lock()
-		c.opGen++
-		c.watchMu.Unlock()
+	}
+	c.unwatch = nil
+	c.watchMu.Lock()
+	c.watched = nil
+	c.watchMu.Unlock()
+}
+
+// endOp closes the exchange beginOp opened: takes it out from under the
+// cancel callback (retiring a registration not kept), poisons the
+// connection when the exchange died
+// mid-frame (anything but a clean remote error or a CRC verdict leaves
+// request and response streams out of step), resets the deadline if the
+// exchange set one or the callback moved it, and releases the lock. It
+// returns the error the caller should surface — a cancellation is
+// rewrapped around ctx.Err() so callers can errors.Is it.
+func (c *Client) endOp(ctx context.Context, err error) error {
+	// From here on a late cancellation cannot clobber the reset below
+	// (or the next exchange).
+	c.watchMu.Lock()
+	moved := c.inFlight != nil && c.fired
+	c.inFlight = nil
+	c.watchMu.Unlock()
+	if !c.keep && c.unwatch != nil {
+		c.retireWatch()
 	}
 	if err != nil && !IsRemote(err) && !IsCRC(err) {
 		c.broken = err
@@ -324,7 +393,7 @@ func (c *Client) endOp(ctx context.Context, err error) error {
 		}
 		return err
 	}
-	if c.armed {
+	if c.armed || moved {
 		c.conn.SetDeadline(time.Time{})
 	}
 	c.mu.Unlock()

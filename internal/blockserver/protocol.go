@@ -182,8 +182,13 @@ func (e *CRCError) Error() string {
 		dir, e.Range, e.Want, e.Got)
 }
 
-// IsCRC reports whether err is (or wraps) a CRCError.
+// IsCRC reports whether err is (or wraps) a CRCError. A nil err — what a
+// read path asks about most — costs nothing; any other allocates the
+// target errors.As needs.
 func IsCRC(err error) bool {
+	if err == nil {
+		return false
+	}
 	var ce *CRCError
 	return errors.As(err, &ce)
 }

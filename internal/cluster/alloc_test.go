@@ -15,20 +15,24 @@ import (
 // here. A write reaches one backend per copy; each backend beyond the
 // first costs the one closure its goroutine starts from — one
 // allocation on a two-copy mirror. A degraded read pays nothing extra:
-// skipping a failed disk is a table walk. Measured over
-// context.Background() after a warm-up that grows the plan, like
+// skipping a failed disk is a table walk. On a mirror-with-parity volume
+// a read of an element whose two copies are both lost is the XOR of its
+// row: n−1 row-mates on the other data disks and the row's parity, n
+// backends, one of them on the caller's goroutine — n−1 = 3 closures at
+// n = 4, and nothing else (the row-mates' scratch is the pooled
+// sub-plan's). Each budget holds under context.Background() and under one
+// long-lived cancellable context alike: a connection registers its
+// cancel callback on the context's first exchange and keeps it.
+// Measured after a warm-up that grows the plan, like
 // TestVectoredOpsAllocFree.
 func TestVolumeSmallOpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds its own allocations")
 	}
 	const n, stripes, elementSize = 4, 4, 16 << 10
-	v, _ := newTestVolume(t, raid.NewMirror(layout.NewShifted(n)), elementSize, stripes)
-	randomPayload(t, v, 71)
-	ctx := context.Background()
-	small := make([]byte, 4<<10)
-	elem := make([]byte, elementSize)
-	pin := func(name string, budget float64, op func() error) {
+	long, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pin := func(t *testing.T, name string, budget float64, op func() error) {
 		t.Helper()
 		if allocs := testing.AllocsPerRun(100, func() {
 			if err := op(); err != nil {
@@ -38,18 +42,45 @@ func TestVolumeSmallOpAllocs(t *testing.T) {
 			t.Errorf("%s: %.1f allocs/op, budget %.0f", name, allocs, budget)
 		}
 	}
-	read4k := func() error { _, err := v.ReadAtCtx(ctx, small, 5*elementSize+4096); return err }
-	pin("4 KiB read", 0, read4k)
-	pin("4 KiB sub-element write", 1, func() error { _, err := v.WriteAtCtx(ctx, small, 5*elementSize+4096); return err })
-	pin("one-element write", 1, func() error { _, err := v.WriteAtCtx(ctx, elem, 6*elementSize); return err })
-	// Element 5 is data disk 1's; with that disk failed the same read
-	// is served by its replica.
-	if err := v.Fail(raid.DiskID{Role: raid.RoleData, Index: 1}); err != nil {
-		t.Fatal(err)
-	}
-	before := v.Stats().DegradedReads
-	pin("degraded 4 KiB read", 0, read4k)
-	if v.Stats().DegradedReads == before {
-		t.Fatal("the degraded leg was served by the primary copy")
+	small := make([]byte, 4<<10)
+	elem := make([]byte, elementSize)
+	// Element 5 is data disk 1's row 1 in stripe 0.
+	const at = 5*elementSize + 4096
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"background", context.Background()}, {"cancellable", long}} {
+		ctx := c.ctx
+		t.Run(c.name+"/mirror", func(t *testing.T) {
+			v, _ := newTestVolume(t, raid.NewMirror(layout.NewShifted(n)), elementSize, stripes)
+			randomPayload(t, v, 71)
+			read4k := func() error { _, err := v.ReadAtCtx(ctx, small, at); return err }
+			pin(t, "4 KiB read", 0, read4k)
+			pin(t, "4 KiB sub-element write", 1, func() error { _, err := v.WriteAtCtx(ctx, small, at); return err })
+			pin(t, "one-element write", 1, func() error { _, err := v.WriteAtCtx(ctx, elem, 6*elementSize); return err })
+			// With data disk 1 failed the same read is served by its replica.
+			if err := v.Fail(raid.DiskID{Role: raid.RoleData, Index: 1}); err != nil {
+				t.Fatal(err)
+			}
+			before := v.Stats().DegradedReads
+			pin(t, "degraded 4 KiB read", 0, read4k)
+			if v.Stats().DegradedReads == before {
+				t.Fatal("the degraded leg was served by the primary copy")
+			}
+		})
+		t.Run(c.name+"/parity", func(t *testing.T) {
+			v, _ := newTestVolume(t, raid.NewMirrorWithParity(layout.NewShifted(n)), elementSize, stripes)
+			randomPayload(t, v, 72)
+			for _, loc := range v.locations(0, 1, 1) {
+				if err := v.Fail(loc.id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := v.Health().ParityReads
+			pin(t, "doubly-degraded 4 KiB read", n-1, func() error { _, err := v.ReadAtCtx(ctx, small, at); return err })
+			if v.Health().ParityReads == before {
+				t.Fatal("the doubly-degraded leg was not served from parity")
+			}
+		})
 	}
 }

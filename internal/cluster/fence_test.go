@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -358,7 +359,8 @@ var (
 // TestWriterHammersRebuildWindow: Fail → RebuildDisk, cycle after
 // cycle, in place and onto fresh backends, while two writers rewrite
 // changing bytes aimed at the stripes the rebuild is working on — whole
-// elements and sub-element ranges (read-modify-written under WireCRC).
+// elements and sub-element ranges (read-modify-written under WireCRC),
+// one at a time or several in distinct stripes as one WritePiecesCtx.
 // Every rebuild must finish (a writer hammering the window cannot starve
 // it), every acknowledged write must read back, every copy must equal
 // every other, and — no slice having been discarded or re-run — each
@@ -441,17 +443,24 @@ func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, 
 	// Writer w owns the elements of index ≡ w mod 2, so each knows what
 	// its elements must hold, and aims at the stripes around the lost
 	// disk's watermark — the slice in flight — half the time at an
-	// element with a copy on the lost disk.
+	// element with a copy on the lost disk. Each write is one to three
+	// such ranges in distinct stripes: one goes through WriteAt, several
+	// through WritePiecesCtx as one op.
 	var stop atomic.Bool
 	var writes [2]atomic.Int64
+	var multi atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w) + 1))
-			buf := make([]byte, elementSize)
-			for !stop.Load() {
+			var bufs [3][]byte
+			for i := range bufs {
+				bufs[i] = make([]byte, elementSize)
+			}
+			// target picks one of the writer's ranges, or none.
+			target := func(buf []byte) (Piece, bool) {
 				var wm int
 				for _, d := range v.Disks() {
 					if d.ID == lost {
@@ -467,22 +476,48 @@ func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, 
 				if elem%2 != w {
 					elem ^= 1
 					if elem >= perStripe {
-						continue
+						return Piece{}, false
 					}
 				}
 				off := int64(stripe*perStripe+elem) * elementSize
-				data := buf
 				if rng.Intn(2) == 0 { // a sub-element range
 					lo := rng.Intn(elementSize - 1)
-					data = buf[lo : lo+1+rng.Intn(elementSize-lo-1)]
+					buf = buf[lo : lo+1+rng.Intn(elementSize-lo-1)]
 					off += int64(lo)
 				}
-				rng.Read(data)
-				if _, err := v.WriteAt(data, off); err != nil {
-					t.Errorf("writer %d at %d: %v", w, off, err)
+				return Piece{Buf: buf, Off: off}, true
+			}
+			for !stop.Load() {
+				var pieces []Piece
+				for i := rng.Intn(len(bufs)); i >= 0; i-- {
+					if pc, ok := target(bufs[i]); ok {
+						pieces = append(pieces, pc)
+					}
+				}
+				slices.SortFunc(pieces, func(a, b Piece) int { return cmp.Compare(a.Off, b.Off) })
+				pieces = slices.CompactFunc(pieces, func(a, b Piece) bool {
+					return a.Off/int64(perStripe*elementSize) == b.Off/int64(perStripe*elementSize)
+				})
+				for _, pc := range pieces {
+					rng.Read(pc.Buf)
+				}
+				var err error
+				switch len(pieces) {
+				case 0:
+					continue
+				case 1:
+					_, err = v.WriteAt(pieces[0].Buf, pieces[0].Off)
+				default:
+					err = v.WritePiecesCtx(context.Background(), pieces)
+					multi.Add(1)
+				}
+				if err != nil {
+					t.Errorf("writer %d at %d: %v", w, pieces[0].Off, err)
 					return
 				}
-				copy(shadow[off:], data)
+				for _, pc := range pieces {
+					copy(shadow[pc.Off:], pc.Buf)
+				}
 				writes[w].Add(1)
 			}
 		}(w)
@@ -512,9 +547,9 @@ func hammerRebuildWindow(t *testing.T, seed int64, arch *raid.Mirror, pipeline, 
 	if t.Failed() {
 		return
 	}
-	t.Logf("%d cycles under %d + %d writes", cycles, writes[0].Load(), writes[1].Load())
-	if writes[0].Load() == 0 || writes[1].Load() == 0 {
-		t.Fatal("a writer never got a write in")
+	t.Logf("%d cycles under %d + %d writes, %d of several pieces", cycles, writes[0].Load(), writes[1].Load(), multi.Load())
+	if writes[0].Load() == 0 || writes[1].Load() == 0 || multi.Load() == 0 {
+		t.Fatal("a writer never got a write in, or no write had several pieces")
 	}
 	assertCopiesEqual(t, v, backends)
 	got := make([]byte, v.Size())

@@ -86,8 +86,8 @@ func (v *Volume) fetchXor(ctx context.Context, pl *opPlan, kind fetchKind) error
 	for _, si := range pl.lost {
 		size += (v.n - 1) * len(pl.spans[si].buf)
 	}
-	mates := make([]byte, size)
-	at := 0
+	sub.mates = grow(sub.mates, size)
+	mates, at := sub.mates, 0
 	for _, si := range pl.lost {
 		s := pl.spans[si]
 		sub.spans = append(sub.spans, span{stripe: s.stripe, disk: -1, row: s.row, inner: s.inner, buf: s.buf})
@@ -121,28 +121,35 @@ func (v *Volume) fetchXor(ctx context.Context, pl *opPlan, kind fetchKind) error
 }
 
 // stageParity adds to a parity write's pre-read the old bytes under
-// every range of p (into pl.old, which parallels p) and, for each row p
-// touches, the old bytes of the parity range it changes (into the row's
-// buf) — for rows whose stripe the parity disk can serve now; the others
-// skip their parity op or wait for the parity's rebuild (planParity).
-func (v *Volume) stageParity(pl *opPlan, p []byte, off int64) {
+// every range of the pieces (total bytes, into pl.old, which parallels
+// the pieces laid end to end) and, for each row they touch, the old
+// bytes of the parity range it changes (into the row's buf) — for rows
+// whose stripe the parity disk can serve now; the others skip their
+// parity op or wait for the parity's rebuild (planParity). Elements are
+// numbered across the pieces, as planWrite numbers them; no row spans
+// two pieces, which share no stripe.
+func (v *Volume) stageParity(pl *opPlan, pieces []Piece, total int) {
 	es := v.elementSize
 	pl.rows = pl.rows[:0]
-	pl.old = grow(pl.old, len(p))
-	for total, elem := 0, int32(0); total < len(p); elem++ {
-		stripe, disk, row, inner := v.elemAddr(off + int64(total))
-		chunk := int(min(es-inner, int64(len(p)-total)))
-		pl.spans = append(pl.spans, span{stripe: stripe, disk: disk, row: row, inner: inner, buf: pl.old[total : total+chunk]})
-		lo, hi := inner, inner+int64(chunk)
-		if v.cfg.WireCRC {
-			lo, hi = 0, es
+	pl.old = grow(pl.old, total)
+	old, elem := 0, int32(0)
+	for _, pc := range pieces {
+		for at := 0; at < len(pc.Buf); elem++ {
+			stripe, disk, row, inner := v.elemAddr(pc.Off + int64(at))
+			chunk := int(min(es-inner, int64(len(pc.Buf)-at)))
+			pl.spans = append(pl.spans, span{stripe: stripe, disk: disk, row: row, inner: inner, buf: pl.old[old : old+chunk]})
+			lo, hi := inner, inner+int64(chunk)
+			if v.cfg.WireCRC {
+				lo, hi = 0, es
+			}
+			if k := len(pl.rows) - 1; k >= 0 && pl.rows[k].stripe == stripe && pl.rows[k].row == row {
+				pl.rows[k].lo, pl.rows[k].hi, pl.rows[k].end = min(pl.rows[k].lo, lo), max(pl.rows[k].hi, hi), elem+1
+			} else {
+				pl.rows = append(pl.rows, parityRow{stripe: stripe, row: row, lo: lo, hi: hi, span: -1, first: elem, end: elem + 1})
+			}
+			at += chunk
+			old += chunk
 		}
-		if k := len(pl.rows) - 1; k >= 0 && pl.rows[k].stripe == stripe && pl.rows[k].row == row {
-			pl.rows[k].lo, pl.rows[k].hi, pl.rows[k].end = min(pl.rows[k].lo, lo), max(pl.rows[k].hi, hi), elem+1
-		} else {
-			pl.rows = append(pl.rows, parityRow{stripe: stripe, row: row, lo: lo, hi: hi, span: -1, first: elem, end: elem + 1})
-		}
-		total += chunk
 	}
 	size := int64(0)
 	for _, r := range pl.rows {
@@ -166,24 +173,27 @@ func (v *Volume) stageParity(pl *opPlan, p []byte, off int64) {
 // and the new bytes of every range the write changes are XORed in at
 // the range's place. A row whose old parity could not be fetched (its
 // span exhausted its one location) is marked unreadable instead.
-func (v *Volume) foldParity(pl *opPlan, p []byte, off int64) {
+func (v *Volume) foldParity(pl *opPlan, pieces []Piece) {
 	for i := range pl.rows {
 		r := &pl.rows[i]
 		r.unreadable = r.span >= 0 && pl.spans[r.span].src != 0
 	}
-	row := -1
-	for total := 0; total < len(p); {
-		stripe, _, r, inner := v.elemAddr(off + int64(total))
-		chunk := int(min(v.elementSize-inner, int64(len(p)-total)))
-		if row < 0 || pl.rows[row].stripe != stripe || pl.rows[row].row != r {
-			row++
+	row, old := -1, 0
+	for _, pc := range pieces {
+		for at := 0; at < len(pc.Buf); {
+			stripe, _, r, inner := v.elemAddr(pc.Off + int64(at))
+			chunk := int(min(v.elementSize-inner, int64(len(pc.Buf)-at)))
+			if row < 0 || pl.rows[row].stripe != stripe || pl.rows[row].row != r {
+				row++
+			}
+			if pr := &pl.rows[row]; pr.span >= 0 && !pr.unreadable {
+				x := pr.buf[inner-pr.lo : inner-pr.lo+int64(chunk)]
+				gf.XorSlice(pl.old[old:old+chunk], x)
+				gf.XorSlice(pc.Buf[at:at+chunk], x)
+			}
+			at += chunk
+			old += chunk
 		}
-		if pr := &pl.rows[row]; pr.span >= 0 && !pr.unreadable {
-			x := pr.buf[inner-pr.lo : inner-pr.lo+int64(chunk)]
-			gf.XorSlice(pl.old[total:total+chunk], x)
-			gf.XorSlice(p[total:total+chunk], x)
-		}
-		total += chunk
 	}
 }
 

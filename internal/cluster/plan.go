@@ -213,14 +213,17 @@ type opPlan struct {
 	rmwHeld, inXor bool
 
 	// torn holds the element images a WireCRC write read-modify-writes
-	// (at most the first and last element of a write).
+	// (at most the first and last element of each piece), side by side.
 	torn []byte
 
-	// A write on a parity volume: the old bytes under p (parallel to
-	// it), and the rows it touches with their parity ranges, carved from
-	// parity.
+	// A write on a parity volume: the old bytes under its pieces (parallel
+	// to them laid end to end), and the rows it touches with their parity
+	// ranges, carved from parity.
 	old, parity []byte
 	rows        []parityRow
+
+	// mates is an XOR's sub-plan scratch: the row-mates' bytes (fetchXor).
+	mates []byte
 
 	succeeded []int32 // per written element: backends that took it
 	broken    []brokenBackend
@@ -287,13 +290,9 @@ func (pl *opPlan) backend(slot int) *backendPlan {
 	return b
 }
 
-// tornElement returns the k-th (first or second) read-modify-write
-// image. Both are allocated together, so taking the second never moves
-// the first.
+// tornElement returns the k-th read-modify-write image, carved from torn,
+// which preRead sized for every image of the write before carving any.
 func (pl *opPlan) tornElement(k int, elementSize int64) []byte {
-	if int64(len(pl.torn)) < 2*elementSize {
-		pl.torn = make([]byte, 2*elementSize)
-	}
 	return pl.torn[int64(k)*elementSize : int64(k+1)*elementSize]
 }
 

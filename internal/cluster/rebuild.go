@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"shiftedmirror/internal/obs"
@@ -87,20 +88,41 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 	}
 	start := time.Now()
 	var rebuilt int64
-	fail := func(err error) error {
-		v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
-		return err
+	for restart := true; restart; {
+		if restart, err = v.pipelineSlices(ctx, slot, &jobs, &rebuilt); err != nil {
+			v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: time.Since(start), Err: err})
+			return err
+		}
 	}
+	elapsed := time.Since(start)
+	v.stats.rebuilds.Inc()
+	v.stats.rebuildBytes.Add(rebuilt)
+	v.stats.rebuildNanos.Add(elapsed.Nanoseconds())
+	v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: elapsed})
+	return nil
+}
+
+// pipelineSlices runs the slice pipeline from the slot's watermark until
+// the disk is back in service or a slice does not land; then the slices
+// in flight are discarded, and restart tells the caller to start over
+// from the watermark it finds. rebuilt accumulates the bytes of the
+// slices published. The gathers of one pass run under one context,
+// cancelled only to void the gather behind a slice that did not land: a
+// connection keeps its cancel callback for a context that serves it
+// exchange after exchange, where a context per slice would cost each
+// source connection a registration per slice.
+func (v *Volume) pipelineSlices(ctx context.Context, slot int, jobs *[2]sliceJob, rebuilt *int64) (restart bool, err error) {
+	gctx, stop := context.WithCancel(ctx)
+	defer stop()
 	var ready *sliceJob // gathered, waiting to be written back
 	from := -1          // where the next gather starts; -1: at the watermark
 	for i := 0; ; i++ {
 		if err := ctx.Err(); err != nil {
 			v.endSlice(slot, ready)
-			return fail(err)
+			return false, err
 		}
 		// Gather the next slice beside the write-back of the ready one.
 		next := &jobs[i%2]
-		gctx, stop := context.WithCancel(ctx)
 		gathered := make(chan error, 1)
 		go func(from int) { gathered <- v.gatherSlice(gctx, slot, from, next) }(from)
 		published, done, werr := true, false, error(nil)
@@ -111,33 +133,25 @@ func (v *Volume) RebuildDisk(ctx context.Context, id raid.DiskID) error {
 			}
 		}
 		gerr := <-gathered
-		stop()
 		switch {
 		case werr != nil:
 			v.endSlice(slot, next)
-			return fail(werr)
+			return false, werr
 		case !published:
 			v.endSlice(slot, next)
-			ready, from = nil, -1
-			continue
+			return true, nil
 		}
 		if ready != nil {
-			rebuilt += int64(ready.elems) * v.elementSize
+			*rebuilt += int64(ready.elems) * v.elementSize
 		}
 		if done {
-			break
+			return false, nil
 		}
 		if gerr != nil {
-			return fail(gerr)
+			return false, gerr
 		}
 		ready, from = next, next.win.s1
 	}
-	elapsed := time.Since(start)
-	v.stats.rebuilds.Inc()
-	v.stats.rebuildBytes.Add(rebuilt)
-	v.stats.rebuildNanos.Add(elapsed.Nanoseconds())
-	v.trace(obs.Event{Op: "rebuild", Target: id.String(), Bytes: rebuilt, Dur: elapsed})
-	return nil
 }
 
 // sliceJob is one rebuild slice on its way through the pipeline: its
@@ -169,9 +183,10 @@ type sliceJob struct {
 //	    (WriteAtCtx); every other write — to other stripes, or to the
 //	    window's stripes on elements the slot holds no copy of — goes
 //	    ahead.
-//	(b) Drain: take the write drain exclusively and let it go. Every
-//	    write planned before (a) has now finished on the surviving
-//	    copies, so the gather cannot miss its bytes.
+//	(b) Drain: take the write drain's buckets of the window exclusively
+//	    and let them go. Every write planned before (a) that writes a
+//	    stripe of the window holds one of them, so it has now finished on
+//	    the surviving copies, and the gather cannot miss its bytes.
 //	(c) Gather; writeBackSlice then writes back and publishes.
 //
 // On error the slice is ended here; a gathered slice stays open until
@@ -210,8 +225,9 @@ func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob)
 		return err
 	}
 	job.win = win
-	v.drain.Lock()
-	v.drain.Unlock() //nolint:staticcheck // empty critical section: the wait is the point
+	drains := v.drainSet(win.s0, win.s1)
+	v.eachDrain(drains, (*sync.RWMutex).Lock)
+	v.eachDrain(drains, (*sync.RWMutex).Unlock) // an empty critical section: the wait is the point
 	pl := job.pl
 	pl.reset()
 	job.elems = (win.s1 - win.s0) * v.n // lost elements: n per stripe on one disk
@@ -281,7 +297,7 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 	}
 	last := win.s1 >= v.stripes
 	if last {
-		v.drain.Lock()
+		v.eachDrain(allDrains, (*sync.RWMutex).Lock)
 	}
 	err = v.updateSlot(slot, func(s *slotState) error {
 		if len(pl.broken) > 0 || s.be != target || !s.failed || s.progress != win.s0 {
@@ -294,7 +310,7 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 		return nil
 	})
 	if last {
-		v.drain.Unlock()
+		v.eachDrain(allDrains, (*sync.RWMutex).Unlock)
 	}
 	if err != nil {
 		return false, false, nil

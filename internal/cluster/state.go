@@ -1,6 +1,9 @@
 package cluster
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // slotState is everything the volume knows about one disk slot. failed
 // marks a disk whose content is declared lost; progress is its rebuild
@@ -31,6 +34,53 @@ type slotState struct {
 type window struct {
 	s0, s1 int
 	done   chan struct{}
+}
+
+// drainBuckets is how many buckets the write drain is striped into. The
+// stripes are cut into ranges of RebuildBatch stripes, the most one
+// rebuild slice covers, so a slice's window lies in at most two ranges;
+// range r belongs to bucket r mod drainBuckets.
+const drainBuckets = 8
+
+// drainSet is a set of write-drain buckets, bit b for bucket b.
+type drainSet uint8
+
+const allDrains drainSet = 1<<drainBuckets - 1
+
+// drainSet returns the buckets of stripes [s0, s1).
+func (v *Volume) drainSet(s0, s1 int) drainSet {
+	r0, r1 := s0/v.cfg.RebuildBatch, (s1-1)/v.cfg.RebuildBatch
+	if r1-r0 >= drainBuckets-1 {
+		return allDrains
+	}
+	var set drainSet
+	for r := r0; r <= r1; r++ {
+		set |= 1 << (r % drainBuckets)
+	}
+	return set
+}
+
+// piecesDrains returns the buckets of every stripe the pieces cover.
+func (v *Volume) piecesDrains(pieces []Piece) drainSet {
+	var set drainSet
+	for _, pc := range pieces {
+		if len(pc.Buf) > 0 {
+			end := pc.Off + int64(len(pc.Buf))
+			set |= v.drainSet(int(pc.Off/v.stripeBytes()), int((end-1)/v.stripeBytes())+1)
+		}
+	}
+	return set
+}
+
+// eachDrain applies op — (*sync.RWMutex).Lock, RLock or their unlocks —
+// to the buckets of set, in index order: the order everyone takes them
+// in, so holders of several cannot deadlock.
+func (v *Volume) eachDrain(set drainSet, op func(*sync.RWMutex)) {
+	for b := range drainBuckets {
+		if set&(1<<b) != 0 {
+			op(&v.drain[b])
+		}
+	}
 }
 
 // volState is the volume's per-disk state, immutable once published:

@@ -312,3 +312,39 @@ func TestScrubYieldsBetweenBatches(t *testing.T) {
 		t.Fatalf("read issued mid-scrub with a Fail queued took %v; one batch is %v, the pass %v", read, batch, pass)
 	}
 }
+
+// TestDrainSet pins the write drain's striping: stripes fall in ranges
+// of RebuildBatch stripes, range r in bucket r mod drainBuckets, so a
+// rebuild slice's window — at most RebuildBatch stripes, aligned or not
+// — takes at most two buckets, and a write takes the buckets of every
+// stripe it writes.
+func TestDrainSet(t *testing.T) {
+	const n, es, batch = 2, 16, 4
+	v := &Volume{n: n, elementSize: es, cfg: Config{RebuildBatch: batch}}
+	S := int64(n * n * es)
+	for _, tc := range []struct {
+		name   string
+		s0, s1 int
+		want   drainSet
+	}{
+		{"an aligned window", 4, 8, 1 << 1},
+		{"an unaligned window", 6, 10, 1<<1 | 1<<2},
+		{"one stripe", 31, 32, 1 << 7},
+		{"across the wrap", 30, 34, 1<<7 | 1<<0},
+		{"ranges past the buckets wrap", 33, 34, 1 << 0},
+		{"as many ranges as buckets", 0, 32, allDrains},
+		{"more", 3, 40, allDrains},
+	} {
+		if got := v.drainSet(tc.s0, tc.s1); got != tc.want {
+			t.Errorf("%s: stripes [%d, %d) take %08b, want %08b", tc.name, tc.s0, tc.s1, got, tc.want)
+		}
+	}
+	pieces := []Piece{
+		{Buf: make([]byte, 1), Off: 3*S + S - 1}, // the last byte of stripe 3
+		{Buf: make([]byte, S+2), Off: 8*S - 1},   // stripes 7 to 9
+		{Buf: nil, Off: 31 * S},                  // empty: no stripe
+	}
+	if got, want := v.piecesDrains(pieces), drainSet(1<<0|1<<1|1<<2); got != want {
+		t.Errorf("pieces take %08b, want %08b", got, want)
+	}
+}

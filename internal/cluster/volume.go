@@ -58,15 +58,18 @@ type Volume struct {
 
 	// drain is the write drain, the one lock a user write holds across
 	// its fan-out: shared, around load-state + plan + scatter + settling
-	// what the scatter learned. Nothing on the read path touches it. A
-	// rebuild slice takes it exclusively for an instant, after publishing
-	// its window, to wait out the writes planned before the window
-	// existed; ReplaceBackend holds it around its swap so no write
-	// straddles a backend change; the slice that returns a disk to
-	// service publishes under it so no write planned against the failed
-	// disk is still in flight when the disk turns healthy. Order: rmwMu,
-	// drain, stateMu.
-	drain sync.RWMutex
+	// what the scatter learned. Nothing on the read path touches it. It is
+	// striped by stripe range (drainSet): a write holds the buckets of the
+	// stripes it writes. A rebuild slice takes its window's buckets
+	// exclusively for an instant, after publishing the window, to wait out
+	// the writes planned before the window existed that touch it — a write
+	// elsewhere does not hold the slice up. ReplaceBackend holds every
+	// bucket around its swap so no write straddles a backend change; the
+	// slice that returns a disk to service publishes under every bucket
+	// so no write planned against the failed disk is still in flight when
+	// the disk turns healthy. Buckets are taken in index order. Order:
+	// rmwMu, drain, stateMu.
+	drain [drainBuckets]sync.RWMutex
 
 	// scrubPos is ScrubOnline's resumable cursor: the stripe the next
 	// online pass (or the resumption of a cancelled one) starts from.
@@ -350,7 +353,12 @@ func (v *Volume) Close() {
 
 // Size returns the logical capacity in bytes.
 func (v *Volume) Size() int64 {
-	return int64(v.stripes) * int64(v.n) * int64(v.n) * v.elementSize
+	return int64(v.stripes) * v.stripeBytes()
+}
+
+// stripeBytes is how many logical bytes one stripe holds.
+func (v *Volume) stripeBytes() int64 {
+	return int64(v.n) * int64(v.n) * v.elementSize
 }
 
 // DiskSize returns the per-disk capacity each backend must serve.
@@ -589,7 +597,7 @@ func (v *Volume) ReadAt(p []byte, off int64) (int, error) {
 // waits, dials, retry backoff, and the wire exchange itself, which is
 // interrupted mid-frame on cancel). When hedging is enabled, slow
 // backends are raced against the spans' replica locations and the
-// loser is cancelled.
+// loser is cancelled. It is the one-piece case of ReadPiecesCtx.
 func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	size := v.Size()
 	if off < 0 {
@@ -602,27 +610,82 @@ func (v *Volume) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 	if int64(n) > size-off {
 		n = int(size - off)
 	}
-	start := time.Now()
-	defer func() { v.stats.readLat.Observe(time.Since(start)) }()
-	pl := v.getPlan()
-	defer v.putPlan(pl)
-	for total := 0; total < n; {
-		stripe, disk, row, inner := v.elemAddr(off + int64(total))
-		chunk := int(min(v.elementSize-inner, int64(n-total)))
-		pl.spans = append(pl.spans, span{
-			stripe: stripe, disk: disk, row: row,
-			inner: inner, buf: p[total : total+chunk],
-		})
-		total += chunk
-	}
-	v.stats.elementsRead.Add(int64(len(pl.spans)))
-	if err := v.fetchSpans(ctx, pl, fetchUser); err != nil {
+	one := [1]Piece{{Buf: p[:n], Off: off}}
+	if err := v.ReadPiecesCtx(ctx, one[:]); err != nil {
 		return 0, err
 	}
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// Piece is one range of a vectored volume op: Buf is read from, or
+// written to, logical offset Off.
+type Piece struct {
+	Buf []byte
+	Off int64
+}
+
+// errPieceOrder refuses a vectored op whose pieces could not run as one:
+// they must come in ascending offset order, and no stripe may hold bytes
+// of two of them — which keeps one parity op per row and one torn image
+// per element.
+var errPieceOrder = errors.New("cluster: pieces must ascend with no stripe shared by two")
+
+// checkPieces refuses, before any I/O, a vectored op with a piece outside
+// the volume or pieces that break errPieceOrder's rule; op names the op
+// in the error. It returns how many bytes the pieces carry. An empty
+// piece holds no stripe.
+func (v *Volume) checkPieces(op string, pieces []Piece) (total int, err error) {
+	size, stripeBytes := v.Size(), v.stripeBytes()
+	next := int64(0) // where the stripe after the previous piece's last begins
+	for i, pc := range pieces {
+		if pc.Off < 0 || pc.Off > size-int64(len(pc.Buf)) {
+			return 0, fmt.Errorf("cluster: %s of %d bytes at offset %d outside volume of %d bytes", op, len(pc.Buf), pc.Off, size)
+		}
+		if len(pc.Buf) == 0 {
+			continue
+		}
+		if pc.Off < next {
+			return 0, fmt.Errorf("%w: piece %d at offset %d", errPieceOrder, i, pc.Off)
+		}
+		end := pc.Off + int64(len(pc.Buf))
+		next = (end + stripeBytes - 1) / stripeBytes * stripeBytes
+		total += len(pc.Buf)
+	}
+	return total, nil
+}
+
+// ReadPiecesCtx fills every piece from the volume in one op: the pieces'
+// elements are planned into one plan and served by one fetchSpans, so
+// each backend they touch gets one exchange for all of them — where a
+// ReadAtCtx per piece would cost a plan, a fan-out round and an exchange
+// per backend each. A sharded volume hands a group all of a request's
+// segments this way. Pieces must lie inside the volume, come in
+// ascending offset order and share no stripe; anything else is refused
+// before any I/O. The op succeeds or fails as a whole.
+func (v *Volume) ReadPiecesCtx(ctx context.Context, pieces []Piece) error {
+	if _, err := v.checkPieces("read", pieces); err != nil {
+		return err
+	}
+	start := time.Now()
+	defer func() { v.stats.readLat.Observe(time.Since(start)) }()
+	pl := v.getPlan()
+	defer v.putPlan(pl)
+	for _, pc := range pieces {
+		for at := 0; at < len(pc.Buf); {
+			stripe, disk, row, inner := v.elemAddr(pc.Off + int64(at))
+			chunk := int(min(v.elementSize-inner, int64(len(pc.Buf)-at)))
+			pl.spans = append(pl.spans, span{
+				stripe: stripe, disk: disk, row: row,
+				inner: inner, buf: pc.Buf[at : at+chunk],
+			})
+			at += chunk
+		}
+	}
+	v.stats.elementsRead.Add(int64(len(pl.spans)))
+	return v.fetchSpans(ctx, pl, fetchUser)
 }
 
 // WriteAt implements io.WriterAt over the logical space, fanning each
@@ -661,12 +724,13 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // row's parity range becomes old ⊕ new ⊕ old-parity (see parity.go), so
 // there every write holds rmwMu.
 //
-// Locking: a write holds the write drain, shared, from loading the state
-// it plans against until it has settled what its fan-out learned, and
-// no other lock but rmwMu when it pre-reads — so plain writes block
-// neither readers nor each other, and only a rebuild slice's drain,
-// ReplaceBackend and the slice returning a disk to service ever wait for
-// them. A write with a copy on a rebuilding disk inside a slice's
+// Locking: a write holds the write drain's buckets of the stripes it
+// writes, shared, from loading the state it plans against until it has
+// settled what its fan-out learned, and no other lock but rmwMu when it
+// pre-reads — so plain writes block neither readers nor each other, and
+// only the drain of a rebuild slice whose window shares a bucket with
+// it, ReplaceBackend and the slice returning a disk to service ever wait
+// for them. A write with a copy on a rebuilding disk inside a slice's
 // in-flight window [s0, s1) lets go of the drain (and rmwMu, which the
 // slice may need for its own XOR), waits for that slice and starts over
 // — pre-read included — against the state it leaves; writes elsewhere —
@@ -684,21 +748,41 @@ func (v *Volume) WriteAt(p []byte, off int64) (int, error) {
 // atomically per copy, but which writer's bytes survive — per replica —
 // is unordered, so callers that overlap writes must serialize
 // themselves (see DESIGN.md §11; TestConcurrentWriters documents the
-// semantics).
+// semantics). It is the one-piece case of WritePiecesCtx.
 func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if off < 0 || off > v.Size()-int64(len(p)) {
-		return 0, fmt.Errorf("cluster: write of %d bytes at offset %d outside volume of %d bytes", len(p), off, v.Size())
+	one := [1]Piece{{Buf: p, Off: off}}
+	if err := v.WritePiecesCtx(ctx, one[:]); err != nil {
+		return 0, err
 	}
-	if len(p) == 0 {
-		return 0, nil
+	return len(p), nil
+}
+
+// WritePiecesCtx writes every piece in one op, each with WriteAtCtx's
+// semantics: one drain hold, one plan, one packed scatter per backend
+// for all of them and one settling of what the fan-out learned — on a
+// parity or WireCRC volume one pre-read too, under one hold of rmwMu —
+// where a WriteAtCtx per piece would pay each of those per piece. The
+// pieces' elements are numbered across the op, so an element that
+// reached no backend is named by its place in the whole write. Pieces
+// must lie inside the volume, come in ascending offset order and share
+// no stripe; anything else is refused before any I/O. On error, the
+// pieces' bytes may have reached some copies and not others, as with
+// WriteAtCtx.
+func (v *Volume) WritePiecesCtx(ctx context.Context, pieces []Piece) error {
+	total, err := v.checkPieces("write", pieces)
+	if err != nil || total == 0 {
+		return err
 	}
 	start := time.Now()
 	defer func() { v.stats.writeLat.Observe(time.Since(start)) }()
 	pl := v.getPlan()
 	defer v.putPlan(pl)
-	es := v.elementSize
-	rmw := v.cfg.WireCRC && (off%es != 0 || (off+int64(len(p)))%es != 0)
+	rmw := false
+	if v.cfg.WireCRC {
+		v.tornElements(pieces, func(int64, Piece) { rmw = true })
+	}
 	pl.rmwHeld = rmw || v.parity >= 0
+	drains := v.piecesDrains(pieces)
 	var elems int
 	for {
 		if pl.rmwHeld {
@@ -706,18 +790,18 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 			// slice's drain never waits on a paced disk. rmwMu alone keeps
 			// what it read current until the write lands.
 			v.rmwMu.Lock()
-			if err := v.preRead(ctx, pl, p, off, rmw); err != nil {
+			if err := v.preRead(ctx, pl, pieces, total, rmw); err != nil {
 				v.rmwMu.Unlock()
-				return 0, err
+				return err
 			}
 		}
-		v.drain.RLock()
+		v.eachDrain(drains, (*sync.RWMutex).RLock)
 		pl.st = v.state.Load()
 		var fence *window
-		if elems, fence = v.planWrite(pl, p, off, rmw); fence == nil {
+		if elems, fence = v.planWrite(pl, pieces, rmw); fence == nil {
 			break
 		}
-		v.drain.RUnlock()
+		v.eachDrain(drains, (*sync.RWMutex).RUnlock)
 		pl.clearRound()
 		if pl.rmwHeld {
 			v.rmwMu.Unlock()
@@ -725,12 +809,12 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 		select {
 		case <-fence.done:
 		case <-ctx.Done():
-			return 0, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	err := v.runWrites(ctx, pl, elems)
+	err = v.runWrites(ctx, pl, elems)
 	autoFailed := v.settleWrites(pl)
-	v.drain.RUnlock()
+	v.eachDrain(drains, (*sync.RWMutex).RUnlock)
 	if pl.rmwHeld {
 		v.rmwMu.Unlock()
 	}
@@ -751,20 +835,20 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	}
 	v.stats.elementsWritten.Add(int64(written))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		// Cancelled mid-fan-out: report the cancel, not data loss — the
 		// missing replicas were never attempted, not lost.
-		return 0, cerr
+		return cerr
 	}
 	if lost >= 0 {
-		return 0, fmt.Errorf("%w: element %d of write at %d reached no backend", ErrDataLoss, lost, off)
+		return fmt.Errorf("%w: element %d of write at %d reached no backend", ErrDataLoss, lost, pieces[0].Off)
 	}
-	return len(p), nil
+	return nil
 }
 
-// planWrite routes the write of p at off into pl's per-backend shares
+// planWrite routes the write of the pieces into pl's per-backend shares
 // against pl.st: every element's written range to every copy pl.st
 // calls available (redundancy carries the others until a rebuild
 // catches up), plus, on a parity volume, each written row's parity op
@@ -772,34 +856,36 @@ func (v *Volume) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 // plan left partial, the fence of the first copy found inside a rebuild
 // slice's in-flight window, which the caller waits out before starting
 // over. rmw says torn elements travel as the whole images preRead left
-// in the plan.
-func (v *Volume) planWrite(pl *opPlan, p []byte, off int64, rmw bool) (elems int, fence *window) {
+// in the plan, which it carved in the order met here (tornElements).
+func (v *Volume) planWrite(pl *opPlan, pieces []Piece, rmw bool) (elems int, fence *window) {
 	es := v.elementSize
 	torn := 0
 	pl.broken = pl.broken[:0]
-	for total := 0; total < len(p); {
-		stripe, disk, row, inner := v.elemAddr(off + int64(total))
-		chunk := int(min(es-inner, int64(len(p)-total)))
-		data := p[total : total+chunk]
-		if rmw && int64(chunk) != es {
-			data, inner = pl.tornElement(torn, es), 0
-			torn++
-		}
-		for _, loc := range v.locations(stripe, disk, row) {
-			if !pl.st.available(loc.slot, stripe) {
-				if w := pl.st.fence(loc.slot, stripe); w != nil {
-					return 0, w
-				}
-				continue
+	for _, pc := range pieces {
+		for at := 0; at < len(pc.Buf); {
+			stripe, disk, row, inner := v.elemAddr(pc.Off + int64(at))
+			chunk := int(min(es-inner, int64(len(pc.Buf)-at)))
+			data := pc.Buf[at : at+chunk]
+			if rmw && int64(chunk) != es {
+				data, inner = pl.tornElement(torn, es), 0
+				torn++
 			}
-			b := pl.backend(loc.slot)
-			b.ops = append(b.ops, writeOp{
-				off: v.storeOffset(stripe, loc.row) + inner, data: data,
-				elem: int32(elems), stripe: int32(stripe),
-			})
+			for _, loc := range v.locations(stripe, disk, row) {
+				if !pl.st.available(loc.slot, stripe) {
+					if w := pl.st.fence(loc.slot, stripe); w != nil {
+						return 0, w
+					}
+					continue
+				}
+				b := pl.backend(loc.slot)
+				b.ops = append(b.ops, writeOp{
+					off: v.storeOffset(stripe, loc.row) + inner, data: data,
+					elem: int32(elems), stripe: int32(stripe),
+				})
+			}
+			elems++
+			at += chunk
 		}
-		elems++
-		total += chunk
 	}
 	if v.parity >= 0 {
 		return elems, v.planParity(pl)
@@ -807,53 +893,70 @@ func (v *Volume) planWrite(pl *opPlan, p []byte, off int64, rmw bool) (elems int
 	return elems, nil
 }
 
-// preRead fetches, in one gather, what the write of p at off must know
-// before it can plan: with rmw, the current image of each element the
-// write covers only partly — at most its first and its last — patched
-// with p's bytes so the WireCRC write path can ship whole elements; on
-// a parity volume, the old bytes under every range it writes and under
-// each written row's parity range, folded into the row's new parity
-// (stageParity, foldParity). An unaligned write pays one round trip per
-// involved backend, not one per torn edge. Call with v.rmwMu held.
-func (v *Volume) preRead(ctx context.Context, pl *opPlan, p []byte, off int64, rmw bool) error {
+// tornElements calls f with the logical start of every element the
+// pieces cover only partly, and the piece covering it, in the order
+// planWrite meets them: per piece, the head element when the piece
+// starts inside it or ends before its end, then the tail element when
+// the piece ends inside it and it is not the head again. Under WireCRC
+// each is read, patched and written back whole.
+func (v *Volume) tornElements(pieces []Piece, f func(elem int64, pc Piece)) {
 	es := v.elementSize
-	end := off + int64(len(p))
-	// The head element is torn when the write starts inside it or ends
-	// before its end; the tail element when the write ends inside it and
-	// it is not the head element again.
-	tailStart := end - end%es
-	headTorn := rmw && (off%es != 0 || int64(len(p)) < es)
-	tailTorn := rmw && end%es != 0 && tailStart > off
-	var head, tail []byte
-	image := func(at int64) []byte {
-		stripe, disk, row, _ := v.elemAddr(at)
-		img := pl.tornElement(len(pl.spans), es)
-		pl.spans = append(pl.spans, span{stripe: stripe, disk: disk, row: row, buf: img})
-		return img
+	for _, pc := range pieces {
+		if len(pc.Buf) == 0 {
+			continue
+		}
+		end := pc.Off + int64(len(pc.Buf))
+		head, tail := pc.Off-pc.Off%es, end-end%es
+		if pc.Off != head || end < head+es {
+			f(head, pc)
+		}
+		if end != tail && tail > head {
+			f(tail, pc)
+		}
 	}
-	if headTorn {
-		head = image(off)
-	}
-	if tailTorn {
-		tail = image(tailStart)
+}
+
+// preRead fetches, in one gather, what the write of the pieces (total
+// bytes) must know before it can plan: with rmw, the current image of
+// each element a piece covers only partly — at most its first and its
+// last — patched with the piece's bytes so the WireCRC write path can
+// ship whole elements; on a parity volume, the old bytes under every
+// range it writes and under each written row's parity range, folded into
+// the row's new parity (stageParity, foldParity). An unaligned write pays
+// one round trip per involved backend, not one per torn edge. Call with
+// v.rmwMu held.
+func (v *Volume) preRead(ctx context.Context, pl *opPlan, pieces []Piece, total int, rmw bool) error {
+	es := v.elementSize
+	if rmw {
+		images := 0
+		v.tornElements(pieces, func(int64, Piece) { images++ })
+		pl.torn = grow(pl.torn, images*int(es))
+		k := 0
+		v.tornElements(pieces, func(at int64, _ Piece) {
+			stripe, disk, row, _ := v.elemAddr(at)
+			pl.spans = append(pl.spans, span{stripe: stripe, disk: disk, row: row, buf: pl.tornElement(k, es)})
+			k++
+		})
 	}
 	if v.parity >= 0 {
-		v.stageParity(pl, p, off)
+		v.stageParity(pl, pieces, total)
 	}
 	err := v.fetchSpans(ctx, pl, fetchInternal)
 	if err == nil && v.parity >= 0 {
-		v.foldParity(pl, p, off)
+		v.foldParity(pl, pieces)
 	}
 	clear(pl.spans)
 	pl.spans = pl.spans[:0]
 	if err != nil {
 		return err
 	}
-	if headTorn {
-		copy(head[off%es:], p)
-	}
-	if tailTorn {
-		copy(tail, p[tailStart-off:])
+	if rmw {
+		k := 0
+		v.tornElements(pieces, func(at int64, pc Piece) {
+			lo := max(at, pc.Off)
+			copy(pl.tornElement(k, es)[lo-at:], pc.Buf[lo-pc.Off:])
+			k++
+		})
 	}
 	return nil
 }
@@ -999,7 +1102,7 @@ func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 		return fmt.Errorf("cluster: unknown disk %v", id)
 	}
 	var old backend
-	v.drain.Lock()
+	v.eachDrain(allDrains, (*sync.RWMutex).Lock)
 	err := v.update(func(next *volState) error {
 		if next.closed {
 			return errVolumeClosed
@@ -1015,7 +1118,7 @@ func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 		}
 		return nil
 	})
-	v.drain.Unlock()
+	v.eachDrain(allDrains, (*sync.RWMutex).Unlock)
 	if err != nil {
 		return err
 	}

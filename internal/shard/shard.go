@@ -320,15 +320,16 @@ func (s *ShardedVolume) segments(segs []segment, off int64, n int) []segment {
 }
 
 // stackSegments is how many segments a request may split into before
-// its segment list moves to the heap.
+// its segment list (and a group's piece list) moves to the heap.
 const stackSegments = 4
 
 // fanout runs the read or write of p's segments against their groups:
-// each group's segments sequentially, the groups concurrently, and
-// returns the first error. A request inside one group — every request
-// smaller than a stripe that does not straddle a boundary — runs on the
-// calling goroutine. Caller holds s.mu.RLock across the call, so
-// topology cannot change under in-flight I/O.
+// each group's segments as one vectored op on its child volume, the
+// groups concurrently, and returns the first error. A request inside
+// one group — every request smaller than a stripe that does not
+// straddle a boundary — runs on the calling goroutine. Caller holds
+// s.mu.RLock across the call, so topology cannot change under in-flight
+// I/O.
 func (s *ShardedVolume) fanout(ctx context.Context, p []byte, segs []segment, write bool) error {
 	single := true
 	for _, sg := range segs[1:] {
@@ -346,64 +347,70 @@ func (s *ShardedVolume) fanout(ctx context.Context, p []byte, segs []segment, wr
 	return s.fanoutGroups(ctx, p, append([]segment(nil), segs...), write)
 }
 
-// fanoutGroups is fanout's multi-group leg: one goroutine per group
-// that owns a segment.
+// fanoutGroups is fanout's multi-group leg: one vectored op per group
+// that owns a segment, the first segment's group on the calling
+// goroutine and every other on a goroutine of its own.
 func (s *ShardedVolume) fanoutGroups(ctx context.Context, p []byte, segs []segment, write bool) error {
 	var (
 		wg    sync.WaitGroup
 		errMu sync.Mutex
 		first error
 	)
-	for _, gid := range s.order {
-		if !slices.ContainsFunc(segs, func(sg segment) bool { return sg.gid == gid }) {
-			continue
+	note := func(err error) {
+		if err != nil {
+			errMu.Lock()
+			if first == nil {
+				first = err
+			}
+			errMu.Unlock()
+		}
+	}
+	for i, sg := range segs[1:] {
+		if slices.ContainsFunc(segs[:i+1], func(prev segment) bool { return prev.gid == sg.gid }) {
+			continue // the group is already running
 		}
 		wg.Add(1)
-		go func() {
+		go func(gid int) {
 			defer wg.Done()
-			if err := s.runGroup(ctx, gid, p, segs, write); err != nil {
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-			}
-		}()
+			note(s.runGroup(ctx, gid, p, segs, write))
+		}(sg.gid)
 	}
+	note(s.runGroup(ctx, segs[0].gid, p, segs, write))
 	wg.Wait()
 	return first
 }
 
-// runGroup drives group gid's segments of segs in order, stopping at
-// the first error.
+// runGroup drives group gid's segments of segs as one vectored op on
+// its child volume: one plan and one fan-out round for all of them. The
+// pieces go in ascending child offset, which the volume requires — a
+// group's child stripes follow logical order after New's round-robin
+// deal, but not necessarily after RemoveGroup has migrated extents into
+// freed stripes — sorted by insertion into a stack array. Segments never
+// share a child stripe: each covers its own extents.
 func (s *ShardedVolume) runGroup(ctx context.Context, gid int, p []byte, segs []segment, write bool) error {
-	vol := s.groups[gid].vol
+	var stack [stackSegments]cluster.Piece
+	pieces := stack[:0]
 	for _, sg := range segs {
 		if sg.gid != gid {
 			continue
 		}
-		var (
-			m   int
-			err error
-		)
-		if write {
-			m, err = vol.WriteAtCtx(ctx, p[sg.lo:sg.hi], sg.childOff)
-		} else {
-			m, err = vol.ReadAtCtx(ctx, p[sg.lo:sg.hi], sg.childOff)
-			if errors.Is(err, io.EOF) && m == sg.hi-sg.lo {
-				err = nil
-			}
+		pc := cluster.Piece{Buf: p[sg.lo:sg.hi], Off: sg.childOff}
+		i := len(pieces)
+		pieces = append(pieces, pc)
+		for ; i > 0 && pieces[i-1].Off > pc.Off; i-- {
+			pieces[i] = pieces[i-1]
 		}
-		if err == nil && m != sg.hi-sg.lo {
-			op := "read"
-			if write {
-				op = "write"
-			}
-			err = fmt.Errorf("short %s: %d of %d bytes at %d", op, m, sg.hi-sg.lo, sg.childOff)
-		}
-		if err != nil {
-			return fmt.Errorf("shard: group %d: %w", gid, err)
-		}
+		pieces[i] = pc
+	}
+	vol := s.groups[gid].vol
+	var err error
+	if write {
+		err = vol.WritePiecesCtx(ctx, pieces)
+	} else {
+		err = vol.ReadPiecesCtx(ctx, pieces)
+	}
+	if err != nil {
+		return fmt.Errorf("shard: group %d: %w", gid, err)
 	}
 	return nil
 }

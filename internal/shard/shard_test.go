@@ -225,6 +225,51 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOneExchangePerBackendPerGroup: the round-robin deal puts a 1 MiB
+// request of the benchmark's geometry on groups 0, 1, 0, 1, so each
+// group owns two of its four stripes. Handed to the group as one
+// vectored op, those cost each backend they touch one request — a read
+// each data backend, a write every backend of both groups — where a
+// child op per segment costs two.
+func TestOneExchangePerBackendPerGroup(t *testing.T) {
+	const n, elementSize, stripes = 4, 16 << 10, 4
+	s, _ := newTestShard(t, n, elementSize, []int{stripes, stripes}, Config{})
+	buf := make([]byte, 1<<20)
+	rand.New(rand.NewSource(31)).Read(buf)
+	count := func(what string, op func() error, want func(raid.DiskID) int64) {
+		t.Helper()
+		before := map[int][]cluster.BackendHealth{}
+		for _, gid := range s.Groups() {
+			vol, _ := s.GroupVolume(gid)
+			before[gid] = vol.Health().Backends
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		for _, gid := range s.Groups() {
+			vol, _ := s.GroupVolume(gid)
+			for i, b := range vol.Health().Backends {
+				if got := b.Requests - before[gid][i].Requests; got != want(b.ID) {
+					t.Errorf("%s: group %d backend %v took %d requests, want %d", what, gid, b.ID, got, want(b.ID))
+				}
+			}
+		}
+	}
+	count("1 MiB write", func() error { _, err := s.WriteAt(buf, 0); return err },
+		func(raid.DiskID) int64 { return 1 })
+	got := make([]byte, len(buf))
+	count("1 MiB read", func() error { _, err := s.ReadAt(got, 0); return err },
+		func(id raid.DiskID) int64 {
+			if id.Role == raid.RoleData {
+				return 1
+			}
+			return 0
+		})
+	if !bytes.Equal(got, buf) {
+		t.Fatal("1 MiB read returned the wrong bytes")
+	}
+}
+
 func TestShardEOFContract(t *testing.T) {
 	s, _ := newTestShard(t, 2, 32, []int{2, 2}, Config{})
 	shardPayload(t, s, 2)
