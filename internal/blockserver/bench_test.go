@@ -15,17 +15,21 @@ import (
 // the ceiling: the same bytes over a bare socket with a one-byte
 // request/ack round trip and no framing, store, or checksum. The
 // BenchmarkWirePath variants run the real vectored protocol against a
-// zero-copy MemStore server, with and without the CRC feature. The
-// medians feed BENCH_wire.json ("gate" section) and cmd/benchdiff
-// fails CI when the wire path drifts from this machine's baseline.
+// zero-copy MemStore server, with and without the CRC feature, plus a
+// small-frame rung: one caller, one 4 KiB range, where the syscalls of
+// an exchange rather than its bytes set the pace. The medians feed
+// BENCH_wire.json ("gate" section) and cmd/benchdiff fails CI when the
+// wire path drifts from this machine's baseline.
 const (
 	benchRanges   = 5
 	benchRangeLen = 256 << 10
 	benchTotal    = benchRanges * benchRangeLen
+	benchSmall    = 4 << 10
 )
 
 // startRawPeer serves the baseline protocol on a loopback socket:
-// 'r' → write benchTotal bytes; 'w' → read benchTotal bytes, ack 1.
+// 'r' → write benchTotal bytes; 'w' → read benchTotal bytes, ack 1;
+// 'p' → write benchSmall bytes.
 func startRawPeer(b *testing.B) string {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -55,6 +59,10 @@ func startRawPeer(b *testing.B) string {
 					return
 				}
 				if _, err := conn.Write(cmd); err != nil {
+					return
+				}
+			case 'p':
+				if _, err := conn.Write(buf[:benchSmall]); err != nil {
 					return
 				}
 			}
@@ -97,6 +105,20 @@ func BenchmarkRawTCP(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := io.ReadFull(conn, cmd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The small-frame ceiling: one round trip carrying 4 KiB, the shape
+	// of BenchmarkWirePath's read4k and write4k legs.
+	b.Run("pingpong4k", func(b *testing.B) {
+		b.SetBytes(benchSmall)
+		for i := 0; i < b.N; i++ {
+			cmd[0] = 'p'
+			if _, err := conn.Write(cmd); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, buf[:benchSmall]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -152,6 +174,29 @@ func BenchmarkWirePath(b *testing.B) {
 			b.Fatal(err)
 		}
 
+		// The small-frame rung runs first, right behind BenchmarkRawTCP's
+		// pingpong4k it is gated against.
+		if mode == "plain" {
+			small := []Vec{{Len: benchSmall}}
+			b.Run("read4k/"+mode, func(b *testing.B) {
+				b.SetBytes(benchSmall)
+				dst := [][]byte{dst[0][:benchSmall]}
+				for i := 0; i < b.N; i++ {
+					if err := client.ReadVCtx(ctx, small, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("write4k/"+mode, func(b *testing.B) {
+				b.SetBytes(benchSmall)
+				data := [][]byte{data[0][:benchSmall]}
+				for i := 0; i < b.N; i++ {
+					if _, err := client.WriteVCtx(ctx, small, data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 		b.Run("readv/"+mode, func(b *testing.B) {
 			b.SetBytes(benchTotal)
 			for i := 0; i < b.N; i++ {

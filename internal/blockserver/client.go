@@ -17,9 +17,13 @@ type Config struct {
 	// DialTimeout bounds the TCP connect. 0 means no limit.
 	DialTimeout time.Duration
 	// OpTimeout bounds each request/response exchange end to end
-	// (including payload transfer). 0 means no limit. A deadline that
-	// fires mid-exchange leaves the stream desynchronized, so the
-	// connection is poisoned and must be replaced.
+	// (including payload transfer). 0 means no limit. On a synchronous
+	// connection the deadline is kept across exchanges and re-armed
+	// only when it would leave an exchange less than 7/8 of OpTimeout,
+	// so an exchange is bounded by between 7/8 and 1 × OpTimeout. A
+	// deadline that fires mid-exchange leaves the stream
+	// desynchronized, so the connection is poisoned and must be
+	// replaced.
 	OpTimeout time.Duration
 	// Features is the set of optional capabilities to request at dial
 	// time (FeatureCRC, FeaturePipeline). The server grants a subset;
@@ -65,13 +69,17 @@ type Client struct {
 	// desynchronized; every later op fails fast with it.
 	broken error
 	// Per-connection scratch, guarded by mu, so steady-state I/O sends
-	// and parses frames without allocating: dec reads responses off conn,
-	// nb is the persistent writev header (WriteTo consumes its receiver,
-	// and a field does not escape per call).
+	// and parses frames without allocating: fr reads conn a frame at a
+	// time, dec parses responses off fr, nb is the persistent writev
+	// header (WriteTo consumes its receiver, and a field does not escape
+	// per call).
+	fr  frameReader
 	dec decoder
 	nb  net.Buffers
-	// Cancellation (see beginOp). armed says the exchange in flight set a
-	// connection deadline endOp must clear. The connection's one cancel
+	// deadline is the deadline armed on conn, zero for none (guarded by
+	// mu; see arm).
+	deadline time.Time
+	// Cancellation (see beginOp). The connection's one cancel
 	// callback is registered on the context whose Done channel is
 	// watched; unwatch deregisters it, keep says the registration
 	// outlives the exchange in flight, and last is the Done of the
@@ -80,7 +88,6 @@ type Client struct {
 	// the exchange in flight, nil between exchanges — and fired — the
 	// watched context's callback has run — are guarded by watchMu, not
 	// mu, which the exchange itself holds; watched is written under both.
-	armed    bool
 	unwatch  func() bool
 	keep     bool
 	last     <-chan struct{}
@@ -126,14 +133,16 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Client, error) 
 		}
 	}
 	if c.features&FeaturePipeline != 0 {
-		c.pipe = newPipe(c.conn, cfg.PipeWindow, cfg.OpTimeout,
+		c.pipe = newPipe(c.conn, c.fr.handoff(), cfg.PipeWindow, cfg.OpTimeout,
 			c.features&FeatureCRC != 0, cfg.PipeStats)
 	}
 	return c, nil
 }
 
 func newClient(cfg Config, conn net.Conn) *Client {
-	return &Client{cfg: cfg, conn: conn, lim: wireLimits, dec: decoder{r: conn}}
+	c := &Client{cfg: cfg, conn: conn, lim: wireLimits, fr: newFrameReader(conn)}
+	c.dec.r = &c.fr
+	return c
 }
 
 // negotiate runs the OpFeatures exchange on a fresh connection. ok =
@@ -164,7 +173,8 @@ func (c *Client) negotiate(ctx context.Context) (ok bool, err error) {
 		// cannot be the old-server tear — fail the dial.
 		return false, negotiateErr(ctx, werr)
 	}
-	if _, serr := io.ReadFull(c.conn, c.dec.hdr[:1]); serr != nil {
+	status, serr := c.fr.first()
+	if serr != nil {
 		if ctx.Err() == nil && isPeerTear(serr) {
 			// Old servers tear the connection on the unknown opcode.
 			return false, nil
@@ -173,7 +183,7 @@ func (c *Client) negotiate(ctx context.Context) (ok bool, err error) {
 	}
 	// The server answered the opcode, so losing the rest of the response
 	// is a transport failure, not a pre-negotiation peer.
-	if rerr := c.dec.response(cl, c.dec.hdr[0], true); rerr != nil {
+	if rerr := c.dec.response(cl, status, true); rerr != nil {
 		return false, negotiateErr(ctx, rerr)
 	}
 	if cl.err != nil {
@@ -259,11 +269,10 @@ func (c *Client) Broken() error {
 }
 
 // beginOp opens one request/response exchange: it takes the client
-// lock, fails fast on a poisoned connection or dead context, arms the
-// per-op deadline (the tighter of cfg.OpTimeout and the context
-// deadline), and puts the exchange under the connection's cancellation
-// callback. Every successful beginOp must be paired with endOp; do is
-// the one caller of both.
+// lock, fails fast on a poisoned connection or dead context, gives the
+// exchange its deadline (arm), and puts the exchange under the
+// connection's cancellation callback. Every successful beginOp must be
+// paired with endOp; do is the one caller of both.
 //
 // Cancellation is honored mid-frame, not just at op start: a callback
 // registered on ctx slams the connection deadline into the past the
@@ -296,17 +305,7 @@ func (c *Client) beginOp(ctx context.Context) error {
 		c.mu.Unlock()
 		return err
 	}
-	var deadline time.Time
-	if c.cfg.OpTimeout > 0 {
-		deadline = time.Now().Add(c.cfg.OpTimeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if !deadline.IsZero() {
-		c.conn.SetDeadline(deadline)
-	}
-	c.armed = !deadline.IsZero()
+	c.arm(ctx)
 	if done := ctx.Done(); done != nil {
 		renew := done != c.watched
 		if renew {
@@ -335,6 +334,37 @@ func (c *Client) beginOp(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// arm gives the exchange about to start its deadline, and touches the
+// connection only when that deadline differs from the one armed. A
+// context deadline tighter than cfg.OpTimeout is armed exactly. Without
+// one, the connection keeps the deadline it has as long as that leaves
+// the exchange at least 7/8 of OpTimeout, and is re-armed to a full
+// OpTimeout otherwise: an exchange without a context deadline is
+// bounded by between 7/8 and 1 × OpTimeout, and a busy connection
+// updates its timer once per OpTimeout/8 rather than twice per exchange.
+// A deadline left behind by an earlier exchange — a context's, or one
+// that passed while the connection idled — never cuts a later one
+// short: it is re-armed or, with no OpTimeout, cleared. Call with mu
+// held.
+func (c *Client) arm(ctx context.Context) {
+	d, ok := ctx.Deadline()
+	if t := c.cfg.OpTimeout; t > 0 {
+		now := time.Now()
+		if !ok || !d.Before(now.Add(t)) {
+			if !c.deadline.IsZero() && !c.deadline.Before(now.Add(t-t/8)) {
+				return // what is armed leaves the exchange at least 7/8 of t
+			}
+			d = now.Add(t)
+		}
+	} else if !ok {
+		d = time.Time{}
+	}
+	if !d.Equal(c.deadline) {
+		c.conn.SetDeadline(d)
+		c.deadline = d
+	}
 }
 
 // interrupt is the cancel callback of the context whose Done channel is
@@ -368,10 +398,10 @@ func (c *Client) retireWatch() {
 
 // endOp closes the exchange beginOp opened: takes it out from under the
 // cancel callback (retiring a registration not kept), poisons the
-// connection when the exchange died
-// mid-frame (anything but a clean remote error or a CRC verdict leaves
-// request and response streams out of step), resets the deadline if the
-// exchange set one or the callback moved it, and releases the lock. It
+// connection when the exchange died mid-frame (anything but a clean
+// remote error or a CRC verdict leaves request and response streams out
+// of step), clears the deadline if the callback moved it — one the
+// exchange armed stays for the next (arm) — and releases the lock. It
 // returns the error the caller should surface — a cancellation is
 // rewrapped around ctx.Err() so callers can errors.Is it.
 func (c *Client) endOp(ctx context.Context, err error) error {
@@ -393,8 +423,9 @@ func (c *Client) endOp(ctx context.Context, err error) error {
 		}
 		return err
 	}
-	if c.armed || moved {
+	if moved {
 		c.conn.SetDeadline(time.Time{})
+		c.deadline = time.Time{}
 	}
 	c.mu.Unlock()
 	return err
@@ -413,8 +444,9 @@ func (c *Client) do(ctx context.Context, cl *call) (result, error) {
 	}
 	err := c.send(cl)
 	if err == nil {
-		if _, err = io.ReadFull(c.conn, c.dec.hdr[:1]); err == nil {
-			if err = c.dec.response(cl, c.dec.hdr[0], true); err == nil {
+		var status byte
+		if status, err = c.fr.first(); err == nil {
+			if err = c.dec.response(cl, status, true); err == nil {
 				err = cl.err
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -126,7 +127,9 @@ const pipeReaderSize = 64 << 10
 // element-sized ops, shallow enough to bound per-connection memory.
 const DefaultPipeWindow = 32
 
-func newPipe(conn net.Conn, window int, opTimeout time.Duration, crcMode bool, stats *PipeStats) *pipe {
+// newPipe starts the pipelined scheduler on conn; r is the connection's
+// stream from the first tagged response on.
+func newPipe(conn net.Conn, r io.Reader, window int, opTimeout time.Duration, crcMode bool, stats *PipeStats) *pipe {
 	if window <= 0 {
 		window = DefaultPipeWindow
 	}
@@ -147,7 +150,7 @@ func newPipe(conn net.Conn, window int, opTimeout time.Duration, crcMode bool, s
 		calls:     make(map[uint32]*call, window),
 	}
 	p.idle.L = &p.mu
-	p.br = bufio.NewReaderSize(conn, pipeReaderSize)
+	p.br = bufio.NewReaderSize(r, pipeReaderSize)
 	p.dec.r = p.br
 	p.wg.Add(2)
 	go p.writeLoop()

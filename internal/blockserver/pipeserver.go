@@ -73,15 +73,16 @@ type pipeSrv struct {
 }
 
 // servePipelined runs the connection in pipelined mode until the peer
-// disconnects or a framing violation tears it down. Shutdown order:
+// disconnects or a framing violation tears it down; r is the
+// connection's stream from the first tagged frame on. Shutdown order:
 // the demux stops, workers drain their queue and exit, then the writer
 // drains the response queue and exits — so no goroutine is ever left
 // blocked on a channel.
-func (s *Server) servePipelined(conn net.Conn) {
+func (s *Server) servePipelined(conn net.Conn, r io.Reader) {
 	ps := &pipeSrv{
 		s:          s,
 		conn:       conn,
-		br:         bufio.NewReaderSize(conn, pipeReaderSize),
+		br:         bufio.NewReaderSize(r, pipeReaderSize),
 		taskCh:     make(chan *srvTask, srvPipeQueue),
 		respCh:     make(chan *reply, srvPipeQueue),
 		writerDone: make(chan struct{}),

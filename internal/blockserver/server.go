@@ -228,11 +228,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// connScratch is the synchronous loop's per-connection state: one
-// request, one reply and the writev header, reused for every exchange —
-// a connection serves one request at a time — so steady-state requests
-// allocate nothing.
+// connScratch is the synchronous loop's per-connection state: the frame
+// reader, one request, one reply and the writev header, reused for
+// every exchange — a connection serves one request at a time — so
+// steady-state requests allocate nothing.
 type connScratch struct {
+	fr  frameReader
 	req request
 	rp  reply
 	// nb is the persistent writev header: net.Buffers.WriteTo consumes
@@ -247,22 +248,19 @@ type connScratch struct {
 // the connection to the pipelined scheduler when that was granted.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	scr := &connScratch{}
-	req, rp := &scr.req, &scr.rp
+	scr := &connScratch{fr: newFrameReader(conn)}
+	fr, req, rp := &scr.fr, &scr.req, &scr.rp
 	for {
-		// The opcode is read through the request scratch: a local array
-		// would escape into the conn interface and cost one allocation
-		// per request.
-		if _, err := io.ReadFull(conn, req.hdr[:1]); err != nil {
+		op, err := fr.first()
+		if err != nil {
 			return
 		}
-		op, start := req.hdr[0], s.clock()
+		start := s.clock()
 		rp.acct = opAcct{}
 		var pipelined, pending bool
-		var err error
 		if op == OpFeatures {
-			pipelined, err = s.negotiate(conn, req, rp)
-		} else if pending, err = s.decode(conn, op, req, rp); pending {
+			pipelined, err = s.negotiate(fr, req, rp)
+		} else if pending, err = s.decode(fr, op, req, rp); pending {
 			s.apply(req, rp)
 		}
 		if err == nil {
@@ -281,7 +279,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if pipelined {
-			s.servePipelined(conn)
+			// A client may send tagged frames right behind OpFeatures; what
+			// the frame reader already holds of them goes along.
+			s.servePipelined(conn, fr.handoff())
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -444,17 +445,61 @@ func frameLen(op byte, p []byte) (n int, ok bool) {
 	return n, ok && n <= len(p)
 }
 
+// fuzzChunks turns fuzz bytes into read sizes for a scriptedSource:
+// 1–128 bytes, or multiples of 512 up to 64 KiB, so a frame arrives
+// anywhere from a byte at a time to more than a frame buffer at once.
+func fuzzChunks(b []byte) []int {
+	chunks := make([]int, len(b))
+	for i, c := range b {
+		chunks[i] = int(c) + 1
+		if c >= 0x80 {
+			chunks[i] = int(c-0x7f) << 9
+		}
+	}
+	return chunks
+}
+
+// nextFrame is the request queued behind a fuzzed frame on the frame
+// reader's source; it must decode once the fuzzed frame was answered.
+var nextFrame = vecFrame(OpReadV, Vec{Off: 0, Len: 16})
+
+// replyBytes is what a reply puts on the synchronous wire.
+func replyBytes(rp *reply) []byte {
+	out := append([]byte{}, rp.bufs[0][tagRoom:]...)
+	for _, b := range rp.bufs[1:] {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// fuzzStore is a guarded store of the fuzz targets' size, exposing its
+// memory when direct.
+func fuzzStore(direct bool) (*guardStore, *Server) {
+	guard := &guardStore{mem: dev.NewMemStore(wireStoreSize)}
+	var store Store = guard
+	if direct {
+		store = directGuardStore{guard}
+	}
+	return guard, NewStoreServer(store, WithCRC(wireCRCBlock))
+}
+
 // FuzzDecodeRequest feeds arbitrary bytes to the server's request
 // decoder as a stream of untagged frames (the tagged framing runs the
 // same decode after reading the tag), over both store paths. Whatever
 // arrives, the decoder must not panic, must not touch the store outside
 // [0, Size), and must leave the stream either torn or synchronized: a
 // frame it answers was consumed exactly, and its reply is well-formed.
+// Every frame also goes through the synchronous scheduler's frame
+// reader, to a twin server, over a source that delivers it in
+// fuzz-chosen chunks with another frame queued behind: the twin must
+// reach the same verdict and reply, consume the frame exactly — the
+// bytes pulled from the source less those left buffered — and then
+// decode the frame behind it.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, cases := range [][]wireCase{unknownOpCases, retiredOpCases, gatherCases, scatterCases} {
 		for _, tc := range cases {
 			if len(tc.frame) < 1<<16 {
-				f.Add(tc.frame)
+				f.Add(tc.frame, []byte{})
 			}
 		}
 	}
@@ -464,16 +509,13 @@ func FuzzDecodeRequest(f *testing.F) {
 	good = append(good, rangeFrame(OpRead, 0, 16, nil)...)
 	good = append(good, vecFrame(OpCrcV, Vec{Off: 0, Len: 64})...)
 	good = append(good, OpSize)
-	f.Add(good)
-	f.Add(append(good, 4, 0, 0, 0, 0, 1)) // a retired opcode after served frames
-	f.Fuzz(func(t *testing.T, stream []byte) {
+	f.Add(good, []byte{})
+	f.Add(good, []byte{0, 4, 11, 0x80})
+	f.Add(append(good, 4, 0, 0, 0, 0, 1), []byte{2}) // a retired opcode after served frames
+	f.Fuzz(func(t *testing.T, stream, chunks []byte) {
 		for _, direct := range []bool{true, false} {
-			guard := &guardStore{mem: dev.NewMemStore(wireStoreSize)}
-			var store Store = guard
-			if direct {
-				store = directGuardStore{guard}
-			}
-			srv := NewStoreServer(store, WithCRC(wireCRCBlock))
+			guard, srv := fuzzStore(direct)
+			twinGuard, twin := fuzzStore(direct)
 			r := bytes.NewReader(stream)
 			var req request
 			var rp reply
@@ -481,11 +523,13 @@ func FuzzDecodeRequest(f *testing.F) {
 				op, _ := r.ReadByte()
 				rest := stream[len(stream)-r.Len():]
 				pending, err := srv.decode(r, op, &req, &rp)
+				if err == nil && pending {
+					srv.apply(&req, &rp)
+				}
+				frame := append([]byte{op}, rest[:len(rest)-r.Len()]...)
+				twinDecode(t, twin, frame, err == nil, &rp, fuzzChunks(chunks))
 				if err != nil {
 					break // torn
-				}
-				if pending {
-					srv.apply(&req, &rp)
 				}
 				if len(rp.bufs) == 0 || len(rp.bufs[0]) <= tagRoom || rp.bufs[0][tagRoom] > statusCRC {
 					t.Fatalf("op %d answered with a malformed reply %v", op, rp.bufs)
@@ -496,11 +540,55 @@ func FuzzDecodeRequest(f *testing.F) {
 				}
 				rp.reset()
 			}
-			if guard.violated {
+			if guard.violated || twinGuard.violated {
 				t.Fatalf("direct=%v: store touched outside [0,%d)", direct, wireStoreSize)
 			}
 		}
 	})
+}
+
+// twinDecode runs one frame the direct decode consumed through a frame
+// reader to the twin server and holds it to the direct decode's
+// outcome: torn when that tore (the source then holds only the bytes
+// the direct decode read), else the same reply, the frame consumed
+// exactly, and the frame queued behind it decoded.
+func twinDecode(t *testing.T, twin *Server, frame []byte, answered bool, want *reply, chunks []int) {
+	t.Helper()
+	var req request
+	var rp reply
+	src := &scriptedSource{data: append([]byte{}, frame...), chunks: chunks}
+	if answered {
+		src.data = append(src.data, nextFrame...)
+	}
+	fr := newFrameReader(src)
+	op, err := fr.first()
+	if err != nil || op != frame[0] {
+		t.Fatalf("frame reader's first byte %d, %v; want %d", op, err, frame[0])
+	}
+	pending, err := twin.decode(&fr, op, &req, &rp)
+	if err == nil && pending {
+		twin.apply(&req, &rp)
+	}
+	defer rp.reset()
+	if (err == nil) != answered {
+		t.Fatalf("op %d: through the frame reader the decode returned %v, directly answered=%v", op, err, answered)
+	}
+	if !answered {
+		return
+	}
+	if got, want := replyBytes(&rp), replyBytes(want); !bytes.Equal(got, want) {
+		t.Fatalf("op %d: through the frame reader the reply is %x, directly %x", op, got, want)
+	}
+	if consumed := src.pos - (fr.hi - fr.lo); consumed != len(frame) {
+		t.Fatalf("op %d: the frame reader consumed %d bytes of a %d-byte frame", op, consumed, len(frame))
+	}
+	rp.reset()
+	if op, err := fr.first(); err != nil || op != nextFrame[0] {
+		t.Fatalf("the frame behind starts with %d, %v", op, err)
+	}
+	if pending, err := twin.decode(&fr, nextFrame[0], &req, &rp); err != nil || !pending || req.total != 16 {
+		t.Fatalf("the frame behind: pending=%v total=%d %v", pending, req.total, err)
+	}
 }
 
 // FuzzDecodeResponse feeds arbitrary bytes to the client's response
@@ -513,7 +601,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	u32 := func(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 	const rangeLen = 8
 	seed := func(op byte, n int, claimed bool, resp []byte) {
-		f.Add(uint8(bytes.IndexByte(ops, op)), uint8(n-1), claimed, resp)
+		f.Add(uint8(bytes.IndexByte(ops, op)), uint8(n-1), claimed, resp, []byte{})
 	}
 	// OK gather of two ranges, with and without CRCs (one of them wrong).
 	body := []byte("01234567abcdefgh")
@@ -539,37 +627,48 @@ func FuzzDecodeResponse(f *testing.F) {
 	seed(OpCrcV, 2, true, u32(u32([]byte{statusOK}, 1), 2))
 	// Checksums answering a call its caller abandoned.
 	seed(OpCrcV, 2, false, u32(u32([]byte{statusOK}, 1), 2))
-	f.Fuzz(func(t *testing.T, opIdx, count uint8, claimed bool, resp []byte) {
+	f.Fuzz(func(t *testing.T, opIdx, count uint8, claimed bool, resp, chunks []byte) {
 		if len(resp) == 0 {
 			return
 		}
 		op, n := ops[int(opIdx)%len(ops)], int(count)%8+1
-		vecs, bufs := make([]Vec, n), make([][]byte, n)
-		arena := bytes.Repeat([]byte{0xEE}, n*rangeLen)
-		for i := range vecs {
-			vecs[i] = Vec{Off: int64(i) * rangeLen, Len: rangeLen}
-			bufs[i] = arena[i*rangeLen : (i+1)*rangeLen : (i+1)*rangeLen]
+		cl, arena, outCrcs := fuzzCall(op, n, rangeLen)
+		body := bytes.NewReader(resp[1:])
+		d := decoder{r: body}
+		err := d.response(cl, resp[0], claimed)
+		// The same response through the synchronous scheduler's frame
+		// reader, in fuzz-chosen chunks, with an OpSize answer queued
+		// behind it: the same verdict, the same bytes landed, the frame
+		// consumed exactly, and the answer behind it decoded.
+		frame := resp[:len(resp)-body.Len()]
+		twin, twinArena, twinCrcs := fuzzCall(op, n, rangeLen)
+		src := &scriptedSource{data: append([]byte{}, frame...), chunks: fuzzChunks(chunks)}
+		if err == nil {
+			src.data = append(src.data, statusOK, 0, 0, 0, 0, 0, 0, 0x10, 0)
 		}
-		cl := getCall()
-		outCrcs := make([]uint32, n)
-		switch op {
-		case OpRead:
-			cl.buildRead(bufs[0], 0)
-		case OpWrite:
-			cl.buildWrite(bufs[0], 0)
-		case OpReadV, OpReadVC:
-			cl.buildReadV(op == OpReadVC, vecs, bufs, int64(n*rangeLen))
-		case OpWriteV, OpWriteVC:
-			cl.buildWriteV(op == OpWriteVC, vecs, bufs)
-		case OpCrcV:
-			cl.buildVecs(op, vecs)
-			cl.outCrcs = outCrcs
-		default:
-			cl.buildMgmt(op)
+		fr := newFrameReader(src)
+		status, ferr := fr.first()
+		if ferr != nil || status != resp[0] {
+			t.Fatalf("frame reader's first byte %d, %v; want %d", status, ferr, resp[0])
 		}
-		d := decoder{r: bytes.NewReader(resp[1:])}
-		if err := d.response(cl, resp[0], claimed); err != nil {
+		twinD := decoder{r: &fr}
+		if terr := twinD.response(twin, status, claimed); (terr == nil) != (err == nil) {
+			t.Fatalf("op %d: through the frame reader the decode returned %v, directly %v", op, terr, err)
+		}
+		if fmt.Sprint(twin.err) != fmt.Sprint(cl.err) || twin.result != cl.result ||
+			!bytes.Equal(twinArena, arena) || !bytes.Equal(u32s(twinCrcs), u32s(outCrcs)) {
+			t.Fatalf("op %d: through the frame reader the outcome differs: %v %+v, directly %v %+v", op, twin.err, twin.result, cl.err, cl.result)
+		}
+		if err != nil {
 			return // stream declared desynchronized: the connection is retired
+		}
+		if consumed := src.pos - (fr.hi - fr.lo); consumed != len(frame) {
+			t.Fatalf("op %d: the frame reader consumed %d bytes of a %d-byte response", op, consumed, len(frame))
+		}
+		size := getCall()
+		size.buildMgmt(OpSize)
+		if status, err := fr.first(); err != nil || twinD.response(size, status, true) != nil || size.u64 != 4096 {
+			t.Fatalf("op %d: the answer behind the response decoded to %d (status %d, %v)", op, size.u64, status, err)
 		}
 		if cl.err != nil && !IsRemote(cl.err) && !IsCRC(cl.err) {
 			t.Fatalf("op %d: verdict of unknown kind: %v", op, cl.err)
@@ -581,6 +680,36 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("op %d: abandoned call's buffers were written", op)
 		}
 	})
+}
+
+// fuzzCall builds the call FuzzDecodeResponse answers: opcode op over n
+// ranges of rangeLen bytes, into a fresh arena of 0xEE and, for OpCrcV,
+// fresh checksum slots.
+func fuzzCall(op byte, n, rangeLen int) (cl *call, arena []byte, outCrcs []uint32) {
+	vecs, bufs := make([]Vec, n), make([][]byte, n)
+	arena = bytes.Repeat([]byte{0xEE}, n*rangeLen)
+	for i := range vecs {
+		vecs[i] = Vec{Off: int64(i) * int64(rangeLen), Len: rangeLen}
+		bufs[i] = arena[i*rangeLen : (i+1)*rangeLen : (i+1)*rangeLen]
+	}
+	cl = getCall()
+	outCrcs = make([]uint32, n)
+	switch op {
+	case OpRead:
+		cl.buildRead(bufs[0], 0)
+	case OpWrite:
+		cl.buildWrite(bufs[0], 0)
+	case OpReadV, OpReadVC:
+		cl.buildReadV(op == OpReadVC, vecs, bufs, int64(n*rangeLen))
+	case OpWriteV, OpWriteVC:
+		cl.buildWriteV(op == OpWriteVC, vecs, bufs)
+	case OpCrcV:
+		cl.buildVecs(op, vecs)
+		cl.outCrcs = outCrcs
+	default:
+		cl.buildMgmt(op)
+	}
+	return cl, arena, outCrcs
 }
 
 func u32s(v []uint32) []byte {
