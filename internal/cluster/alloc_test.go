@@ -84,3 +84,57 @@ func TestVolumeSmallOpAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestScrubAllocsPerBatch: a scrub pass runs every batch from one
+// scratch — the plan, the element bytes or checksums, the parity row —
+// so what a pass allocates per batch is its window (the window, its
+// channel, the two state swaps that publish and retire it) and the
+// fan-out's goroutines, one per backend beyond the first: 14 on the
+// eight backends of n = 4. It is measured as the difference between a
+// 32-batch and an 8-batch pass over 24, plain and with WireCRC's
+// checksum comparison.
+func TestScrubAllocsPerBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds its own allocations")
+	}
+	const n, elementSize, budget = 4, 512, 15
+	arch := raid.NewMirror(layout.NewShifted(n))
+	for _, crc := range []bool{false, true} {
+		name := "plain"
+		if crc {
+			name = "crc"
+		}
+		t.Run(name, func(t *testing.T) {
+			pass := func(stripes int) float64 {
+				var opts []backendOpt
+				if crc {
+					opts = append(opts, withCRC(elementSize))
+				}
+				backends := startBackends(t, arch, elementSize, stripes, opts...)
+				cfg := fastConfig(elementSize, stripes)
+				cfg.RebuildBatch, cfg.WireCRC = 1, crc
+				v, err := New(arch, backends.addrs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(v.Close)
+				randomPayload(t, v, 91)
+				return testing.AllocsPerRun(20, func() {
+					rep, err := v.Scrub(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if crc && rep.ChecksumCompared == 0 {
+						t.Fatal("the WireCRC pass compared no checksums")
+					}
+				})
+			}
+			few, many := pass(8), pass(32)
+			perBatch := (many - few) / 24
+			t.Logf("%.0f allocs for 8 batches, %.0f for 32: %.1f per batch", few, many, perBatch)
+			if perBatch > budget {
+				t.Errorf("%.1f allocs per scrub batch, budget %d", perBatch, budget)
+			}
+		})
+	}
+}

@@ -36,12 +36,11 @@ type peer interface {
 	ReadVCtx(ctx context.Context, vecs []blockserver.Vec, dst [][]byte) error
 	WriteVCtx(ctx context.Context, vecs []blockserver.Vec, data [][]byte) (int, error)
 	CrcV(ctx context.Context, vecs []blockserver.Vec, out []uint32) error
-	ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 	Size() (int64, error)
 }
 
-// clientFunc adapts a func to wireOp for the management paths (Verify,
-// scrub), where a closure per call is noise.
+// clientFunc adapts a func to wireOp for the management paths (Verify),
+// where a closure per call is noise.
 type clientFunc func(context.Context, peer) error
 
 func (f clientFunc) run(ctx context.Context, c peer) error { return f(ctx, c) }
@@ -97,15 +96,6 @@ func (l *localStore) WriteVCtx(_ context.Context, vecs []blockserver.Vec, data [
 		}
 	}
 	return len(vecs), nil
-}
-
-func (l *localStore) ReadAtCtx(_ context.Context, p []byte, off int64) (int, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if err := l.apply(l.store.ReadAt, p, off); err != nil {
-		return 0, err
-	}
-	return len(p), nil
 }
 
 func (l *localStore) CrcV(context.Context, []blockserver.Vec, []uint32) error {

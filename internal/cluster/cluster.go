@@ -175,82 +175,45 @@ type Config struct {
 	// RebuildQoSInterval is how often the controller re-reads the fetch
 	// histogram and adjusts the rate. Default 100ms.
 	RebuildQoSInterval time.Duration
-	// RebuildQoSMinSamples is the fewest fetch observations a feedback
-	// window needs before its p99 is trusted; quieter windows count as
-	// idle and the rate recovers toward the cap. Default 8.
-	RebuildQoSMinSamples int
 }
 
 func (c Config) withDefaults() Config {
-	if c.ElementSize <= 0 {
-		c.ElementSize = 4096
-	}
-	if c.Stripes <= 0 {
-		c.Stripes = 8
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 15 * time.Second
-	}
+	orDefault(&c.ElementSize, 4096)
+	orDefault(&c.Stripes, 8)
+	orDefault(&c.PoolSize, 4)
+	orDefault(&c.DialTimeout, 2*time.Second)
+	orDefault(&c.OpTimeout, 15*time.Second)
 	if c.Retries < 0 {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 250 * time.Millisecond
-	}
-	if c.MaxProbe <= 0 {
-		c.MaxProbe = 5 * time.Second
-	}
-	if c.PipelineWindow <= 0 {
-		c.PipelineWindow = blockserver.DefaultPipeWindow
-	}
-	if c.RebuildBatch <= 0 {
-		c.RebuildBatch = 16
-	}
+	orDefault(&c.RetryBackoff, 50*time.Millisecond)
+	orDefault(&c.DeadAfter, 3)
+	orDefault(&c.ProbeEvery, 250*time.Millisecond)
+	orDefault(&c.MaxProbe, 5*time.Second)
+	orDefault(&c.PipelineWindow, blockserver.DefaultPipeWindow)
+	orDefault(&c.RebuildBatch, 16)
 	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
 		c.HedgePercentile = 0.9
 	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = time.Millisecond
-	}
+	orDefault(&c.HedgeMinDelay, time.Millisecond)
 	if c.HedgeMaxDelay <= c.HedgeMinDelay {
-		c.HedgeMaxDelay = 30 * time.Millisecond
-		if c.HedgeMaxDelay < c.HedgeMinDelay {
-			c.HedgeMaxDelay = c.HedgeMinDelay
-		}
+		c.HedgeMaxDelay = max(30*time.Millisecond, c.HedgeMinDelay)
 	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 32
-	}
-	if c.RebuildQoSMinRate <= 0 {
-		c.RebuildQoSMinRate = 1
-	}
-	if c.RebuildQoSMaxRate <= 0 {
-		c.RebuildQoSMaxRate = 1e6
-	}
-	if c.RebuildQoSMaxRate < c.RebuildQoSMinRate {
-		c.RebuildQoSMaxRate = c.RebuildQoSMinRate
-	}
-	if c.RebuildQoSInterval <= 0 {
-		c.RebuildQoSInterval = 100 * time.Millisecond
-	}
-	if c.RebuildQoSMinSamples <= 0 {
-		c.RebuildQoSMinSamples = 8
-	}
+	orDefault(&c.HedgeMinSamples, 32)
+	orDefault(&c.RebuildQoSMinRate, 1)
+	orDefault(&c.RebuildQoSMaxRate, 1e6)
+	c.RebuildQoSMaxRate = max(c.RebuildQoSMaxRate, c.RebuildQoSMinRate)
+	orDefault(&c.RebuildQoSInterval, 100*time.Millisecond)
 	return c
+}
+
+// orDefault sets a field that is zero or negative to its default.
+func orDefault[T int | int64 | float64 | time.Duration](field *T, def T) {
+	if *field <= 0 {
+		*field = def
+	}
 }
 
 // checkGeometry rejects, by field name, a geometry over n-disk arrays

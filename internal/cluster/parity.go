@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 
 	"shiftedmirror/internal/gf"
 )
@@ -198,10 +196,10 @@ func (v *Volume) foldParity(pl *opPlan, pieces []Piece) {
 }
 
 // planParity adds each written row's parity op against pl.st, the op's
-// elem naming the row (see opPlan.credit). A row whose stripe
-// the parity disk cannot serve gets no op — the parity's rebuild
-// recomputes it — unless a slice of that rebuild is in flight on the
-// stripe, whose fence the write must wait for. A row the parity disk
+// elem naming the row (see opPlan.credit). A row inside a window in
+// flight on the parity disk — a slice of its rebuild, a scrub batch —
+// waits for it. A row whose stripe the parity disk cannot serve gets no
+// op: the parity's rebuild recomputes it. A row the parity disk
 // took back after the pre-read ran has no old parity to fold: the write
 // starts over (replan). A parity backend that failed the pre-read gets
 // no op either, and the verdict a failed write would earn it: it is
@@ -209,11 +207,11 @@ func (v *Volume) foldParity(pl *opPlan, pieces []Piece) {
 func (v *Volume) planParity(pl *opPlan) *window {
 	for i := range pl.rows {
 		r := &pl.rows[i]
+		if w := pl.st.fence(v.parity, r.stripe); w != nil {
+			return w // checked first, as planWrite does
+		}
 		switch {
 		case !pl.st.available(v.parity, r.stripe):
-			if w := pl.st.fence(v.parity, r.stripe); w != nil {
-				return w
-			}
 		case r.unreadable:
 			pl.broken = append(pl.broken, brokenBackend{slot: v.parity, stripe: r.stripe})
 		case r.span < 0:
@@ -257,40 +255,6 @@ func (v *Volume) gatherParity(ctx context.Context, job *sliceJob) error {
 		for d := int64(1); d < int64(v.n); d++ {
 			gf.XorSlice(data[d*es:(d+1)*es], dst)
 		}
-	}
-	return nil
-}
-
-// scrubParity checks each row of one stripe of a scrub batch: its parity
-// must equal the XOR of the row's data elements, each taken from its
-// first copy the batch gathered (digest is the batch's view, bytes). A
-// row whose parity or any data element went ungathered is left
-// unchecked.
-func (v *Volume) scrubParity(stripe int, digest func(location) []byte, report *ScrubReport) error {
-	sum := make([]byte, v.elementSize)
-rows:
-	for row := 0; row < v.n; row++ {
-		want := digest(v.parityLocs[row])
-		if want == nil {
-			continue
-		}
-		clear(sum)
-		for disk := 0; disk < v.n; disk++ {
-			var got []byte
-			for _, loc := range v.locations(stripe, disk, row) {
-				if got = digest(loc); got != nil {
-					break
-				}
-			}
-			if got == nil {
-				continue rows
-			}
-			gf.XorSlice(got, sum)
-		}
-		if !bytes.Equal(sum, want) {
-			return fmt.Errorf("%w: parity of stripe %d row %d", ErrScrubMismatch, stripe, row)
-		}
-		report.ElementsCompared++
 	}
 	return nil
 }

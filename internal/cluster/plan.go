@@ -134,20 +134,25 @@ type writeOp struct {
 // vecOp is one vectored exchange with a backend and its outcome. It
 // lives inside the op plan and is handed to pool.doCtx by pointer.
 type vecOp struct {
-	write   bool // scatter from bufs; else gather into bufs
+	write   bool // scatter from bufs; else gather into bufs, or with sums checksum
 	vecs    []blockserver.Vec
 	bufs    [][]byte
-	applied int   // leading ranges the server applied (write modes)
-	err     error // the exchange's final verdict, set by whoever ran it
+	sums    []uint32 // non-nil: fetch each range's CRC-32C here (OpCrcV), moving no bytes
+	applied int      // leading ranges the server applied (write modes)
+	err     error    // the exchange's final verdict, set by whoever ran it
 }
 
 func (o *vecOp) run(ctx context.Context, c peer) error {
-	if !o.write {
+	switch {
+	case o.write:
+		n, err := c.WriteVCtx(ctx, o.vecs, o.bufs)
+		o.applied = n
+		return err
+	case o.sums != nil:
+		return c.CrcV(ctx, o.vecs, o.sums)
+	default:
 		return c.ReadVCtx(ctx, o.vecs, o.bufs)
 	}
-	n, err := c.WriteVCtx(ctx, o.vecs, o.bufs)
-	o.applied = n
-	return err
 }
 
 // backendPlan is one backend's share of an op and the one exchange
@@ -156,9 +161,8 @@ func (o *vecOp) run(ctx context.Context, c peer) error {
 // time.
 type backendPlan struct {
 	// Read side: the spans routed here this round (indices into
-	// opPlan.spans) and, after the round, those that must fail over.
-	spans  []int32
-	failed []int32
+	// opPlan.spans), gathered by xfer in the same order.
+	spans []int32
 
 	// Write side: the element copies bound here, sorted and laid out as
 	// wire ranges by packScatter.
@@ -272,7 +276,7 @@ func (pl *opPlan) credit(op writeOp) {
 func (pl *opPlan) clearRound() {
 	for _, slot := range pl.active {
 		b := &pl.backends[slot]
-		b.spans, b.failed = b.spans[:0], b.failed[:0]
+		b.spans = b.spans[:0]
 		clear(b.ops)
 		b.ops = b.ops[:0]
 		b.xfer.begin(false)
@@ -284,10 +288,45 @@ func (pl *opPlan) clearRound() {
 // active on first use. Callers add work to what they get back.
 func (pl *opPlan) backend(slot int) *backendPlan {
 	b := &pl.backends[slot]
-	if len(b.spans) == 0 && len(b.ops) == 0 {
+	if len(b.spans) == 0 && len(b.ops) == 0 && len(b.xfer.vecs) == 0 {
 		pl.active = append(pl.active, slot)
 	}
 	return b
+}
+
+// fanOut is the one fan-out every round goes through — a read's fetch, a
+// write's scatter, a scrub batch's gather: it runs the shares of the
+// slots in pl.active concurrently, the first on the calling goroutine (a
+// round that touches one backend starts no goroutine), and waits for
+// them all, each share's verdict left in its xfer.err.
+func (v *Volume) fanOut(ctx context.Context, pl *opPlan, kind fetchKind) {
+	for _, slot := range pl.active[1:] {
+		pl.wg.Add(1)
+		go func() {
+			defer pl.wg.Done()
+			v.runShare(ctx, pl, slot, kind)
+		}()
+	}
+	v.runShare(ctx, pl, pl.active[0], kind)
+	pl.wg.Wait()
+}
+
+// runShare runs one slot's share of a round: a write's ops are packed
+// into one scatter and, like a scrub's exchange, go straight to the
+// backend; a fetch's gather goes through readBatch, which hedges a user
+// read.
+func (v *Volume) runShare(ctx context.Context, pl *opPlan, slot int, kind fetchKind) {
+	switch b := &pl.backends[slot]; {
+	case len(b.ops) > 0:
+		v.packScatter(b)
+		v.stats.writeBatches.Inc()
+		v.stats.writeBatchElements.Add(int64(len(b.ops)))
+		fallthrough
+	case kind == fetchScrub:
+		b.xfer.err = pl.st.slots[slot].be.doCtx(ctx, &b.xfer)
+	default:
+		b.xfer.err = v.readBatch(ctx, slot, pl, b.spans, &b.xfer, kind)
+	}
 }
 
 // tornElement returns the k-th read-modify-write image, carved from torn,

@@ -29,13 +29,17 @@ import (
 // is honest because a user read holds no lock a slice takes: its
 // latency is its round trips, and fetchLat sees all of them.
 
+// qosMinSamples is the fewest fetch observations a feedback window needs
+// before its p99 is trusted; quieter windows count as idle and the rate
+// recovers toward the cap.
+const qosMinSamples = 8
+
 type qosController struct {
-	slo        time.Duration
-	min, max   float64 // rate clamp, stripes/second
-	interval   time.Duration
-	minSamples uint64
-	src        *obs.Histogram // user fetch latency (rebuild excluded)
-	st         *volumeStats
+	slo      time.Duration
+	min, max float64 // rate clamp, stripes/second
+	interval time.Duration
+	src      *obs.Histogram // user fetch latency (rebuild excluded)
+	st       *volumeStats
 
 	mu       sync.Mutex
 	rate     float64 // current bucket refill rate, stripes/second
@@ -54,14 +58,13 @@ type qosController struct {
 // within a handful of intervals.
 func newQoSController(cfg Config, st *volumeStats) *qosController {
 	q := &qosController{
-		slo:        cfg.RebuildQoSSLO,
-		min:        cfg.RebuildQoSMinRate,
-		max:        cfg.RebuildQoSMaxRate,
-		interval:   cfg.RebuildQoSInterval,
-		minSamples: uint64(cfg.RebuildQoSMinSamples),
-		src:        st.fetchLat,
-		st:         st,
-		rate:       cfg.RebuildQoSMinRate,
+		slo:      cfg.RebuildQoSSLO,
+		min:      cfg.RebuildQoSMinRate,
+		max:      cfg.RebuildQoSMaxRate,
+		interval: cfg.RebuildQoSInterval,
+		src:      st.fetchLat,
+		st:       st,
+		rate:     cfg.RebuildQoSMinRate,
 	}
 	now := time.Now()
 	q.lastFill = now
@@ -99,15 +102,9 @@ func (q *qosController) acquire(ctx context.Context, cost int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		nap := time.Duration(deficit / rate * float64(time.Second))
-		if nap > q.interval {
-			// Wake at least once per interval so a mid-wait rate change
-			// (SLO recovered, workload went idle) shortens the sleep.
-			nap = q.interval
-		}
-		if nap < time.Millisecond {
-			nap = time.Millisecond
-		}
+		// Wake at least once per interval so a mid-wait rate change (SLO
+		// recovered, workload went idle) shortens the sleep.
+		nap := max(min(time.Duration(deficit/rate*float64(time.Second)), q.interval), time.Millisecond)
 		timer := time.NewTimer(nap)
 		select {
 		case <-ctx.Done():
@@ -136,9 +133,7 @@ func (q *qosController) refillLocked(now time.Time) {
 		q.tokens += dt * q.rate
 	}
 	q.lastFill = now
-	if burst := q.rate; q.tokens > burst {
-		q.tokens = burst
-	}
+	q.tokens = min(q.tokens, q.rate) // the burst: one second's worth
 }
 
 // evaluateLocked runs the feedback step at most once per interval: it
@@ -156,7 +151,7 @@ func (q *qosController) evaluateLocked(now time.Time) {
 	snap := q.src.Snapshot()
 	window := deltaSnapshot(q.lastSnap, snap)
 	q.lastSnap = snap
-	if window.Count < q.minSamples {
+	if window.Count < qosMinSamples {
 		q.setRateLocked(q.rate * 2)
 		q.st.qosHeadroom.Set(q.slo.Microseconds())
 		return
@@ -180,14 +175,8 @@ func (q *qosController) evaluateLocked(now time.Time) {
 }
 
 func (q *qosController) setRateLocked(r float64) {
-	if r < q.min {
-		r = q.min
-	}
-	if r > q.max {
-		r = q.max
-	}
-	q.rate = r
-	q.st.qosRate.Set(int64(r))
+	q.rate = min(max(r, q.min), q.max)
+	q.st.qosRate.Set(int64(q.rate))
 }
 
 // snapshotRate returns the current rate for Stats().

@@ -27,6 +27,9 @@ import (
 //   - hedge-idle-overhead: UserReadHedgedIdle / UserReadIdle — a hedged
 //     read that beats its delay costs a timer and a context, not a
 //     goroutine hand-off and a scratch copy.
+//   - write-during-scrub: UserWriteDuringScrub / UserWriteIdle — the
+//     price of the scrub's fence: a write to the stripes of the batch in
+//     flight waits for one gather, and the rest keep their pace.
 //
 // The under-load configs pin the SLO at 25us — below the fetch
 // histogram's smallest bucket bound, so any window with samples reads
@@ -193,4 +196,46 @@ func BenchmarkUserReadDuringRebuild(b *testing.B) {
 	// timing anything.
 	time.Sleep(20 * time.Millisecond)
 	benchUserReads(b, v)
+}
+
+func benchUserWrites(b *testing.B, v *Volume) {
+	buf := make([]byte, benchElement)
+	b.SetBytes(benchElement)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (int64(i) * benchElement) % v.Size()
+		if _, err := v.WriteAt(buf, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+}
+
+// BenchmarkUserWriteIdle is the healthy-volume write baseline, on the
+// volume BenchmarkUserReadIdle reads.
+func BenchmarkUserWriteIdle(b *testing.B) {
+	benchUserWrites(b, benchQoSVolume(b, benchQoSConfig(25*time.Microsecond, 50, 1e6)))
+}
+
+// BenchmarkUserWriteDuringScrub times the same writes while ScrubOnline
+// passes loop in the background. Writes feed no fetch latency, so the
+// controller reads every window as idle and the scrub runs at its cap:
+// batch after batch fences its stripes, and a write that lands on them
+// waits for the batch's gather.
+func BenchmarkUserWriteDuringScrub(b *testing.B) {
+	v := benchQoSVolume(b, benchQoSConfig(25*time.Microsecond, 50, 1e6))
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ctx.Err() == nil {
+			v.ScrubOnline(ctx)
+		}
+	}()
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	benchUserWrites(b, v)
 }

@@ -122,11 +122,10 @@ func TestQoSFloorHolds(t *testing.T) {
 // and quiet windows (below the sample floor) recover even faster.
 func TestQoSRecoversWithHeadroom(t *testing.T) {
 	cfg := Config{
-		RebuildQoSSLO:        10 * time.Millisecond,
-		RebuildQoSInterval:   time.Millisecond,
-		RebuildQoSMinRate:    1,
-		RebuildQoSMaxRate:    1000,
-		RebuildQoSMinSamples: 8,
+		RebuildQoSSLO:      10 * time.Millisecond,
+		RebuildQoSInterval: time.Millisecond,
+		RebuildQoSMinRate:  1,
+		RebuildQoSMaxRate:  1000,
 	}
 	q, st := testQoSController(cfg)
 	q.mu.Lock()

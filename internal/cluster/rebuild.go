@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -118,7 +117,7 @@ func (v *Volume) pipelineSlices(ctx context.Context, slot int, jobs *[2]sliceJob
 	from := -1          // where the next gather starts; -1: at the watermark
 	for i := 0; ; i++ {
 		if err := ctx.Err(); err != nil {
-			v.endSlice(slot, ready)
+			v.endSlice(ready)
 			return false, err
 		}
 		// Gather the next slice beside the write-back of the ready one.
@@ -135,10 +134,10 @@ func (v *Volume) pipelineSlices(ctx context.Context, slot int, jobs *[2]sliceJob
 		gerr := <-gathered
 		switch {
 		case werr != nil:
-			v.endSlice(slot, next)
+			v.endSlice(next)
 			return false, werr
 		case !published:
-			v.endSlice(slot, next)
+			v.endSlice(next)
 			return true, nil
 		}
 		if ready != nil {
@@ -174,20 +173,12 @@ type sliceJob struct {
 // from (at the watermark when from < 0) and fetches every lost element
 // in it from surviving replicas (fanning out per backend, with failover)
 // into the job's buffer; nothing past the last stripe is no slice and
-// no error. It pays the slice's QoS cost first, then holds no lock
-// across the fetch, and nothing a read ever takes; what keeps the
-// replacement coherent is a fence for writes only:
-//
-//	(a) Publish the window [s0, s1) on the slot. From here on a write
-//	    with a copy on the slot inside the window waits for the slice
-//	    (WriteAtCtx); every other write — to other stripes, or to the
-//	    window's stripes on elements the slot holds no copy of — goes
-//	    ahead.
-//	(b) Drain: take the write drain's buckets of the window exclusively
-//	    and let them go. Every write planned before (a) that writes a
-//	    stripe of the window holds one of them, so it has now finished on
-//	    the surviving copies, and the gather cannot miss its bytes.
-//	(c) Gather; writeBackSlice then writes back and publishes.
+// no error. Its window [s0, s1) on the slot opens through openWindow:
+// from then on a write with a copy on the slot inside it waits for the
+// slice (WriteAtCtx), any other write goes ahead, and the gather cannot
+// miss the bytes of one planned before. It holds no lock across the
+// fetch, and nothing a read ever takes; writeBackSlice writes back and
+// publishes.
 //
 // On error the slice is ended here; a gathered slice stays open until
 // writeBackSlice (or endSlice) ends it.
@@ -200,15 +191,8 @@ func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob)
 	if from < 0 {
 		s0 = v.state.Load().slots[slot].progress
 	}
-	// QoS throttle: pay for the slice in stripes before it opens its
-	// window, so a throttled rebuild parks here with nothing fenced
-	// behind this slice, never inside it.
-	if err := v.qos.acquire(ctx, min(v.stripes-s0, v.cfg.RebuildBatch)); err != nil {
-		return err
-	}
-	job.start = time.Now()
-	win := &window{done: make(chan struct{})}
-	err := v.update(func(next *volState) error {
+	win := &window{slot: slot}
+	opened, err := v.openWindow(ctx, min(v.stripes-s0, v.cfg.RebuildBatch), win, func(next *volState) error {
 		s := &next.slots[slot]
 		if !s.failed {
 			return fmt.Errorf("cluster: disk %v is not failed", v.ids[slot])
@@ -217,17 +201,13 @@ func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob)
 			s0 = s.progress
 		}
 		win.s0, win.s1 = s0, min(s0+v.cfg.RebuildBatch, v.stripes)
-		s.wins = append(s.wins[:len(s.wins):len(s.wins)], win) // published states share the old array
-		job.opened = next
+		job.start = time.Now()
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	job.win = win
-	drains := v.drainSet(win.s0, win.s1)
-	v.eachDrain(drains, (*sync.RWMutex).Lock)
-	v.eachDrain(drains, (*sync.RWMutex).Unlock) // an empty critical section: the wait is the point
+	job.win, job.opened = win, opened
 	pl := job.pl
 	pl.reset()
 	job.elems = (win.s1 - win.s0) * v.n // lost elements: n per stripe on one disk
@@ -250,7 +230,7 @@ func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob)
 		err = v.fetchSpans(ctx, pl, fetchRebuild)
 	}
 	if err != nil {
-		v.endSlice(slot, job)
+		v.endSlice(job)
 	}
 	return err
 }
@@ -272,7 +252,7 @@ func (v *Volume) gatherSlice(ctx context.Context, slot, from int, job *sliceJob)
 // it missed a disk already declared whole. The slice is ended on every
 // path.
 func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (published, done bool, err error) {
-	defer v.endSlice(slot, job)
+	defer v.endSlice(job)
 	id, pl, win := v.ids[slot], job.pl, job.win
 	pl.st = job.opened
 	target := job.opened.slots[slot].be
@@ -299,7 +279,8 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 	if last {
 		v.eachDrain(allDrains, (*sync.RWMutex).Lock)
 	}
-	err = v.updateSlot(slot, func(s *slotState) error {
+	err = v.update(func(next *volState) error {
+		s := &next.slots[slot]
 		if len(pl.broken) > 0 || s.be != target || !s.failed || s.progress != win.s0 {
 			return errSliceDiscarded
 		}
@@ -307,6 +288,8 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 		if last {
 			s.failed, s.replacement, s.progress = false, false, 0
 		}
+		// The window comes down in the swap that makes its stripes available.
+		next.wins = dropWindow(next.wins, win)
 		return nil
 	})
 	if last {
@@ -321,18 +304,14 @@ func (v *Volume) writeBackSlice(ctx context.Context, slot int, job *sliceJob) (p
 	return true, last, nil
 }
 
-// endSlice takes a slice's window off the slot and lets the writes
-// fenced behind it go, however the slice ended. A job with no slice in
-// it is left alone.
-func (v *Volume) endSlice(slot int, job *sliceJob) {
+// endSlice ends the job's slice, however it ended: its window comes down
+// (endWindow) and its wall time is observed. A job with no slice in it is
+// left alone.
+func (v *Volume) endSlice(job *sliceJob) {
 	if job == nil || job.win == nil {
 		return
 	}
-	v.updateSlot(slot, func(s *slotState) error {
-		s.wins = slices.DeleteFunc(slices.Clone(s.wins), func(w *window) bool { return w == job.win })
-		return nil
-	})
-	close(job.win.done)
+	v.endWindow(job.win)
 	v.stats.sliceLat.Observe(time.Since(job.start))
 	job.win = nil
 }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,4 +242,133 @@ func TestRebuildDiskQoSFloorStillFinishes(t *testing.T) {
 	if v.Stats().QoS.WaitSeconds <= 0 {
 		t.Fatal("pinned-rate rebuild recorded no token waits")
 	}
+}
+
+// TestScrubUnderWritersIsClean: a scrub batch is a snapshot of its
+// stripes. Two writers rewrite disjoint halves of the volume — so no
+// copy can diverge for real (overlapping writers may; see
+// TestConcurrentWriters) — while Scrub and then ScrubOnline loop for
+// about a second each: no pass may report ErrScrubMismatch, and once the
+// writers stop a quiescent scrub is clean and every copy equals every
+// other. The rot leg flips a byte of one replica, in a stripe no writer
+// touches, while the writers run: the fence must not hide real rot, so
+// both passes must name that stripe.
+func TestScrubUnderWritersIsClean(t *testing.T) {
+	three := raid.NewThreeMirror(layout.NewGeneralShifted(4, 1, 1), layout.NewGeneralShifted(4, 2, 1))
+	for _, tc := range []struct {
+		name string
+		arch *raid.Mirror
+		crc  bool
+	}{
+		{"mirror", raid.NewMirror(layout.NewShifted(4)), false},
+		{"three-mirror", three, false},
+		{"parity", raid.NewMirrorWithParity(layout.NewShifted(4)), false},
+		{"mirror/crc", raid.NewMirror(layout.NewShifted(4)), true},
+	} {
+		t.Run(tc.name+"/clean", func(t *testing.T) { scrubUnderWriters(t, tc.arch, tc.crc, false) })
+		t.Run(tc.name+"/rot", func(t *testing.T) { scrubUnderWriters(t, tc.arch, tc.crc, true) })
+	}
+}
+
+func scrubUnderWriters(t *testing.T, arch *raid.Mirror, crc, rot bool) {
+	const elementSize, stripes = 1024, 16
+	opts := []backendOpt{withOrderedStores()}
+	if crc {
+		opts = append(opts, withCRC(elementSize))
+	}
+	backends := startBackends(t, arch, elementSize, stripes, opts...)
+	cfg := fastConfig(elementSize, stripes)
+	cfg.WireCRC = crc
+	v, err := New(arch, backends.addrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	randomPayload(t, v, 81)
+
+	// Writer w rewrites ranges of one to three elements' worth, aligned or
+	// not, inside its half of stripes [0, 14); the last two stripes are
+	// left alone for the rot leg.
+	half := int64(stripes-2) / 2 * v.stripeBytes()
+	var stop atomic.Bool
+	var writes [2]atomic.Int64
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			buf := make([]byte, 3*elementSize)
+			for !stop.Load() {
+				n := 1 + rng.Intn(len(buf))
+				off := int64(w)*half + rng.Int63n(half-int64(n)+1)
+				rng.Read(buf[:n])
+				if _, err := v.WriteAt(buf[:n], off); err != nil {
+					t.Errorf("writer %d at %d: %v", w, off, err)
+					return
+				}
+				writes[w].Add(1)
+			}
+		}()
+	}
+	halt := func() {
+		stop.Store(true)
+		wg.Wait()
+	}
+	defer halt()
+	ctx := context.Background()
+	passes := []struct {
+		name string
+		run  func(context.Context) (ScrubReport, error)
+	}{{"Scrub", v.Scrub}, {"ScrubOnline", v.ScrubOnline}}
+
+	if rot {
+		time.Sleep(50 * time.Millisecond) // writers in full swing
+		stripe := stripes - 1
+		loc := v.locations(stripe, 0, 0)[1]
+		b := make([]byte, 1)
+		at := v.storeOffset(stripe, loc.row) + 7
+		if _, err := backends.view(loc.id).ReadAt(b, at); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0xff
+		if _, err := backends.view(loc.id).WriteAt(b, at); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range passes {
+			_, err := p.run(ctx)
+			if !errors.Is(err, ErrScrubMismatch) || !strings.Contains(err.Error(), fmt.Sprintf("stripe %d ", stripe)) {
+				t.Errorf("%s over a rotten replica in stripe %d: %v", p.name, stripe, err)
+			}
+		}
+		return
+	}
+
+	var total, mismatched int
+	var first error
+	for _, p := range passes {
+		for start := time.Now(); time.Since(start) < time.Second && !t.Failed(); total++ {
+			_, err := p.run(ctx)
+			switch {
+			case errors.Is(err, ErrScrubMismatch):
+				if mismatched++; first == nil {
+					first = fmt.Errorf("%s: %w", p.name, err)
+				}
+			case err != nil:
+				t.Fatalf("%s: %v", p.name, err)
+			}
+		}
+	}
+	halt()
+	t.Logf("%d passes beside %d + %d writes, %d reported a mismatch", total, writes[0].Load(), writes[1].Load(), mismatched)
+	if writes[0].Load() == 0 || writes[1].Load() == 0 {
+		t.Fatal("a writer never got a write in")
+	}
+	if mismatched > 0 {
+		t.Fatalf("%d of %d passes reported a mismatch beside disjoint writers; the first: %v", mismatched, total, first)
+	}
+	if _, err := v.Scrub(ctx); err != nil {
+		t.Fatalf("quiescent scrub: %v", err)
+	}
+	assertCopiesEqual(t, v, backends)
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -21,20 +23,21 @@ type slotState struct {
 	be                              backend
 	failed, replacement, rebuilding bool
 	progress                        int
-	// wins are the fences of the rebuild slices in flight on the slot,
-	// oldest first: the one being written back and the one being gathered
-	// behind it. The array is never written once published.
-	wins []*window
 }
 
-// window is one in-flight rebuild slice's fence: while it is published
-// on a slot, a write with a copy on that slot in stripes [s0, s1) waits
-// for done and plans again. done is closed when the slice ends, however
-// it ends.
+// window is the fence of one stripe walk in flight — a rebuild slice on
+// its slot, or a scrub batch on every slot (allSlots): while it is
+// published, a write with a copy on a slot it fences in stripes [s0, s1)
+// waits for done and plans again. done is closed when the walk ends,
+// however it ends.
 type window struct {
+	slot   int
 	s0, s1 int
 	done   chan struct{}
 }
+
+// allSlots is the slot of a window that fences every slot.
+const allSlots = -1
 
 // drainBuckets is how many buckets the write drain is striped into. The
 // stripes are cut into ranges of RebuildBatch stripes, the most one
@@ -90,7 +93,11 @@ func (v *Volume) eachDrain(set drainSet, op func(*sync.RWMutex)) {
 // state for as long as it holds the pointer, and a state change costs
 // its author a copy and a pointer store, never a wait for I/O.
 type volState struct {
-	slots  []slotState
+	slots []slotState
+	// wins are the windows in flight, oldest first: a rebuild's slice being
+	// written back and the one gathered behind it, a scrub's batch. The
+	// array is never written once published.
+	wins   []*window
 	closed bool
 }
 
@@ -107,11 +114,15 @@ func (st *volState) available(slot, stripe int) bool {
 	return !s.failed || stripe < s.progress
 }
 
-// fence returns the in-flight rebuild window covering the stripe on the
-// slot, if any. Only meaningful for a stripe the slot cannot serve.
+// fence returns the window in flight over the stripe on the slot, if
+// any. A write checks it before it asks whether the copy is available:
+// a scrub batch fences copies that are available, and for a rebuild
+// slice the order changes nothing, because a slice's stripes are never
+// available on its slot while its window is up — the window opens at
+// progress ≤ s0 and comes down in the swap that publishes s1.
 func (st *volState) fence(slot, stripe int) *window {
-	for _, w := range st.slots[slot].wins {
-		if stripe >= w.s0 && stripe < w.s1 {
+	for _, w := range st.wins {
+		if (w.slot == slot || w.slot == allSlots) && stripe >= w.s0 && stripe < w.s1 {
 			return w
 		}
 	}
@@ -154,6 +165,56 @@ func (v *Volume) update(edit func(next *volState) error) error {
 // updateSlot is update for one slot's entry.
 func (v *Volume) updateSlot(slot int, edit func(s *slotState) error) error {
 	return v.update(func(next *volState) error { return edit(&next.slots[slot]) })
+}
+
+// openWindow opens the window w of a stripe walk: it pays cost stripes
+// of QoS first, so a throttled walk parks with nothing fenced, publishes
+// w — edit sets w's bounds against the state it publishes in, or
+// refuses — and drains: it takes the write drain's buckets of w's stripes
+// exclusively and lets them go. Writes to those stripes planned before
+// the publication have then finished, and later ones see the fence. It
+// returns the state the publication produced.
+func (v *Volume) openWindow(ctx context.Context, cost int, w *window, edit func(next *volState) error) (*volState, error) {
+	if err := v.qos.acquire(ctx, cost); err != nil {
+		return nil, err
+	}
+	w.done = make(chan struct{})
+	var opened *volState
+	err := v.update(func(next *volState) error {
+		if err := edit(next); err != nil {
+			return err
+		}
+		next.wins = append(next.wins[:len(next.wins):len(next.wins)], w) // published states share the old array
+		opened = next
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	drains := v.drainSet(w.s0, w.s1)
+	v.eachDrain(drains, (*sync.RWMutex).Lock)
+	v.eachDrain(drains, (*sync.RWMutex).Unlock) // an empty critical section: the wait is the point
+	return opened, nil
+}
+
+// endWindow takes w down, if a state swap has not already, and lets the
+// writes fenced behind it go.
+func (v *Volume) endWindow(w *window) {
+	if slices.Contains(v.state.Load().wins, w) {
+		v.update(func(next *volState) error {
+			next.wins = dropWindow(next.wins, w)
+			return nil
+		})
+	}
+	close(w.done)
+}
+
+// dropWindow returns wins without w in a new array: states share the old.
+func dropWindow(wins []*window, w *window) []*window {
+	if len(wins) == 1 && wins[0] == w {
+		return nil
+	}
+	return slices.DeleteFunc(slices.Clone(wins), func(x *window) bool { return x == w })
 }
 
 // settleWrites applies what a write's fan-out learned about its
