@@ -10,21 +10,20 @@ import (
 
 // The volume's small-op budget above the wire (which is pinned at zero
 // in internal/blockserver): planning runs from a pooled opPlan and a
-// precomputed placement table, and an op that touches one backend runs
-// on the caller's goroutine, so a healthy 4 KiB read allocates nothing
-// here. A write reaches one backend per copy; each backend beyond the
-// first costs the one closure its goroutine starts from — one
-// allocation on a two-copy mirror. A degraded read pays nothing extra:
-// skipping a failed disk is a table walk. On a mirror-with-parity volume
-// a read of an element whose two copies are both lost is the XOR of its
-// row: n−1 row-mates on the other data disks and the row's parity, n
-// backends, one of them on the caller's goroutine — n−1 = 3 closures at
-// n = 4, and nothing else (the row-mates' scratch is the pooled
-// sub-plan's). Each budget holds under context.Background() and under one
-// long-lived cancellable context alike: a connection registers its
+// precomputed placement table, an op that touches one backend runs on
+// the caller's goroutine, and every backend beyond the first is handed
+// to a parked share worker as a value (fanout.Workers), so a small op
+// allocates nothing here however many backends it reaches: a 4 KiB
+// read (one backend), a write on a two-copy mirror (two), a degraded
+// read (skipping a failed disk is a table walk), and on a
+// mirror-with-parity volume a read of an element whose two copies are
+// both lost — the XOR of its row, n−1 row-mates on the other data disks
+// and the row's parity, n backends, the row-mates' scratch the pooled
+// sub-plan's. Each budget holds under context.Background() and under
+// one long-lived cancellable context alike: a connection registers its
 // cancel callback on the context's first exchange and keeps it.
-// Measured after a warm-up that grows the plan, like
-// TestVectoredOpsAllocFree.
+// Measured after a warm-up that grows the plan and parks the workers,
+// like TestVectoredOpsAllocFree.
 func TestVolumeSmallOpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds its own allocations")
@@ -56,8 +55,8 @@ func TestVolumeSmallOpAllocs(t *testing.T) {
 			randomPayload(t, v, 71)
 			read4k := func() error { _, err := v.ReadAtCtx(ctx, small, at); return err }
 			pin(t, "4 KiB read", 0, read4k)
-			pin(t, "4 KiB sub-element write", 1, func() error { _, err := v.WriteAtCtx(ctx, small, at); return err })
-			pin(t, "one-element write", 1, func() error { _, err := v.WriteAtCtx(ctx, elem, 6*elementSize); return err })
+			pin(t, "4 KiB sub-element write", 0, func() error { _, err := v.WriteAtCtx(ctx, small, at); return err })
+			pin(t, "one-element write", 0, func() error { _, err := v.WriteAtCtx(ctx, elem, 6*elementSize); return err })
 			// With data disk 1 failed the same read is served by its replica.
 			if err := v.Fail(raid.DiskID{Role: raid.RoleData, Index: 1}); err != nil {
 				t.Fatal(err)
@@ -77,7 +76,7 @@ func TestVolumeSmallOpAllocs(t *testing.T) {
 				}
 			}
 			before := v.Health().ParityReads
-			pin(t, "doubly-degraded 4 KiB read", n-1, func() error { _, err := v.ReadAtCtx(ctx, small, at); return err })
+			pin(t, "doubly-degraded 4 KiB read", 0, func() error { _, err := v.ReadAtCtx(ctx, small, at); return err })
 			if v.Health().ParityReads == before {
 				t.Fatal("the doubly-degraded leg was not served from parity")
 			}
@@ -87,17 +86,18 @@ func TestVolumeSmallOpAllocs(t *testing.T) {
 
 // TestScrubAllocsPerBatch: a scrub pass runs every batch from one
 // scratch — the plan, the element bytes or checksums, the parity row —
-// so what a pass allocates per batch is its window (the window, its
-// channel, the two state swaps that publish and retire it) and the
-// fan-out's goroutines, one per backend beyond the first: 14 on the
-// eight backends of n = 4. It is measured as the difference between a
-// 32-batch and an 8-batch pass over 24, plain and with WireCRC's
-// checksum comparison.
+// and hands the fan-out's shares to the volume's parked share workers,
+// so what a pass allocates per batch is its window alone (the window,
+// its channel, the two state swaps that publish and retire it): 7 on
+// the eight backends of n = 4, where a goroutine per backend beyond the
+// first made it 14. It is measured as the difference between a 32-batch
+// and an 8-batch pass over 24, plain and with WireCRC's checksum
+// comparison.
 func TestScrubAllocsPerBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds its own allocations")
 	}
-	const n, elementSize, budget = 4, 512, 15
+	const n, elementSize, budget = 4, 512, 8
 	arch := raid.NewMirror(layout.NewShifted(n))
 	for _, crc := range []bool{false, true} {
 		name := "plain"

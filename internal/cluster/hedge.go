@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"shiftedmirror/internal/blockserver"
@@ -19,9 +20,9 @@ import (
 // fetchSpans every other read goes through. It fires only after an
 // adaptive delay (a quantile of recent per-backend fetch latency). Until
 // then the primary exchange runs on the calling goroutine and a hedged
-// share has paid for a cancellable context, a timer and the channel the
-// timer's goroutine would answer on — no goroutine, no scratch buffer,
-// no second plan; those are taken only when the timer fires.
+// share has paid for a cancellable context, a place on the volume's
+// hedge clock and the channel a fired hedge answers on — no goroutine,
+// no scratch buffer, no second plan; those are taken only when it fires.
 
 // readBatch serves one backend's share of a fetch round through the
 // exchange x (already loaded with the share's ranges), hedging it when
@@ -105,27 +106,28 @@ type backupFetch struct {
 
 // hedgedRead runs the share's primary exchange on the calling goroutine
 // and, if it outlasts the adaptive delay, races it against fetchBackup
-// on the timer's goroutine. Whichever lands first serves the share and
-// cancels the other; a side that fails leaves the race to the one still
-// running. The primary reads into the spans' real buffers and the
-// backup into scratch, copied over only once the primary has returned,
-// so no buffer is written by two transfers at once. A timer that fired
-// is always waited for: its goroutine reads the caller's plan, and no
-// goroutine may outlive the read.
+// on the goroutine the hedge clock fires it on. Whichever lands first
+// serves the share and cancels the other; a side that fails leaves the
+// race to the one still running. The primary reads into the spans' real
+// buffers and the backup into scratch, copied over only once the
+// primary has returned, so no buffer is written by two transfers at
+// once. A hedge that fired is always waited for: its goroutine reads the
+// caller's plan, and no goroutine may outlive the read.
 func (v *Volume) hedgedRead(ctx context.Context, slot int, pl *opPlan, batch []int32, x *vecOp) error {
 	race, stop := context.WithCancel(ctx)
 	defer stop()
 	fired := make(chan backupFetch, 1)
-	timer := time.AfterFunc(v.hedgeDelay(), func() {
+	h := &hedge{fire: func() {
 		v.stats.hedgeAttempts.Inc()
 		scratch, err := v.fetchBackup(race, pl, batch)
 		if err == nil {
 			stop() // the backup landed first: the primary is the loser
 		}
 		fired <- backupFetch{scratch, err}
-	})
+	}}
+	v.hedges.add(h, v.hedgeDelay())
 	err := v.readVecs(race, pl.st.slots[slot].be, x, fetchUser)
-	if timer.Stop() {
+	if v.hedges.withdraw(h) {
 		return err // the primary beat its delay
 	}
 	if err == nil {
@@ -176,4 +178,96 @@ func (v *Volume) fetchBackup(ctx context.Context, pl *opPlan, batch []int32) ([]
 		backup.spans = append(backup.spans, s)
 	}
 	return scratch, v.fetchSpans(ctx, backup, fetchInternal)
+}
+
+// hedgeClock is the volume's one hedge timer, shared by every hedged
+// read in flight. A runtime timer armed earlier than the scheduler's
+// next wake-up makes the runtime interrupt its network poller, a
+// syscall and a thread wake-up: a timer per read paid that on every
+// loopback read, about as much as the read itself. The clock keeps one
+// timer armed at the earliest due hedge, so a read whose hedge is due
+// later — every read at a steady delay — only joins the list, and the
+// poller is woken at most once per due time rather than once per read.
+type hedgeClock struct {
+	mu     sync.Mutex
+	timer  *time.Timer // runs sweep; nil until the first hedge
+	armed  time.Time   // when timer fires; zero while it is not armed
+	hedges []*hedge    // hedges not yet fired or withdrawn
+}
+
+// hedge is one hedged read's place on the clock.
+type hedge struct {
+	due  time.Time
+	i    int    // index in hedgeClock.hedges; -1 once fired or withdrawn
+	fire func() // starts the backup; run on a goroutine of its own
+}
+
+// add puts h on the clock, due after delay.
+func (c *hedgeClock) add(h *hedge, delay time.Duration) {
+	h.due = time.Now().Add(delay)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h.i = len(c.hedges)
+	c.hedges = append(c.hedges, h)
+	if !c.armed.IsZero() && !h.due.Before(c.armed) {
+		return // the timer fires first anyway
+	}
+	c.armed = h.due
+	if c.timer == nil {
+		c.timer = time.AfterFunc(delay, c.sweep)
+	} else {
+		c.timer.Reset(delay)
+	}
+}
+
+// withdraw takes h off the clock and reports whether it was still
+// pending; false means it fired, and its backup is running or done.
+func (c *hedgeClock) withdraw(h *hedge) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h.i < 0 {
+		return false
+	}
+	c.remove(h)
+	return true
+}
+
+// remove takes h off the pending list. Call with mu held.
+func (c *hedgeClock) remove(h *hedge) {
+	last := c.hedges[len(c.hedges)-1]
+	c.hedges[h.i], last.i = last, h.i
+	c.hedges[len(c.hedges)-1] = nil
+	c.hedges = c.hedges[:len(c.hedges)-1]
+	h.i = -1
+}
+
+// sweep is the timer's callback: it fires every hedge now due, each on
+// a goroutine of its own, and re-arms the timer for the earliest one
+// left. A sweep with nothing due — the hedge it was armed for was
+// withdrawn — only re-arms.
+func (c *hedgeClock) sweep() {
+	var due []*hedge
+	c.mu.Lock()
+	now := time.Now()
+	var next time.Time
+	for i := 0; i < len(c.hedges); {
+		h := c.hedges[i]
+		if h.due.After(now) {
+			if next.IsZero() || h.due.Before(next) {
+				next = h.due
+			}
+			i++
+			continue
+		}
+		due = append(due, h)
+		c.remove(h) // moves the last pending hedge to i
+	}
+	c.armed = next
+	if !next.IsZero() {
+		c.timer.Reset(next.Sub(now))
+	}
+	c.mu.Unlock()
+	for _, h := range due {
+		go h.fire()
+	}
 }

@@ -372,3 +372,66 @@ func TestRebuildDiskCancelResumable(t *testing.T) {
 		t.Fatal("post-resume read diverges from payload")
 	}
 }
+
+// TestHedgeClock: the shared hedge timer fires every hedge that comes
+// due — each once, whatever order they were added in — and none that
+// was withdrawn first; withdraw reports which of the two happened, and
+// the timer is left unarmed once nothing is pending.
+func TestHedgeClock(t *testing.T) {
+	var c hedgeClock
+	fired := make(chan int, 8)
+	mk := func(id int) *hedge { return &hedge{fire: func() { fired <- id }} }
+	late, early, kept := mk(1), mk(2), mk(3)
+	c.add(late, 40*time.Millisecond)
+	c.add(early, 10*time.Millisecond) // earlier than the armed timer: re-arms it
+	c.add(kept, time.Hour)
+	var got []int
+	for len(got) < 2 {
+		select {
+		case id := <-fired:
+			got = append(got, id)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("fired %v, want both due hedges", got)
+		}
+	}
+	if got[0] != 2 || got[1] != 1 {
+		t.Fatalf("fired %v, want [2 1]", got)
+	}
+	if c.withdraw(early) || c.withdraw(late) {
+		t.Fatal("withdraw reported a fired hedge as pending")
+	}
+	if !c.withdraw(kept) {
+		t.Fatal("withdraw reported a pending hedge as fired")
+	}
+	if c.withdraw(kept) {
+		t.Fatal("a hedge was withdrawn twice")
+	}
+	// One due hedge withdrawn before its time: the sweep it armed finds
+	// nothing due and leaves the timer unarmed.
+	gone := mk(4)
+	c.add(gone, 5*time.Millisecond)
+	if !c.withdraw(gone) {
+		t.Fatal("withdraw reported a pending hedge as fired")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		armed, pending := c.armed, len(c.hedges)
+		c.mu.Unlock()
+		if pending != 0 {
+			t.Fatalf("%d hedges pending after everything was withdrawn", pending)
+		}
+		if armed.IsZero() {
+			break // the sweep ran
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("clock still armed at %v with nothing pending", armed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case id := <-fired:
+		t.Fatalf("hedge %d fired after it was withdrawn", id)
+	default:
+	}
+}

@@ -295,20 +295,36 @@ func (pl *opPlan) backend(slot int) *backendPlan {
 }
 
 // fanOut is the one fan-out every round goes through — a read's fetch, a
-// write's scatter, a scrub batch's gather: it runs the shares of the
-// slots in pl.active concurrently, the first on the calling goroutine (a
-// round that touches one backend starts no goroutine), and waits for
-// them all, each share's verdict left in its xfer.err.
+// write's scatter, a rebuild or scrub batch's gather: it runs the shares
+// of the slots in pl.active concurrently, the first on the calling
+// goroutine (a round that touches one backend hands nothing off) and
+// every other on one of the volume's share workers, and waits for them
+// all, each share's verdict left in its xfer.err. A hand-off never
+// waits for a worker (fanout.Workers.Go), so a share never queues behind
+// another op's — a paced rebuild gather's included.
 func (v *Volume) fanOut(ctx context.Context, pl *opPlan, kind fetchKind) {
+	pl.wg.Add(len(pl.active) - 1)
 	for _, slot := range pl.active[1:] {
-		pl.wg.Add(1)
-		go func() {
-			defer pl.wg.Done()
-			v.runShare(ctx, pl, slot, kind)
-		}()
+		v.workers.Go(shareJob{ctx: ctx, pl: pl, slot: slot, kind: kind})
 	}
 	v.runShare(ctx, pl, pl.active[0], kind)
 	pl.wg.Wait()
+}
+
+// shareJob is one share of a round handed to a share worker: a value
+// naming the share, not a closure, so the hand-off allocates nothing.
+type shareJob struct {
+	ctx  context.Context
+	pl   *opPlan
+	slot int
+	kind fetchKind
+}
+
+// runShareJob is the share workers' job: run the share, then tell the
+// round it is done.
+func (v *Volume) runShareJob(j shareJob) {
+	v.runShare(j.ctx, j.pl, j.slot, j.kind)
+	j.pl.wg.Done()
 }
 
 // runShare runs one slot's share of a round: a write's ops are packed

@@ -25,8 +25,10 @@ import (
 //     throttled rebuild runs (the benchmark-side face of the p99 gate
 //     in examples/clusterrecon -live).
 //   - hedge-idle-overhead: UserReadHedgedIdle / UserReadIdle — a hedged
-//     read that beats its delay costs a timer and a context, not a
-//     goroutine hand-off and a scratch copy.
+//     read that beats its delay costs a context and a place on the
+//     volume's shared hedge clock, not a goroutine hand-off, a scratch
+//     copy or a timer of its own (whose arming woke the network poller
+//     on every read).
 //   - write-during-scrub: UserWriteDuringScrub / UserWriteIdle — the
 //     price of the scrub's fence: a write to the stripes of the batch in
 //     flight waits for one gather, and the rest keep their pace.

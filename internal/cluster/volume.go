@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"shiftedmirror/internal/blockserver"
+	"shiftedmirror/internal/fanout"
 	"shiftedmirror/internal/obs"
 	"shiftedmirror/internal/raid"
 )
@@ -80,6 +81,16 @@ type Volume struct {
 
 	// plans recycles opPlans, the per-op planning scratch.
 	plans sync.Pool
+
+	// workers run the shares of a round beyond the one on the calling
+	// goroutine (fanOut). At most len(ids) × PoolSize stay parked — as many
+	// exchanges as the volume's synchronous pools can run at once — each
+	// keeping the stack it grew on the way down to the wire. Close
+	// releases them.
+	workers *fanout.Workers[shareJob]
+
+	// hedges is the one timer every hedged read in flight shares (hedge.go).
+	hedges hedgeClock
 
 	// qos, when non-nil, throttles rebuild slices and online scrub
 	// batches through a shared adaptive token bucket (Config.RebuildQoS*
@@ -290,6 +301,7 @@ func open(arch *raid.Mirror, cfg Config, mk func(v *Volume, slot int, id raid.Di
 		cfg:         cfg,
 		parity:      -1,
 	}
+	v.workers = fanout.New(len(ids)*cfg.PoolSize, v.runShareJob)
 	copies := ids
 	if arch.Parity() {
 		v.parity, copies = len(ids)-1, ids[:len(ids)-1]
@@ -320,14 +332,15 @@ func open(arch *raid.Mirror, cfg Config, mk func(v *Volume, slot int, id raid.Di
 }
 
 // Close releases every backend — pooled connections, in-process stores
-// that hold files: it publishes a closed state, which refuses further
-// management operations, and closes the backends that state names.
-// Operations in flight are not waited for — synchronous ones finish on
-// the connections they hold, pipelined ones fail — and calling Close
-// again is harmless.
+// that hold files — and the parked share workers: it publishes a closed
+// state, which refuses further management operations, and closes the
+// backends that state names. Operations in flight are not waited for —
+// synchronous ones finish on the connections they hold, pipelined ones
+// fail, and a share still running exits its worker when done — and
+// calling Close again is harmless.
 func (v *Volume) Close() {
 	var bes []backend
-	v.update(func(next *volState) error {
+	if v.update(func(next *volState) error {
 		if next.closed {
 			return errVolumeClosed
 		}
@@ -338,7 +351,10 @@ func (v *Volume) Close() {
 			}
 		}
 		return nil
-	})
+	}) != nil {
+		return
+	}
+	v.workers.Close()
 	for _, b := range bes {
 		b.close()
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -258,6 +260,68 @@ func TestVolumeRoundTrip(t *testing.T) {
 	}
 	if len(h.Backends) != len(arch.Disks()) {
 		t.Fatalf("health lists %d backends, want %d", len(h.Backends), len(arch.Disks()))
+	}
+}
+
+// TestVolumeWorkersExitOnClose: the share workers a volume parks after
+// mixed reads, writes and scrubs all exit on Close — the goroutine count
+// returns to where it was before the volume, within the deadline
+// TestHedgedReadNoGoroutineLeak allows.
+func TestVolumeWorkersExitOnClose(t *testing.T) {
+	const n, stripes, elementSize = 4, 4, 1024
+	arch := raid.NewMirror(layout.NewShifted(n))
+	backends := startBackends(t, arch, elementSize, stripes, withOrderedStores())
+	before := runtime.NumGoroutine()
+	v, err := New(arch, backends.addrs, fastConfig(elementSize, stripes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomPayload(t, v, 31)
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			buf := make([]byte, 3*elementSize)
+			for i := 0; i < 50; i++ {
+				off := rng.Int63n(v.Size() - int64(len(buf)))
+				var err error
+				switch w {
+				case 0:
+					_, err = v.WriteAt(buf, off)
+				case 1:
+					_, err = v.ReadAt(buf, off)
+				default:
+					_, err = v.Scrub(context.Background())
+					if errors.Is(err, ErrScrubMismatch) {
+						err = nil // a scrub racing the writer may see a torn range
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	v.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the volume, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 

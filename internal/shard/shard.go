@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"shiftedmirror/internal/cluster"
+	"shiftedmirror/internal/fanout"
 	"shiftedmirror/internal/raid"
 
 	"shiftedmirror/internal/obs"
@@ -123,6 +124,15 @@ type ShardedVolume struct {
 	cfg      Config
 	stats    shardStats
 
+	// workers run the group legs of a request beyond the one on the
+	// calling goroutine (fanoutGroups), calls recycles the requests' leg
+	// scratch. At most as many workers stay parked as the groups New was
+	// given have backends: a leg is one op on a group's volume and holds
+	// at least one of its backends' exchanges while it runs. Close
+	// releases them.
+	workers *fanout.Workers[groupJob]
+	calls   sync.Pool
+
 	// migrateHook, when non-nil, runs outside the lock after each
 	// migrated extent with the number of pairs completed so far — test
 	// instrumentation for cancel/retry coverage.
@@ -153,9 +163,12 @@ func New(children []*cluster.Volume, cfg Config) (*ShardedVolume, error) {
 		cfg:      cfg.withDefaults(),
 	}
 	s.stats.init()
+	backends := 0
 	for _, c := range children {
 		s.attach(c)
+		backends += len(c.Arch().Disks())
 	}
+	s.workers = fanout.New(backends, s.runGroupJob)
 	// Round-robin deal: row r takes stripe r from every group that still
 	// has one, in group order. Deterministic, and guarantees that
 	// consecutive logical stripes live on different groups while every
@@ -219,10 +232,12 @@ func (s *ShardedVolume) attach(c *cluster.Volume) int {
 	return gid
 }
 
-// Close releases every child volume's connections.
+// Close releases every child volume's connections and the parked group
+// workers.
 func (s *ShardedVolume) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.workers.Close()
 	for _, g := range s.groups {
 		g.vol.Close()
 	}
@@ -342,41 +357,69 @@ func (s *ShardedVolume) fanout(ctx context.Context, p []byte, segs []segment, wr
 		return s.runGroup(ctx, segs[0].gid, p, segs, write)
 	}
 	s.stats.boundarySplits.Inc()
-	// The goroutines make what they capture escape; handing them a copy
-	// keeps the caller's segment array on its stack.
-	return s.fanoutGroups(ctx, p, append([]segment(nil), segs...), write)
+	return s.fanoutGroups(ctx, p, segs, write)
+}
+
+// groupCall is one multi-group request as its group legs see it: the
+// request, a copy of its segments, and one verdict per segment — errs[i]
+// is the verdict of the group whose first segment is segs[i]. Calls are
+// pooled per ShardedVolume and keep their slices' capacity, so a request
+// that spans groups allocates nothing here.
+type groupCall struct {
+	ctx   context.Context
+	p     []byte
+	segs  []segment
+	errs  []error
+	write bool
+	wg    sync.WaitGroup
+}
+
+// groupJob is one group's leg of a call, handed to a group worker: the
+// group of the call's i-th segment.
+type groupJob struct {
+	c *groupCall
+	i int
+}
+
+// runGroupJob is the group workers' job: run the leg, keep its verdict,
+// tell the call it is done.
+func (s *ShardedVolume) runGroupJob(j groupJob) {
+	c := j.c
+	c.errs[j.i] = s.runGroup(c.ctx, c.segs[j.i].gid, c.p, c.segs, c.write)
+	c.wg.Done()
 }
 
 // fanoutGroups is fanout's multi-group leg: one vectored op per group
 // that owns a segment, the first segment's group on the calling
-// goroutine and every other on a goroutine of its own.
+// goroutine and every other on one of the volume's group workers. It
+// returns the first error in segment order.
 func (s *ShardedVolume) fanoutGroups(ctx context.Context, p []byte, segs []segment, write bool) error {
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		first error
-	)
-	note := func(err error) {
-		if err != nil {
-			errMu.Lock()
-			if first == nil {
-				first = err
-			}
-			errMu.Unlock()
-		}
+	c, _ := s.calls.Get().(*groupCall)
+	if c == nil {
+		c = new(groupCall)
 	}
-	for i, sg := range segs[1:] {
-		if slices.ContainsFunc(segs[:i+1], func(prev segment) bool { return prev.gid == sg.gid }) {
+	c.ctx, c.p, c.write = ctx, p, write
+	c.segs = append(c.segs[:0], segs...)
+	c.errs = append(c.errs[:0], make([]error, len(segs))...)
+	for i, sg := range c.segs[1:] {
+		if slices.ContainsFunc(c.segs[:i+1], func(prev segment) bool { return prev.gid == sg.gid }) {
 			continue // the group is already running
 		}
-		wg.Add(1)
-		go func(gid int) {
-			defer wg.Done()
-			note(s.runGroup(ctx, gid, p, segs, write))
-		}(sg.gid)
+		c.wg.Add(1)
+		s.workers.Go(groupJob{c: c, i: i + 1})
 	}
-	note(s.runGroup(ctx, segs[0].gid, p, segs, write))
-	wg.Wait()
+	c.errs[0] = s.runGroup(ctx, c.segs[0].gid, p, c.segs, write)
+	c.wg.Wait()
+	var first error
+	for _, err := range c.errs {
+		if err != nil {
+			first = err
+			break
+		}
+	}
+	clear(c.errs)
+	c.ctx, c.p, c.segs, c.errs = nil, nil, c.segs[:0], c.errs[:0]
+	s.calls.Put(c)
 	return first
 }
 
